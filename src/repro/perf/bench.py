@@ -37,10 +37,10 @@ wall-clock seconds, lower is better, and are the ones regression-checked;
 * ``sim_engine`` — a pure event-kernel microbenchmark (servers + credit
   stores churning a synthetic pipeline, no numpy, no workload build),
   isolating the dispatch-loop cost the bucketed engine optimises;
-* ``sim_engine_array`` / ``sim_engine_table`` — the event kernels head
-  to head on the FINAL-mapping workload (array vs object, then table vs
-  array vs object): bit-identical results, so the speedup ratios isolate
-  the dispatch mechanism and stay robust to host-speed drift;
+* ``sim_engine_table`` — the two event kernels head to head on the
+  FINAL-mapping workload (compiled table lane vs object kernel):
+  bit-identical results, so the speedup ratio isolates the dispatch
+  mechanism and stays robust to host-speed drift;
 * ``large_batch_sim`` — a batch-64 simulation of the naive paper mapping
   (256 pipeline jobs), full event-driven run vs the exact steady-state
   fast-forward (:mod:`repro.sim.steady_state`); the ``ff_speedup`` ratio
@@ -187,7 +187,6 @@ class BenchConfig:
         "sweep_persist",
         "accuracy_sweep",
         "sim_engine",
-        "sim_engine_array",
         "sim_engine_table",
         "large_batch_sim",
         "fast_forward_final",
@@ -494,57 +493,18 @@ def bench_sim_engine(config: BenchConfig) -> Dict[str, float]:
     }
 
 
-def bench_sim_engine_array(config: BenchConfig) -> Dict[str, float]:
-    """Array-native kernel vs object kernel, head to head, same workload.
-
-    Both kernels simulate the FINAL ResNet-18 mapping (the ``final_mapping``
-    sizes) with contention on; the results are bit-identical (asserted in
-    ``tests/test_sim_kernel_equivalence.py``), so the only thing measured
-    is the kernel mechanism: flat busy-until vectors and typed drain rows
-    vs per-link servers and barriers.  Measuring both sides in the same
-    process makes ``speedup`` robust to host-speed drift between trajectory
-    points; ``array_s`` and ``python_s`` are also regression-gated
-    individually.
-    """
-    scenario = Scenario(
-        model="resnet18",
-        input_shape=config.sim_input,
-        batch_size=config.sim_batch,
-        level=OptimizationLevel.FINAL.value,
-        n_clusters=config.sim_clusters,
-        crossbar_size=config.sim_crossbar,
-    )
-    graph = graph_stage(scenario)
-    arch = scenario.build_arch()
-    mapping = mapping_stage(graph, arch, scenario.batch_size, scenario.level_enum)
-    workload = workload_stage(mapping)
-    results = {
-        "sim_engine_array.array_s": _time(
-            lambda: simulate(arch, workload, engine="array"), config.repeats
-        ),
-        "sim_engine_array.python_s": _time(
-            lambda: simulate(arch, workload, engine="python"), config.repeats
-        ),
-    }
-    results["sim_engine_array.speedup"] = (
-        results["sim_engine_array.python_s"] / results["sim_engine_array.array_s"]
-    )
-    return results
-
-
 def bench_sim_engine_table(config: BenchConfig) -> Dict[str, float]:
-    """All three event kernels, head to head, same FINAL-mapping workload.
+    """Both event kernels, head to head, same FINAL-mapping workload.
 
-    The compiled table lane (:mod:`repro.sim.system_table`) vs the
-    array-native kernel vs the object kernel, all simulating the FINAL
-    ResNet-18 mapping with contention on in one process.  The results are
-    bit-identical (asserted in ``tests/test_sim_engine_table.py``), so the
-    timings isolate dispatch mechanism alone: integer transition tables
-    over flat state vectors vs typed callback rows vs per-resource
-    servers/barriers.  ``table_speedup`` (array/table) is the headline
-    ratio of the table lane; ``total_speedup`` (python/table) tracks the
-    cumulative win over the original object kernel.  All three ``*_s``
-    timings are regression-gated individually.
+    The compiled table lane (:mod:`repro.sim.system_table`, the default)
+    vs the object kernel, both simulating the FINAL ResNet-18 mapping with
+    contention on in one process.  The results are bit-identical (asserted
+    in ``tests/test_sim_kernel_equivalence.py``), so the timings isolate
+    dispatch mechanism alone: integer transition tables over flat state
+    vectors vs per-resource servers/barriers.  Measuring both sides in the
+    same process makes ``speedup`` (python/table) robust to host-speed
+    drift between trajectory points; ``table_s`` and ``python_s`` are also
+    regression-gated individually.
     """
     scenario = Scenario(
         model="resnet18",
@@ -562,17 +522,11 @@ def bench_sim_engine_table(config: BenchConfig) -> Dict[str, float]:
         "sim_engine_table.table_s": _time(
             lambda: simulate(arch, workload, engine="table"), config.repeats
         ),
-        "sim_engine_table.array_s": _time(
-            lambda: simulate(arch, workload, engine="array"), config.repeats
-        ),
         "sim_engine_table.python_s": _time(
             lambda: simulate(arch, workload, engine="python"), config.repeats
         ),
     }
-    results["sim_engine_table.table_speedup"] = (
-        results["sim_engine_table.array_s"] / results["sim_engine_table.table_s"]
-    )
-    results["sim_engine_table.total_speedup"] = (
+    results["sim_engine_table.speedup"] = (
         results["sim_engine_table.python_s"] / results["sim_engine_table.table_s"]
     )
     return results
@@ -627,10 +581,10 @@ def bench_fast_forward_final(config: BenchConfig) -> Dict[str, float]:
     (link contention couples stages and is refused with a typed reason):
     ``full_s`` times ``simulate(engine="python", model_contention=False)``
     as-is, ``ff_s`` times the same call with ``fast_forward=True``, which
-    probes a shortened run (on the array kernel — the engines are
-    bit-identical, and the probe needs its fused per-flow communication
-    records), certifies every stage at its own anchor and extrapolates
-    the rest in integer arithmetic.  Results are bit-identical (asserted
+    probes a shortened run (on the table lane — the engines are
+    bit-identical, and the probe needs its per-record observer),
+    certifies every stage at its own anchor and extrapolates the rest in
+    integer arithmetic.  Results are bit-identical (asserted
     in ``tests/test_sim_fast_forward.py`` and by the CI equivalence
     step); ``ff_speedup`` is the headline ratio and both timings are
     regression-gated.
@@ -806,7 +760,6 @@ SCENARIOS: Dict[str, Callable[[BenchConfig], Dict[str, float]]] = {
     "sweep_persist": bench_sweep_persist,
     "accuracy_sweep": bench_accuracy_sweep,
     "sim_engine": bench_sim_engine,
-    "sim_engine_array": bench_sim_engine_array,
     "sim_engine_table": bench_sim_engine_table,
     "large_batch_sim": bench_large_batch_sim,
     "fast_forward_final": bench_fast_forward_final,

@@ -185,11 +185,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--engine",
         choices=SIMULATION_ENGINES,
         default=None,
-        help="pin the event kernel for every scenario (array: the "
-        "array-native kernel, the default; python: the object kernel; "
-        "table: the compiled state-machine lane — all bit-identical, kept "
-        "for cross-checks and performance comparison) — equivalent to "
-        "engine = \"...\" in the spec's [base] table",
+        help="pin the event kernel for every scenario (table: the compiled "
+        "state-machine lane, the default; python: the object kernel, the "
+        "readable reference — bit-identical, kept for cross-checks and "
+        "performance comparison) — equivalent to engine = \"...\" in the "
+        "spec's [base] table",
     )
     parser.add_argument(
         "--arrivals",

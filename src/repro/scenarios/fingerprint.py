@@ -43,6 +43,7 @@ from typing import Any
 import numpy as np
 
 from ..dnn.graph import Graph
+from ..sim.system import DEFAULT_ENGINE
 
 
 class FingerprintError(TypeError):
@@ -251,7 +252,7 @@ def simulation_key(
     model_contention: bool,
     buffer_depth: int,
     fast_forward: bool = False,
-    engine: str = "array",
+    engine: str = DEFAULT_ENGINE,
     arrivals: Any = None,
 ) -> str:
     """Key of a :class:`~repro.sim.system.SimulationResult`.
@@ -263,12 +264,13 @@ def simulation_key(
     the key even though fast-forwarded results are bit-identical on every
     metric: the persisted payload records the ``fast_forwarded`` provenance
     flag, and serving one mode's artifact to the other would misreport it.
-    ``engine`` (array vs python vs table kernel) is likewise part of the
-    key despite bit-identical payloads: a sweep that pins the kernel must
+    ``engine`` (table lane vs python kernel) is likewise part of the key
+    despite bit-identical payloads: a sweep that pins the kernel must
     actually run it — serving another kernel's artifact would silently
     mask any divergence the kernel-equivalence suite exists to catch.
-    Adding the axis changes every simulation key once; historical
-    artifacts miss cleanly and are re-simulated.
+    Adding the axis changed every simulation key once, and so did moving
+    the default from ``"array"`` to ``"table"``; historical artifacts miss
+    cleanly and are re-simulated.
 
     ``arrivals`` carries the *resolved* arrival schedule of an open-system
     workload — the tuple of per-job arrival cycles, never the generator

@@ -53,7 +53,7 @@ from ..core.policies import resolve_policy
 from ..core.pipeline import lower_to_workload
 from ..dnn.graph import Graph
 from ..dnn.numerics import ReferenceExecutor, initialize_parameters, random_input
-from ..sim.system import SimulationRecord, SimulationResult, simulate
+from ..sim.system import DEFAULT_ENGINE, SimulationRecord, SimulationResult, simulate
 from ..sim.workload import Workload, resolve_arrivals
 from .cache import ArtifactCache
 from .fingerprint import (
@@ -242,7 +242,7 @@ def simulation_stage(
     model_contention: bool = True,
     buffer_depth: int = 2,
     fast_forward: bool = False,
-    engine: str = "array",
+    engine: str = DEFAULT_ENGINE,
     arrivals: Any = None,
     cache: Optional[ArtifactCache] = None,
 ) -> SimulationResult:
@@ -257,9 +257,9 @@ def simulation_stage(
     (:mod:`repro.sim.steady_state`); it changes how the result is computed,
     never its metrics, but keys separately so the persisted
     ``fast_forwarded`` provenance flag stays truthful.  ``engine`` selects
-    the event kernel (array-native, object or compiled table lane); the
-    kernels are bit-identical but key separately so a pinned-kernel sweep
-    really exercises the kernel it pinned.
+    the event kernel (compiled table lane or object kernel); the kernels
+    are bit-identical but key separately so a pinned-kernel sweep really
+    exercises the kernel it pinned.
 
     ``arrivals`` accepts every spelling
     :func:`~repro.sim.workload.resolve_arrivals` does; when given, the

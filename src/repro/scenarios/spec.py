@@ -64,7 +64,7 @@ from ..core.policies import (
 )
 from ..dnn import models as model_zoo
 from ..dnn.graph import Graph
-from ..sim.system import SIMULATION_ENGINES
+from ..sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 from ..sim.workload import (
     ARRIVAL_PROCESSES,
     ArrivalError,
@@ -301,13 +301,14 @@ class Scenario:
     #: carries the ``fast_forwarded`` provenance marker.
     fast_forward: bool = False
     #: which event-kernel implementation runs the simulation stage:
-    #: ``"array"`` (the array-native kernel, default), ``"python"`` (the
-    #: object kernel) or ``"table"`` (the compiled state-machine lane).
-    #: All three are bit-identical, so this is a performance axis; it is
-    #: still part of the simulation cache key so a sweep that pins it
-    #: never reuses another kernel's artifacts (which would mask any
-    #: divergence the equivalence suite is meant to catch).
-    engine: str = "array"
+    #: ``"table"`` (the compiled state-machine lane, default) or
+    #: ``"python"`` (the object kernel, the readable reference); any other
+    #: value is a :class:`SpecError`.  The two are bit-identical, so this
+    #: is a performance axis; it is still part of the simulation cache key
+    #: so a sweep that pins it never reuses another kernel's artifacts
+    #: (which would mask any divergence the equivalence suite is meant to
+    #: catch).
+    engine: str = DEFAULT_ENGINE
     # -- serving axis: open-system arrival process ------------------------- #
     #: arrival-process spec making the scenario an open-system serving run:
     #: a mapping with a ``process`` key naming a registered kind from

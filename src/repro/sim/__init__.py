@@ -3,12 +3,12 @@
 from .cluster_model import ClusterModel, L1OverflowError
 from .compare import assert_results_identical, result_mismatches
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
-from .engine_array import BATCH_MIN, ArrayEngine, K_DMA_START, K_TRANSFER_DRAIN, ROW_DTYPE
+from .engine_table import K_TRANSFER_DRAIN, TableEngine
 from .ima_model import IMAJob, IMATimingModel
 from .noc import LinkPool, NocModel, TransferRequest
-from .noc_array import ArrayNocModel
 from .steady_state import fast_forward_simulate
 from .system import (
+    DEFAULT_ENGINE,
     SIMULATION_ENGINES,
     SimulationRecord,
     SimulationResult,
@@ -37,17 +37,15 @@ from .workload import (
 
 __all__ = [
     "ARRIVAL_PROCESSES",
-    "ArrayEngine",
-    "ArrayNocModel",
     "ArrivalError",
     "ArrivalTraceError",
-    "BATCH_MIN",
     "Barrier",
     "BurstyArrivals",
     "CATEGORIES",
     "ClusterActivity",
     "ClusterModel",
     "CreditStore",
+    "DEFAULT_ENGINE",
     "DataFlow",
     "DeterministicArrivals",
     "ENDPOINT_HBM",
@@ -56,13 +54,11 @@ __all__ = [
     "Engine",
     "IMAJob",
     "IMATimingModel",
-    "K_DMA_START",
     "K_TRANSFER_DRAIN",
     "L1OverflowError",
     "LinkPool",
     "NocModel",
     "PoissonArrivals",
-    "ROW_DTYPE",
     "SIMULATION_ENGINES",
     "Server",
     "SimulationError",
@@ -72,6 +68,7 @@ __all__ = [
     "StageCost",
     "StageDescriptor",
     "SystemSimulator",
+    "TableEngine",
     "TraceArrivals",
     "Tracer",
     "TransferRequest",

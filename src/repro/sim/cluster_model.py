@@ -15,12 +15,12 @@ The cluster also tracks its L1 occupancy so mappings that overflow the 1 MB
 scratchpad are rejected (that constraint is what forces data tiling and the
 residual spill decisions in the paper).
 
-The IMA and core-complex servers run unchanged on both event kernels (the
-array kernel's typed-row fast path only replaces *deterministic* resources;
-see ``docs/simulator.md``).  The DMA, whose per-channel slots are exactly
-such a resource, is bypassed by :class:`repro.sim.system.SystemSimulator`
-in array mode via flat slot vectors — keep its timing in sync with that
-path when editing either.
+The DMA timing here (configuration cycles plus bytes over bandwidth, on
+``dma_channels`` FIFO channels) is also implemented by both simulator
+lanes — the per-cluster DMA :class:`~repro.sim.engine.Server` of
+:class:`repro.sim.system.SystemSimulator` and the per-cluster channel
+heaps of :mod:`repro.sim.system_table` (see ``docs/simulator.md``) — keep
+them in sync when editing any of the three.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The repository keeps two observationally equivalent implementations of the
 same simulation semantics — the object kernel (``engine="python"``) and
-the array-native kernel (``engine="array"``) — plus the steady-state
+the compiled table lane (``engine="table"``) — plus the steady-state
 fast-forward, whose acceptance contract is likewise bit-identity with the
 full run.  This module is the single definition of what "bit-identical"
 means: every payload-visible observable, *including the insertion order of

@@ -26,11 +26,11 @@ job start chains) costs one list append each instead of a heap push/pop
 pair, and draining ``k`` events that share a timestamp touches the heap
 once, not ``k`` times.
 
-:class:`~repro.sim.engine_array.ArrayEngine` subclasses this kernel with a
-typed, columnar event lane (integer row indices in the buckets instead of
-closures) and batch dispatch of same-cycle rows; it is the default engine
-of :func:`repro.sim.system.simulate` and must stay bit-identical to this
-one (``tests/test_sim_kernel_equivalence.py``).  Any change to the
+:class:`~repro.sim.engine_table.TableEngine` subclasses this kernel with a
+lane of opcode rows (integer row indices in the buckets instead of
+closures, dispatched through a handler jump table); it is the default
+engine of :func:`repro.sim.system.simulate` and must stay bit-identical to
+this one (``tests/test_sim_kernel_equivalence.py``).  Any change to the
 dispatch contract here must be mirrored there.
 """
 

@@ -1,91 +1,111 @@
 """Cycle-batched state-machine dispatch: opcode rows + a handler jump table.
 
-The array kernel (:mod:`repro.sim.engine_array`) removed the per-event
-*bookkeeping* of deterministic resources — a typed row replaces a server
-job, a barrier and a bound-method event — but every row still resolves to
-one Python **callback**, and profiling the FINAL-mapping run shows the
-remaining floor is exactly those callbacks: per-job closures created by
-``_StageRuntime`` (start/finish/deliver), credit-grant lambdas, and the
-chunk fan-out's per-group ``start_noc`` closures.
+The object kernel (:mod:`repro.sim.engine`) dispatches every event as a
+Python callable, and profiling the FINAL-mapping run shows the floor is
+exactly those callables: per-job closures (start/finish/deliver),
+credit-grant lambdas, per-link server jobs and barrier arrivals whose only
+purpose is to delay one completion by a statically known number of cycles.
 
-:class:`TableEngine` adds a second typed lane for *compiled* state
-machines: an **opcode row**.  Where a callback row stores ``(kind,
-cycles, callback)``, an opcode row stores ``(op, cycles, arg)`` — ``op``
-is an integer event kind at or above :data:`K_OP_BASE` that indexes a
-handler jump table registered once per run (:meth:`set_handlers`), and
-``arg`` is usually a packed integer (``state_id * n_jobs + job``) naming
-a slot in the client's flat state vectors.  Dispatching an opcode row is
-one table lookup plus one handler call on dense integer state — no
-closure is ever allocated, and the client's transition logic
+:class:`TableEngine` keeps the object kernel's bucketed queue (heap of
+distinct timestamps, FIFO list per timestamp, zero-heap same-cycle lane)
+and its exact dispatch contract, and adds a lane of **rows**: an event may
+be a plain callable *or* an integer row index into columnar
+(structure-of-arrays) row storage::
+
+    kind      int   jump-table index of the row's handler
+    cycles    int   pending deferral, or the consumed marker (-1)
+    payload   obj   the handler argument
+
+Dispatching a row is one table lookup plus one handler call on dense
+integer state — no closure is ever allocated.  ``kind`` indexes the
+handler table registered once per run (:meth:`set_handlers`), and the
+payload is usually a packed integer (``state_id * n_jobs + job``) naming a
+slot in the client's flat state vectors, so the client's transition logic
 (:class:`repro.sim.system_table.TableProgram`) advances whole lifecycle
-steps per handler call instead of one callback hop each.
+steps per handler call instead of one callback hop each.  Kind
+:data:`K_TRANSFER_DRAIN` is reserved: its handler calls the payload, which
+is how :meth:`defer_at` carries arbitrary callbacks.
 
-Two scheduling entry points mirror the callback lane exactly:
+Three scheduling entry points:
 
-* :meth:`sched_op` ≡ ``at(time, lambda: handler(arg))`` — the handler
-  runs when the row is dispatched;
-* :meth:`defer_op` ≡ ``defer_at(time, cycles, lambda: handler(arg))`` —
-  at dispatch the row *re-queues itself* into bucket ``time + cycles``
-  (zero allocation: the row flips its ``cycles`` field to the consumed
-  marker), and the handler runs when the re-queued row is dispatched.
-  A ``cycles == 0`` deferral re-queues at the tail of the active bucket,
-  byte-identical to the callback lane's ``after(0, ...)`` ordering.
+* :meth:`sched_op` ≡ ``at(time, lambda: handler(arg))`` — the handler runs
+  when the row is dispatched;
+* :meth:`defer_op` ≡ ``at(time, lambda: after(cycles, lambda:
+  handler(arg)))`` — at dispatch the row *re-queues itself* into bucket
+  ``time + cycles`` (zero allocation: the row flips its ``cycles`` field
+  to the consumed marker), and the handler runs when the re-queued row is
+  dispatched.  The insertion into the target bucket happens at simulated
+  time ``time``, the point at which the object kernel's server-finish
+  events are inserted, which keeps the two kernels' event orders aligned;
+  a ``cycles == 0`` deferral re-queues at the tail of the active bucket,
+  like ``after(0, ...)``;
+* :meth:`defer_at` — :meth:`defer_op` with a callback payload, for the
+  steps the tables do not compile (external-feed transfers).
 
-Callback rows and plain callables keep flowing through the same buckets
-unchanged — mixed runs dispatch in exact bucket order — so everything the
-tables do not compile (external feeds, re-entrant credit waiters,
-mid-batch ``max_events`` truncation) falls back to callback dispatch with
-no special cases.  Event counts per path equal the array kernel's 1:1,
-which keeps bounded runs and event-order equivalence exact; the
-bit-identity gate is ``tests/test_sim_kernel_equivalence.py`` plus the
-three-way matrix in ``tests/test_sim_engine_table.py``.
+Rows are single-use and recycled through a free list so the storage stays
+dense; :meth:`reset` releases it after a drained run.  Every row dispatch
+counts as one event, so a ``defer_op`` or ``defer_at`` costs two events,
+exactly as the object kernel's deferral does.  Bounded runs
+(``max_events``) may stop between any two entries of a bucket and resume
+in order.  The bit-identity gate is
+``tests/test_sim_kernel_equivalence.py``; this module's own contract is
+tested in ``tests/test_sim_engine_table.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
+from .engine import Callback, Engine, SimulationError
 
-from .engine import Callback, SimulationError
-from .engine_array import ArrayEngine, BATCH_MIN
+#: row kind of a :meth:`TableEngine.defer_at` callback row (scheduled at a
+#: transfer's link-drain cycle, deferring its delivery callback by the
+#: route's hop latency); its built-in handler calls the payload.
+K_TRANSFER_DRAIN = 0
 
-#: first opcode kind.  Kinds below this are the array kernel's callback
-#: rows (``K_TRANSFER_DRAIN``/``K_DMA_START``); kinds at or above it index
-#: the handler jump table as ``handlers[kind - K_OP_BASE]``.
-K_OP_BASE = 16
+#: first client opcode: kinds at or above it index the handlers passed to
+#: :meth:`TableEngine.set_handlers`, in order.
+K_OP_BASE = K_TRANSFER_DRAIN + 1
 
-#: ``cycles`` marker of an opcode row whose deferral (if any) has been
-#: consumed: dispatching it runs the handler.  ``sched_op`` rows are born
-#: consumed; ``defer_op`` rows carry ``cycles >= 0`` and flip to the
-#: marker when they re-queue themselves.
+#: ``cycles`` marker of a row whose deferral (if any) has been consumed:
+#: dispatching it runs the handler.  ``sched_op`` rows are born consumed;
+#: ``defer_op`` rows carry ``cycles >= 0`` and flip to the marker when
+#: they re-queue themselves.
 _CONSUMED = -1
 
 
-class TableEngine(ArrayEngine):
-    """Array engine with an opcode lane dispatched through a jump table.
+def _call(callback: Callback) -> None:
+    callback()
 
-    A drop-in :class:`ArrayEngine`: callables, callback rows and opcode
-    rows coexist in the same buckets and dispatch in exact FIFO order.
-    Opcode rows reuse the columnar row storage — the ``callback`` object
-    column holds the handler argument, the ``cycles`` column doubles as
-    the deferral/consumed state — so the free list is shared and
-    :meth:`~ArrayEngine.reset` compacts both lanes at once.
+
+class TableEngine(Engine):
+    """Event queue with a row lane dispatched through a jump table.
+
+    A drop-in :class:`~repro.sim.engine.Engine`: ``at``/``after``/``run``
+    keep their exact semantics for callable events, callables and rows
+    coexist in the same buckets and dispatch in exact FIFO order, and the
+    object-kernel primitives (:class:`~repro.sim.engine.Server`,
+    :class:`~repro.sim.engine.CreditStore`) run on it unchanged.
     """
 
-    __slots__ = ("_handlers",)
+    __slots__ = ("_row_kind", "_row_cycles", "_row_callback", "_free_rows", "_handlers")
 
     def __init__(self):
         super().__init__()
-        self._handlers: Tuple = ()
+        # columnar row storage; ``_row_callback`` holds each row's payload
+        self._row_kind: List[int] = []
+        self._row_cycles: List[int] = []
+        self._row_callback: List[object] = []
+        self._free_rows: List[int] = []
+        self._handlers: Tuple[Callable, ...] = (_call,)
 
-    def set_handlers(self, handlers: Sequence) -> None:
+    def set_handlers(self, handlers: Sequence[Callable]) -> None:
         """Register the opcode jump table: ``handlers[op - K_OP_BASE]``."""
-        self._handlers = tuple(handlers)
+        self._handlers = (_call,) + tuple(handlers)
 
     # ------------------------------------------------------------------ #
-    # Opcode lane
+    # Row lane
     # ------------------------------------------------------------------ #
     def sched_op(self, time: int, op: int, arg) -> None:
         """Schedule ``handlers[op - K_OP_BASE](arg)`` at ``time``.
@@ -121,12 +141,10 @@ class TableEngine(ArrayEngine):
     def defer_op(self, time: int, cycles: int, op: int, arg) -> None:
         """At ``time``, defer ``handlers[op - K_OP_BASE](arg)`` by ``cycles``.
 
-        Two events, like :meth:`~ArrayEngine.defer_at`: the row is
-        dispatched at ``time`` and re-queues *itself* into bucket
-        ``time + cycles`` (flipping ``cycles`` to the consumed marker —
-        no second allocation), where its dispatch runs the handler.  The
-        insertion into the target bucket happens at simulated time
-        ``time``, preserving the object kernel's FIFO position.
+        Two events: the row is dispatched at ``time`` and re-queues
+        *itself* into bucket ``time + cycles`` (flipping ``cycles`` to the
+        consumed marker — no second allocation), where its dispatch runs
+        the handler.
         """
         if time < self._now:
             raise SimulationError(
@@ -155,48 +173,74 @@ class TableEngine(ArrayEngine):
         else:
             bucket.append(row)
 
+    def defer_at(self, time: int, cycles: int, callback: Callback) -> None:
+        """At ``time``, defer ``callback`` by ``cycles`` (a callback row).
+
+        Equivalent to ``at(time, lambda: after(cycles, callback))`` without
+        the closure: ``callback`` runs in bucket ``time + cycles``, inserted
+        there at simulated time ``time``.
+        """
+        self.defer_op(int(time), int(cycles), K_TRANSFER_DRAIN, callback)
+
+    def reset(self) -> None:
+        """Release the row storage and free list (post-run compaction).
+
+        Row storage grows to the run's peak number of in-flight rows and is
+        only ever recycled, never shrunk, while events are pending.  A
+        long-lived holder of the engine (a ``SweepRunner`` worker, the
+        steady-state prober) would otherwise retain the peak-size columns;
+        after a drained run this drops them.  Raises
+        :class:`SimulationError` when called mid-run or with events still
+        queued — a reset must never orphan a live row index in a bucket.
+        """
+        if self._running:
+            raise SimulationError("cannot reset an engine from inside run()")
+        if self._times:
+            raise SimulationError("cannot reset an engine with pending events")
+        self._row_kind.clear()
+        self._row_cycles.clear()
+        self._row_callback.clear()
+        self._free_rows.clear()
+
     # ------------------------------------------------------------------ #
-    # Dispatch overrides
+    # Dispatch
     # ------------------------------------------------------------------ #
-    def _dispatch_row(self, row: int) -> None:
-        kind = self._row_kind[row]
-        if kind < K_OP_BASE:
-            ArrayEngine._dispatch_row(self, row)
+    def _dispatch(self, entry) -> None:
+        """Dispatch one bucket entry at the current time (bounded runs)."""
+        if type(entry) is not int:
+            entry()
             return
-        cycles = self._row_cycles[row]
+        cycles = self._row_cycles[entry]
         if cycles < 0:
-            arg = self._row_callback[row]
-            self._row_callback[row] = None
-            self._free_rows.append(row)
-            self._handlers[kind - K_OP_BASE](arg)
+            arg = self._row_callback[entry]
+            self._row_callback[entry] = None
+            self._free_rows.append(entry)
+            self._handlers[self._row_kind[entry]](arg)
             return
         # deferral pending: re-queue this same row, deferral consumed
-        self._row_cycles[row] = _CONSUMED
-        time = self._now + cycles
+        self._row_cycles[entry] = _CONSUMED
         if cycles == 0:
-            active = self._active
-            if active is not None:
-                active.append(row)
-                return
+            self._active.append(entry)
+            return
+        time = self._now + cycles
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [row]
+            self._buckets[time] = [entry]
             heapq.heappush(self._times, time)
         else:
-            bucket.append(row)
+            bucket.append(entry)
 
-    def run(self, until=None, max_events=None) -> int:
-        """Unbounded hot loop with opcode dispatch inlined.
+    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+        """Run until the queue drains (or ``until`` / ``max_events`` is hit).
 
-        Same contract as :meth:`ArrayEngine.run`; bounded runs
-        (``max_events``) delegate to the parent so mid-batch truncation
-        keeps its exact row-by-row semantics.  The unbounded loop folds
-        :meth:`_dispatch_row` into the bucket walk — one jump-table call
-        per opcode row with no intermediate method dispatch, which is
-        where a compiled run spends its remaining per-event time.
+        Same contract as :meth:`repro.sim.engine.Engine.run` — including
+        mid-batch ``max_events`` truncation with in-order resume, the
+        exception-safe tail requeue and non-re-entrancy — extended to rows,
+        each dispatch of which counts as one event.  The unbounded loop
+        inlines :meth:`_dispatch`: one jump-table call per row with no
+        intermediate method dispatch, which is where a compiled run spends
+        its per-event time.
         """
-        if max_events is not None:
-            return ArrayEngine.run(self, until=until, max_events=max_events)
         if self._running:
             raise SimulationError(
                 "Engine.run() is not re-entrant: it was called from inside "
@@ -215,7 +259,6 @@ class TableEngine(ArrayEngine):
         row_callback = self._row_callback
         free = self._free_rows
         handlers = self._handlers
-        base = K_OP_BASE
         try:
             while times:
                 time = times[0]
@@ -228,58 +271,57 @@ class TableEngine(ArrayEngine):
                 self._active = bucket
                 index = 0
                 try:
-                    while True:
-                        try:
-                            entry = bucket[index]
-                        except IndexError:
-                            break
-                        index += 1
-                        processed += 1
-                        if type(entry) is int:
-                            kind = row_kind[entry]
-                            cycles = row_cycles[entry]
-                            if kind >= base:
-                                if cycles < 0:
-                                    arg = row_callback[entry]
-                                    row_callback[entry] = None
-                                    free.append(entry)
-                                    handlers[kind - base](arg)
-                                    continue
-                                # pending deferral: re-queue this same row
-                                row_cycles[entry] = _CONSUMED
-                                if cycles == 0:
-                                    bucket.append(entry)
-                                    continue
-                                target = time + cycles
-                                nxt = buckets.get(target)
-                                if nxt is None:
-                                    buckets[target] = [entry]
-                                    heappush(times, target)
-                                else:
-                                    nxt.append(entry)
+                    if max_events is None:
+                        # hot loop: the batch may grow while it drains, so
+                        # iterate by index until it runs off the end
+                        while True:
+                            try:
+                                entry = bucket[index]
+                            except IndexError:
+                                break
+                            index += 1
+                            processed += 1
+                            if type(entry) is not int:
+                                entry()
                                 continue
-                            callback = row_callback[entry]
-                            row_callback[entry] = None
-                            free.append(entry)
+                            cycles = row_cycles[entry]
+                            if cycles < 0:
+                                arg = row_callback[entry]
+                                row_callback[entry] = None
+                                free.append(entry)
+                                handlers[row_kind[entry]](arg)
+                                continue
+                            # pending deferral: re-queue this same row
+                            row_cycles[entry] = _CONSUMED
                             if cycles == 0:
-                                bucket.append(callback)
+                                bucket.append(entry)
                                 continue
                             target = time + cycles
                             nxt = buckets.get(target)
                             if nxt is None:
-                                buckets[target] = [callback]
+                                buckets[target] = [entry]
                                 heappush(times, target)
                             else:
-                                nxt.append(callback)
-                        else:
-                            entry()
+                                nxt.append(entry)
+                    else:
+                        dispatch = self._dispatch
+                        while index < len(bucket):
+                            entry = bucket[index]
+                            index += 1
+                            processed += 1
+                            dispatch(entry)
+                            if processed >= max_events:
+                                break
                 finally:
                     self._active = None
                     if index < len(bucket):
-                        # a callback raised: requeue the unprocessed tail so
-                        # a later run() resumes in order.
+                        # truncated mid-batch (max_events, or a handler
+                        # raised): requeue the unprocessed tail so a later
+                        # run() resumes in order.
                         buckets[time] = bucket[index:]
                         heappush(times, time)
+                if max_events is not None and processed >= max_events:
+                    break
             if until is not None and not times and self._now < until:
                 self._now = until
         finally:
@@ -287,66 +329,3 @@ class TableEngine(ArrayEngine):
             self._active = None
             self._events_processed += processed
         return self._now
-
-    def _dispatch_run(self, rows: List[int]) -> None:
-        """Batch-dispatch a same-cycle run mixing callback and opcode rows.
-
-        Target times are computed in bulk exactly as in the array kernel
-        (consumed opcode rows land below ``now`` via their marker and run
-        their handler); insertions and handler calls happen in row order,
-        identical to dispatching the rows one by one.
-        """
-        now = self._now
-        row_cycles = self._row_cycles
-        if len(rows) >= BATCH_MIN:
-            target_list = (
-                now
-                + np.fromiter(
-                    (row_cycles[r] for r in rows), dtype=np.int64, count=len(rows)
-                )
-            ).tolist()
-        else:
-            target_list = [now + row_cycles[r] for r in rows]
-        row_kind = self._row_kind
-        row_callback = self._row_callback
-        free = self._free_rows
-        buckets = self._buckets
-        times = self._times
-        handlers = self._handlers
-        base = K_OP_BASE
-        for row, time in zip(rows, target_list):
-            kind = row_kind[row]
-            if kind >= base:
-                if time < now:  # consumed marker: run the handler
-                    arg = row_callback[row]
-                    row_callback[row] = None
-                    free.append(row)
-                    handlers[kind - base](arg)
-                    continue
-                row_cycles[row] = _CONSUMED
-                if time == now:
-                    active = self._active
-                    if active is not None:
-                        active.append(row)
-                        continue
-                bucket = buckets.get(time)
-                if bucket is None:
-                    buckets[time] = [row]
-                    heapq.heappush(times, time)
-                else:
-                    bucket.append(row)
-                continue
-            callback = row_callback[row]
-            row_callback[row] = None
-            free.append(row)
-            if time == now:
-                active = self._active
-                if active is not None:
-                    active.append(callback)
-                    continue
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [callback]
-                heapq.heappush(times, time)
-            else:
-                bucket.append(callback)

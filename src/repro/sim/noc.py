@@ -18,10 +18,10 @@ round-robin over the least-loaded channels) for the serialisation time plus
 the 100-cycle access latency of Table I.
 
 This is the object-kernel implementation (``engine="python"``).  The
-default array kernel replaces the per-link servers with flat busy-until
-vectors and typed drain rows in :mod:`repro.sim.noc_array`; the two are
-bit-identical by contract, so timing changes here must be applied to both
-and re-validated through ``tests/test_sim_kernel_equivalence.py``.
+default table lane replaces the per-link servers with flat busy-until
+vectors in :mod:`repro.sim.system_table`; the two are bit-identical by
+contract, so timing changes here must be applied to both and re-validated
+through ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..arch.config import ArchConfig
-from .system import SimulationResult, SystemSimulator
+from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator
+from .system_table import STAGE_JOB
 from .workload import (
     ENDPOINT_HBM,
     ENDPOINT_STAGE,
@@ -160,7 +161,9 @@ class _ProbeSimulator(SystemSimulator):
     call of the final stage), so window-to-window comparisons are exact.
     """
 
-    def __init__(self, arch, workload, model_contention, buffer_depth, engine="array"):
+    def __init__(
+        self, arch, workload, model_contention, buffer_depth, engine=DEFAULT_ENGINE
+    ):
         super().__init__(
             arch,
             workload,
@@ -179,8 +182,8 @@ class _ProbeSimulator(SystemSimulator):
         super().job_finished(stage_id, job_index)
         if stage_id == self._final_stage_id:
             # snapshot_activity is engine-aware: the table engine serves
-            # clusters/links from its dense mid-run lanes, the other two
-            # from the tracer — identical values either way.
+            # clusters/links from its dense mid-run lanes, the object
+            # kernel from the tracer — identical values either way.
             counters, clusters, stages, links = self.snapshot_activity()
             self.counter_snaps.append(counters)
             self.cluster_snaps.append(clusters)
@@ -526,88 +529,47 @@ def _global_fast_forward(
 
 
 class _ReplicaProbeSimulator(SystemSimulator):
-    """A contention-free probe that records per-family event end cycles.
+    """A contention-free table-lane probe that records per-family event ends.
 
-    The tracer's record methods are shadowed with instance closures that
-    perform the original state update inline and additionally append the
-    event's end cycle to a per-``(cluster, category, cycles)`` substream.
+    The table lane's per-record observer appends every record's end cycle
+    to a per-``(cluster, category, cycles)`` substream, in event order.
     Grouping by the recorded cycle count separates event families with
-    different causes (e.g. a DMA burst vs. a delivery attribution) without
-    touching the engines: families with equal signatures merge, which the
-    certifier handles by dominant-rate analysis.
+    different causes (e.g. a DMA burst vs. a delivery attribution):
+    families with equal signatures merge, which the certifier handles by
+    dominant-rate analysis.  The lane's fused burst records — one
+    source-side record per equal-size chunk group — carry exactly the
+    per-flow granularity family certification needs; per-chunk records
+    would collapse distinct flows into one indistinguishable family.
     """
 
-    def __init__(self, arch, workload, buffer_depth, engine):
+    def __init__(self, arch, workload, buffer_depth):
         super().__init__(
             arch,
             workload,
             model_contention=False,
             buffer_depth=buffer_depth,
-            engine=engine,
+            engine="table",
         )
         #: (cluster_id, category, cycles) -> end cycles, in record order.
         self.substreams: Dict[Tuple[int, str, int], List[int]] = {}
-        #: stage_id -> per-job compute-end cycles (record_stage_job order).
+        #: stage_id -> per-job compute-end cycles, in record order.
         self.stage_ends: Dict[int, List[int]] = {}
-        tracer = self.tracer
         substreams = self.substreams
         stage_ends = self.stage_ends
-        clusters = tracer.clusters
 
-        def record_communication(cluster_id, cycles, end_cycle):
-            activity = clusters.get(cluster_id)
-            if activity is None:
-                activity = tracer.cluster(cluster_id)
-            activity.communication += cycles
-            if end_cycle > activity.last_busy_cycle:
-                activity.last_busy_cycle = end_cycle
-            if end_cycle > tracer.makespan:
-                tracer.makespan = end_cycle
-            key = (cluster_id, "communication", cycles)
-            stream = substreams.get(key)
-            if stream is None:
-                stream = substreams[key] = []
-            stream.append(end_cycle)
+        def observe(key: int, category: str, cycles: int, end: int) -> None:
+            if category == STAGE_JOB:
+                stream = stage_ends.get(key)
+                if stream is None:
+                    stream = stage_ends[key] = []
+            else:
+                family = (key, category, cycles)
+                stream = substreams.get(family)
+                if stream is None:
+                    stream = substreams[family] = []
+            stream.append(end)
 
-        def record_analog_job(cluster_id, cycles, end_cycle):
-            activity = clusters.get(cluster_id)
-            if activity is None:
-                activity = tracer.cluster(cluster_id)
-            activity.analog += cycles
-            activity.jobs += 1
-            if end_cycle > activity.last_busy_cycle:
-                activity.last_busy_cycle = end_cycle
-            if end_cycle > tracer.makespan:
-                tracer.makespan = end_cycle
-            key = (cluster_id, "analog", cycles)
-            stream = substreams.get(key)
-            if stream is None:
-                stream = substreams[key] = []
-            stream.append(end_cycle)
-
-        orig_record_cluster = tracer.record_cluster
-
-        def record_cluster(cluster_id, category, cycles, end_cycle):
-            orig_record_cluster(cluster_id, category, cycles, end_cycle)
-            key = (cluster_id, category, int(cycles))
-            stream = substreams.get(key)
-            if stream is None:
-                stream = substreams[key] = []
-            stream.append(int(end_cycle))
-
-        orig_record_stage_job = tracer.record_stage_job
-
-        def record_stage_job(stage_id, start, end, analog_cycles, digital_cycles):
-            orig_record_stage_job(stage_id, start, end, analog_cycles, digital_cycles)
-            ends = stage_ends.get(stage_id)
-            if ends is None:
-                ends = stage_ends[stage_id] = []
-            ends.append(int(end))
-
-        tracer.record_communication = record_communication  # type: ignore[method-assign]
-        tracer.record_analog_job = record_analog_job  # type: ignore[method-assign]
-        tracer.record_cluster = record_cluster  # type: ignore[method-assign]
-        tracer.record_stage_job = record_stage_job  # type: ignore[method-assign]
+        self._table.observer = observe
 
 
 @dataclass
@@ -679,9 +641,8 @@ class _EventLedger:
     any mismatch refuses the fast-forward.
     """
 
-    def __init__(self, arch: ArchConfig, workload: Workload, array_mode: bool):
+    def __init__(self, arch: ArchConfig, workload: Workload):
         self.workload = workload
-        self.array_mode = array_mode
         self.topology = arch.topology()
         spec = arch.cluster
         self._bw = spec.dma_bandwidth_bytes_per_cycle
@@ -845,12 +806,11 @@ class _EventLedger:
         links: Dict[str, int],
         dst_dominator: Optional[Tuple] = None,
     ) -> None:
-        """Mirror of ``send_chunked`` / ``_send_chunked_array`` emission.
+        """Mirror of the table lane's chunked-flow record emission.
 
-        The array kernel fuses all same-size chunks of one burst into a
-        single source-side communication record of ``duration * count``
-        cycles; the object kernel records each chunk separately.  The
-        destination side and the traffic counters are per-chunk on both.
+        All same-size chunks of one burst share a single source-side
+        communication record of ``duration * count`` cycles; the
+        destination side and the traffic counters are per chunk.
         """
         if n_bytes <= 0 or n_chunks <= 1:
             self._send(
@@ -866,12 +826,7 @@ class _EventLedger:
             return
         for size, count in self._chunk_groups(n_bytes, n_chunks):
             if src is not None:
-                if self.array_mode:
-                    self._event(
-                        src, "communication", self._dma(size) * count, src_key, 1
-                    )
-                else:
-                    self._event(src, "communication", self._dma(size), src_key, count)
+                self._event(src, "communication", self._dma(size) * count, src_key, 1)
                 self.dma_pacers.setdefault(src, set()).add(src_key[0])
             for __ in range(count):
                 self._transfer(src, dst, size, counters, links)
@@ -1659,7 +1614,6 @@ def _replica_fast_forward(
     arch: ArchConfig,
     workload: Workload,
     buffer_depth: int,
-    engine: str,
     attempts: List[str],
     q_max: int,
 ) -> Union[SimulationResult, "FastForwardRefusal"]:
@@ -1674,16 +1628,10 @@ def _replica_fast_forward(
     nothing.
     """
     n = workload.n_jobs
-    # The probe always runs on the array engine, whatever engine the caller
-    # asked for: the three engines are bit-identical (the equivalence suite
-    # enforces it), the table engine's batched dispatch does not expose the
-    # per-record tracer interception the probe needs, and the object
-    # engine's per-chunk communication records collapse distinct flows into
-    # one indistinguishable event family (every chunk of every relay read
-    # costs the same), while the array engine's fused burst records carry
-    # exactly the per-flow granularity that family certification needs.
-    probe_engine = "array"
-    array_mode = True
+    # The probe always runs on the table lane, whatever engine the caller
+    # asked for: the engines are bit-identical (the equivalence suite
+    # enforces it), and only the table lane streams the per-record events
+    # the certifier needs (see _ReplicaProbeSimulator).
     b = max(PROBE_TARGET, 2 * q_max + MIN_WINDOWS + 1)
 
     def refuse(reason: str, detail: str) -> FastForwardRefusal:
@@ -1697,16 +1645,9 @@ def _replica_fast_forward(
                 f"certifying replica windows up to {q_max} needs a {b}-job "
                 f"probe, more than half of the {n}-job run",
             )
-        attempts.append(f"replica probe b={b} engine={probe_engine}")
-        logger.info(
-            "fast-forward: replica probe b=%d engine=%s (q_max=%d)",
-            b,
-            probe_engine,
-            q_max,
-        )
-        probe = _ReplicaProbeSimulator(
-            arch, workload.with_n_jobs(b), buffer_depth, probe_engine
-        )
+        attempts.append(f"replica probe b={b} engine=table")
+        logger.info("fast-forward: replica probe b=%d (q_max=%d)", b, q_max)
+        probe = _ReplicaProbeSimulator(arch, workload.with_n_jobs(b), buffer_depth)
         result = probe.run()
         if not result.completed:
             return refuse(REFUSAL_NON_PERIODIC, "probe run did not complete")
@@ -1744,7 +1685,7 @@ def _replica_fast_forward(
                     f"run ({detail})",
                 )
             return refuse(REFUSAL_NON_PERIODIC, detail)
-        ledger = _EventLedger(arch, workload, array_mode)
+        ledger = _EventLedger(arch, workload)
         mismatch = _verify_probe_state(probe, ledger, workload, b)
         if mismatch is not None:
             return refuse(REFUSAL_NON_PERIODIC, f"ledger mismatch: {mismatch}")
@@ -1795,7 +1736,7 @@ def fast_forward_simulate(
     workload: Workload,
     model_contention: bool = True,
     buffer_depth: int = 2,
-    engine: str = "array",
+    engine: str = DEFAULT_ENGINE,
 ) -> Union[SimulationResult, "FastForwardRefusal"]:
     """Simulate ``workload`` by steady-state extrapolation when provably exact.
 
@@ -1805,7 +1746,10 @@ def fast_forward_simulate(
     global path (effective windows up to :data:`MAX_WINDOW`), and the
     replica-symmetry path for wide replica groups, available when NoC
     contention modelling is off (contention couples clusters globally and
-    has no per-stage decomposition to certify).
+    has no per-stage decomposition to certify).  Refusals that follow from
+    the workload and options alone — an open workload, too few jobs, or a
+    stage replicated beyond :data:`MAX_WINDOW` under contention — return
+    before any probe runs.
     """
     attempts: List[str] = []
     if workload.arrival_cycles:
@@ -1823,6 +1767,29 @@ def fast_forward_simulate(
             f"certification margin would not be shorter than the full run",
             tuple(attempts),
         )
+    if model_contention:
+        # A stage round-robining R > MAX_WINDOW analog replicas hands the
+        # replica that served a window's last job its next job R > W jobs
+        # later, for every candidate W ≤ MAX_WINDOW: that replica's
+        # clusters get a job in one window and none in the next, so the
+        # global path's second-difference test cannot pass, and the
+        # replica path needs contention off.  Refuse before paying for a
+        # probe.
+        wide = [d for d in workload.stages if d.is_analog and d.replication > MAX_WINDOW]
+        if wide:
+            stage = max(wide, key=lambda d: d.replication)
+            return FastForwardRefusal(
+                REFUSAL_WINDOW_TOO_LARGE,
+                f"stage {stage.stage_id} round-robins {stage.replication} "
+                f"analog replicas, more than the global certification cap "
+                f"{MAX_WINDOW}; replica-symmetry certification requires "
+                f"model_contention=False",
+                (
+                    f"refused before probing: stages "
+                    f"{[d.stage_id for d in wide]} are replicated beyond "
+                    f"MAX_WINDOW={MAX_WINDOW} under contention",
+                ),
+            )
     q_max = max(
         math.lcm(d.replication, d.digital_slots) for d in workload.stages
     )
@@ -1846,4 +1813,4 @@ def fast_forward_simulate(
             "no globally periodic window certified under contention",
             tuple(attempts),
         )
-    return _replica_fast_forward(arch, workload, buffer_depth, engine, attempts, q_max)
+    return _replica_fast_forward(arch, workload, buffer_depth, attempts, q_max)

@@ -29,9 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 from ..arch.config import ArchConfig
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
-from .engine_array import ArrayEngine, K_DMA_START
+from .engine_table import TableEngine
 from .noc import NocModel
-from .noc_array import ArrayNocModel
+from .system_table import TableProgram
 from .tracer import Tracer
 from .workload import (
     DataFlow,
@@ -47,9 +47,9 @@ from .workload import (
 #: change to the payload structure or to the simulator semantics the
 #: payload freezes; loaders reject mismatched payloads and re-simulate.
 #: Version 2: per-stage completion traces ride the tracer and the payload
-#: carries the ``fast_forwarded`` flag.  The ``engine`` selection (array
-#: vs python kernel) is deliberately *not* part of the payload and did not
-#: bump this version: the two kernels are bit-identical (asserted in
+#: carries the ``fast_forwarded`` flag.  The ``engine`` selection is
+#: deliberately *not* part of the payload and never bumps this version:
+#: the kernels are bit-identical (asserted in
 #: ``tests/test_sim_kernel_equivalence.py``), so a payload carries no
 #: trace of which kernel produced it.
 #: Version 3: open-system workloads — the tracer (which ships inside the
@@ -69,11 +69,13 @@ from .workload import (
 SIMULATION_PAYLOAD_VERSION = 4
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
-#: :class:`SystemSimulator`: the array-native kernel (default), the
-#: original object kernel it is bit-identical to, and the compiled
-#: state-machine lane (:mod:`repro.sim.system_table`), bit-identical to
-#: both.
-SIMULATION_ENGINES = ("array", "python", "table")
+#: :class:`SystemSimulator`: the object kernel, kept as the readable
+#: reference, and the compiled state-machine lane
+#: (:mod:`repro.sim.system_table`), bit-identical to it.
+SIMULATION_ENGINES = ("python", "table")
+
+#: the engine every ``engine`` argument and field defaults to.
+DEFAULT_ENGINE = "table"
 
 
 @dataclass(frozen=True)
@@ -529,7 +531,7 @@ class SystemSimulator:
         workload: Workload,
         model_contention: bool = True,
         buffer_depth: int = 2,
-        engine: str = "array",
+        engine: str = DEFAULT_ENGINE,
     ):
         if engine not in SIMULATION_ENGINES:
             raise ValueError(
@@ -541,21 +543,13 @@ class SystemSimulator:
         self.workload = workload
         self.buffer_depth = buffer_depth
         self.engine_kind = engine
-        self._array_mode = engine == "array"
         self.tracer = Tracer()
-        if self._array_mode:
-            self.engine: Engine = ArrayEngine()
-            self.noc: Optional[NocModel] = ArrayNocModel(
-                self.engine, arch, tracer=self.tracer, model_contention=model_contention
-            )
-        elif engine == "table":
+        if engine == "table":
             # compiled state-machine lane: the whole workload lifecycle —
             # stages, flows, NoC links, HBM channels — is compiled by
             # TableProgram below, so no object NoC model exists.
-            from .engine_table import TableEngine
-
-            self.engine = TableEngine()
-            self.noc = None
+            self.engine: Engine = TableEngine()
+            self.noc: Optional[NocModel] = None
         else:
             self.engine = Engine()
             self.noc = NocModel(
@@ -563,10 +557,6 @@ class SystemSimulator:
             )
         self.model_contention = model_contention
         self._dma_servers: Dict[int, Server] = {}
-        #: array-mode DMA lanes: per-cluster busy-until vector with one
-        #: entry per DMA channel (the flat-array replacement of the
-        #: per-cluster DMA :class:`Server`; see :meth:`_dma_submit`).
-        self._dma_slots: Dict[int, List[int]] = {}
         self._stages: Dict[int, _StageRuntime] = {}
         self._finished_stages = 0
         self._last_completion_cycle = 0
@@ -581,16 +571,11 @@ class SystemSimulator:
         # memoized per-size DMA/communication cycle counts (hot path)
         self._dma_cycle_memo: Dict[int, int] = {}
         self._comm_cycle_memo: Dict[int, int] = {}
-        # memoized (n_bytes, n_chunks) -> ((size, count), ...) chunk groups
-        # for the fused array-mode chunk fan-out
-        self._chunk_groups_memo: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
         # Map (kind, label) of relayed flows (HBM / storage residuals) to the
         # consumer stage and flow index expecting them.
         self._relay_targets: Dict[Tuple[str, str], Tuple[int, int]] = {}
         if engine == "table":
-            from .system_table import TableProgram
-
-            self._table: Optional["TableProgram"] = TableProgram(self)
+            self._table: Optional[TableProgram] = TableProgram(self)
         else:
             self._table = None
 
@@ -673,35 +658,6 @@ class SystemSimulator:
             )
         return self._dma_servers[cluster]
 
-    def _dma_submit(self, cluster: int, duration: int, on_done) -> None:
-        """Array-mode DMA lane: flat per-channel busy-until vector.
-
-        A multi-channel FIFO DMA with durations fixed at submission is
-        deterministic: a job starts on the earliest-free channel at
-        ``max(now, channel_busy_until)``.  An uncontended job schedules its
-        completion directly (the object kernel's fast lane inlines the
-        same insertion); a queued job leaves one typed
-        :data:`~repro.sim.engine_array.K_DMA_START` row at its start
-        cycle, which is the simulated time at which the object kernel's
-        ``Server._start_queued`` inserts the finish event.
-        """
-        slots = self._dma_slots.get(cluster)
-        if slots is None:
-            slots = self._dma_slots[cluster] = [0] * self.arch.cluster.dma_channels
-        now = self.engine._now
-        best = 0
-        free_at = slots[0]
-        for index in range(1, len(slots)):
-            if slots[index] < free_at:
-                free_at = slots[index]
-                best = index
-        if free_at <= now:
-            slots[best] = now + duration
-            self.engine.at(now + duration, on_done)
-        else:
-            slots[best] = free_at + duration
-            self.engine.defer_at(free_at, duration, on_done, kind=K_DMA_START)
-
     def _dma_cycles(self, n_bytes: int) -> int:
         if n_bytes <= 0:
             return 0
@@ -745,10 +701,7 @@ class SystemSimulator:
             self.tracer.record_communication(
                 src, duration, self.engine._now + duration
             )
-            if self._array_mode:
-                self._dma_submit(src, duration, start_noc)
-            else:
-                self._dma_server(src).submit(duration, start_noc)
+            self._dma_server(src).submit(duration, start_noc)
         else:
             start_noc()
 
@@ -771,116 +724,11 @@ class SystemSimulator:
             return
         chunk = math.ceil(n_bytes / n_chunks)
         barrier = Barrier(n_chunks, on_done)
-        if self._array_mode:
-            self._send_chunked_array(src, dst, n_bytes, n_chunks, chunk, barrier)
-            return
         remaining = n_bytes
         for __ in range(n_chunks):
             size = min(chunk, remaining)
             remaining -= size
             self.send_bytes(src, dst, max(1, size), barrier.arrive)
-
-    def _send_chunked_array(
-        self,
-        src: Optional[int],
-        dst: Optional[int],
-        n_bytes: int,
-        n_chunks: int,
-        chunk: int,
-        barrier: Barrier,
-    ) -> None:
-        """Array-mode chunk fan-out with per-burst work hoisted out of the loop.
-
-        All chunks are issued synchronously inside one event callback, so
-        fusing their bookkeeping is unobservable: the per-size DMA duration
-        is resolved once, the source cluster's communication cycles are
-        recorded in one call per distinct chunk size, the DMA channel scan
-        is inlined, and equal-sized chunks share a single ``start_noc``
-        closure (the closure is stateless across chunks of the same size).
-        The events it schedules are identical — in kind, time and insertion
-        order — to routing every chunk through :meth:`send_bytes`.
-        """
-        arrive = barrier.arrive
-        # (size, count) groups in issue order, replicating the object-path
-        # loop exactly (including its 1-byte floor once ``remaining`` runs
-        # out); chunk sizes are non-increasing, so grouping equal sizes
-        # preserves issue order.
-        groups = self._chunk_groups_memo.get((n_bytes, n_chunks))
-        if groups is None:
-            sizes: List[int] = []
-            remaining = n_bytes
-            for __ in range(n_chunks):
-                size = min(chunk, remaining)
-                remaining -= size
-                sizes.append(max(1, size))
-            grouped: List[Tuple[int, int]] = []
-            for size in sizes:
-                if grouped and grouped[-1][0] == size:
-                    grouped[-1] = (size, grouped[-1][1] + 1)
-                else:
-                    grouped.append((size, 1))
-            groups = self._chunk_groups_memo[(n_bytes, n_chunks)] = tuple(grouped)
-        engine = self.engine
-        noc_transfer = self.noc.transfer_bytes
-        tracer = self.tracer
-
-        def make_start_noc(size: int):
-            # delivery-side attribution cycles resolved at issue time (the
-            # memo is per-size, so the value is the same one
-            # ``_attribute_communication`` would look up at delivery time)
-            comm_cycles = self._comm_cycle_memo.get(size)
-            if comm_cycles is None:
-                comm_cycles = math.ceil(
-                    size / self.arch.cluster.dma_bandwidth_bytes_per_cycle
-                )
-                self._comm_cycle_memo[size] = comm_cycles
-
-            if dst is None:
-
-                def finished() -> None:
-                    arrive()
-
-            else:
-
-                def finished() -> None:
-                    tracer.record_communication(dst, comm_cycles, engine._now)
-                    arrive()
-
-            def start_noc() -> None:
-                noc_transfer(src, dst, size, finished)
-
-            return start_noc
-
-        if src is None:
-            for size, count in groups:
-                start_noc = make_start_noc(size)
-                for __ in range(count):
-                    start_noc()
-            return
-        slots = self._dma_slots.get(src)
-        if slots is None:
-            slots = self._dma_slots[src] = [0] * self.arch.cluster.dma_channels
-        n_slots = len(slots)
-        now = engine._now
-        defer_at = engine.defer_at  # type: ignore[attr-defined]
-        at = engine.at
-        for size, count in groups:
-            duration = self._dma_cycles(size)
-            tracer.record_communication(src, duration * count, now + duration)
-            start_noc = make_start_noc(size)
-            for __ in range(count):
-                best = 0
-                free_at = slots[0]
-                for index in range(1, n_slots):
-                    if slots[index] < free_at:
-                        free_at = slots[index]
-                        best = index
-                if free_at <= now:
-                    slots[best] = now + duration
-                    at(now + duration, start_noc)
-                else:
-                    slots[best] = free_at + duration
-                    defer_at(free_at, duration, start_noc, kind=K_DMA_START)
 
     # ------------------------------------------------------------------ #
     # Output routing
@@ -1062,11 +910,10 @@ class SystemSimulator:
             )
         makespan = self.tracer.makespan
         engine = self.engine
-        if isinstance(engine, ArrayEngine) and not engine._times:
-            # drained run: drop the peak-size typed-row storage so a
-            # long-lived holder of this simulator (sweep workers, the
-            # steady-state prober) does not retain it (see
-            # ``ArrayEngine.reset``).
+        if isinstance(engine, TableEngine) and not engine._times:
+            # drained run: drop the peak-size row storage so a long-lived
+            # holder of this simulator (sweep workers, the steady-state
+            # prober) does not retain it (see ``TableEngine.reset``).
             engine.reset()
         final_stage = self.workload.final_stage()
         final_trace = self.tracer.stage_completions.get(final_stage.stage_id, ())
@@ -1087,7 +934,7 @@ def simulate(
     model_contention: bool = True,
     buffer_depth: int = 2,
     fast_forward: bool = False,
-    engine: str = "array",
+    engine: str = DEFAULT_ENGINE,
 ) -> SimulationResult:
     """Convenience wrapper: build a simulator and run the workload.
 
@@ -1104,16 +951,15 @@ def simulate(
     result (``fast_forward_refusal``), so ``fast_forward=True`` is always
     safe, merely not always faster.
 
-    ``engine`` selects the event kernel: ``"array"`` (default) runs the
-    array-native kernel (:mod:`repro.sim.engine_array` /
-    :mod:`repro.sim.noc_array`), ``"python"`` the original object kernel,
-    and ``"table"`` the compiled state-machine lane
+    ``engine`` selects the event kernel: ``"table"`` (default,
+    :data:`DEFAULT_ENGINE`) runs the compiled state-machine lane
     (:mod:`repro.sim.engine_table` / :mod:`repro.sim.system_table`), which
     replaces the per-event callbacks with opcode dispatch over flat state
-    vectors.  All three produce bit-identical results (asserted in
-    ``tests/test_sim_kernel_equivalence.py`` and
-    ``tests/test_sim_engine_table.py``); the switches exist as safety nets
-    and as a sweepable scenario axis.
+    vectors; ``"python"`` runs the object kernel, the readable reference.
+    Both produce bit-identical results (asserted in
+    ``tests/test_sim_kernel_equivalence.py``); the switch exists as a
+    safety net and as a sweepable scenario axis.  Any other value raises
+    :class:`ValueError`.
     """
     if engine not in SIMULATION_ENGINES:
         raise ValueError(

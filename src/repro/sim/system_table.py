@@ -14,37 +14,41 @@ once, before the first event, into integer transition state consumed by
   :class:`_Group` records (size, count, DMA duration, serialization,
   HBM extra, delivery attribution — every per-transfer quantity the
   object kernel recomputes or memo-looks-up per event);
-* NoC links and HBM channels become dense vectors (busy-until, busy
-  cycles, channel queues) updated by indexed arithmetic inside the
-  opcode handlers.
+* NoC links, per-cluster DMA channels and HBM channels become dense
+  vectors (busy-until, busy cycles, channel queues) updated by indexed
+  arithmetic inside the opcode handlers.  A capacity-1 FIFO link with
+  durations fixed at submission is deterministic — it drains a new burst
+  at ``max(now, busy_until) + serialization`` — so a contended transfer
+  is one busy-until pass over its route plus one deferred row, where the
+  object kernel runs one server job per link and a barrier.
 
-The **legality rule** for compiling a lifecycle step is the same one the
-array kernel applies to resources, extended to control flow: a step may
-be table-compiled only when its *successor and timing are fully
-determined at schedule time* from integer state (server finishes, credit
-grants and their FIFO cascades, chunk fan-outs, HBM round-robin picks —
-all deterministic given event order).  Steps whose continuation is an
-arbitrary closure stay callbacks and ride the engine's callback lane
-unchanged: external HBM feeds (their fetch → grant → deliver recursion
-is re-entrant through the credit queue, so the credit waiter queues hold
-*either* packed ints or callables), and anything a bounded
-``max_events`` run truncates mid-batch (rows keep their identity when
-re-queued, so resume order is exact).
+The **legality rule** for compiling a lifecycle step: a step may be
+table-compiled only when its *successor and timing are fully determined at
+schedule time* from integer state (server finishes, credit grants and
+their FIFO cascades, chunk fan-outs, HBM round-robin picks — all
+deterministic given event order).  Steps whose continuation is an
+arbitrary closure stay callbacks and ride the engine's callback rows
+unchanged: external HBM feeds (their fetch → grant → deliver recursion is
+re-entrant through the credit queue, so the credit waiter queues hold
+*either* packed ints or callables).
 
 Equivalence contract: every event this program schedules lands at the
-same simulated time, in the same bucket insertion position, as the array
+same simulated time, in the same bucket insertion position, as the object
 kernel's equivalent event — the compiled handlers replicate the object
 kernel's synchronous callback chains (server ``on_done``-then-dequeue
 order, credit FIFO grants, barrier arrivals, the ``written``-then-relay
-order of storage flows) statement for statement.  Tracer state that the
-fast-forward prober must see mid-run (aggregate counters, live
-:class:`~repro.sim.tracer.StageActivity`, stage completions) stays on
-the tracer; per-cluster and per-link activity accumulate in dense arrays
-and materialise into the tracer in first-touch order at
-:meth:`finalize` (``SystemSimulator.snapshot_activity`` reads the dense
-form mid-run).  Bit-identity against both kernels is asserted by
-``tests/test_sim_kernel_equivalence.py`` and the three-way matrix in
-``tests/test_sim_engine_table.py``.
+order of storage flows) statement for statement.  The one deliberate
+difference is record granularity: the equal-size chunks of one burst
+share a single source-side communication record of ``duration * count``
+cycles where the object kernel records each chunk (the cluster totals are
+the same).  Tracer state that the fast-forward prober must see mid-run
+(aggregate counters, live :class:`~repro.sim.tracer.StageActivity`, stage
+completions) stays on the tracer; per-cluster and per-link activity
+accumulate in dense arrays and materialise into the tracer in first-touch
+order at :meth:`TableProgram.finalize` (``SystemSimulator.snapshot_activity``
+reads the dense form mid-run).  :attr:`TableProgram.observer` streams
+every record as it is made.  Bit-identity against the object kernel is
+asserted by ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import SimulationError
 from .engine_table import K_OP_BASE, TableEngine
@@ -67,6 +71,11 @@ OP_CHUNK_LANDED = K_OP_BASE + 3  # arg: group_id * n_jobs + job
 OP_FLOW_NULL = K_OP_BASE + 4  # arg: flow_id * n_jobs + job (zero-byte send)
 OP_HBM_ARRIVE = K_OP_BASE + 5  # arg: [pending, hop, target] barrier cell
 OP_CHAN_DONE = K_OP_BASE + 6  # arg: (channel, barrier cell)
+
+#: observer category of a stage-job record: ``key`` is the stage id,
+#: ``cycles`` the job's span from start to compute end, ``end`` the
+#: compute end (see :attr:`TableProgram.observer`).
+STAGE_JOB = "stage-job"
 
 #: flow kinds.
 F_DIRECT = 0  # producer stage -> consumer stage (credit-gated)
@@ -264,8 +273,18 @@ class TableProgram:
         self._chan_queue: List[deque] = [deque() for __ in range(n_chan)]
         self._chan_busy_cycles = [0] * n_chan
         self._hbm_next = 0
-        # per-cluster DMA slot vectors (same shape as the array kernel's)
+        # per-cluster DMA channel free-at cycles, kept as heaps
         self._dma_slots: Dict[int, List[int]] = {}
+        #: per-record observer: ``None`` (the default, read once per
+        #: handler) or ``observer(key, category, cycles, end)``, called at
+        #: the exact point of every record this lane makes — analog and
+        #: digital cluster records (``key`` the cluster, ``cycles`` the
+        #: busy cycles added, ``end`` the cycle the record ends at), source
+        #: DMA and delivery ``"communication"`` records (same fields), and
+        #: stage-job ends (category :data:`STAGE_JOB`).  Calls happen in
+        #: event order, so every ``(key, category, cycles)`` stream is in
+        #: the order the run made it.
+        self.observer: Optional[Callable[[int, str, int, int], None]] = None
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -684,6 +703,7 @@ class TableProgram:
             cl_jobs = self._cl_jobs
             cl_last = self._cl_last
             seen = self._cl_seen
+            observe = self.observer
             for cluster in replica:
                 cl_analog[cluster] += dur
                 cl_jobs[cluster] += 1
@@ -692,6 +712,8 @@ class TableProgram:
                 if not seen[cluster]:
                     seen[cluster] = 1
                     self._cl_order.append(cluster)
+                if observe is not None:
+                    observe(cluster, "analog", dur, now)
             if now > self._mk:
                 self._mk = now
         intra = st.intra_flows
@@ -731,6 +753,7 @@ class TableProgram:
             cl_digital = self._cl_digital
             cl_last = self._cl_last
             seen = self._cl_seen
+            observe = self.observer
             for cluster in group:
                 cl_digital[cluster] += dur
                 if now > cl_last[cluster]:
@@ -738,6 +761,8 @@ class TableProgram:
                 if not seen[cluster]:
                     seen[cluster] = 1
                     self._cl_order.append(cluster)
+                if observe is not None:
+                    observe(cluster, "digital", dur, now)
             if now > self._mk:
                 self._mk = now
         self._after_compute(st, job, dur)
@@ -759,6 +784,9 @@ class TableProgram:
             act.last_job_end = now
         if now > self._mk:
             self._mk = now
+        observe = self.observer
+        if observe is not None:
+            observe(st.sid, STAGE_JOB, now - start, now)
         # input credits released: producers may push the next chunk.  The
         # waiter queues hold packed ints (compiled flows) or callables
         # (external-feed grants) — CreditStore.release's FIFO drain.
@@ -947,6 +975,9 @@ class TableProgram:
             if not self._cl_seen[dst]:
                 self._cl_seen[dst] = 1
                 self._cl_order.append(dst)
+            observe = self.observer
+            if observe is not None:
+                observe(dst, "communication", group.comm_cycles, end)
         flow = group.flow
         job = arg - gid * nj
         remaining = flow.pending[job] - 1
@@ -963,6 +994,9 @@ class TableProgram:
         if not self._cl_seen[cluster]:
             self._cl_seen[cluster] = 1
             self._cl_order.append(cluster)
+        observe = self.observer
+        if observe is not None:
+            observe(cluster, "communication", cycles, end)
 
     # ------------------------------------------------------------------ #
     # HBM channels (dense capacity-1 FIFO servers)

@@ -104,7 +104,7 @@ class TestComparison:
         new = {
             "micro_mvm.reference_s": 1.0,
             "sim_engine_table.table_s": 0.1,
-            "sim_engine_table.table_speedup": 1.8,  # non-timing: ignored
+            "sim_engine_table.speedup": 1.8,  # non-timing: ignored
         }
         assert missing_baselines(old, new) == ["sim_engine_table"]
         assert missing_baselines(new, new) == []

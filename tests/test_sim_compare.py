@@ -21,8 +21,8 @@ def pair():
     """Two independently simulated, bit-identical results of one workload."""
     workload = _chain(n_jobs=12)
     return (
-        simulate(ARCH64, workload, engine="array"),
-        simulate(ARCH64, workload, engine="array"),
+        simulate(ARCH64, workload),
+        simulate(ARCH64, workload),
     )
 
 

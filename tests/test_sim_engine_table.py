@@ -1,40 +1,48 @@
-"""Bit-identity and unit coverage of the compiled table lane.
+"""Kernel contract and record observer of the compiled table lane.
 
-The table kernel (``engine="table"``) compiles ``_StageRuntime``'s per-job
-lifecycle into integer transition tables (:mod:`repro.sim.system_table`)
-dispatched through :class:`~repro.sim.engine_table.TableEngine`'s opcode
-lane.  Its acceptance contract is the same as the array kernel's: *bit
-identical results* on every workload, contention mode and buffer depth —
-the existing two-way harness (``tests/test_sim_kernel_equivalence.py``)
-stays untouched and this module extends the same matrix to three kernels.
+The table kernel (``engine="table"``, the default) compiles
+``_StageRuntime``'s per-job lifecycle into integer transition tables
+(:mod:`repro.sim.system_table`) dispatched through
+:class:`~repro.sim.engine_table.TableEngine`'s row lane.  End-to-end
+bit-identity against the object kernel lives in
+``tests/test_sim_kernel_equivalence.py``; this module covers:
 
-Coverage layers:
-
-* ``TableEngine`` unit tests: opcode scheduling/deferral semantics, FIFO
-  interleaving with callables and callback rows, mid-batch ``max_events``
-  truncation with in-order resume, the exception-safe tail requeue, and
-  post-run :meth:`~repro.sim.engine_array.ArrayEngine.reset`;
-* the synthetic + zoo shapes shared with the fast-forward suite, table vs
-  both other kernels;
-* the seeded randomized property sweep (same generator and seeds as the
-  two-way harness), table vs the object kernel reference;
-* bounded runs: the steady-state fast-forward on top of the table kernel
-  (probing drives ``until``/``max_events`` through the callback-lane
-  fallback);
-* the ``engine`` cache-key axis with three distinct values.
+* ``TableEngine`` alone: opcode scheduling/deferral semantics, callback
+  rows (``defer_at``), FIFO interleaving with callables, row storage with
+  its free list and ``reset`` rules, the bounded ``max_events`` loop
+  (truncation between rows with in-order resume, the exception-safe tail
+  requeue), ``until`` bounds and non-re-entrancy;
+* the per-record observer of :class:`~repro.sim.system_table.TableProgram`:
+  on the synthetic, zoo and seeded randomized shapes an observed run stays
+  bit-identical to the object kernel, and the observed records add up to
+  the tracer's aggregates exactly;
+* the ``engine`` axis: two registered engines, ``table`` the default, and
+  the retired ``"array"`` name rejected everywhere a user can spell it
+  (per-engine cache keys are covered in the equivalence suite).
 """
+
+import random
+from collections import Counter, defaultdict
 
 import pytest
 
-from repro.scenarios.fingerprint import simulation_key
-from repro.sim import assert_results_identical, result_mismatches, simulate
-from repro.sim.engine import SimulationError
-from repro.sim.engine_table import K_OP_BASE, TableEngine
-from repro.sim.system import SIMULATION_ENGINES
+from repro.scenarios import Scenario, SpecError, load_spec
+from repro.sim import (
+    CreditStore,
+    Engine,
+    Server,
+    SimulationError,
+    SystemSimulator,
+    TableEngine,
+    result_mismatches,
+    simulate,
+)
+from repro.sim.engine_table import K_OP_BASE
+from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
+from repro.sim.system_table import STAGE_JOB
 
 from test_sim_fast_forward import ARCH64, SYNTHETIC, ZOO, _chain, _zoo_workload
 from test_sim_kernel_equivalence import _random_workload
-import random
 
 
 # --------------------------------------------------------------------------- #
@@ -85,18 +93,54 @@ class TestTableEngine:
         engine.run()
         assert log == ["same-bucket", "deferred"]
 
-    def test_max_events_truncates_between_op_rows_and_resumes_in_order(self):
+    def test_max_events_truncates_between_mixed_rows_and_resumes_in_order(self):
+        """The bounded loop stops between any two entries — callables,
+        callback rows, opcode rows and deferred opcode rows alike — and a
+        later run resumes exactly where it stopped."""
+
+        def trace(bound):
+            log = []
+            engine = self._engine(log)
+            engine.sched_op(4, K_OP_BASE, "op1")
+            engine.defer_at(4, 0, lambda: log.append("cb-row"))
+            engine.at(4, lambda: log.append("callable"))
+            engine.defer_op(4, 0, K_OP_BASE, "deferred0")
+            engine.defer_op(4, 3, K_OP_BASE, "deferred3")
+            engine.sched_op(6, K_OP_BASE, "op2")
+            steps = []
+            while not engine.empty():
+                engine.run(max_events=bound)
+                steps.append((engine.now, len(log)))
+            return log, engine.events_processed, steps
+
+        unbounded_log, unbounded_events, __ = trace(None)
+        assert unbounded_log == [
+            "op1", "callable", "cb-row", "deferred0", "op2", "deferred3",
+        ]
+        for bound in (1, 2, 3):
+            log, events, steps = trace(bound)
+            assert log == unbounded_log, bound
+            assert events == unbounded_events == 9
+            # every bounded call dispatched at most ``bound`` events
+            assert len(steps) >= -(-events // bound)
+        # one event at a time: the clock never runs ahead of the rows
+        __, __, steps = trace(1)
+        assert [now for now, __ in steps] == [4] * 7 + [6, 7]
+
+    def test_bounded_run_counts_rows_as_events(self):
         log = []
         engine = self._engine(log)
-        for tag in ("a", "b", "c"):
-            engine.sched_op(4, K_OP_BASE, tag)
-        engine.run(max_events=2)  # bounded: delegates to the array loop
+        engine.sched_op(4, K_OP_BASE, "a")
+        engine.sched_op(4, K_OP_BASE, "b")
+        engine.sched_op(4, K_OP_BASE, "c")
+        engine.run(max_events=2)
         assert log == ["a", "b"]
+        assert engine.now == 4 and engine.events_processed == 2
         engine.run()  # the unbounded inlined loop resumes mid-bucket
         assert log == ["a", "b", "c"]
-        assert engine.now == 4
 
-    def test_handler_exception_requeues_the_unprocessed_tail(self):
+    @pytest.mark.parametrize("max_events", [None, 10], ids=["unbounded", "bounded"])
+    def test_handler_exception_requeues_the_unprocessed_tail(self, max_events):
         log = []
         engine = TableEngine()
 
@@ -105,11 +149,14 @@ class TestTableEngine:
 
         engine.set_handlers((lambda arg: log.append(arg), boom))
         engine.sched_op(1, K_OP_BASE + 1, "kaboom")
+        engine.defer_op(1, 0, K_OP_BASE, "deferred")
         engine.sched_op(1, K_OP_BASE, "survivor")
         with pytest.raises(RuntimeError, match="kaboom"):
-            engine.run()
-        engine.run()
-        assert log == ["survivor"]
+            engine.run(max_events=max_events)
+        assert engine.now == 1 and not engine.empty()
+        engine.run(max_events=max_events)
+        assert log == ["survivor", "deferred"]
+        assert engine.empty()
 
     def test_scheduling_in_the_past_and_negative_deferrals_raise(self):
         engine = self._engine([])
@@ -122,75 +169,360 @@ class TestTableEngine:
         with pytest.raises(SimulationError):
             engine.defer_op(5, -1, K_OP_BASE, None)
 
-    def test_reset_compacts_both_lanes_and_engine_stays_usable(self):
-        log = []
-        engine = self._engine(log)
-        engine.sched_op(1, K_OP_BASE, "x")
-        engine.defer_at(1, 4, lambda: log.append("y"))
-        engine.run()
-        assert log == ["x", "y"]
-        engine.reset()
-        assert len(engine.pending_rows()) == 0
-        engine.sched_op(6, K_OP_BASE, "z")
-        engine.run()
-        assert log == ["x", "y", "z"]
 
-    def test_reset_with_pending_events_raises(self):
-        engine = self._engine([])
-        engine.sched_op(9, K_OP_BASE, None)
+# --------------------------------------------------------------------------- #
+# TableEngine: callback rows (defer_at)
+# --------------------------------------------------------------------------- #
+class TestDeferAt:
+    def test_equivalent_to_at_plus_after(self):
+        """defer_at(t, c, cb) fires cb at t + c, like at(t, after(c, cb))."""
+        table = TableEngine()
+        obj = Engine()
+        seen_table, seen_obj = [], []
+        table.defer_at(10, 7, lambda: seen_table.append(table.now))
+        obj.at(10, lambda: obj.after(7, lambda: seen_obj.append(obj.now)))
+        table.run()
+        obj.run()
+        assert seen_table == seen_obj == [17]
+
+    def test_zero_cycles_row_lands_in_same_cycle(self):
+        engine = TableEngine()
+        order = []
+        engine.at(5, lambda: order.append("callable"))
+        engine.defer_at(5, 0, lambda: order.append("row"))
+        engine.run()
+        # the row dispatches after the callable (FIFO within the cycle) and
+        # its zero deferral re-queues it at the tail of the in-flight batch
+        assert order == ["callable", "row"]
+        assert engine.now == 5
+
+    def test_zero_heap_cascade_from_row_callback(self):
+        """A row's callback can chain after(0) continuations, all at one t."""
+        engine = TableEngine()
+        order = []
+
+        def chained():
+            order.append("chained")
+            engine.after(0, lambda: order.append("chained-again"))
+
+        engine.defer_at(3, 0, chained)
+        engine.at(3, lambda: order.append("peer"))
+        engine.run()
+        # the row's zero deferral joins the tail of the in-flight batch
+        # (after the already-queued peer), then its callback chains again
+        assert order == ["peer", "chained", "chained-again"]
+        assert engine.now == 3
+
+    def test_rows_interleave_with_callables_in_fifo_order(self):
+        engine = TableEngine()
+        order = []
+        engine.defer_at(4, 0, lambda: order.append("r1"))
+        engine.at(4, lambda: order.append("c1"))
+        engine.defer_at(4, 0, lambda: order.append("r2"))
+        engine.at(4, lambda: order.append("c2"))
+        engine.run()
+        # rows dispatch in submission order relative to callables; their
+        # zero deferrals append to the batch tail in dispatch order
+        assert order == ["c1", "c2", "r1", "r2"]
+
+    def test_long_same_cycle_run_dispatches_in_row_order(self):
+        engine = TableEngine()
+        done = []
+        for i in range(24):
+            engine.defer_at(10, i % 3, lambda i=i: done.append((engine.now, i)))
+        engine.run()
+        # every callback fires at 10 + its own deferral, and rows sharing a
+        # target time keep their submission order
+        assert done == sorted(done)
+        assert {time for time, __ in done} == {10, 11, 12}
+
+    def test_row_runs_split_at_a_callable_keep_fifo_order(self):
+        engine = TableEngine()
+        order = []
+        for i in range(8):
+            engine.defer_at(1, 0, lambda i=i: order.append(f"a{i}"))
+        engine.at(1, lambda: order.append("mid"))
+        for i in range(8):
+            engine.defer_at(1, 0, lambda i=i: order.append(f"b{i}"))
+        engine.run()
+        assert order == ["mid"] + [f"a{i}" for i in range(8)] + [f"b{i}" for i in range(8)]
+
+    def test_past_time_rejected(self):
+        engine = TableEngine()
+        engine.at(10, lambda: None)
+        engine.run()
         with pytest.raises(SimulationError):
+            engine.defer_at(5, 1, lambda: None)
+
+    def test_negative_cycles_rejected(self):
+        engine = TableEngine()
+        with pytest.raises(SimulationError):
+            engine.defer_at(0, -1, lambda: None)
+
+    def test_row_counts_as_two_events(self):
+        engine = TableEngine()
+        engine.defer_at(1, 5, lambda: None)
+        engine.run()
+        # the row's dispatch plus the dispatch of its deferred callback
+        assert engine.events_processed == 2
+
+
+# --------------------------------------------------------------------------- #
+# TableEngine: row storage
+# --------------------------------------------------------------------------- #
+class TestRowStorage:
+    def test_free_list_recycles_rows(self):
+        """Sequential rows reuse one storage slot — the table stays dense."""
+        engine = TableEngine()
+        for start in range(0, 50, 2):
+            engine.defer_at(start, 1, lambda: None)
+            engine.run()
+        assert len(engine._row_kind) == 1
+        assert engine._free_rows == [0]
+
+    def test_reset_releases_row_storage(self):
+        """Post-run compaction drops the peak-size columns and free list of
+        opcode and callback rows alike."""
+        fired = []
+        engine = TableEngine()
+        engine.set_handlers((fired.append,))
+        for start in range(8):
+            engine.sched_op(start, K_OP_BASE, start)
+            engine.defer_at(start, 1, lambda: None)
+        engine.run()
+        assert len(engine._row_kind) > 0 and engine._free_rows
+        engine.reset()
+        assert engine._row_kind == []
+        assert engine._row_cycles == []
+        assert engine._row_callback == []
+        assert engine._free_rows == []
+        # the engine stays usable after compaction
+        engine.sched_op(20, K_OP_BASE, "z")
+        engine.defer_at(20, 2, lambda: fired.append("cb"))
+        engine.run()
+        assert fired == list(range(8)) + ["z", "cb"]
+
+    @pytest.mark.parametrize("lane", ["op", "callback"])
+    def test_reset_refuses_pending_events(self, lane):
+        """A reset must never orphan a live row index sitting in a bucket."""
+        engine = TableEngine()
+        engine.set_handlers((lambda arg: None,))
+        if lane == "op":
+            engine.sched_op(5, K_OP_BASE, None)
+        else:
+            engine.defer_at(5, 1, lambda: None)
+        with pytest.raises(SimulationError, match="pending"):
             engine.reset()
+        engine.run()
+        engine.reset()  # drained: now legal
+
+    def test_reset_refuses_reentrant_call(self):
+        engine = TableEngine()
+        errors = []
+
+        def from_inside():
+            try:
+                engine.reset()
+            except SimulationError as error:
+                errors.append(str(error))
+
+        engine.at(1, from_inside)
+        engine.run()
+        assert errors and "inside run()" in errors[0]
+
+    def test_simulator_run_compacts_a_drained_engine(self):
+        """SystemSimulator.run() resets the row storage after the run
+        drains, so long-lived workers do not retain peak-size columns
+        between scenarios."""
+        simulator = SystemSimulator(ARCH64, _chain(n_jobs=8), engine="table")
+        simulator.run()
+        assert simulator.engine._row_kind == []
+        assert simulator.engine._free_rows == []
 
 
 # --------------------------------------------------------------------------- #
-# Three-way bit identity on known shapes
+# TableEngine: bounded runs and re-entrancy
 # --------------------------------------------------------------------------- #
-class TestThreeWayKnownShapes:
+class TestBoundedRuns:
+    def test_max_events_truncates_between_rows_and_resumes_in_order(self):
+        """Mirrors the object kernel's mid-batch truncation contract."""
+        engine = TableEngine()
+        order = []
+        engine.defer_at(7, 0, lambda: order.append("r1"))
+        engine.defer_at(7, 0, lambda: order.append("r2"))
+        engine.at(7, lambda: order.append("c1"))
+        engine.at(9, lambda: order.append("late"))
+        engine.run(max_events=2)
+        # two of the three t=7 entries dispatched; the rows re-queued
+        # themselves behind the unprocessed tail
+        assert engine.now == 7
+        assert not engine.empty()
+        engine.run()
+        assert order == ["c1", "r1", "r2", "late"]
+        assert engine.now == 9
+
+    def test_max_events_counts_rows_as_events(self):
+        engine = TableEngine()
+        fired = []
+        for i in range(4):
+            engine.defer_at(1, 10, lambda i=i: fired.append(i))
+        engine.run(max_events=3)
+        assert engine.now == 1
+        assert fired == []  # rows dispatched, callbacks land at t=11
+        engine.run()
+        assert fired == [0, 1, 2, 3]
+
+    def test_until_bound_matches_object_engine(self):
+        table = TableEngine()
+        obj = Engine()
+        for engine in (table, obj):
+            engine.at(100, lambda: None)
+            assert engine.run(until=50) == 50
+            assert engine.run(until=40) == 50  # stale bound: no rewind
+            engine.run()
+            assert engine.now == 100
+
+    def test_reentrant_run_raises(self):
+        engine = TableEngine()
+        errors = []
+
+        def reenter():
+            try:
+                engine.run()
+            except SimulationError as error:
+                errors.append(str(error))
+
+        engine.defer_at(1, 0, reenter)
+        engine.run()
+        assert len(errors) == 1
+        assert "re-entrant" in errors[0]
+        engine.at(2, lambda: None)
+        assert engine.run() == 2
+
+
+class TestDropIn:
+    def test_object_primitives_run_unchanged(self):
+        """Server and CreditStore work on TableEngine exactly as on Engine."""
+        engine = TableEngine()
+        server = Server(engine, "s", capacity=1)
+        store = CreditStore(engine, "c", initial=1)
+        done = []
+        store.acquire(lambda: server.submit(10, lambda: done.append(engine.now)))
+        store.acquire(lambda: server.submit(10, lambda: done.append(engine.now)))
+        engine.at(5, store.release)
+        engine.run()
+        # second job is granted at t=5, queues behind the first (busy until
+        # t=10) and serves 10 cycles
+        assert done == [10, 20]
+        assert server.jobs_served == 2
+
+    def test_uses_slots(self):
+        assert not hasattr(TableEngine(), "__dict__")
+
+
+# --------------------------------------------------------------------------- #
+# The per-record observer of TableProgram
+# --------------------------------------------------------------------------- #
+#: observer categories whose ``end`` is the record's own dispatch time
+#: (source DMA records end ``duration`` cycles later, so "communication"
+#: is not among them).
+_STAMPED_NOW = ("analog", "digital", STAGE_JOB)
+
+
+def _observed(arch, workload, model_contention=True, buffer_depth=2):
+    """A table-lane run with a recording observer attached."""
+    simulator = SystemSimulator(
+        arch, workload, model_contention, buffer_depth, engine="table"
+    )
+    records = []
+    simulator._table.observer = lambda *record: records.append(record)
+    return simulator.run(), records
+
+
+def _assert_records_add_up(result, records):
+    """The observed records reproduce every tracer aggregate they feed."""
+    tracer = result.tracer
+    busy = defaultdict(Counter)
+    horizon = {}
+    analog_jobs = Counter()
+    stage_jobs = Counter()
+    stage_start, stage_end = {}, {}
+    clock = 0
+    for key, category, cycles, end in records:
+        if category in _STAMPED_NOW:
+            # records arrive in event order, so dispatch times never rewind
+            assert end >= clock
+            clock = end
+        if category == STAGE_JOB:
+            stage_jobs[key] += 1
+            start = end - cycles
+            stage_start[key] = min(stage_start.get(key, start), start)
+            stage_end[key] = max(stage_end.get(key, end), end)
+            continue
+        busy[key][category] += cycles
+        horizon[key] = max(horizon.get(key, 0), end)
+        if category == "analog":
+            analog_jobs[key] += 1
+    assert set(busy) == set(tracer.clusters)
+    for cid, act in tracer.clusters.items():
+        assert (act.analog, act.digital, act.communication, act.jobs) == (
+            busy[cid]["analog"], busy[cid]["digital"],
+            busy[cid]["communication"], analog_jobs[cid],
+        ), cid
+        assert act.last_busy_cycle == horizon[cid], cid
+    for sid, rec in tracer.stages.items():
+        assert stage_jobs[sid] == rec.jobs_completed, sid
+        assert (stage_start[sid], stage_end[sid]) == (
+            rec.first_job_start, rec.last_job_end,
+        ), sid
+
+
+class TestObserverKnownShapes:
     @pytest.mark.parametrize(
         "name,workload,_must_engage",
         SYNTHETIC,
         ids=[case[0] for case in SYNTHETIC],
     )
     @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
-    def test_synthetic_pipelines_identical(self, name, workload, _must_engage,
-                                           model_contention):
+    def test_synthetic_pipelines_observed(self, name, workload, _must_engage,
+                                          model_contention):
         python = simulate(ARCH64, workload, model_contention, engine="python")
-        table = simulate(ARCH64, workload, model_contention, engine="table")
+        table, records = _observed(ARCH64, workload, model_contention)
         assert result_mismatches(python, table) == []
+        _assert_records_add_up(table, records)
 
     @pytest.mark.parametrize(
         "name,model,shape,level,batch,clusters,classes,crossbar,_must_engage",
         ZOO,
         ids=[case[0] for case in ZOO],
     )
-    def test_zoo_mappings_identical(
+    def test_zoo_mappings_observed(
         self, name, model, shape, level, batch, clusters, classes, crossbar,
         _must_engage,
     ):
         arch, workload = _zoo_workload(
             model, shape, level, batch, clusters, classes, crossbar
         )
-        array = simulate(arch, workload, engine="array")
-        table = simulate(arch, workload, engine="table")
-        assert_results_identical(array, table)
-
-    def test_payloads_identical_including_stage_completions(self):
-        arch, workload = _zoo_workload("tiny_cnn", (3, 32, 32), "final", 16, 16, 10, 128)
         python = simulate(arch, workload, engine="python")
-        table = simulate(arch, workload, engine="table")
+        table, records = _observed(arch, workload)
         assert result_mismatches(python, table) == []
-        python_payload = python.to_payload()
-        table_payload = table.to_payload()
-        assert type(python_payload.pop("tracer")) is type(table_payload.pop("tracer"))
-        assert python_payload == table_payload
+        _assert_records_add_up(table, records)
+
+    def test_attached_observer_leaves_the_payload_unchanged(self):
+        arch, workload = _zoo_workload("tiny_cnn", (3, 32, 32), "final", 16, 16, 10, 128)
+        detached = simulate(arch, workload, engine="table")
+        observed, records = _observed(arch, workload)
+        assert records
+        assert result_mismatches(detached, observed) == []
+        detached_payload = detached.to_payload()
+        observed_payload = observed.to_payload()
+        assert type(detached_payload.pop("tracer")) is type(observed_payload.pop("tracer"))
+        assert detached_payload == observed_payload
 
 
-# --------------------------------------------------------------------------- #
-# Seeded randomized property sweep (same seeds as the two-way harness)
-# --------------------------------------------------------------------------- #
-class TestThreeWayRandomized:
+class TestObserverRandomized:
     @pytest.mark.parametrize("seed", range(20))
-    def test_random_pipelines_identical(self, seed):
+    def test_random_pipelines_observed(self, seed):
         rng = random.Random(1000 + seed)
         workload = _random_workload(rng)
         model_contention = rng.random() < 0.7
@@ -198,55 +530,41 @@ class TestThreeWayRandomized:
         python = simulate(
             ARCH64, workload, model_contention, buffer_depth, engine="python"
         )
-        table = simulate(
-            ARCH64, workload, model_contention, buffer_depth, engine="table"
-        )
+        table, records = _observed(ARCH64, workload, model_contention, buffer_depth)
         mismatches = result_mismatches(python, table)
         assert mismatches == [], f"seed {seed}: {mismatches}"
+        _assert_records_add_up(table, records)
 
 
 # --------------------------------------------------------------------------- #
-# Bounded runs: fast-forward probing on top of the table kernel
-# --------------------------------------------------------------------------- #
-class TestBoundedRunEquivalence:
-    @pytest.mark.parametrize(
-        "name,workload,must_engage",
-        SYNTHETIC,
-        ids=[case[0] for case in SYNTHETIC],
-    )
-    def test_fast_forward_on_table_kernel(self, name, workload, must_engage):
-        full = simulate(ARCH64, workload, engine="table")
-        ff = simulate(ARCH64, workload, fast_forward=True, engine="table")
-        if must_engage:
-            assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
-        assert result_mismatches(full, ff, ignore_provenance=True) == []
-
-    def test_fast_forward_identical_across_all_kernels(self):
-        workload = _chain(n_jobs=96, replication=2)
-        results = {
-            engine: simulate(ARCH64, workload, fast_forward=True, engine=engine)
-            for engine in SIMULATION_ENGINES
-        }
-        assert all(r.fast_forwarded for r in results.values())
-        assert result_mismatches(results["python"], results["table"]) == []
-        assert result_mismatches(results["array"], results["table"]) == []
-
-
-# --------------------------------------------------------------------------- #
-# The engine axis: three distinct, separately-keyed values
+# The engine axis: two registered engines, the retired name rejected
 # --------------------------------------------------------------------------- #
 class TestEngineAxis:
-    def test_table_is_a_registered_engine(self):
-        assert SIMULATION_ENGINES == ("array", "python", "table")
-
-    def test_three_engines_key_separately(self):
-        keys = {
-            simulation_key("a", "w", True, 2, engine=engine)
-            for engine in SIMULATION_ENGINES
-        }
-        assert len(keys) == 3
+    def test_table_is_the_default_engine(self):
+        assert SIMULATION_ENGINES == ("python", "table")
+        assert DEFAULT_ENGINE == "table"
+        assert Scenario().engine == DEFAULT_ENGINE
 
     def test_unknown_engine_rejected(self):
         workload = _chain(n_jobs=4)
         with pytest.raises(ValueError, match="unknown simulation engine"):
             simulate(ARCH64, workload, engine="compiled")
+
+    def test_retired_array_engine_rejected_by_simulate(self):
+        with pytest.raises(ValueError, match="'array'"):
+            simulate(ARCH64, _chain(n_jobs=4), engine="array")
+
+    def test_retired_array_engine_rejected_by_scenario(self):
+        with pytest.raises(SpecError) as info:
+            Scenario(engine="array")
+        assert "'python'" in str(info.value) and "'table'" in str(info.value)
+
+    def test_retired_array_engine_rejected_by_spec_file(self, tmp_path):
+        spec = tmp_path / "spec.toml"
+        spec.write_text(
+            '[base]\nmodel = "tiny_cnn"\nengine = "array"\n\n'
+            "[axes]\nbatch_size = [1, 2]\n"
+        )
+        with pytest.raises(SpecError) as info:
+            load_spec(spec)
+        assert "'python'" in str(info.value) and "'table'" in str(info.value)

@@ -33,7 +33,9 @@ from repro.sim import (
     result_mismatches,
     simulate,
 )
+from repro.sim import steady_state
 from repro.sim.steady_state import (
+    MAX_WINDOW,
     MIN_JOBS,
     REFUSAL_OPEN_WORKLOAD,
     REFUSAL_PROBE_TOO_SHORT,
@@ -242,19 +244,21 @@ ZOO = [
 
 
 class TestModelZoo:
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
     @pytest.mark.parametrize(
         "name,model,shape,level,batch,clusters,classes,crossbar,must_engage",
         ZOO,
         ids=[case[0] for case in ZOO],
     )
     def test_fast_forward_matches_full_run(
-        self, name, model, shape, level, batch, clusters, classes, crossbar, must_engage
+        self, name, model, shape, level, batch, clusters, classes, crossbar,
+        must_engage, engine,
     ):
         arch, workload = _zoo_workload(
             model, shape, level, batch, clusters, classes, crossbar
         )
-        full = simulate(arch, workload)
-        ff = simulate(arch, workload, fast_forward=True)
+        full = simulate(arch, workload, engine=engine)
+        ff = simulate(arch, workload, fast_forward=True, engine=engine)
         if must_engage:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert_identical(full, ff)
@@ -279,7 +283,15 @@ class TestFinalMapping:
     """
 
     @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
-    def test_engages_and_is_bit_identical(self, final_macro, engine):
+    def test_engages_and_is_bit_identical(self, final_macro, engine, monkeypatch):
+        probe_engines = []
+
+        class RecordingProbe(steady_state._ReplicaProbeSimulator):
+            def run(self):
+                probe_engines.append(self.engine_kind)
+                return super().run()
+
+        monkeypatch.setattr(steady_state, "_ReplicaProbeSimulator", RecordingProbe)
         arch, workload = final_macro
         full = simulate(arch, workload, engine=engine, model_contention=False)
         ff = simulate(
@@ -293,6 +305,8 @@ class TestFinalMapping:
             f"{engine}: refused: {ff.fast_forward_refusal}"
         )
         assert not result_mismatches(full, ff, ignore_provenance=True)
+        # the replica probe runs on the table lane whatever the caller's engine
+        assert probe_engines == ["table"]
 
     def test_contention_refusal_is_typed(self, final_macro):
         arch, workload = final_macro
@@ -301,6 +315,22 @@ class TestFinalMapping:
         refusal = ff.fast_forward_refusal
         assert refusal is not None
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
+
+    def test_contention_refusal_runs_no_probe(self, final_macro, monkeypatch):
+        """The 33-way stages exceed MAX_WINDOW, so under contention the
+        refusal is decided from the workload alone, before any probe."""
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(steady_state, "_run_probe", no_probe)
+        monkeypatch.setattr(steady_state, "_ReplicaProbeSimulator", no_probe)
+        arch, workload = final_macro
+        refusal = fast_forward_simulate(arch, workload)  # contention on
+        assert isinstance(refusal, FastForwardRefusal)
+        assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
+        assert len(refusal.probes) == 1
+        assert "refused before probing" in refusal.probes[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -322,16 +352,82 @@ class TestRefusalTaxonomy:
         assert isinstance(refusal, FastForwardRefusal)
         assert refusal.reason == REFUSAL_OPEN_WORKLOAD
 
-    def test_wide_replicas_under_contention_record_rejected_windows(self):
-        # q_max = 13 exceeds MAX_WINDOW: under contention the replica path
-        # is unavailable, and the refusal must carry the probe attempts
-        # and the candidate windows the global path rejected — the cap is
-        # typed and traceable, not silent.
+    def test_wide_replicas_under_contention_refuse_before_probing(self):
+        # replication 13 exceeds MAX_WINDOW: under contention the replica
+        # path is unavailable and no global window can certify, so the
+        # refusal is typed and traceable without paying for a probe.
         workload = _chain(n_jobs=96, replication=13)
         refusal = fast_forward_simulate(ARCH64, workload, model_contention=True)
         assert isinstance(refusal, FastForwardRefusal)
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
-        assert refusal.probes
+        assert "13 analog replicas" in refusal.detail
+        assert refusal.probes == (
+            f"refused before probing: stages [0, 1, 2, 3] are replicated "
+            f"beyond MAX_WINDOW={MAX_WINDOW} under contention",
+        )
+
+    def test_wide_replicas_sharing_clusters_refuse_before_probing(self):
+        # 13 replicas folded onto 2 clusters per stage: no cluster belongs
+        # to one replica alone, so the argument behind the rule does not
+        # apply, yet the rule still refuses.  That is conservative, never
+        # wrong — and here it matters: the global probe would accept a
+        # window that is not a true period and extrapolate wrong
+        # per-cluster job counts.
+        workload = _chain(n_jobs=96, replication=13)
+        stages = tuple(
+            dataclasses.replace(
+                stage, analog_replicas=tuple((2 * i + r % 2,) for r in range(13))
+            )
+            for i, stage in enumerate(workload.stages)
+        )
+        workload = dataclasses.replace(workload, stages=stages)
+        ff = simulate(ARCH64, workload, fast_forward=True)
+        assert ff.fast_forward_refusal.reason == REFUSAL_WINDOW_TOO_LARGE
+        assert "refused before probing" in ff.fast_forward_refusal.probes[0]
+        assert_identical(simulate(ARCH64, workload), ff)
+
+    @pytest.mark.parametrize("batch", [16, 64])
+    @pytest.mark.parametrize("level", ["replicated", "final"])
+    @pytest.mark.parametrize(
+        "model", ["tiny_cnn", "linear_cnn", "mobilenet_v2", "residual_chain", "resnet18"]
+    )
+    def test_up_front_refusal_agrees_with_the_global_probe(self, model, level, batch):
+        """Every zoo point the rule refuses would have refused after probing
+        too; below MIN_JOBS the cheaper probe-too-short refusal comes first."""
+        arch, workload = _zoo_workload(model, (3, 64, 64), level, batch, 512)
+        assert max(d.replication for d in workload.stages) > MAX_WINDOW
+        refusal = fast_forward_simulate(arch, workload)  # contention on
+        assert isinstance(refusal, FastForwardRefusal)
+        if workload.n_jobs < MIN_JOBS:
+            assert refusal.reason == REFUSAL_PROBE_TOO_SHORT
+            return
+        assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
+        assert "refused before probing" in refusal.probes[0]
+        probed = steady_state._global_fast_forward(arch, workload, True, 2, "table", [])
+        assert probed is None
+
+    def test_wide_lcm_window_under_contention_records_rejected_windows(self):
+        # replication 4 with 5 digital slots: each shape fits MAX_WINDOW
+        # but their lcm (20) does not.  Several slots may share a cluster,
+        # so a shorter window could still certify: the global path probes,
+        # and the refusal must carry the candidate windows it rejected.
+        workload = _chain(n_jobs=96, replication=4)
+        stages = list(workload.stages)
+        stages[1] = dataclasses.replace(
+            stages[1],
+            digital_clusters=(50, 51, 52, 53, 54),
+            digital_slots=5,
+            cost=StageCost(
+                analog_cycles_per_job=400,
+                digital_cycles_per_job=90,
+                analog_macs_per_job=100,
+            ),
+        )
+        workload = dataclasses.replace(workload, stages=tuple(stages))
+        refusal = fast_forward_simulate(ARCH64, workload, model_contention=True)
+        assert isinstance(refusal, FastForwardRefusal)
+        assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
+        assert "effective replica window 20" in refusal.detail
         assert any("rejected" in line for line in refusal.probes)
 
     def test_probe_escalation_is_logged(self, caplog):
@@ -377,7 +473,7 @@ class TestReplicaPermutationInvariance:
     timing-interchangeable under round-robin dispatch; that assumption is
     only sound if every engine handles an arbitrary replica order
     identically.  A seeded shuffle of each stage's replica tuple must
-    leave ``result_mismatches`` empty across python/array/table.
+    leave ``result_mismatches`` empty across both engines.
     """
 
     @pytest.mark.parametrize("seed", [0, 7, 2023])

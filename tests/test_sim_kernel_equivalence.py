@@ -1,11 +1,12 @@
-"""Bit-identity harness: array-native kernel vs object kernel.
+"""Bit-identity harness: compiled table lane vs object kernel.
 
-The array kernel (``engine="array"``) is a pure performance mechanism —
-typed event rows, flat link busy-until vectors, fused DMA fan-out.  Its
-acceptance contract is *bit-identical results*: for every workload, every
-contention mode and every buffer depth, ``simulate(engine="array")`` must
-return exactly what ``simulate(engine="python")`` returns, down to the
-per-stage completion traces and per-link busy counters.  The comparison
+The table lane (``engine="table"``, the default) is a pure performance
+mechanism — opcode rows dispatched through a jump table over flat state
+vectors, link busy-until vectors, fused chunk fan-out.  Its acceptance
+contract is *bit-identical results*: for every workload, every contention
+mode and every buffer depth, ``simulate(engine="table")`` must return
+exactly what ``simulate(engine="python")`` returns, down to the per-stage
+completion traces and per-link busy counters.  The comparison
 runs through :func:`repro.sim.result_mismatches`, which enumerates every
 observable of a :class:`~repro.sim.SimulationResult` and reports the first
 divergence by name.
@@ -19,9 +20,8 @@ Three layers of coverage:
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
   unanticipated shape shows up here first (and reproducibly);
-* the fast-forward path on top of the array kernel, which exercises the
-  bounded (``max_events``/``until``) run paths the unbounded batch loop
-  does not touch.
+* the fast-forward path on top of both kernels, whose shortened probe
+  runs feed the certifier mid-run snapshots from each kernel's own state.
 """
 
 import random
@@ -30,6 +30,7 @@ import pytest
 
 from repro.scenarios.fingerprint import simulation_key
 from repro.sim import (
+    SIMULATION_ENGINES,
     BurstyArrivals,
     DataFlow,
     DeterministicArrivals,
@@ -58,8 +59,8 @@ class TestKnownShapes:
     def test_synthetic_pipelines_identical(self, name, workload, _must_engage,
                                            model_contention):
         python = simulate(ARCH64, workload, model_contention, engine="python")
-        array = simulate(ARCH64, workload, model_contention, engine="array")
-        assert result_mismatches(python, array) == []
+        table = simulate(ARCH64, workload, model_contention, engine="table")
+        assert result_mismatches(python, table) == []
 
     @pytest.mark.parametrize(
         "name,model,shape,level,batch,clusters,classes,crossbar,_must_engage",
@@ -74,8 +75,8 @@ class TestKnownShapes:
             model, shape, level, batch, clusters, classes, crossbar
         )
         python = simulate(arch, workload, engine="python")
-        array = simulate(arch, workload, engine="array")
-        assert_results_identical(python, array)
+        table = simulate(arch, workload, engine="table")
+        assert_results_identical(python, table)
 
     def test_payloads_identical_including_stage_completions(self):
         """The persisted payloads — the cache currency — match exactly.
@@ -87,12 +88,12 @@ class TestKnownShapes:
         """
         arch, workload = _zoo_workload("tiny_cnn", (3, 32, 32), "final", 16, 16, 10, 128)
         python = simulate(arch, workload, engine="python")
-        array = simulate(arch, workload, engine="array")
-        assert result_mismatches(python, array) == []
+        table = simulate(arch, workload, engine="table")
+        assert result_mismatches(python, table) == []
         python_payload = python.to_payload()
-        array_payload = array.to_payload()
-        assert type(python_payload.pop("tracer")) is type(array_payload.pop("tracer"))
-        assert python_payload == array_payload
+        table_payload = table.to_payload()
+        assert type(python_payload.pop("tracer")) is type(table_payload.pop("tracer"))
+        assert python_payload == table_payload
 
 
 # --------------------------------------------------------------------------- #
@@ -176,10 +177,10 @@ class TestRandomizedProperty:
         python = simulate(
             ARCH64, workload, model_contention, buffer_depth, engine="python"
         )
-        array = simulate(
-            ARCH64, workload, model_contention, buffer_depth, engine="array"
+        table = simulate(
+            ARCH64, workload, model_contention, buffer_depth, engine="table"
         )
-        mismatches = result_mismatches(python, array)
+        mismatches = result_mismatches(python, table)
         assert mismatches == [], f"seed {seed}: {mismatches}"
 
 
@@ -213,7 +214,7 @@ def _random_arrivals(rng: random.Random, n_jobs: int):
 
 
 class TestOpenWorkloadEquivalence:
-    """Bit-identity of all three kernels under arrival-gated job launch."""
+    """Bit-identity of both kernels under arrival-gated job launch."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_open_pipelines_identical_across_engines(self, seed):
@@ -223,21 +224,19 @@ class TestOpenWorkloadEquivalence:
         assert workload.is_open
         model_contention = rng.random() < 0.7
         buffer_depth = rng.choice([1, 2, 5])
-        results = {
-            engine: simulate(
-                ARCH64, workload, model_contention, buffer_depth, engine=engine
-            )
-            for engine in ("python", "array", "table")
-        }
-        for engine in ("array", "table"):
-            mismatches = result_mismatches(results["python"], results[engine])
-            assert mismatches == [], f"seed {seed}, {engine}: {mismatches}"
-        # every job's sojourn was recorded, identically, on every engine
-        latencies = results["python"].request_latencies()
+        python = simulate(
+            ARCH64, workload, model_contention, buffer_depth, engine="python"
+        )
+        table = simulate(
+            ARCH64, workload, model_contention, buffer_depth, engine="table"
+        )
+        mismatches = result_mismatches(python, table)
+        assert mismatches == [], f"seed {seed}: {mismatches}"
+        # every job's sojourn was recorded, identically, on both engines
+        latencies = python.request_latencies()
         assert len(latencies) == workload.n_jobs
         assert all(lat > 0 for lat in latencies)
-        for engine in ("array", "table"):
-            assert results[engine].request_latencies() == latencies
+        assert table.request_latencies() == latencies
 
     def test_open_zoo_mapping_identical_across_engines(self):
         """A real mapped model (not a synthetic chain) under Poisson load."""
@@ -250,26 +249,26 @@ class TestOpenWorkloadEquivalence:
             )
         )
         python = simulate(arch, workload, engine="python")
-        array = simulate(arch, workload, engine="array")
         table = simulate(arch, workload, engine="table")
-        assert result_mismatches(python, array) == []
         assert result_mismatches(python, table) == []
 
 
 # --------------------------------------------------------------------------- #
-# Bounded runs: the fast-forward probe on top of the array kernel
+# The fast-forward probe on top of each kernel
 # --------------------------------------------------------------------------- #
 class TestBoundedRunEquivalence:
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
     @pytest.mark.parametrize(
         "name,workload,must_engage",
         SYNTHETIC,
         ids=[case[0] for case in SYNTHETIC],
     )
-    def test_fast_forward_on_array_kernel(self, name, workload, must_engage):
-        """FF probing uses until/max_events bounds: exact mid-batch
-        truncation with in-order resume must hold on the array kernel too."""
-        full = simulate(ARCH64, workload, engine="array")
-        ff = simulate(ARCH64, workload, fast_forward=True, engine="array")
+    def test_fast_forward_on_each_kernel(self, name, workload, must_engage, engine):
+        """The probe snapshots each kernel's own mid-run state (the table
+        lane's dense vectors, the object kernel's tracer): extrapolation
+        from either must reproduce that kernel's full run."""
+        full = simulate(ARCH64, workload, engine=engine)
+        ff = simulate(ARCH64, workload, fast_forward=True, engine=engine)
         if must_engage:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert result_mismatches(full, ff, ignore_provenance=True) == []
@@ -277,9 +276,9 @@ class TestBoundedRunEquivalence:
     def test_fast_forward_identical_across_kernels(self):
         workload = _chain(n_jobs=96, replication=2)
         python = simulate(ARCH64, workload, fast_forward=True, engine="python")
-        array = simulate(ARCH64, workload, fast_forward=True, engine="array")
-        assert python.fast_forwarded and array.fast_forwarded
-        assert result_mismatches(python, array) == []
+        table = simulate(ARCH64, workload, fast_forward=True, engine="table")
+        assert python.fast_forwarded and table.fast_forwarded
+        assert result_mismatches(python, table) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -287,15 +286,17 @@ class TestBoundedRunEquivalence:
 # --------------------------------------------------------------------------- #
 class TestEngineCacheKey:
     def test_engines_key_separately(self):
+        # the default key is the table lane's: moving the default engine
+        # from "array" to "table" re-keyed default-engine artifacts once
         base = simulation_key("a", "w", True, 2)
-        assert simulation_key("a", "w", True, 2, engine="array") == base
+        assert simulation_key("a", "w", True, 2, engine="table") == base
         assert simulation_key("a", "w", True, 2, engine="python") != base
 
     def test_engine_and_fast_forward_axes_are_independent(self):
         keys = {
             simulation_key("a", "w", True, 2, fast_forward=ff, engine=engine)
             for ff in (False, True)
-            for engine in ("array", "python")
+            for engine in SIMULATION_ENGINES
         }
         assert len(keys) == 4
 
