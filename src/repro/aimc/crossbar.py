@@ -25,6 +25,17 @@ With noise disabled the two backends agree to float rounding; with
 converters or noise enabled they differ slightly by construction (the
 vectorized engine quantises per layer batch, the reference per tile).
 
+Random-draw contract of the vectorized backend.  :class:`AnalogExecutor`
+spawns one ``SeedSequence`` child per analog node, in graph order.  A
+:class:`TiledMatrix` spawns one child per tile group — row segments
+outer, column segments inner: interior, right edge, bottom edge, corner —
+plus a last one for the ADC noise, and programs the groups in that order.
+A read-noise MVM reads the groups in the same order, each drawing g+'s
+noise, then g-'s (see :mod:`repro.aimc.pcm`), and writes each group's
+weights straight into that group's view of one fresh C-contiguous dense
+operand.  Deterministic reads draw nothing.
+``tests/test_aimc_device_pin.py`` pins the resulting bytes.
+
 :class:`AnalogExecutor` plugs the tiled analog MVM into the graph reference
 executor so a whole network can be evaluated through the crossbar model and
 compared against its digital reference.
@@ -174,8 +185,9 @@ class _TileGroup:
 
     The dense layout is cached alongside the device-state cache: it is
     rebuilt only when :meth:`StackedPCMArray.effective_weights` returns a
-    fresh tensor (reprogram, drift-time change, or read noise), which the
-    identity of the returned array tracks exactly.
+    fresh tensor (reprogram or drift-time change), which the identity of
+    the returned array tracks exactly.  Read-noise reads are written
+    straight into a fresh dense operand through :meth:`stacked_view`.
     """
 
     __slots__ = (
@@ -206,11 +218,19 @@ class _TileGroup:
         self.tile_cols = tile_cols
         self.array = array
 
-    def dense_block(self, stacked: np.ndarray) -> np.ndarray:
-        """Stacked ``(n_row, n_col, r, c)`` weights as one dense 2D block."""
-        return stacked.transpose(0, 2, 1, 3).reshape(
-            self.n_row * self.tile_rows, self.n_col * self.tile_cols
-        )
+    def stacked_view(self, dense: np.ndarray) -> np.ndarray:
+        """This group's block of ``dense`` as an ``(n_row, n_col, r, c)`` view.
+
+        The view has the stacked arrays' tile order, so writing a stacked
+        tensor into it lays the tiles out as one dense block.
+        """
+        block = dense[
+            self.row_offset : self.row_offset + self.n_row * self.tile_rows,
+            self.col_offset : self.col_offset + self.n_col * self.tile_cols,
+        ]
+        return block.reshape(
+            self.n_row, self.tile_rows, self.n_col, self.tile_cols
+        ).transpose(0, 2, 1, 3)
 
 
 def _split_segments(total: int, block: int) -> List[Tuple[int, int, int]]:
@@ -393,17 +413,28 @@ class TiledMatrix:
     def _effective_dense(self) -> np.ndarray:
         """Effective weights of every tile assembled into one dense matrix.
 
-        The per-tile device state lives in the stacked arrays; this GEMM
+        A read-noise read draws fresh noise every time: each group's read
+        is written straight into its view of a new C-contiguous operand,
+        group by group, so the draws happen in group order.  Deterministic
+        reads come from the stacked arrays' device-state cache; this GEMM
         layout is cached alongside it and rebuilt only when a stacked array
-        hands back a fresh tensor — reprogramming or read noise — which the
-        identity of the returned arrays tracks exactly (the cached sources
-        are kept referenced, so ``is`` cannot alias recycled objects).
+        hands back a fresh tensor — reprogramming or a drift-time change —
+        which the identity of the returned arrays tracks exactly (the
+        cached sources are kept referenced, so ``is`` cannot alias recycled
+        objects).
         """
         noise = self.noise
+        if not noise.deterministic_read:
+            dense = np.empty(self.weights_shape)
+            for group in self._groups:
+                group.array.effective_weights(
+                    time_s=noise.drift_time_s,
+                    read_noise=True,
+                    out=group.stacked_view(dense),
+                )
+            return dense
         stacks = [
-            group.array.effective_weights(
-                time_s=noise.drift_time_s, read_noise=noise.read_noise
-            )
+            group.array.effective_weights(time_s=noise.drift_time_s)
             for group in self._groups
         ]
         if self._dense_src is not None and all(
@@ -412,13 +443,9 @@ class TiledMatrix:
             return self._dense
         dense = np.empty(self.weights_shape)
         for group, stacked in zip(self._groups, stacks):
-            dense[
-                group.row_offset : group.row_offset + group.n_row * group.tile_rows,
-                group.col_offset : group.col_offset + group.n_col * group.tile_cols,
-            ] = group.dense_block(stacked)
-        if noise.deterministic_read:
-            self._dense = dense
-            self._dense_src = stacks
+            group.stacked_view(dense)[...] = stacked
+        self._dense = dense
+        self._dense_src = stacks
         return dense
 
     def _mvm_vectorized(self, batch: np.ndarray) -> np.ndarray:

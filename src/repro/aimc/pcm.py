@@ -13,6 +13,21 @@ The default constants follow the published characterisation of doped-GST
 PCM arrays used by IBM's HERMES-class prototypes: conductances in
 ``[0, g_max]`` with ``g_max`` around 25 microsiemens, programming noise of a
 few percent of ``g_max`` and drift exponent around 0.03.
+
+Random-draw contract.  Every array draws from its own generator, and only
+in two places.  ``program`` (unless ``ideal``) makes two calls
+``normal(0.0, programming_noise_frac * g_max, size=...)`` over the whole
+conductance tensor, g+'s noise first, then g-'s.  A read with
+``read_noise`` makes two calls ``normal(0.0, read_noise_frac * g_max,
+size=...)`` in the same order; a deterministic read draws nothing.  Each
+call fills its tensor in C order: for :class:`StackedPCMArray` that is
+``stack_shape + (rows, cols)``.  The per-element arithmetic is fixed as
+well: programming is ``clip(max(±w / scale, 0) * g_range + g_min + n)``
+and a read is ``((g+ * d + n+) - (g- * d + n-)) / g_range * scale``, with
+``d`` the drift factor when drift applies.  :class:`StackedPCMArray`
+computes these in place, on preallocated or caller-supplied arrays.  Its
+results equal the temporaries-based spelling bit for bit, because IEEE
+addition commutes and neither the draws nor the operation sequence move.
 """
 
 from __future__ import annotations
@@ -261,18 +276,26 @@ class StackedPCMArray:
                 f"stacked weight shape {weights.shape} does not match array "
                 f"{self.full_shape}"
             )
-        max_abs = np.max(np.abs(weights), axis=(-2, -1), keepdims=True)
+        cell = self.cell
+        # g+ and g- are built in place, on two preallocated tensors, in the
+        # per-element sequence PCMArray.program spells with temporaries:
+        # normalise, split into positive / negative parts, scale, offset,
+        # add the programming noise, clip.
+        g_plus = np.abs(weights, out=np.empty(self.full_shape))
+        max_abs = np.max(g_plus, axis=(-2, -1), keepdims=True)
         self._target_scale = np.where(max_abs > 0, max_abs, 1.0)
-        normalized = weights / self._target_scale  # in [-1, 1] per tile
-        g_range = self.cell.g_range_us
-        g_plus = np.where(normalized > 0, normalized, 0.0) * g_range + self.cell.g_min_us
-        g_minus = np.where(normalized < 0, -normalized, 0.0) * g_range + self.cell.g_min_us
+        np.divide(weights, self._target_scale, out=g_plus)  # in [-1, 1] per tile
+        g_minus = np.negative(g_plus)
+        for g in (g_plus, g_minus):
+            np.maximum(g, 0.0, out=g)
+            g *= cell.g_range_us
+            g += cell.g_min_us
         if not ideal:
-            sigma = self.cell.programming_noise_frac * self.cell.g_max_us
-            g_plus = g_plus + self._rng.normal(0.0, sigma, size=g_plus.shape)
-            g_minus = g_minus + self._rng.normal(0.0, sigma, size=g_minus.shape)
-        self._g_plus = np.clip(g_plus, self.cell.g_min_us, self.cell.g_max_us)
-        self._g_minus = np.clip(g_minus, self.cell.g_min_us, self.cell.g_max_us)
+            sigma = cell.programming_noise_frac * cell.g_max_us
+            g_plus += self._rng.normal(0.0, sigma, size=self.full_shape)
+            g_minus += self._rng.normal(0.0, sigma, size=self.full_shape)
+        self._g_plus = np.clip(g_plus, cell.g_min_us, cell.g_max_us, out=g_plus)
+        self._g_minus = np.clip(g_minus, cell.g_min_us, cell.g_max_us, out=g_minus)
         self._programmed = True
         self._cache_time = self._NO_CACHE
         self._cache = None
@@ -286,32 +309,50 @@ class StackedPCMArray:
     # Reading
     # ------------------------------------------------------------------ #
     def effective_weights(
-        self, time_s: Optional[float] = None, read_noise: bool = False
+        self,
+        time_s: Optional[float] = None,
+        read_noise: bool = False,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Stacked signed weights currently encoded by the conductances.
 
         Deterministic reads (``read_noise=False``) are served from the
         device-state cache when the drift time matches the cached one; the
         returned array is shared and must not be mutated by callers.
+
+        ``out`` — any array (or strided view) of :attr:`full_shape` —
+        receives the weights and is returned; such a read neither consults
+        nor fills the cache.  :class:`~repro.aimc.crossbar.TiledMatrix`
+        passes its GEMM operand's view of this stack, so a noisy read lands
+        in the operand without an intermediate stacked tensor.
         """
         if not self._programmed:
             raise RuntimeError("the PCM array has not been programmed")
-        if not read_noise and self._cache_time is not self._NO_CACHE:
+        cache = out is None and not read_noise
+        if cache and self._cache_time is not self._NO_CACHE:
             if self._cache_time == time_s:
                 return self._cache
+        cell = self.cell
         g_plus = self._g_plus
         g_minus = self._g_minus
-        if time_s is not None and time_s > self.cell.drift_t0_s:
-            drift = (time_s / self.cell.drift_t0_s) ** (-self.cell.drift_nu)
+        if time_s is not None and time_s > cell.drift_t0_s:
+            drift = (time_s / cell.drift_t0_s) ** (-cell.drift_nu)
             g_plus = g_plus * drift
             g_minus = g_minus * drift
         if read_noise:
-            sigma = self.cell.read_noise_frac * self.cell.g_max_us
-            g_plus = g_plus + self._rng.normal(0.0, sigma, size=g_plus.shape)
-            g_minus = g_minus + self._rng.normal(0.0, sigma, size=g_minus.shape)
-        differential = (g_plus - g_minus) / self.cell.g_range_us
-        weights = differential * self._target_scale
-        if not read_noise:
+            # the noise tensor takes the sum: IEEE addition commutes, so
+            # ``n + g`` is ``g + n`` bit for bit
+            sigma = cell.read_noise_frac * cell.g_max_us
+            noisy_plus = self._rng.normal(0.0, sigma, size=self.full_shape)
+            noisy_plus += g_plus
+            noisy_minus = self._rng.normal(0.0, sigma, size=self.full_shape)
+            noisy_minus += g_minus
+            differential = np.subtract(noisy_plus, noisy_minus, out=noisy_plus)
+        else:
+            differential = g_plus - g_minus
+        differential /= cell.g_range_us
+        weights = np.multiply(differential, self._target_scale, out=out)
+        if cache:
             self._cache_time = time_s
             self._cache = weights
         return weights

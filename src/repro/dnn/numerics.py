@@ -96,7 +96,18 @@ def conv2d_reference(
 
 
 def maxpool2d_reference(ifm: np.ndarray, layer: MaxPool2D) -> np.ndarray:
-    """Reference max pooling."""
+    """Reference max pooling.
+
+    Folds one ``np.maximum`` per kernel offset over the whole output: the
+    offset ``(dy, dx)`` contributes the strided view holding element
+    ``(dy, dx)`` of every window.  A maximum does not depend on the order
+    it visits a window in, so this is exactly the per-window reduction
+    (unlike a windowed mean, whose summation order would change —
+    :func:`avgpool2d_reference` keeps its loop).  A reduction over a
+    ``sliding_window_view`` is exact too, but no faster than the
+    per-window loop: its innermost axes are only ``kernel_size`` long.
+    """
+    out_shape = layer.output_shape([TensorShape(*ifm.shape)])
     stride = layer.effective_stride
     padding = layer.padding
     padded = np.pad(
@@ -105,14 +116,13 @@ def maxpool2d_reference(ifm: np.ndarray, layer: MaxPool2D) -> np.ndarray:
         mode="constant",
         constant_values=-np.inf,
     )
-    out_shape = layer.output_shape([TensorShape(*ifm.shape)])
-    output = np.empty((ifm.shape[0], out_shape.height, out_shape.width))
-    for row in range(out_shape.height):
-        for col in range(out_shape.width):
-            r0 = row * stride
-            c0 = col * stride
-            window = padded[:, r0 : r0 + layer.kernel_size, c0 : c0 + layer.kernel_size]
-            output[:, row, col] = window.reshape(ifm.shape[0], -1).max(axis=1)
+    row_span = stride * (out_shape.height - 1) + 1
+    col_span = stride * (out_shape.width - 1) + 1
+    output = np.full((ifm.shape[0], out_shape.height, out_shape.width), -np.inf)
+    for dy in range(layer.kernel_size):
+        for dx in range(layer.kernel_size):
+            offset = padded[:, dy : dy + row_span : stride, dx : dx + col_span : stride]
+            np.maximum(output, offset, out=output)
     return output
 
 

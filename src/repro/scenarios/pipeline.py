@@ -52,7 +52,12 @@ from ..core.optimizer import MappingOptimizer, OptimizationLevel
 from ..core.policies import resolve_policy
 from ..core.pipeline import lower_to_workload
 from ..dnn.graph import Graph
-from ..dnn.numerics import ReferenceExecutor, initialize_parameters, random_input
+from ..dnn.numerics import (
+    LayerParameters,
+    ReferenceExecutor,
+    initialize_parameters,
+    random_input,
+)
 from ..sim.system import DEFAULT_ENGINE, SimulationRecord, SimulationResult, simulate
 from ..sim.workload import Workload, resolve_arrivals
 from .cache import ArtifactCache
@@ -402,6 +407,8 @@ def reference_output_stage(
     graph: Graph,
     execution: ExecutionSpec,
     cache: Optional[ArtifactCache] = None,
+    *,
+    parameters: Optional[Dict[int, LayerParameters]] = None,
 ) -> List[np.ndarray]:
     """Digital reference outputs for one graph/seed/input-set point.
 
@@ -411,11 +418,17 @@ def reference_output_stage(
     graph and the execution seeds and rebuild quickly, and the expensive
     cross-invocation artifact (the :class:`AccuracyRecord`) persists on
     its own.
+
+    ``parameters`` lets a caller that already holds
+    ``initialize_parameters(graph, seed=execution.seed)`` hand that very
+    draw in instead of paying for it again; it is read only on a cache
+    miss, and the key does not hash it, so it must be exactly that draw.
     """
 
     def build() -> List[np.ndarray]:
-        parameters = initialize_parameters(graph, seed=execution.seed)
-        executor = ReferenceExecutor(graph, parameters=parameters)
+        executor = ReferenceExecutor(
+            graph, parameters=parameters, seed=execution.seed
+        )
         return [
             executor.run_output(image)
             for image in _accuracy_inputs(graph, execution)
@@ -464,9 +477,9 @@ def accuracy_stage(
     record_crossbar_size = 0 if digital else crossbar_size
 
     def build() -> AccuracyRecord:
-        references = reference_output_stage(graph, execution, cache)
         images = _accuracy_inputs(graph, execution)
         if digital:
+            references = reference_output_stage(graph, execution, cache)
             # an independent run of the digital path: bit-for-bit equality
             # with the cached reference outputs is the determinism contract
             executor = ReferenceExecutor(
@@ -474,8 +487,15 @@ def accuracy_stage(
             )
             total_crossbars = 0
         else:
+            # one parameter draw serves the digital reference (on a cache
+            # miss) and the analog executor
+            parameters = initialize_parameters(graph, seed=execution.seed)
+            references = reference_output_stage(
+                graph, execution, cache, parameters=parameters
+            )
             executor = AnalogExecutor(
                 graph,
+                parameters=parameters,
                 noise=execution.noise_model,
                 crossbar_rows=crossbar_size,
                 crossbar_cols=crossbar_size,

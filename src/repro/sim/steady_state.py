@@ -101,6 +101,9 @@ REFUSAL_PROBE_TOO_SHORT = "probe-too-short"
 #: a free-running producer would hit its credit ceiling beyond the probe,
 #: changing the event pattern after the certified region.
 REFUSAL_FREE_RUN_HORIZON = "free-run-horizon"
+#: one cluster serves two analog replicas of one stage, so a replica's
+#: jobs no longer map one-to-one onto its clusters' activity.
+REFUSAL_REPLICAS_SHARE_CLUSTERS = "replicas-share-clusters"
 
 #: every reason a :class:`FastForwardRefusal` may carry.
 REFUSAL_REASONS = (
@@ -109,6 +112,7 @@ REFUSAL_REASONS = (
     REFUSAL_NON_PERIODIC,
     REFUSAL_PROBE_TOO_SHORT,
     REFUSAL_FREE_RUN_HORIZON,
+    REFUSAL_REPLICAS_SHARE_CLUSTERS,
 )
 
 
@@ -1731,6 +1735,22 @@ def _replica_fast_forward(
     )
 
 
+def _shared_replica_cluster(
+    workload: Workload,
+) -> Optional[Tuple[StageDescriptor, int, Tuple[int, int]]]:
+    """The first stage and cluster serving two of the stage's analog
+    replicas, with those replicas' indices; None when every replica owns
+    its clusters."""
+    for stage in workload.stages:
+        owner: Dict[int, int] = {}
+        for index, replica in enumerate(stage.analog_replicas):
+            for cluster in replica:
+                first = owner.setdefault(cluster, index)
+                if first != index:
+                    return stage, cluster, (first, index)
+    return None
+
+
 def fast_forward_simulate(
     arch: ArchConfig,
     workload: Workload,
@@ -1747,9 +1767,10 @@ def fast_forward_simulate(
     replica-symmetry path for wide replica groups, available when NoC
     contention modelling is off (contention couples clusters globally and
     has no per-stage decomposition to certify).  Refusals that follow from
-    the workload and options alone — an open workload, too few jobs, or a
-    stage replicated beyond :data:`MAX_WINDOW` under contention — return
-    before any probe runs.
+    the workload and options alone — an open workload, too few jobs, a
+    stage replicated beyond :data:`MAX_WINDOW` under contention, or a
+    cluster shared by two analog replicas of one stage — return before any
+    probe runs.
     """
     attempts: List[str] = []
     if workload.arrival_cycles:
@@ -1790,6 +1811,23 @@ def fast_forward_simulate(
                     f"MAX_WINDOW={MAX_WINDOW} under contention",
                 ),
             )
+    shared = _shared_replica_cluster(workload)
+    if shared is not None:
+        # Both paths assume each analog replica owns its clusters.  When
+        # replicas share one, that cluster's job pattern repeats only over
+        # a multiple of the replication, so a window can match three times
+        # without being a period (and replicas are no longer symmetric).
+        stage, cluster, replicas = shared
+        return FastForwardRefusal(
+            REFUSAL_REPLICAS_SHARE_CLUSTERS,
+            f"stage {stage.stage_id} ({stage.name}): cluster {cluster} serves "
+            f"analog replicas {replicas[0]} and {replicas[1]}; certification "
+            f"requires every replica to own its clusters",
+            (
+                f"refused before probing: stage {stage.stage_id} replicas "
+                f"share cluster {cluster}",
+            ),
+        )
     q_max = max(
         math.lcm(d.replication, d.digital_slots) for d in workload.stages
     )

@@ -22,6 +22,26 @@ from repro.dnn.numerics import avgpool2d_reference, linear_reference, maxpool2d_
 from repro.dnn.layers import AvgPool2D, Linear
 
 
+def _maxpool_oracle(ifm, kernel, stride, padding):
+    """Max pooling one window element at a time, padding cells skipped."""
+    channels, height, width = ifm.shape
+    out_h = (height + 2 * padding - kernel) // stride + 1
+    out_w = (width + 2 * padding - kernel) // stride + 1
+    output = np.empty((channels, out_h, out_w))
+    for c in range(channels):
+        for row in range(out_h):
+            for col in range(out_w):
+                best = -np.inf
+                for dy in range(kernel):
+                    for dx in range(kernel):
+                        y = row * stride + dy - padding
+                        x = col * stride + dx - padding
+                        if 0 <= y < height and 0 <= x < width:
+                            best = max(best, ifm[c, y, x])
+                output[c, row, col] = best
+    return output
+
+
 class TestIm2Col:
     def test_shape(self):
         ifm = np.arange(3 * 8 * 8, dtype=float).reshape(3, 8, 8)
@@ -65,6 +85,18 @@ class TestReferenceKernels:
         assert out.shape == (1, 2, 2)
         assert out[0, 0, 0] == 5.0
         assert out[0, 1, 1] == 15.0
+
+    @pytest.mark.parametrize("shape", [(2, 7, 5), (3, 6, 9)])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_maxpool_equals_per_window_oracle(self, kernel, stride, padding, shape):
+        # all-negative inputs: a padding cell winning a window would show
+        ifm = -np.abs(np.random.default_rng(kernel + 3 * stride).normal(size=shape)) - 0.5
+        layer = MaxPool2D(kernel_size=kernel, stride=stride, padding=padding)
+        output = maxpool2d_reference(ifm, layer)
+        assert output.shape == layer.output_shape([TensorShape(*shape)]).chw
+        assert np.array_equal(output, _maxpool_oracle(ifm, kernel, stride, padding))
 
     def test_global_avgpool_reference(self):
         ifm = np.ones((3, 4, 4)) * np.arange(1, 4)[:, None, None]

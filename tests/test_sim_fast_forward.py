@@ -39,6 +39,7 @@ from repro.sim.steady_state import (
     MIN_JOBS,
     REFUSAL_OPEN_WORKLOAD,
     REFUSAL_PROBE_TOO_SHORT,
+    REFUSAL_REPLICAS_SHARE_CLUSTERS,
     REFUSAL_WINDOW_TOO_LARGE,
     FastForwardRefusal,
     fast_forward_simulate,
@@ -100,6 +101,20 @@ def _chain(
         tiles_per_image=4,
         total_macs=100 * n_jobs * n_stages,
     )
+
+
+def _fold_replicas(workload: Workload) -> Workload:
+    """Fold every stage's replicas onto two clusters (``(2*i + r % 2,)``)."""
+    stages = tuple(
+        dataclasses.replace(
+            stage,
+            analog_replicas=tuple(
+                (2 * i + r % 2,) for r in range(len(stage.analog_replicas))
+            ),
+        )
+        for i, stage in enumerate(workload.stages)
+    )
+    return dataclasses.replace(workload, stages=stages)
 
 
 def _zoo_workload(
@@ -373,18 +388,37 @@ class TestRefusalTaxonomy:
         # wrong — and here it matters: the global probe would accept a
         # window that is not a true period and extrapolate wrong
         # per-cluster job counts.
-        workload = _chain(n_jobs=96, replication=13)
-        stages = tuple(
-            dataclasses.replace(
-                stage, analog_replicas=tuple((2 * i + r % 2,) for r in range(13))
-            )
-            for i, stage in enumerate(workload.stages)
-        )
-        workload = dataclasses.replace(workload, stages=stages)
+        workload = _fold_replicas(_chain(n_jobs=96, replication=13))
         ff = simulate(ARCH64, workload, fast_forward=True)
         assert ff.fast_forward_refusal.reason == REFUSAL_WINDOW_TOO_LARGE
         assert "refused before probing" in ff.fast_forward_refusal.probes[0]
         assert_identical(simulate(ARCH64, workload), ff)
+
+    @pytest.mark.parametrize("contention", [True, False])
+    def test_replicas_sharing_clusters_refuse_before_probing(
+        self, contention, monkeypatch
+    ):
+        # 11 replicas (within MAX_WINDOW) folded onto 2 clusters per stage:
+        # cluster 0's job pattern repeats only every 22 jobs, yet three
+        # matching 11-job windows used to certify, and the extrapolation
+        # gave cluster 0 49 analog jobs against the full run's 52.
+        workload = _fold_replicas(_chain(n_jobs=96, replication=11))
+        assert max(d.replication for d in workload.stages) <= MAX_WINDOW
+        full = simulate(ARCH64, workload, model_contention=contention)
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(steady_state, "_run_probe", no_probe)
+        monkeypatch.setattr(steady_state, "_ReplicaProbeSimulator", no_probe)
+        ff = simulate(ARCH64, workload, model_contention=contention, fast_forward=True)
+        refusal = ff.fast_forward_refusal
+        assert refusal.reason == REFUSAL_REPLICAS_SHARE_CLUSTERS
+        assert "stage 0 (s0): cluster 0 serves analog replicas 0 and 2" in refusal.detail
+        assert refusal.probes == (
+            "refused before probing: stage 0 replicas share cluster 0",
+        )
+        assert not result_mismatches(full, ff, ignore_provenance=True)
 
     @pytest.mark.parametrize("batch", [16, 64])
     @pytest.mark.parametrize("level", ["replicated", "final"])
@@ -396,6 +430,8 @@ class TestRefusalTaxonomy:
         too; below MIN_JOBS the cheaper probe-too-short refusal comes first."""
         arch, workload = _zoo_workload(model, (3, 64, 64), level, batch, 512)
         assert max(d.replication for d in workload.stages) > MAX_WINDOW
+        # mapped workloads give every replica its own clusters
+        assert steady_state._shared_replica_cluster(workload) is None
         refusal = fast_forward_simulate(arch, workload)  # contention on
         assert isinstance(refusal, FastForwardRefusal)
         if workload.n_jobs < MIN_JOBS:

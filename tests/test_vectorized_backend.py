@@ -245,6 +245,20 @@ class TestDeviceStateCache:
         # the deterministic cache survives noisy reads
         assert array.effective_weights() is cached
 
+    def test_read_into_out_neither_serves_nor_fills_cache(self):
+        array = StackedPCMArray((2, 1), 8, 8, seed=3)
+        array.program(np.random.default_rng(3).normal(size=(2, 1, 8, 8)), ideal=True)
+        out = np.empty(array.full_shape)
+        assert array.effective_weights(out=out) is out
+        cached = array.effective_weights()
+        assert cached is not out and np.array_equal(cached, out)
+        # a strided destination, as TiledMatrix passes its GEMM operand
+        dense = np.empty((16, 8))
+        view = dense.reshape(2, 8, 1, 8).transpose(0, 2, 1, 3)
+        assert array.effective_weights(read_noise=True, out=view) is view
+        assert not np.array_equal(view, cached)
+        assert array.effective_weights() is cached
+
     def test_ideal_programming_matches_targets(self):
         weights = np.random.default_rng(4).normal(size=(3, 2, 6, 5))
         array = StackedPCMArray((3, 2), 6, 5, seed=0)
