@@ -20,25 +20,6 @@ from repro.sim import simulate
 PAPER_BATCH = 16
 
 
-def pytest_configure(config):
-    """Register the ``perf`` marker used to gate the slow timing cases."""
-    config.addinivalue_line(
-        "markers",
-        "perf: slow pytest-benchmark timing case (deselect with -m 'not perf')",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    """Mark every pytest-benchmark case ``perf`` so ``-m 'not perf'`` skips it.
-
-    The paper-figure assertions stay unmarked — only the tests that spin the
-    ``benchmark`` fixture (repeated timed rounds) are gated.
-    """
-    for item in items:
-        if "benchmark" in getattr(item, "fixturenames", ()):
-            item.add_marker(pytest.mark.perf)
-
-
 @pytest.fixture(scope="session")
 def paper_arch() -> ArchConfig:
     """Table I architecture."""

@@ -131,21 +131,12 @@ def test_ablation_hbm_burst_size(runner):
     assert makespans[4096] <= makespans[512]
 
 
-def test_bench_small_system_flow(benchmark):
-    """Benchmark: the flow on a quarter-size system (mapping + simulation, batch 2).
-
-    The graph is built outside the timed region (as the pre-refactor
-    version did via its fixture) and the flow runs uncached, so every round
-    measures the mapping build plus the simulation — nothing else.
-    """
+def test_bench_small_system_flow():
+    """The uncached flow on a quarter-size system (mapping + simulation, batch 2)."""
     from repro import run_inference
 
     scenario = BASE.replace(n_clusters=384, batch_size=2)
     graph = scenario.build_graph()
     arch = scenario.build_arch()
-
-    def run():
-        return run_inference(graph, arch, batch_size=2, with_breakdown=False)
-
-    report = benchmark.pedantic(run, rounds=2, iterations=1)
+    report = run_inference(graph, arch, batch_size=2, with_breakdown=False)
     assert report.result.completed

@@ -72,15 +72,11 @@ def test_fig6_mapping_factors_match_mapping_statistics(waterfall, final_entry):
     )
 
 
-def test_bench_waterfall_computation(benchmark, final_entry, compute_only_result):
-    """Benchmark: computing the waterfall from existing simulation results."""
-    mapping = final_entry["mapping"]
-    result = final_entry["result"]
-
-    def run():
-        return compute_waterfall(
-            mapping, full_result=result, compute_only_result=compute_only_result
-        )
-
-    computed = benchmark(run)
+def test_bench_waterfall_computation(final_entry, compute_only_result):
+    """Compute the waterfall from existing simulation results."""
+    computed = compute_waterfall(
+        final_entry["mapping"],
+        full_result=final_entry["result"],
+        compute_only_result=compute_only_result,
+    )
     assert computed.total_degradation > 1

@@ -58,8 +58,7 @@ def test_fig7_efficiencies_in_plausible_range(final_entry, compute_only_result):
         assert 0 <= row.area_efficiency_gops_mm2 < 700
 
 
-def test_bench_group_efficiency(benchmark, final_entry, compute_only_result):
-    """Benchmark: computing the Fig. 7 series from a simulation result."""
-    mapping = final_entry["mapping"]
-    rows = benchmark(lambda: group_area_efficiency(mapping, compute_only_result))
+def test_bench_group_efficiency(final_entry, compute_only_result):
+    """Compute the Fig. 7 series from a simulation result."""
+    rows = group_area_efficiency(final_entry["mapping"], compute_only_result)
     assert rows

@@ -61,14 +61,9 @@ def test_all_stages_complete_all_jobs(final_entry):
     assert result.makespan_cycles > 0
 
 
-def test_bench_end_to_end_flow(benchmark, resnet18_graph, paper_arch):
-    """Benchmark: the complete flow (mapping + lowering + simulation) at batch 4."""
+def test_bench_end_to_end_flow(resnet18_graph, paper_arch):
+    """The complete flow (mapping + lowering + simulation) at batch 4."""
     from repro import run_inference
 
-    def run():
-        return run_inference(
-            resnet18_graph, paper_arch, batch_size=4, with_breakdown=False
-        )
-
-    report = benchmark.pedantic(run, rounds=2, iterations=1)
+    report = run_inference(resnet18_graph, paper_arch, batch_size=4, with_breakdown=False)
     assert report.result.completed

@@ -13,8 +13,9 @@ drop approximation) into one object with named convenience presets
 * :meth:`NoiseModel.pessimistic` — exaggerated non-idealities for
   robustness studies;
 * :meth:`NoiseModel.drifted` — the typical model read one hour after
-  programming (deterministic drift, so the vectorized device-state cache
-  stays valid).
+  programming.  Its drift is deterministic, but it keeps the typical
+  model's read noise, so every read draws noise and bypasses the
+  vectorized device-state cache (see :attr:`NoiseModel.deterministic_read`).
 
 Module contract (what the scenario subsystem relies on):
 
@@ -113,9 +114,10 @@ class NoiseModel:
     def drifted(cls) -> "NoiseModel":
         """The typical model read one hour after programming.
 
-        The drift time is fixed, so reads stay deterministic and the
-        vectorized engine's device-state cache remains valid — this is the
-        configuration the performance benchmarks use.
+        The drift time is fixed, so the drift itself is deterministic.  The
+        model inherits ``read_noise=True`` from :meth:`typical`, though, so
+        :attr:`deterministic_read` is false: every read draws fresh noise and
+        bypasses the vectorized engine's device-state cache.
         """
         return cls().with_drift(3600.0)
 

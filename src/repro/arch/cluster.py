@@ -133,6 +133,21 @@ class ClusterSpec:
         """Whether a working set of ``n_bytes`` fits in the cluster L1."""
         return 0 <= n_bytes <= self.l1_size_bytes
 
+    def dma_cycles(self, n_bytes: int) -> int:
+        """Cycles one DMA channel is busy pushing ``n_bytes`` out of the cluster.
+
+        A burst pays the channel's configuration cycles plus its bytes over
+        the port bandwidth; an empty burst costs nothing.  Every simulator
+        model charges a DMA burst with this rule.
+        """
+        if n_bytes <= 0:
+            return 0
+        return self.cores.dma_config_cycles + self.delivery_cycles(n_bytes)
+
+    def delivery_cycles(self, n_bytes: int) -> int:
+        """Communication cycles charged to the cluster receiving ``n_bytes``."""
+        return math.ceil(n_bytes / self.dma_bandwidth_bytes_per_cycle)
+
 
 DEFAULT_CLUSTER_SPEC = ClusterSpec()
 """The 16-core, 1 MB L1, single-IMA cluster used throughout the paper."""

@@ -15,17 +15,14 @@ The cluster also tracks its L1 occupancy so mappings that overflow the 1 MB
 scratchpad are rejected (that constraint is what forces data tiling and the
 residual spill decisions in the paper).
 
-The DMA timing here (configuration cycles plus bytes over bandwidth, on
-``dma_channels`` FIFO channels) is also implemented by both simulator
-lanes — the per-cluster DMA :class:`~repro.sim.engine.Server` of
-:class:`repro.sim.system.SystemSimulator` and the per-cluster channel
-heaps of :mod:`repro.sim.system_table` (see ``docs/simulator.md``) — keep
-them in sync when editing any of the three.
+The DMA burst cost (configuration cycles plus bytes over bandwidth) is
+:meth:`~repro.arch.cluster.ClusterSpec.dma_cycles`, the rule both
+simulator lanes charge as well; the bursts queue on ``dma_channels`` FIFO
+channels.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -151,10 +148,7 @@ class ClusterModel:
     # ------------------------------------------------------------------ #
     def dma_cycles(self, n_bytes: int) -> int:
         """Cycles the cluster DMA needs to push ``n_bytes`` through its port."""
-        if n_bytes <= 0:
-            return 0
-        config = self.spec.cores.dma_config_cycles
-        return config + math.ceil(n_bytes / self.spec.dma_bandwidth_bytes_per_cycle)
+        return self.spec.dma_cycles(n_bytes)
 
     def run_dma(self, n_bytes: int, on_done: Callback) -> int:
         """Occupy one DMA channel for the serialisation of ``n_bytes``."""

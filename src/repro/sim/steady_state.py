@@ -64,6 +64,7 @@ from .workload import (
     ENDPOINT_STORAGE,
     StageDescriptor,
     Workload,
+    chunk_groups,
 )
 
 logger = logging.getLogger(__name__)
@@ -617,20 +618,6 @@ def _contrib_count(contrib: _Contrib, lo: int, hi: int) -> int:
     return total
 
 
-def _partition_digital(desc: StageDescriptor) -> List[Tuple[int, ...]]:
-    """Mirror of ``_StageRuntime._partition_digital`` (round-robin groups)."""
-    clusters = desc.digital_clusters
-    slots = desc.digital_slots
-    if not clusters:
-        return [()] * slots
-    groups: List[Tuple[int, ...]] = []
-    per_group = max(1, math.ceil(len(clusters) / slots))
-    for index in range(slots):
-        group = clusters[index * per_group : (index + 1) * per_group]
-        groups.append(tuple(group) if group else (clusters[-1],))
-    return groups
-
-
 class _EventLedger:
     """Exact per-stage model of every tracer record and traffic counter.
 
@@ -648,9 +635,7 @@ class _EventLedger:
     def __init__(self, arch: ArchConfig, workload: Workload):
         self.workload = workload
         self.topology = arch.topology()
-        spec = arch.cluster
-        self._bw = spec.dma_bandwidth_bytes_per_cycle
-        self._config = spec.cores.dma_config_cycles
+        self._cluster = arch.cluster
         self._dma_memo: Dict[int, int] = {}
         self._comm_memo: Dict[int, int] = {}
         #: (cluster, category, cycles) -> contribution per (class_sid, bound)
@@ -665,40 +650,18 @@ class _EventLedger:
         self.dma_pacers: Dict[int, Set[int]] = {}
         self._build()
 
-    # -- cycle-count mirrors of the simulator's memoized helpers -------- #
+    # -- memoized cycle counts of the cluster's DMA rules ---------------- #
     def _dma(self, n_bytes: int) -> int:
-        if n_bytes <= 0:
-            return 0
         cycles = self._dma_memo.get(n_bytes)
         if cycles is None:
-            cycles = self._dma_memo[n_bytes] = self._config + math.ceil(
-                n_bytes / self._bw
-            )
+            cycles = self._dma_memo[n_bytes] = self._cluster.dma_cycles(n_bytes)
         return cycles
 
     def _comm(self, n_bytes: int) -> int:
         cycles = self._comm_memo.get(n_bytes)
         if cycles is None:
-            cycles = self._comm_memo[n_bytes] = math.ceil(n_bytes / self._bw)
+            cycles = self._comm_memo[n_bytes] = self._cluster.delivery_cycles(n_bytes)
         return cycles
-
-    @staticmethod
-    def _chunk_groups(n_bytes: int, n_chunks: int) -> Tuple[Tuple[int, int], ...]:
-        """(size, count) groups of ``send_chunked``, including its 1-byte floor."""
-        chunk = math.ceil(n_bytes / n_chunks)
-        sizes: List[int] = []
-        remaining = n_bytes
-        for __ in range(n_chunks):
-            size = min(chunk, remaining)
-            remaining -= size
-            sizes.append(max(1, size))
-        grouped: List[Tuple[int, int]] = []
-        for size in sizes:
-            if grouped and grouped[-1][0] == size:
-                grouped[-1] = (size, grouped[-1][1] + 1)
-            else:
-                grouped.append((size, 1))
-        return tuple(grouped)
 
     # -- contribution plumbing ------------------------------------------ #
     def _event(
@@ -828,7 +791,7 @@ class _EventLedger:
                 dst_dominator=dst_dominator,
             )
             return
-        for size, count in self._chunk_groups(n_bytes, n_chunks):
+        for size, count in chunk_groups(n_bytes, n_chunks):
             if src is not None:
                 self._event(src, "communication", self._dma(size) * count, src_key, 1)
                 self.dma_pacers.setdefault(src, set()).add(src_key[0])
@@ -867,7 +830,7 @@ class _EventLedger:
             pl = self.phase_links[sid] = [{} for __ in range(q_eff)]
             fc = self.flat_counters[sid] = [0] * 5
             fl = self.flat_links[sid] = {}
-            dgroups = _partition_digital(d)
+            dgroups = d.digital_groups()
             own_t = (sid, ("T", sid))
             own_e = (sid, ("E", sid))
             ac = d.cost.analog_cycles_per_job

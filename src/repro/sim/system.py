@@ -20,7 +20,6 @@ model of Sec. IV.5 on top of the event kernel:
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
@@ -40,6 +39,7 @@ from .workload import (
     ENDPOINT_STORAGE,
     StageDescriptor,
     Workload,
+    chunk_groups,
 )
 
 
@@ -383,7 +383,7 @@ class _StageRuntime:
             if sim.workload.arrival_cycles and not descriptor.inputs
             else None
         )
-        self._digital_groups = self._partition_digital()
+        self._digital_groups = descriptor.digital_groups()
         # register for per-stage statistics, with the replica-group shape
         # the steady-state certifier folds completion traces by
         sim.tracer.stage(
@@ -392,19 +392,6 @@ class _StageRuntime:
             replication=descriptor.replication,
             digital_slots=descriptor.digital_slots,
         )
-
-    # ------------------------------------------------------------------ #
-    def _partition_digital(self) -> List[Tuple[int, ...]]:
-        clusters = self.desc.digital_clusters
-        slots = self.desc.digital_slots
-        if not clusters:
-            return [()] * slots
-        groups: List[Tuple[int, ...]] = []
-        per_group = max(1, math.ceil(len(clusters) / slots))
-        for index in range(slots):
-            group = clusters[index * per_group : (index + 1) * per_group]
-            groups.append(tuple(group) if group else (clusters[-1],))
-        return groups
 
     # ------------------------------------------------------------------ #
     # Input side
@@ -659,14 +646,9 @@ class SystemSimulator:
         return self._dma_servers[cluster]
 
     def _dma_cycles(self, n_bytes: int) -> int:
-        if n_bytes <= 0:
-            return 0
         cycles = self._dma_cycle_memo.get(n_bytes)
         if cycles is None:
-            spec = self.arch.cluster
-            cycles = spec.cores.dma_config_cycles + math.ceil(
-                n_bytes / spec.dma_bandwidth_bytes_per_cycle
-            )
+            cycles = self.arch.cluster.dma_cycles(n_bytes)
             self._dma_cycle_memo[n_bytes] = cycles
         return cycles
 
@@ -675,9 +657,7 @@ class SystemSimulator:
             return
         cycles = self._comm_cycle_memo.get(n_bytes)
         if cycles is None:
-            cycles = math.ceil(
-                n_bytes / self.arch.cluster.dma_bandwidth_bytes_per_cycle
-            )
+            cycles = self.arch.cluster.delivery_cycles(n_bytes)
             self._comm_cycle_memo[n_bytes] = cycles
         self.tracer.record_communication(cluster, cycles, self.engine._now)
 
@@ -722,13 +702,10 @@ class SystemSimulator:
         if n_bytes <= 0 or n_chunks <= 1:
             self.send_bytes(src, dst, n_bytes, on_done)
             return
-        chunk = math.ceil(n_bytes / n_chunks)
         barrier = Barrier(n_chunks, on_done)
-        remaining = n_bytes
-        for __ in range(n_chunks):
-            size = min(chunk, remaining)
-            remaining -= size
-            self.send_bytes(src, dst, max(1, size), barrier.arrive)
+        for size, count in chunk_groups(n_bytes, n_chunks):
+            for __ in range(count):
+                self.send_bytes(src, dst, size, barrier.arrive)
 
     # ------------------------------------------------------------------ #
     # Output routing
@@ -740,7 +717,7 @@ class SystemSimulator:
         src = runtime.io_cluster
         if flow.kind == ENDPOINT_STAGE:
             consumer = self._stages[flow.stage_id]
-            flow_index = self._consumer_flow_index(consumer, runtime.desc.stage_id)
+            flow_index = consumer.desc.input_flow_index(runtime.desc.stage_id)
             self._send_with_credit(
                 src,
                 consumer,
@@ -784,14 +761,6 @@ class SystemSimulator:
             )
         else:  # pragma: no cover - DataFlow validates kinds
             raise SimulationError(f"unknown flow kind {flow.kind!r}")
-
-    def _consumer_flow_index(self, consumer: _StageRuntime, producer_id: int) -> int:
-        for index, flow in enumerate(consumer.desc.inputs):
-            if flow.kind == ENDPOINT_STAGE and flow.stage_id == producer_id:
-                return index
-        raise SimulationError(
-            f"stage {consumer.desc.stage_id} has no input flow from stage {producer_id}"
-        )
 
     def _send_with_credit(
         self,

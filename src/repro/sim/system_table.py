@@ -54,14 +54,13 @@ asserted by ``tests/test_sim_kernel_equivalence.py``.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import SimulationError
 from .engine_table import K_OP_BASE, TableEngine
 from .tracer import ClusterActivity
-from .workload import ENDPOINT_HBM, ENDPOINT_STAGE, ENDPOINT_STORAGE
+from .workload import ENDPOINT_HBM, ENDPOINT_STAGE, ENDPOINT_STORAGE, chunk_groups
 
 #: opcode kinds (jump-table index = kind - K_OP_BASE, in this order).
 OP_ANALOG_DONE = K_OP_BASE + 0  # arg: stage_slot * n_jobs + job
@@ -238,10 +237,8 @@ class TableProgram:
         self.model_contention = sim.model_contention
         self.topology = sim.arch.topology()
         self._nj = sim.workload.n_jobs
-        cluster = sim.arch.cluster
-        self._dma_channels = cluster.dma_channels
-        self._dma_config = cluster.cores.dma_config_cycles
-        self._dma_bw = cluster.dma_bandwidth_bytes_per_cycle
+        self._cluster = sim.arch.cluster
+        self._dma_channels = self._cluster.dma_channels
         # program tables
         self.stages: List[_CompiledStage] = []
         self.flows: List[_Flow] = []
@@ -312,7 +309,7 @@ class TableProgram:
             st.replicas = desc.analog_replicas
             st.digital_d = desc.cost.digital_cycles_per_job
             st.dslots = desc.digital_slots
-            st.digital_groups = self._partition_digital(desc)
+            st.digital_groups = desc.digital_groups()
             st.an_busy = 0
             st.an_wait = deque()
             st.dg_busy = 0
@@ -360,7 +357,7 @@ class TableProgram:
             for flow in st.desc.outputs:
                 if flow.kind == ENDPOINT_STAGE:
                     consumer = self._by_sid[flow.stage_id]
-                    flow_index = self._consumer_flow_index(consumer, st.sid)
+                    flow_index = consumer.desc.input_flow_index(st.sid)
                     out.append(
                         self._make_flow(
                             F_DIRECT,
@@ -438,28 +435,6 @@ class TableProgram:
                     continue
                 self._start_feed(st, flow_index, flow.bytes_per_job)
 
-    @staticmethod
-    def _partition_digital(desc) -> List[Tuple[int, ...]]:
-        clusters = desc.digital_clusters
-        slots = desc.digital_slots
-        if not clusters:
-            return [()] * slots
-        groups: List[Tuple[int, ...]] = []
-        per_group = max(1, math.ceil(len(clusters) / slots))
-        for index in range(slots):
-            group = clusters[index * per_group : (index + 1) * per_group]
-            groups.append(tuple(group) if group else (clusters[-1],))
-        return groups
-
-    @staticmethod
-    def _consumer_flow_index(consumer: _CompiledStage, producer_id: int) -> int:
-        for index, flow in enumerate(consumer.desc.inputs):
-            if flow.kind == ENDPOINT_STAGE and flow.stage_id == producer_id:
-                return index
-        raise SimulationError(
-            f"stage {consumer.sid} has no input flow from stage {producer_id}"
-        )
-
     def _make_flow(
         self,
         kind: int,
@@ -477,28 +452,8 @@ class TableProgram:
             flow.zero = True
             return flow
         flow.pending = [0] * self._nj
-        # chunk sizes replicate send_chunked's loop exactly (including the
-        # 1-byte floor once ``remaining`` runs out); n_chunks <= 1 goes
-        # through send_bytes, i.e. one un-floored group
-        if n_chunks <= 1:
-            grouped: List[Tuple[int, int]] = [(n_bytes, 1)]
-            total = 1
-        else:
-            chunk = -(-n_bytes // n_chunks)
-            sizes: List[int] = []
-            remaining = n_bytes
-            for __ in range(n_chunks):
-                size = min(chunk, remaining)
-                remaining -= size
-                sizes.append(max(1, size))
-            grouped = []
-            for size in sizes:
-                if grouped and grouped[-1][0] == size:
-                    grouped[-1] = (size, grouped[-1][1] + 1)
-                else:
-                    grouped.append((size, 1))
-            total = n_chunks
-        flow.total_chunks = total
+        grouped = chunk_groups(n_bytes, n_chunks)
+        flow.total_chunks = sum(count for __, count in grouped)
         plan = None if src == dst else self._plan(src, dst)
         hbm = self.arch.hbm
         groups: List[_Group] = []
@@ -511,10 +466,10 @@ class TableProgram:
                     extra = hbm.service_cycles(size) - ser
             dma_dur = 0
             if src is not None:
-                dma_dur = self._dma_config + math.ceil(size / self._dma_bw)
+                dma_dur = self._cluster.dma_cycles(size)
             comm = 0
             if dst is not None:
-                comm = math.ceil(size / self._dma_bw)
+                comm = self._cluster.delivery_cycles(size)
             group = _Group(
                 len(self.groups), flow, size, count, dma_dur, comm, ser, extra, dst, plan
             )
@@ -1073,7 +1028,7 @@ class TableProgram:
         """
         nj = self._nj
         dst = st.io_cluster
-        comm = math.ceil(n_bytes / self._dma_bw) if n_bytes > 0 else 0
+        comm = self._cluster.delivery_cycles(n_bytes)
         in_credits = st.in_credits
         in_wait = st.in_wait[flow_index]
         delivered_counts = st.delivered

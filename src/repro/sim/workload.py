@@ -16,9 +16,12 @@ simulator reusable for synthetic workloads in tests and ablations.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from .engine import SimulationError
 
 #: kinds of data-flow endpoints.
 ENDPOINT_STAGE = "stage"
@@ -66,6 +69,31 @@ class DataFlow:
             raise ValueError("buffer_depth must be positive when given")
         if self.transfers_per_job <= 0:
             raise ValueError("transfers_per_job must be positive")
+
+
+def chunk_groups(n_bytes: int, n_chunks: int) -> Tuple[Tuple[int, int], ...]:
+    """The DMA transfers a ``n_bytes`` payload moves as, in issue order.
+
+    The payload is split into ``n_chunks`` transfers of ``ceil(n_bytes /
+    n_chunks)`` bytes, the last ones taking what remains; a transfer left
+    with nothing still moves one byte.  Runs of equal-size transfers are
+    returned as ``(size, count)`` pairs.  A payload of at most one chunk is
+    a single transfer of ``n_bytes``, with no 1-byte floor.
+    """
+    if n_chunks <= 1:
+        return ((n_bytes, 1),)
+    chunk = -(-n_bytes // n_chunks)
+    groups: List[Tuple[int, int]] = []
+    remaining = n_bytes
+    for __ in range(n_chunks):
+        size = min(chunk, remaining)
+        remaining -= size
+        size = max(1, size)
+        if groups and groups[-1][0] == size:
+            groups[-1] = (size, groups[-1][1] + 1)
+        else:
+            groups.append((size, 1))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -158,6 +186,34 @@ class StageDescriptor:
         """Representative cluster charged with the stage's DMA traffic."""
         clusters = self.clusters
         return clusters[0] if clusters else None
+
+    def digital_groups(self) -> Tuple[Tuple[int, ...], ...]:
+        """The digital clusters split into ``digital_slots`` groups.
+
+        Digital job ``j`` runs on group ``j % digital_slots``.  The clusters
+        are cut into consecutive groups of ``ceil(len / slots)``; a slot
+        left without clusters reuses the last one.  A stage without digital
+        clusters gets ``digital_slots`` empty groups.
+        """
+        clusters = self.digital_clusters
+        slots = self.digital_slots
+        if not clusters:
+            return ((),) * slots
+        per_group = max(1, math.ceil(len(clusters) / slots))
+        return tuple(
+            tuple(clusters[index * per_group : (index + 1) * per_group])
+            or (clusters[-1],)
+            for index in range(slots)
+        )
+
+    def input_flow_index(self, producer_id: int) -> int:
+        """Index of the input flow this stage receives from stage ``producer_id``."""
+        for index, flow in enumerate(self.inputs):
+            if flow.kind == ENDPOINT_STAGE and flow.stage_id == producer_id:
+                return index
+        raise SimulationError(
+            f"stage {self.stage_id} has no input flow from stage {producer_id}"
+        )
 
     def throughput_limit_cycles(self) -> int:
         """Steady-state cycles per job this stage needs (its pipeline weight)."""

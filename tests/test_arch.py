@@ -94,6 +94,23 @@ class TestCoreAndCluster:
         assert not cluster.fits_in_l1((1 << 20) + 1)
         assert not cluster.fits_in_l1(-1)
 
+    def test_dma_and_delivery_cycles(self):
+        cluster = ClusterSpec()
+        # 30 configuration cycles, then 64 bytes per cycle, rounded up
+        assert cluster.dma_cycles(64 * 100) == 30 + 100
+        assert cluster.dma_cycles(65) == 30 + 2
+        assert cluster.dma_cycles(0) == 0
+        assert cluster.delivery_cycles(65) == 2
+        assert cluster.delivery_cycles(0) == 0
+
+    def test_dma_cycles_follow_the_spec(self):
+        cluster = ClusterSpec(
+            cores=CoreSpec(dma_config_cycles=7), dma_bandwidth_bytes_per_cycle=16
+        )
+        assert cluster.dma_cycles(33) == 7 + 3
+        assert cluster.delivery_cycles(33) == 3
+        assert cluster.dma_cycles(1) == 7 + 1
+
 
 class TestInterconnect:
     def test_default_hosts_512_clusters(self):

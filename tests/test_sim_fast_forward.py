@@ -44,7 +44,7 @@ from repro.sim.steady_state import (
     FastForwardRefusal,
     fast_forward_simulate,
 )
-from repro.sim.system import SIMULATION_ENGINES, SimulationResult
+from repro.sim.system import SIMULATION_ENGINES, SimulationResult, SystemSimulator
 
 
 # --------------------------------------------------------------------------- #
@@ -255,7 +255,13 @@ ZOO = [
     # the final mapping's replica round-robin never settles into a short
     # window: certification must refuse and fall back to the full run
     ("tiny-final-fallback", "tiny_cnn", (3, 32, 32), "final", 64, 16, 10, 128, False),
+    # the paper's input size: 256 jobs, of which the global probe runs 28
+    ("resnet18-naive-256px", "resnet18", (3, 256, 256), "naive", 64, 256, None, 256, True),
 ]
+
+#: ZOO rows whose global probes may dispatch at most this share of the full
+#: run's events on the same engine.
+MAX_PROBE_SHARE = {"resnet18-naive-256px": 1 / 5}
 
 
 class TestModelZoo:
@@ -267,16 +273,31 @@ class TestModelZoo:
     )
     def test_fast_forward_matches_full_run(
         self, name, model, shape, level, batch, clusters, classes, crossbar,
-        must_engage, engine,
+        must_engage, engine, monkeypatch,
     ):
+        probe_events = []
+
+        class RecordingProbe(steady_state._ProbeSimulator):
+            def run(self):
+                result = super().run()
+                probe_events.append(self.engine.events_processed)
+                return result
+
+        monkeypatch.setattr(steady_state, "_ProbeSimulator", RecordingProbe)
         arch, workload = _zoo_workload(
             model, shape, level, batch, clusters, classes, crossbar
         )
-        full = simulate(arch, workload, engine=engine)
+        full_run = SystemSimulator(arch, workload, engine=engine)
+        full = full_run.run()
         ff = simulate(arch, workload, fast_forward=True, engine=engine)
         if must_engage:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert_identical(full, ff)
+        if name in MAX_PROBE_SHARE:
+            assert probe_events
+            assert sum(probe_events) <= (
+                MAX_PROBE_SHARE[name] * full_run.engine.events_processed
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -286,6 +307,15 @@ class TestModelZoo:
 def final_macro():
     """The FINAL-mapping ResNet-18 macro (batch 64 -> 256 jobs, 512 clusters)."""
     return _zoo_workload("resnet18", (3, 256, 256), "final", 64, 512)
+
+
+@pytest.fixture(scope="module")
+def final_macro_events(final_macro):
+    """Events a full contention-free table-lane run of the FINAL macro dispatches."""
+    arch, workload = final_macro
+    simulator = SystemSimulator(arch, workload, model_contention=False, engine="table")
+    simulator.run()
+    return simulator.engine.events_processed
 
 
 class TestFinalMapping:
@@ -298,13 +328,18 @@ class TestFinalMapping:
     """
 
     @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
-    def test_engages_and_is_bit_identical(self, final_macro, engine, monkeypatch):
+    def test_engages_and_is_bit_identical(
+        self, final_macro, final_macro_events, engine, monkeypatch
+    ):
         probe_engines = []
+        probe_events = []
 
         class RecordingProbe(steady_state._ReplicaProbeSimulator):
             def run(self):
                 probe_engines.append(self.engine_kind)
-                return super().run()
+                result = super().run()
+                probe_events.append(self.engine.events_processed)
+                return result
 
         monkeypatch.setattr(steady_state, "_ReplicaProbeSimulator", RecordingProbe)
         arch, workload = final_macro
@@ -322,6 +357,8 @@ class TestFinalMapping:
         assert not result_mismatches(full, ff, ignore_provenance=True)
         # the replica probe runs on the table lane whatever the caller's engine
         assert probe_engines == ["table"]
+        # ... and dispatches at most a third of a full table-lane run's events
+        assert 3 * probe_events[0] <= final_macro_events
 
     def test_contention_refusal_is_typed(self, final_macro):
         arch, workload = final_macro

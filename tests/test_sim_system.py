@@ -1,5 +1,7 @@
 """Tests for the workload IR and the system-level pipeline simulator."""
 
+import math
+
 import pytest
 
 from repro.arch import ArchConfig
@@ -12,6 +14,7 @@ from repro.sim import (
     Workload,
     simulate,
 )
+from repro.sim.workload import chunk_groups
 
 
 def _linear_workload(n_stages=3, n_jobs=16, analog_cycles=500, bytes_per_job=2048):
@@ -78,6 +81,71 @@ class TestWorkloadIR:
         assert stage.io_cluster == 0
         # analog 100/2 replicas = 50 > digital 40 -> limit 50
         assert stage.throughput_limit_cycles() == 50
+
+    def test_digital_groups(self):
+        stage = StageDescriptor(
+            stage_id=0, name="reduce", digital_clusters=(4, 5, 6), digital_slots=2
+        )
+        # ceil(3 / 2) = 2 consecutive clusters per group
+        assert stage.digital_groups() == ((4, 5), (6,))
+        # a slot left without clusters reuses the last one
+        wide = StageDescriptor(
+            stage_id=0, name="reduce", digital_clusters=(4, 5, 6), digital_slots=4
+        )
+        assert wide.digital_groups() == ((4,), (5,), (6,), (6,))
+        bare = StageDescriptor(stage_id=0, name="analog-only", digital_slots=2)
+        assert bare.digital_groups() == ((), ())
+
+    def test_input_flow_index(self):
+        workload = _linear_workload()
+        assert workload.stage(1).input_flow_index(0) == 0
+        with pytest.raises(SimulationError, match="no input flow from stage 2"):
+            workload.stage(1).input_flow_index(2)
+
+    def test_chunk_groups(self):
+        # at most one chunk: the payload itself, never floored
+        assert chunk_groups(0, 1) == ((0, 1),)
+        assert chunk_groups(100, 1) == ((100, 1),)
+        # ceil(10 / 4) = 3: three chunks of 3 bytes, then the last byte
+        assert chunk_groups(10, 4) == ((3, 3), (1, 1))
+        # ceil(5 / 4) = 2: 2 + 2 + 1, then a chunk left with nothing moves 1 byte
+        assert chunk_groups(5, 4) == ((2, 2), (1, 2))
+
+    @pytest.mark.parametrize(
+        "n_bytes, n_chunks",
+        [(16, 4), (10, 4), (5, 4), (3, 8), (2, 2), (4096, 3), (1_000_003, 7)],
+        ids=["exact", "remainder", "floor", "mostly-floor", "one-byte-each",
+             "tile", "large"],
+    )
+    def test_chunk_groups_expand_to_the_per_chunk_split(self, n_bytes, n_chunks):
+        # reference: one transfer per chunk, ceil(n / k) bytes while they
+        # last, never less than 1 byte
+        chunk = math.ceil(n_bytes / n_chunks)
+        remaining, expected = n_bytes, []
+        for __ in range(n_chunks):
+            size = min(chunk, remaining)
+            remaining -= size
+            expected.append(max(1, size))
+        groups = chunk_groups(n_bytes, n_chunks)
+        assert [size for size, count in groups for __ in range(count)] == expected
+        # runs of equal sizes are maximal
+        assert all(a[0] != b[0] for a, b in zip(groups, groups[1:]))
+
+    @pytest.mark.parametrize(
+        "n_clusters, slots", [(4, 2), (5, 3), (1, 3), (7, 7)]
+    )
+    def test_digital_groups_cover_every_slot(self, n_clusters, slots):
+        clusters = tuple(range(10, 10 + n_clusters))
+        stage = StageDescriptor(
+            stage_id=0, name="reduce", digital_clusters=clusters, digital_slots=slots
+        )
+        groups = stage.digital_groups()
+        assert len(groups) == slots
+        # every slot has a cluster; the clusters are cut in order, and only
+        # the last one is reused by slots left without clusters
+        assert all(groups)
+        assert list(dict.fromkeys(sum(groups, ()))) == list(clusters)
+        assert max(map(len, groups)) == math.ceil(n_clusters / slots)
 
     def test_stage_requires_replica_for_analog_cost(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ so they must agree statistically.  Shape validation must behave identically
 on both backends.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,29 @@ class TestDeviceStateCache:
         assert array.effective_weights(read_noise=True, out=view) is view
         assert not np.array_equal(view, cached)
         assert array.effective_weights() is cached
+
+    def test_drift_preset_reads_draw_noise(self):
+        # the drift preset is the typical model an hour after programming,
+        # read noise included: every read is fresh, none comes from the cache
+        preset = NoiseModel.drifted()
+        assert preset == NoiseModel.typical().with_drift(3600.0)
+        assert preset.read_noise and not preset.deterministic_read
+        tiled = TiledMatrix(
+            np.random.default_rng(6).normal(size=(96, 96)),
+            crossbar_rows=64, crossbar_cols=64, noise=preset, seed=7,
+        )
+        first, second = tiled._effective_dense(), tiled._effective_dense()
+        assert first is not second
+        assert not np.allclose(first, second)
+
+    def test_drift_without_read_noise_is_served_from_cache(self):
+        quiet = replace(NoiseModel.drifted(), read_noise=False)
+        assert quiet.deterministic_read
+        tiled = TiledMatrix(
+            np.random.default_rng(6).normal(size=(96, 96)),
+            crossbar_rows=64, crossbar_cols=64, noise=quiet, seed=7,
+        )
+        assert tiled._effective_dense() is tiled._effective_dense()
 
     def test_ideal_programming_matches_targets(self):
         weights = np.random.default_rng(4).normal(size=(3, 2, 6, 5))
