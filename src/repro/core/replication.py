@@ -17,6 +17,7 @@ or no further improvement is possible.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -94,24 +95,10 @@ def naive_cluster_count(graph: Graph, arch: ArchConfig) -> int:
     return total
 
 
-def balance_pipeline(
-    graph: Graph,
-    arch: ArchConfig,
-    tiling: TilingPlan,
-    cluster_budget: Optional[int] = None,
-    reserve_clusters: int = 4,
-    max_replication: int = 64,
-) -> BalanceResult:
-    """Assign replication / parallelisation factors to balance the pipeline.
-
-    ``cluster_budget`` defaults to the clusters left over by the naive
-    mapping minus a small reserve kept for residual storage.
-    """
-    graph.infer_shapes()
-    if cluster_budget is None:
-        cluster_budget = arch.n_clusters - naive_cluster_count(graph, arch) - reserve_clusters
-    cluster_budget = max(0, cluster_budget)
-
+def _candidates(
+    graph: Graph, arch: ArchConfig, tiling: TilingPlan, max_replication: int
+) -> Dict[int, _Candidate]:
+    """The naive balancing state of every layer, in topological order."""
     candidates: Dict[int, _Candidate] = {}
     for node in graph.topological_order():
         if not node.inputs:
@@ -139,19 +126,48 @@ def balance_pipeline(
                 floor_cycles=arch.cores.kernel_overhead_cycles,
                 max_factor=max_replication,
             )
+    return candidates
+
+
+def balance_pipeline(
+    graph: Graph,
+    arch: ArchConfig,
+    tiling: TilingPlan,
+    cluster_budget: Optional[int] = None,
+    reserve_clusters: int = 4,
+    max_replication: int = 64,
+) -> BalanceResult:
+    """Assign replication / parallelisation factors to balance the pipeline.
+
+    ``cluster_budget`` defaults to the clusters left over by the naive
+    mapping minus a small reserve kept for residual storage.
+    """
+    graph.infer_shapes()
+    if cluster_budget is None:
+        cluster_budget = arch.n_clusters - naive_cluster_count(graph, arch) - reserve_clusters
+    cluster_budget = max(0, cluster_budget)
+    candidates = _candidates(graph, arch, tiling, max_replication)
 
     bottleneck_before = max(
         (candidate.effective_cycles for candidate in candidates.values()), default=0
     )
 
+    # Greedy: accelerate the first improvable candidate, in topological
+    # order, with the most effective cycles.  Only that candidate changes
+    # per step, so the improvable ones sit in a heap keyed by (-cycles,
+    # topological index), and the rest contribute a running maximum.
+    improvable = []
+    stuck = 0  # largest effective cycles of a candidate that cannot improve
+    for index, candidate in enumerate(candidates.values()):
+        if candidate.can_improve:
+            improvable.append((-candidate.effective_cycles, index, candidate))
+        else:
+            stuck = max(stuck, candidate.effective_cycles)
+    heapq.heapify(improvable)
     spent = 0
-    while True:
-        improvable = [c for c in candidates.values() if c.can_improve]
-        if not improvable:
-            break
-        bottleneck = max(improvable, key=lambda c: c.effective_cycles)
-        overall = max(c.effective_cycles for c in candidates.values())
-        if bottleneck.effective_cycles < overall:
+    while improvable:
+        neg_cycles, index, bottleneck = improvable[0]
+        if -neg_cycles < stuck:
             # The true bottleneck cannot be improved further (e.g. it is
             # reduction-bound); spending clusters elsewhere does not help.
             break
@@ -159,6 +175,11 @@ def balance_pipeline(
             break
         bottleneck.factor += 1
         spent += bottleneck.increment_cost
+        if bottleneck.can_improve:
+            heapq.heapreplace(improvable, (-bottleneck.effective_cycles, index, bottleneck))
+        else:
+            heapq.heappop(improvable)
+            stuck = max(stuck, bottleneck.effective_cycles)
 
     bottleneck_after = max(
         (candidate.effective_cycles for candidate in candidates.values()), default=0

@@ -5,7 +5,7 @@ from .compare import assert_results_identical, result_mismatches
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
 from .engine_table import K_TRANSFER_DRAIN, TableEngine
 from .ima_model import IMAJob, IMATimingModel
-from .noc import LinkPool, NocModel, TransferRequest
+from .noc import NocModel, TransferRequest
 from .steady_state import fast_forward_simulate
 from .system import (
     DEFAULT_ENGINE,
@@ -56,7 +56,6 @@ __all__ = [
     "IMATimingModel",
     "K_TRANSFER_DRAIN",
     "L1OverflowError",
-    "LinkPool",
     "NocModel",
     "PoissonArrivals",
     "SIMULATION_ENGINES",

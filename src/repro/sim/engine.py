@@ -6,8 +6,8 @@ with the three primitives the system model needs:
 
 * :class:`Engine` — the event queue and simulated clock (in cycles);
 * :class:`Server` — a capacity-limited FIFO resource that serves jobs with a
-  caller-specified duration (used for IMAs, core complexes, DMA engines,
-  NoC links and HBM channels);
+  caller-specified duration (used for IMAs, core complexes and HBM
+  channels);
 * :class:`CreditStore` — a counter-based credit/token mechanism used for the
   bounded buffers that implement the self-timed flow control between
   pipeline stages.
@@ -311,7 +311,7 @@ class Server:
             self._waiting.append(job)
 
     # ------------------------------------------------------------------ #
-    # Direct occupancy (grouped transfers — see repro.sim.noc)
+    # Direct occupancy
     # ------------------------------------------------------------------ #
     def occupy(self, duration: int) -> None:
         """Take one slot for ``duration`` cycles without a completion event.

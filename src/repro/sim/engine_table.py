@@ -3,8 +3,9 @@
 The object kernel (:mod:`repro.sim.engine`) dispatches every event as a
 Python callable, and profiling the FINAL-mapping run shows the floor is
 exactly those callables: per-job closures (start/finish/deliver),
-credit-grant lambdas, per-link server jobs and barrier arrivals whose only
-purpose is to delay one completion by a statically known number of cycles.
+credit-grant lambdas, and transfer closures and barrier arrivals whose
+only purpose is to delay one completion by a statically known number of
+cycles.
 
 :class:`TableEngine` keeps the object kernel's bucketed queue (heap of
 distinct timestamps, FIFO list per timestamp, zero-heap same-cycle lane)
@@ -35,10 +36,10 @@ Three scheduling entry points:
   ``time + cycles`` (zero allocation: the row flips its ``cycles`` field
   to the consumed marker), and the handler runs when the re-queued row is
   dispatched.  The insertion into the target bucket happens at simulated
-  time ``time``, the point at which the object kernel's server-finish
-  events are inserted, which keeps the two kernels' event orders aligned;
-  a ``cycles == 0`` deferral re-queues at the tail of the active bucket,
-  like ``after(0, ...)``;
+  time ``time``, as the object kernel's ``after`` inside its ``at``
+  callback does (a link drain, a queued DMA start), which keeps the two
+  kernels' event orders aligned; a ``cycles == 0`` deferral re-queues at
+  the tail of the active bucket, like ``after(0, ...)``;
 * :meth:`defer_at` — :meth:`defer_op` with a callback payload, for the
   steps the tables do not compile (external-feed transfers).
 
@@ -47,7 +48,8 @@ dense; :meth:`reset` releases it after a drained run.  Every row dispatch
 counts as one event, so a ``defer_op`` or ``defer_at`` costs two events,
 exactly as the object kernel's deferral does.  Bounded runs
 (``max_events``) may stop between any two entries of a bucket and resume
-in order.  The bit-identity gate is
+in order; an unbounded run takes a single-pass loop (:meth:`_drain`).
+The bit-identity gate is
 ``tests/test_sim_kernel_equivalence.py``; this module's own contract is
 tested in ``tests/test_sim_engine_table.py``.
 """
@@ -236,20 +238,76 @@ class TableEngine(Engine):
         Same contract as :meth:`repro.sim.engine.Engine.run` — including
         mid-batch ``max_events`` truncation with in-order resume, the
         exception-safe tail requeue and non-re-entrancy — extended to rows,
-        each dispatch of which counts as one event.  The unbounded loop
-        inlines :meth:`_dispatch`: one jump-table call per row with no
-        intermediate method dispatch, which is where a compiled run spends
-        its per-event time.
+        each dispatch of which counts as one event.  An unbounded run (no
+        ``until``, no ``max_events``) takes :meth:`_drain`, the hot loop;
+        bounded runs dispatch through :meth:`_dispatch`.
         """
         if self._running:
             raise SimulationError(
                 "Engine.run() is not re-entrant: it was called from inside "
                 "an event callback while a run is already in progress"
             )
+        if until is None and max_events is None:
+            return self._drain()
         if until is not None and until < self._now:
             return self._now
         self._running = True
         processed = 0
+        times = self._times
+        buckets = self._buckets
+        dispatch = self._dispatch
+        try:
+            while times:
+                time = times[0]
+                if until is not None and time > until:
+                    self._now = until
+                    break
+                heapq.heappop(times)
+                bucket = buckets.pop(time)
+                self._now = time
+                self._active = bucket
+                index = 0
+                try:
+                    while index < len(bucket):
+                        entry = bucket[index]
+                        index += 1
+                        processed += 1
+                        dispatch(entry)
+                        if max_events is not None and processed >= max_events:
+                            break
+                finally:
+                    self._active = None
+                    if index < len(bucket):
+                        # truncated mid-batch (max_events, or a handler
+                        # raised): requeue the unprocessed tail so a later
+                        # run() resumes in order.
+                        buckets[time] = bucket[index:]
+                        heapq.heappush(times, time)
+                if max_events is not None and processed >= max_events:
+                    break
+            if until is not None and not times and self._now < until:
+                self._now = until
+        finally:
+            self._running = False
+            self._active = None
+            self._events_processed += processed
+        return self._now
+
+    def _drain(self) -> int:
+        """The unbounded run: dispatch every bucket in one pass each.
+
+        :meth:`_dispatch` is inlined, so a row costs one jump-table call.
+        ``for entry in bucket`` also yields the entries appended while the
+        bucket drains (a list iterator checks the length at every step),
+        which is how same-cycle cascades join the tail of the batch.  The
+        event count at the bucket's start locates the entry that raised,
+        if a handler raises: the unprocessed tail is requeued at the
+        current time and the exception propagates.
+        """
+        self._running = True
+        processed = 0
+        first = 0
+        bucket: Optional[list] = None
         times = self._times
         buckets = self._buckets
         heappop = heapq.heappop
@@ -261,69 +319,40 @@ class TableEngine(Engine):
         handlers = self._handlers
         try:
             while times:
-                time = times[0]
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                heappop(times)
+                time = heappop(times)
                 bucket = buckets.pop(time)
                 self._now = time
                 self._active = bucket
-                index = 0
-                try:
-                    if max_events is None:
-                        # hot loop: the batch may grow while it drains, so
-                        # iterate by index until it runs off the end
-                        while True:
-                            try:
-                                entry = bucket[index]
-                            except IndexError:
-                                break
-                            index += 1
-                            processed += 1
-                            if type(entry) is not int:
-                                entry()
-                                continue
-                            cycles = row_cycles[entry]
-                            if cycles < 0:
-                                arg = row_callback[entry]
-                                row_callback[entry] = None
-                                free.append(entry)
-                                handlers[row_kind[entry]](arg)
-                                continue
-                            # pending deferral: re-queue this same row
-                            row_cycles[entry] = _CONSUMED
-                            if cycles == 0:
-                                bucket.append(entry)
-                                continue
-                            target = time + cycles
-                            nxt = buckets.get(target)
-                            if nxt is None:
-                                buckets[target] = [entry]
-                                heappush(times, target)
-                            else:
-                                nxt.append(entry)
+                first = processed
+                for entry in bucket:
+                    processed += 1
+                    if type(entry) is not int:
+                        entry()
+                        continue
+                    cycles = row_cycles[entry]
+                    if cycles < 0:
+                        arg = row_callback[entry]
+                        row_callback[entry] = None
+                        free.append(entry)
+                        handlers[row_kind[entry]](arg)
+                        continue
+                    # pending deferral: re-queue this same row
+                    row_cycles[entry] = _CONSUMED
+                    if cycles == 0:
+                        bucket.append(entry)
+                        continue
+                    target = time + cycles
+                    nxt = buckets.get(target)
+                    if nxt is None:
+                        buckets[target] = [entry]
+                        heappush(times, target)
                     else:
-                        dispatch = self._dispatch
-                        while index < len(bucket):
-                            entry = bucket[index]
-                            index += 1
-                            processed += 1
-                            dispatch(entry)
-                            if processed >= max_events:
-                                break
-                finally:
-                    self._active = None
-                    if index < len(bucket):
-                        # truncated mid-batch (max_events, or a handler
-                        # raised): requeue the unprocessed tail so a later
-                        # run() resumes in order.
-                        buckets[time] = bucket[index:]
-                        heappush(times, time)
-                if max_events is not None and processed >= max_events:
-                    break
-            if until is not None and not times and self._now < until:
-                self._now = until
+                        nxt.append(entry)
+        except BaseException:
+            if bucket is not None and processed - first < len(bucket):
+                buckets[self._now] = bucket[processed - first:]
+                heappush(times, self._now)
+            raise
         finally:
             self._running = False
             self._active = None

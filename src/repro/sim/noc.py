@@ -2,14 +2,15 @@
 
 The structural topology (which links exist, which route a transfer takes)
 comes from :class:`repro.arch.interconnect.QuadrantTopology`; this module
-attaches a :class:`repro.sim.engine.Server` to every directed link and to
-every HBM channel so that concurrent transfers contend for them, which is
-the mechanism behind the communication bottlenecks of Sec. V.4 and VI.
+books every transfer on the directed links of its route and on an HBM
+channel (a :class:`repro.sim.engine.Server`) so that concurrent transfers
+contend for them, which is the mechanism behind the communication
+bottlenecks of Sec. V.4 and VI.
 
 A transfer over a route:
 
-1. waits until every link of the route is free (links are acquired in a
-   canonical order to avoid deadlock),
+1. waits until every link of the route has drained the bursts booked on
+   it before (each link is a capacity-1 FIFO),
 2. holds all of them for the serialisation time ``ceil(bytes / width)``,
 3. completes after an additional zero-load hop latency.
 
@@ -18,16 +19,16 @@ round-robin over the least-loaded channels) for the serialisation time plus
 the 100-cycle access latency of Table I.
 
 This is the object-kernel implementation (``engine="python"``).  The
-default table lane replaces the per-link servers with flat busy-until
-vectors in :mod:`repro.sim.system_table`; the two are bit-identical by
-contract, so timing changes here must be applied to both and re-validated
-through ``tests/test_sim_kernel_equivalence.py``.
+default table lane keeps the same busy-until state in flat vectors in
+:mod:`repro.sim.system_table`; the two are bit-identical by contract, so
+timing changes here must be applied to both and re-validated through
+``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from ..arch.config import ArchConfig
 from ..arch.interconnect import QuadrantTopology, Route
@@ -64,81 +65,6 @@ class TransferRequest:
         )
 
 
-class LinkPool:
-    """Lazily-created :class:`Server` per directed link of the topology."""
-
-    def __init__(self, engine: Engine):
-        self._engine = engine
-        self._links: Dict[str, Server] = {}
-
-    def get(self, name: str) -> Server:
-        """Return the server modelling one directed link."""
-        if name not in self._links:
-            self._links[name] = Server(self._engine, name, capacity=1)
-        return self._links[name]
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-    def busy_cycles(self) -> Dict[str, int]:
-        """Busy cycles accumulated on every instantiated link."""
-        return {name: server.utilization_time for name, server in self._links.items()}
-
-
-class _TransferGroup:
-    """One uncontended transfer occupying every route resource at once.
-
-    When every link of a route (and the HBM channel, if any) is idle, the
-    transfer's behaviour is fully determined at submission time: all links
-    drain together after the serialisation time and the transfer completes
-    one hop-latency later.  Submitting one :class:`Server` job per link
-    would schedule ``k`` identical events; this group occupies all ``k``
-    slots directly and schedules *one* drain event for the links (plus one
-    for the HBM channel, whose service time differs), which is where the
-    bulk of the event-kernel speedup comes from.  Statistics and event
-    ordering are identical to the per-link submission path.
-    """
-
-    __slots__ = ("engine", "servers", "channel", "hop_latency", "on_done", "_pending")
-
-    def __init__(
-        self,
-        engine: Engine,
-        servers: List[Server],
-        channel: Optional[Server],
-        serialization: int,
-        hbm_extra: int,
-        hop_latency: int,
-        on_done: Callback,
-    ):
-        self.engine = engine
-        self.servers = servers
-        self.channel = channel
-        self.hop_latency = hop_latency
-        self.on_done = on_done
-        self._pending = 1 if channel is None else 2
-        for server in servers:
-            server.occupy(serialization)
-        engine.after(serialization, self._drain_links)
-        if channel is not None:
-            channel.occupy(serialization + hbm_extra)
-            engine.after(serialization + hbm_extra, self._drain_channel)
-
-    def _drain_links(self) -> None:
-        for server in self.servers:
-            server.vacate()
-        self._complete()
-
-    def _drain_channel(self) -> None:
-        self.channel.vacate()
-        self._complete()
-
-    def _complete(self) -> None:
-        self._pending -= 1
-        if self._pending == 0:
-            self.engine.after(self.hop_latency, self.on_done)
-
-
 class NocModel:
     """Event-driven model of the quadrant NoC plus the HBM controller."""
 
@@ -154,15 +80,13 @@ class NocModel:
         self.topology: QuadrantTopology = arch.topology()
         self.tracer = tracer if tracer is not None else Tracer()
         self.model_contention = model_contention
-        self.links = LinkPool(engine)
         self.hbm_channels = [
             Server(engine, f"hbm_channel[{i}]", capacity=1)
             for i in range(arch.hbm.n_channels)
         ]
         self._hbm_next_channel = 0
-        #: per-route list of link servers (routes are memoized by the
-        #: topology, so object identity is a stable key).
-        self._route_servers: Dict[int, List[Server]] = {}
+        #: per-link cycle at which the link drains its last booked burst.
+        self._link_until: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -255,7 +179,7 @@ class NocModel:
         hbm_extra: int,
         on_done: Callback,
     ) -> None:
-        """Occupy every link of the route, then any HBM channel.
+        """Book the burst on every link of the route, then on an HBM channel.
 
         The burst traverses the route in a cut-through fashion: every link
         is occupied for the serialisation time of the whole burst, the
@@ -265,49 +189,35 @@ class NocModel:
         on shared upper-level links and on the HBM channels, which is the
         effect the paper's communication analysis cares about.
 
-        When every resource along the route is idle — the common case —
-        the per-link occupations are batched into one :class:`_TransferGroup`
-        (one drain event instead of one per link); the timing, statistics
-        and event ordering are identical to the per-link path below.
+        A link is a capacity-1 FIFO whose durations are fixed at
+        submission, so it drains a new burst at ``max(now, busy_until) +
+        serialization``: the drain of the whole route is known at issue and
+        is booked then, as one event at the drain cycle.  The HBM channel
+        stays a :class:`Server`, because the round-robin pick reads channel
+        state at issue time; the links and the channel join in a two-way
+        barrier.
         """
-        servers = self._route_servers.get(id(route))
-        if servers is None:
-            servers = [self.links.get(name) for name in route.links]
-            self._route_servers[id(route)] = servers
-        idle = True
-        for server in servers:
-            if server._in_service or server._waiting:
-                idle = False
-                break
-        channel = None
-        if involves_hbm:
-            # always pick (even on the congested path) so the round-robin
-            # pointer advances identically regardless of which path runs.
-            channel = self._pick_hbm_channel()
-            if channel._in_service or channel._waiting:
-                idle = False
-        if idle:
-            _TransferGroup(
-                self.engine,
-                servers,
-                channel,
-                serialization,
-                hbm_extra,
-                route.hop_latency_cycles,
-                on_done,
-            )
+        engine = self.engine
+        now = engine._now
+        until = self._link_until
+        drain = now
+        for name in route.links:
+            queued = until.get(name, 0)
+            end = (queued if queued > now else now) + serialization
+            until[name] = end
+            if end > drain:
+                drain = end
+        hop = route.hop_latency_cycles
+
+        def drained() -> None:
+            engine.after(hop, on_done)
+
+        if not involves_hbm:
+            engine.at(drain, drained)
             return
-
-        n_resources = len(servers) + (1 if involves_hbm else 0)
-
-        def all_drained() -> None:
-            self.engine.after(route.hop_latency_cycles, on_done)
-
-        barrier = Barrier(n_resources, all_drained)
-        for server in servers:
-            server.submit(serialization, barrier.arrive)
-        if involves_hbm:
-            channel.submit(serialization + hbm_extra, barrier.arrive)
+        barrier = Barrier(2, drained)
+        engine.at(drain, barrier.arrive)
+        self._pick_hbm_channel().submit(serialization + hbm_extra, barrier.arrive)
 
     def _pick_hbm_channel(self) -> Server:
         """Round-robin over HBM channels, preferring idle ones."""
@@ -331,7 +241,3 @@ class NocModel:
     def hbm_busy_cycles(self) -> int:
         """Total busy cycles accumulated over all HBM channels."""
         return sum(channel.utilization_time for channel in self.hbm_channels)
-
-    def link_busy_cycles(self) -> Dict[str, int]:
-        """Busy cycles of every link that carried traffic."""
-        return self.links.busy_cycles()

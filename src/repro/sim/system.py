@@ -20,6 +20,7 @@ model of Sec. IV.5 on top of the event kernel:
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
@@ -66,7 +67,12 @@ from .workload import (
 #: v3 payloads of fast-forward scenarios cannot distinguish "ran full
 #: because refused" from "ran full because never attempted", so they are
 #: re-simulated once.
-SIMULATION_PAYLOAD_VERSION = 4
+#: Version 5: the object kernel books a queued burst's link drain and DMA
+#: start at issue, as the table lane always has, so ``engine="python"``
+#: results change on same-cycle ties under contention (table-lane results
+#: are unchanged); v4 payloads cannot say which kernel made them, so every
+#: one is re-simulated once.
+SIMULATION_PAYLOAD_VERSION = 5
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
 #: :class:`SystemSimulator`: the object kernel, kept as the readable
@@ -543,7 +549,8 @@ class SystemSimulator:
                 self.engine, arch, tracer=self.tracer, model_contention=model_contention
             )
         self.model_contention = model_contention
-        self._dma_servers: Dict[int, Server] = {}
+        #: per-cluster DMA channel free-at cycles, kept as heaps.
+        self._dma_slots: Dict[int, List[int]] = {}
         self._stages: Dict[int, _StageRuntime] = {}
         self._finished_stages = 0
         self._last_completion_cycle = 0
@@ -636,15 +643,6 @@ class SystemSimulator:
     # ------------------------------------------------------------------ #
     # Data movement helpers
     # ------------------------------------------------------------------ #
-    def _dma_server(self, cluster: int) -> Server:
-        if cluster not in self._dma_servers:
-            self._dma_servers[cluster] = Server(
-                self.engine,
-                f"cluster[{cluster}].dma",
-                capacity=self.arch.cluster.dma_channels,
-            )
-        return self._dma_servers[cluster]
-
     def _dma_cycles(self, n_bytes: int) -> int:
         cycles = self._dma_cycle_memo.get(n_bytes)
         if cycles is None:
@@ -676,14 +674,26 @@ class SystemSimulator:
 
             self.noc.transfer_bytes(src, dst, n_bytes, finished)
 
-        if src is not None:
-            duration = self._dma_cycles(n_bytes)
-            self.tracer.record_communication(
-                src, duration, self.engine._now + duration
-            )
-            self._dma_server(src).submit(duration, start_noc)
-        else:
+        if src is None:
             start_noc()
+            return
+        engine = self.engine
+        now = engine._now
+        duration = self._dma_cycles(n_bytes)
+        self.tracer.record_communication(src, duration, now + duration)
+        # The cluster's DMA channels are interchangeable FIFO slots with
+        # durations fixed at submission, so a burst starts on the
+        # earliest-free one and its start is known, and booked, at issue.
+        slots = self._dma_slots.get(src)
+        if slots is None:
+            slots = self._dma_slots[src] = [0] * self.arch.cluster.dma_channels
+        free_at = slots[0]
+        if free_at <= now:
+            heapq.heapreplace(slots, now + duration)
+            engine.after(duration, start_noc)
+        else:
+            heapq.heapreplace(slots, free_at + duration)
+            engine.at(free_at, lambda: engine.after(duration, start_noc))
 
     def send_chunked(
         self,

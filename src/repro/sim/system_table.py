@@ -19,8 +19,12 @@ once, before the first event, into integer transition state consumed by
   arithmetic inside the opcode handlers.  A capacity-1 FIFO link with
   durations fixed at submission is deterministic — it drains a new burst
   at ``max(now, busy_until) + serialization`` — so a contended transfer
-  is one busy-until pass over its route plus one deferred row, where the
-  object kernel runs one server job per link and a barrier.
+  is one busy-until pass over its route plus one deferred row, booked at
+  issue in both kernels;
+* the chunks of one group that find a free DMA channel at issue enter the
+  NoC at the same cycle, in adjacent rows of one bucket, so they travel
+  as one ``OP_NOC_BURST`` row that carries their count and does the work
+  of all of them in one handler call.
 
 The **legality rule** for compiling a lifecycle step: a step may be
 table-compiled only when its *successor and timing are fully determined at
@@ -37,16 +41,20 @@ same simulated time, in the same bucket insertion position, as the object
 kernel's equivalent event — the compiled handlers replicate the object
 kernel's synchronous callback chains (server ``on_done``-then-dequeue
 order, credit FIFO grants, barrier arrivals, the ``written``-then-relay
-order of storage flows) statement for statement.  The one deliberate
-difference is record granularity: the equal-size chunks of one burst
+order of storage flows) statement for statement.  Two deliberate
+differences are in granularity only: the equal-size chunks of one burst
 share a single source-side communication record of ``duration * count``
 cycles where the object kernel records each chunk (the cluster totals are
-the same).  Tracer state that the fast-forward prober must see mid-run
-(aggregate counters, live :class:`~repro.sim.tracer.StageActivity`, stage
-completions) stays on the tracer; per-cluster and per-link activity
-accumulate in dense arrays and materialise into the tracer in first-touch
-order at :meth:`TableProgram.finalize` (``SystemSimulator.snapshot_activity``
-reads the dense form mid-run).  :attr:`TableProgram.observer` streams
+the same), and one ``OP_NOC_BURST`` row stands for ``k`` adjacent
+NoC-entry events of the object kernel (so the table lane dispatches fewer
+events; nothing runs between adjacent entries of a bucket, so nothing can
+observe the difference).  Tracer state that the fast-forward prober must
+see mid-run (aggregate counters, live
+:class:`~repro.sim.tracer.StageActivity`, stage completions) stays on the
+tracer; per-cluster and per-link activity accumulate in dense arrays and
+materialise into the tracer in first-touch order at
+:meth:`TableProgram.finalize` (``SystemSimulator.snapshot_activity`` reads
+the dense form mid-run).  :attr:`TableProgram.observer` streams
 every record as it is made.  Bit-identity against the object kernel is
 asserted by ``tests/test_sim_kernel_equivalence.py``.
 """
@@ -70,6 +78,7 @@ OP_CHUNK_LANDED = K_OP_BASE + 3  # arg: group_id * n_jobs + job
 OP_FLOW_NULL = K_OP_BASE + 4  # arg: flow_id * n_jobs + job (zero-byte send)
 OP_HBM_ARRIVE = K_OP_BASE + 5  # arg: [pending, hop, target] barrier cell
 OP_CHAN_DONE = K_OP_BASE + 6  # arg: (channel, barrier cell)
+OP_NOC_BURST = K_OP_BASE + 7  # arg: k * burst_stride + group_id * n_jobs + job
 
 #: observer category of a stage-job record: ``key`` is the stage id,
 #: ``cycles`` the job's span from start to compute end, ``end`` the
@@ -272,6 +281,9 @@ class TableProgram:
         self._hbm_next = 0
         # per-cluster DMA channel free-at cycles, kept as heaps
         self._dma_slots: Dict[int, List[int]] = {}
+        #: payload stride of the burst count in an OP_NOC_BURST row (one
+        #: past the largest ``group_id * n_jobs + job``; set by build).
+        self._burst_stride = 0
         #: per-record observer: ``None`` (the default, read once per
         #: handler) or ``observer(key, category, cycles, end)``, called at
         #: the exact point of every record this lane makes — analog and
@@ -417,8 +429,10 @@ class TableProgram:
                 self._op_flow_null,
                 self._op_hbm_arrive,
                 self._op_chan_done,
+                self._op_noc_burst,
             )
         )
+        self._burst_stride = len(self.groups) * nj
         # external feeds (network IFM fetched from HBM), in stage order —
         # these schedule the run's first events, identically to _build()
         produced = {
@@ -837,15 +851,12 @@ class TableProgram:
         if src is None:
             # HBM-sourced: no DMA, chunks enter the NoC synchronously
             for group in flow.groups:
-                arg = group.gid * nj + job
-                for __ in range(group.count):
-                    self._op_noc_start(arg)
+                self._enter_noc(group, group.gid * nj + job, group.count)
             return
         slots = self._dma_slots.get(src)
         if slots is None:
             slots = self._dma_slots[src] = [0] * self._dma_channels
         now = engine._now
-        sched_op = engine.sched_op
         defer_op = engine.defer_op
         heapreplace = heapq.heapreplace
         for group in flow.groups:
@@ -856,63 +867,107 @@ class TableProgram:
             # the slot vector is kept as a heap: only the minimum free-at
             # value is observable (channels are interchangeable), so the
             # earliest-free scan of the object kernel collapses to a peek
-            # plus a sift — identical burst timing.
-            for __ in range(count):
+            # plus a sift — identical burst timing.  The chunks that find
+            # a free channel are a prefix of the group (a sift never lowers
+            # the minimum below ``now`` again), and their NoC-entry rows
+            # would sit adjacent in bucket ``now + dur``: one burst row
+            # carries them all.
+            free = 0
+            while free < count and slots[0] <= now:
+                heapreplace(slots, now + dur)
+                free += 1
+            if free == 1:
+                engine.sched_op(now + dur, OP_NOC_START, arg)
+            elif free:
+                engine.sched_op(
+                    now + dur, OP_NOC_BURST, free * self._burst_stride + arg
+                )
+            for __ in range(count - free):
                 free_at = slots[0]
-                if free_at <= now:
-                    heapreplace(slots, now + dur)
-                    sched_op(now + dur, OP_NOC_START, arg)
-                else:
-                    heapreplace(slots, free_at + dur)
-                    defer_op(free_at, dur, OP_NOC_START, arg)
+                heapreplace(slots, free_at + dur)
+                defer_op(free_at, dur, OP_NOC_START, arg)
 
     def _op_flow_null(self, arg: int) -> None:
         fid = arg // self._nj
         self._complete_flow(self.flows[fid], arg - fid * self._nj)
 
     def _op_noc_start(self, arg: int) -> None:
-        """DMA serialisation done: the burst enters the NoC (transfer_bytes)."""
-        group = self.groups[arg // self._nj]
+        """DMA serialisation done: one burst enters the NoC."""
+        self._enter_noc(self.groups[arg // self._nj], arg, 1)
+
+    def _op_noc_burst(self, arg: int) -> None:
+        """``k`` same-group bursts enter the NoC together (``k`` in ``arg``)."""
+        stride = self._burst_stride
+        k = arg // stride
+        arg -= k * stride
+        self._enter_noc(self.groups[arg // self._nj], arg, k)
+
+    def _enter_noc(self, group: _Group, arg: int, k: int) -> None:
+        """``k`` bursts of ``group`` enter the NoC, in order (transfer_bytes).
+
+        The same as ``k`` OP_NOC_START handlers run back to back, which is
+        what ``k`` adjacent rows of one bucket do: each only adds to the
+        counters, books the route (and an HBM channel) and schedules its
+        landing rows.  So the counters grow once by ``k`` times as much,
+        every link is booked once for ``k`` serialisations, and under
+        contention burst ``i`` drains at ``start + i * ser``, where
+        ``start`` is ``max(now, busy_until)`` over the route's links (a
+        route between two endpoints always has one).  The landing rows go
+        out in burst order.
+        """
         tracer = self.tracer
         engine = self.engine
         plan = group.plan
-        tracer.n_transfers += 1
+        tracer.n_transfers += k
         if plan is None:
             # local (same-cluster) handoff: no NoC involvement
-            tracer.local_bytes += group.size
-            engine.sched_op(engine._now, OP_CHUNK_LANDED, arg)
+            tracer.local_bytes += k * group.size
+            now = engine._now
+            for __ in range(k):
+                engine.sched_op(now, OP_CHUNK_LANDED, arg)
             return
-        tracer.noc_bytes += group.size
-        tracer.noc_byte_hops += group.byte_hops
+        size = k * group.size
+        tracer.noc_bytes += size
+        tracer.noc_byte_hops += k * group.byte_hops
         if plan.involves_hbm:
-            tracer.hbm_bytes += group.size
+            tracer.hbm_bytes += size
         if not plan.touched:
             self._touch_plan(plan)
         ser = group.ser
+        occupied = k * ser
         link_busy = self._link_busy
         lids = plan.lids
+        now = engine._now
         if not self.model_contention:
             for lid in lids:
-                link_busy[lid] += ser
-            engine.sched_op(engine._now + group.uncont_lat, OP_CHUNK_LANDED, arg)
+                link_busy[lid] += occupied
+            landed = now + group.uncont_lat
+            for __ in range(k):
+                engine.sched_op(landed, OP_CHUNK_LANDED, arg)
             return
-        now = engine._now
         busy_until = self._link_until
-        drain = now
+        start = now
         for lid in lids:
-            link_busy[lid] += ser
+            link_busy[lid] += occupied
             queued = busy_until[lid]
-            end = (queued if queued > now else now) + ser
-            busy_until[lid] = end
-            if end > drain:
-                drain = end
+            if queued > now:
+                busy_until[lid] = queued + occupied
+                if queued > start:
+                    start = queued
+            else:
+                busy_until[lid] = now + occupied
         if plan.involves_hbm:
             # 2-way barrier: links drained + HBM channel drained, then hop
-            pend = [2, plan.hop, arg]
-            engine.sched_op(drain, OP_HBM_ARRIVE, pend)
-            self._chan_submit(group.chan_cycles, pend)
+            hop = plan.hop
+            chan_cycles = group.chan_cycles
+            for i in range(1, k + 1):
+                pend = [2, hop, arg]
+                engine.sched_op(start + i * ser, OP_HBM_ARRIVE, pend)
+                self._chan_submit(chan_cycles, pend)
         else:
-            engine.defer_op(drain, plan.hop, OP_CHUNK_LANDED, arg)
+            hop = plan.hop
+            for i in range(1, k + 1):
+                engine.defer_op(start + i * ser, hop, OP_CHUNK_LANDED, arg)
 
     def _op_chunk_landed(self, arg: int) -> None:
         nj = self._nj

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch import ArchConfig, IMASpec
 from repro.core import (
+    BalanceResult,
     LayerSplit,
     MappingOptimizer,
     MappingOptions,
@@ -21,6 +22,7 @@ from repro.core import (
     partial_sum_bytes_per_job,
     reduction_job_cycles,
 )
+from repro.core import replication
 from repro.dnn import models
 from repro.sim import ENDPOINT_HBM, ENDPOINT_STAGE, ENDPOINT_STORAGE, simulate
 
@@ -122,6 +124,67 @@ class TestBalancer:
         count = naive_cluster_count(resnet, paper_arch)
         mapping = build_mapping(resnet, paper_arch, MappingOptions(name="naive"))
         assert count == mapping.n_used_clusters
+
+
+def _rescanning_balance(graph, arch, tiling, cluster_budget, max_replication):
+    """The balancer's greedy as first written, rescanning every candidate
+    per step: the reference the heap-driven loop must reproduce."""
+    candidates = replication._candidates(graph, arch, tiling, max_replication)
+    bottleneck_before = max((c.effective_cycles for c in candidates.values()), default=0)
+    spent = 0
+    while True:
+        improvable = [c for c in candidates.values() if c.can_improve]
+        if not improvable:
+            break
+        bottleneck = max(improvable, key=lambda c: c.effective_cycles)
+        overall = max(c.effective_cycles for c in candidates.values())
+        if bottleneck.effective_cycles < overall:
+            break
+        if spent + bottleneck.increment_cost > cluster_budget:
+            break
+        bottleneck.factor += 1
+        spent += bottleneck.increment_cost
+    return BalanceResult(
+        replication={
+            c.node_id: c.factor for c in candidates.values() if c.is_analog and c.factor > 1
+        },
+        parallelization={
+            c.node_id: c.factor for c in candidates.values() if not c.is_analog and c.factor > 1
+        },
+        extra_clusters=spent,
+        bottleneck_before=bottleneck_before,
+        bottleneck_after=max((c.effective_cycles for c in candidates.values()), default=0),
+    )
+
+
+class TestBalancerReference:
+    """``balance_pipeline`` against the rescanning loop, over the zoo."""
+
+    @pytest.mark.parametrize("model", models.__all__)
+    def test_identical_to_rescanning_loop(self, model, paper_arch):
+        graph = getattr(models, model)()
+        tiling = TilingPlan.choose(graph, paper_arch.cluster, batch_size=16)
+        default_budget = max(
+            0, paper_arch.n_clusters - naive_cluster_count(graph, paper_arch) - 4
+        )
+        for max_replication in (1, 3, 64):
+            for budget in (None, 0, 7, 40, 1000):
+                result = balance_pipeline(
+                    graph, paper_arch, tiling,
+                    cluster_budget=budget, max_replication=max_replication,
+                )
+                reference = _rescanning_balance(
+                    graph, paper_arch, tiling,
+                    default_budget if budget is None else budget, max_replication,
+                )
+                case = (max_replication, budget)
+                assert result == reference, case
+                assert list(result.replication.items()) == list(
+                    reference.replication.items()
+                ), case
+                assert list(result.parallelization.items()) == list(
+                    reference.parallelization.items()
+                ), case
 
 
 class TestLowering:

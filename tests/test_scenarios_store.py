@@ -191,7 +191,7 @@ class TestStoreRobustness:
         """
         from repro.sim.system import SIMULATION_PAYLOAD_VERSION
 
-        assert SIMULATION_PAYLOAD_VERSION == 4  # bumped in PR 10 (3 since PR 5)
+        assert SIMULATION_PAYLOAD_VERSION == 5  # queued bursts booked at issue
         store = ArtifactStore(tmp_path / "sim-payload-store")
         cache = ArtifactCache(store=store)
         graph, arch = TINY.build_graph(), TINY.build_arch()

@@ -12,6 +12,10 @@ bit-identity against the object kernel lives in
   its free list and ``reset`` rules, the bounded ``max_events`` loop
   (truncation between rows with in-order resume, the exception-safe tail
   requeue), ``until`` bounds and non-re-entrancy;
+* the burst rows of :class:`~repro.sim.system_table.TableProgram`: the
+  chunks of one group that find free DMA channels enter the NoC as one
+  ``OP_NOC_BURST`` row, which saves ``k - 1`` events per burst of ``k``
+  chunks and changes no observable;
 * the per-record observer of :class:`~repro.sim.system_table.TableProgram`:
   on the synthetic, zoo and seeded randomized shapes an observed run stays
   bit-identical to the object kernel, and the observed records add up to
@@ -39,10 +43,10 @@ from repro.sim import (
 )
 from repro.sim.engine_table import K_OP_BASE
 from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
-from repro.sim.system_table import STAGE_JOB
+from repro.sim.system_table import OP_NOC_BURST, OP_NOC_START, STAGE_JOB, TableProgram
 
 from test_sim_fast_forward import ARCH64, SYNTHETIC, ZOO, _chain, _zoo_workload
-from test_sim_kernel_equivalence import _random_workload
+from test_sim_kernel_equivalence import _chunked_chain, _random_workload
 
 
 # --------------------------------------------------------------------------- #
@@ -418,6 +422,76 @@ class TestDropIn:
 
     def test_uses_slots(self):
         assert not hasattr(TableEngine(), "__dict__")
+
+
+# --------------------------------------------------------------------------- #
+# TableProgram: chunk bursts enter the NoC as one row
+# --------------------------------------------------------------------------- #
+class TestBurstRows:
+    def _run(self, workload, model_contention, monkeypatch, per_chunk=False):
+        """A table-lane run and the ``k`` of every burst row it dispatched.
+
+        ``per_chunk`` expands each burst row into ``k`` adjacent
+        OP_NOC_START rows where it is scheduled: the rows the lane
+        scheduled before burst rows existed.
+        """
+        simulator = SystemSimulator(ARCH64, workload, model_contention, engine="table")
+        program = simulator._table
+        bursts = []
+        with monkeypatch.context() as patch:
+            dispatch = TableProgram._op_noc_burst
+
+            def recording(self, arg):
+                bursts.append(arg // self._burst_stride)
+                dispatch(self, arg)
+
+            patch.setattr(TableProgram, "_op_noc_burst", recording)
+            if per_chunk:
+                sched_op = TableEngine.sched_op
+
+                def expanded(engine, time, op, arg):
+                    if op != OP_NOC_BURST:
+                        sched_op(engine, time, op, arg)
+                        return
+                    k, base = divmod(arg, program._burst_stride)
+                    for __ in range(k):
+                        sched_op(engine, time, OP_NOC_START, base)
+
+                patch.setattr(TableEngine, "sched_op", expanded)
+            result = simulator.run()
+        return result, simulator.engine.events_processed, bursts
+
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_a_burst_row_saves_k_minus_one_events(self, model_contention, monkeypatch):
+        # 16-chunk stage flows against 16 DMA channels: every job's flow
+        # finds all channels free, so each is one burst row of k = 16
+        workload = _chunked_chain(16)
+        chunked = [
+            flow.transfers_per_job
+            for stage in workload.stages
+            for flow in stage.outputs
+            if flow.transfers_per_job > 1
+        ]
+        result, events, bursts = self._run(workload, model_contention, monkeypatch)
+        per_chunk, per_chunk_events, unmerged = self._run(
+            workload, model_contention, monkeypatch, per_chunk=True
+        )
+        assert unmerged == []  # every burst row was expanded
+        assert bursts == [16] * (workload.n_jobs * len(chunked))
+        saved = workload.n_jobs * sum(k - 1 for k in chunked)
+        assert events == per_chunk_events - saved
+        assert result_mismatches(per_chunk, result) == []
+
+    def test_split_bursts_keep_per_chunk_rows_for_busy_channels(self, monkeypatch):
+        # 24 chunks: 16 find free channels (one burst row), 8 wait
+        workload = _chunked_chain(24, residual="storage")
+        result, events, bursts = self._run(workload, True, monkeypatch)
+        per_chunk, per_chunk_events, __ = self._run(
+            workload, True, monkeypatch, per_chunk=True
+        )
+        assert bursts and set(bursts) <= set(range(2, 17))
+        assert events == per_chunk_events - sum(k - 1 for k in bursts)
+        assert result_mismatches(per_chunk, result) == []
 
 
 # --------------------------------------------------------------------------- #

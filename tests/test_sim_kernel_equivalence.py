@@ -15,7 +15,10 @@ Three layers of coverage:
 
 * the synthetic pipelines and model-zoo mappings shared with the
   fast-forward suite (known shapes: replication, residual storage, HBM
-  endpoints, periodic and non-periodic pipelines);
+  endpoints, periodic and non-periodic pipelines), chunked flows whose
+  bursts enter the NoC as one row or split across busy DMA channels, and
+  reproducers of same-cycle ties under contention, with draws of
+  ``tools/tie_sweep.py`` that once diverged;
 * a seeded randomized property sweep over small pipelines — stage counts,
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
@@ -24,7 +27,9 @@ Three layers of coverage:
   runs feed the certifier mid-run snapshots from each kernel's own state.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +49,114 @@ from repro.sim import (
 )
 
 from test_sim_fast_forward import ARCH64, SYNTHETIC, ZOO, _chain, _zoo_workload
+
+
+def _load_tie_sweep():
+    path = Path(__file__).resolve().parents[1] / "tools" / "tie_sweep.py"
+    spec = importlib.util.spec_from_file_location("tie_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tie_sweep = _load_tie_sweep()
+
+#: seeds of ``tools/tie_sweep.py`` on which the object kernel once booked a
+#: queued burst's link drain or DMA start when its service started, not at
+#: issue, and so diverged from the table lane on a same-cycle tie.
+TIE_SEEDS = (96, 410, 468, 650, 669, 857, 1037, 1093, 1392, 1937, 2175, 2196)
+
+
+def _stage(i, replicas, analog, digital, inputs, outputs):
+    return StageDescriptor(
+        stage_id=i,
+        name=f"s{i}",
+        analog_replicas=replicas,
+        cost=StageCost(
+            analog_cycles_per_job=analog,
+            digital_cycles_per_job=digital,
+            analog_macs_per_job=100,
+        ),
+        inputs=inputs,
+        outputs=outputs,
+    )
+
+
+def _pipeline(stages, n_jobs):
+    return Workload(
+        "ties",
+        stages,
+        n_jobs=n_jobs,
+        batch_size=n_jobs,
+        tiles_per_image=1,
+        total_macs=100 * n_jobs * len(stages),
+    )
+
+
+def _link_tie_workload():
+    """Two chunk landings fall due on one cycle behind a queued link burst."""
+    res = DataFlow("storage", 256, storage_cluster=9, label="res", buffer_depth=4,
+                   transfers_per_job=2)
+    return _pipeline([
+        _stage(0, ((0, 1), (2,), (4, 5), (6, 7)), 1024, 256,
+               (DataFlow("hbm", 256, label="in"),),
+               (DataFlow("stage", 256, stage_id=1, transfers_per_job=2), res)),
+        _stage(1, ((9,),), 1024, 256,
+               (DataFlow("stage", 256, stage_id=0),),
+               (DataFlow("stage", 256, stage_id=2),)),
+        _stage(2, ((12, 13), (14, 15), (16, 17)), 1024, 0,
+               (DataFlow("stage", 256, stage_id=1), res),
+               (DataFlow("hbm", 256, label="out"),)),
+    ], n_jobs=7)
+
+
+def _dma_tie_workload():
+    """24-chunk bursts queue on the 16 DMA channels of their clusters."""
+    res = DataFlow("storage", 128, storage_cluster=9, label="res", buffer_depth=4,
+                   transfers_per_job=24)
+    return _pipeline([
+        _stage(0, ((0,), (2, 3)), 512, 128,
+               (DataFlow("hbm", 128, label="in"),),
+               (DataFlow("stage", 128, stage_id=1, transfers_per_job=24), res)),
+        _stage(1, ((5, 6),), 512, 128,
+               (DataFlow("stage", 128, stage_id=0),),
+               (DataFlow("stage", 128, stage_id=2, transfers_per_job=24),)),
+        _stage(2, ((8,), (10,), (12,)), 512, 128,
+               (DataFlow("stage", 128, stage_id=1), res),
+               (DataFlow("hbm", 128, label="out"),)),
+    ], n_jobs=24)
+
+
+def _chunked_chain(n_chunks, residual=None, n_jobs=24):
+    """A 3-stage chain whose stage flows move as ``n_chunks`` chunks per job.
+
+    ``residual`` adds a relay from the first stage to the last, through a
+    storage cluster's L1 (``"storage"``) or the HBM (``"hbm"``), chunked
+    the same way; the HBM relay's read enters the NoC with no DMA.
+    """
+    res = None
+    if residual is not None:
+        res = DataFlow(residual, 2048, label="res", buffer_depth=4,
+                       storage_cluster=40 if residual == "storage" else None,
+                       transfers_per_job=n_chunks)
+    stages = []
+    for i in range(3):
+        inputs = (
+            (DataFlow("hbm", 2048, label="in"),)
+            if i == 0
+            else (DataFlow("stage", 2048, stage_id=i - 1),)
+        )
+        outputs = (
+            (DataFlow("hbm", 2048, label="out"),)
+            if i == 2
+            else (DataFlow("stage", 2048, stage_id=i + 1, transfers_per_job=n_chunks),)
+        )
+        if res is not None and i == 0:
+            outputs += (res,)
+        if res is not None and i == 2:
+            inputs += (res,)
+        stages.append(_stage(i, ((8 * i,), (8 * i + 3,)), 400, 0, inputs, outputs))
+    return _pipeline(stages, n_jobs)
 
 
 # --------------------------------------------------------------------------- #
@@ -94,6 +207,51 @@ class TestKnownShapes:
         table_payload = table.to_payload()
         assert type(python_payload.pop("tracer")) is type(table_payload.pop("tracer"))
         assert python_payload == table_payload
+
+    def test_link_tie_reproducer(self):
+        """A burst queued behind another on a link: both kernels book its
+        drain at issue, so the two landings due at cycle 4,320 dispatch in
+        the same order (the object kernel once booked it at service start
+        and finished at 12,048)."""
+        python = simulate(ARCH64, _link_tie_workload(), True, 1, engine="python")
+        table = simulate(ARCH64, _link_tie_workload(), True, 1, engine="table")
+        assert result_mismatches(python, table) == []
+        assert table.makespan_cycles == 12050
+
+    def test_dma_tie_reproducer(self):
+        """Chunks waiting for a busy DMA channel: both kernels book the
+        start on the earliest-free channel at issue."""
+        python = simulate(ARCH64, _dma_tie_workload(), True, 1, engine="python")
+        table = simulate(ARCH64, _dma_tie_workload(), True, 1, engine="table")
+        assert result_mismatches(python, table) == []
+        assert table.completion_trace(1)[2] == 3261
+
+    @pytest.mark.parametrize("seed", TIE_SEEDS)
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_tie_sweep_draws_identical(self, seed, model_contention):
+        workload = tie_sweep.tie_workload(random.Random(seed))
+        for depth in tie_sweep.BUFFER_DEPTHS:
+            python = simulate(ARCH64, workload, model_contention, depth, engine="python")
+            table = simulate(ARCH64, workload, model_contention, depth, engine="table")
+            assert result_mismatches(python, table) == [], depth
+
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_split_bursts_identical(self, model_contention):
+        """24 chunks against 16 DMA channels: a burst row of 16 chunks,
+        then 8 per-chunk rows deferred to the channels' free cycles."""
+        workload = _chunked_chain(24, residual="storage")
+        python = simulate(ARCH64, workload, model_contention, engine="python")
+        table = simulate(ARCH64, workload, model_contention, engine="table")
+        assert result_mismatches(python, table) == []
+
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_hbm_chunked_flows_identical(self, model_contention):
+        """Chunked writes to the HBM (one channel booking per chunk) and
+        chunked reads from it (no DMA: the whole flow enters at once)."""
+        workload = _chunked_chain(8, residual="hbm")
+        python = simulate(ARCH64, workload, model_contention, engine="python")
+        table = simulate(ARCH64, workload, model_contention, engine="table")
+        assert result_mismatches(python, table) == []
 
 
 # --------------------------------------------------------------------------- #

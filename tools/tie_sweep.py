@@ -1,0 +1,143 @@
+"""Tie-heavy equivalence sweep: the object kernel against the table lane.
+
+Draws small contended pipelines whose costs and byte sizes are multiples
+of one quantum, so that many events fall due on the same cycle, with
+chunked stage flows and residual relays of up to 40 chunks (more chunks
+than a cluster has DMA channels, so DMA queues).  Every draw is simulated
+on both engines at buffer depths 1, 2 and 5, and the results are compared
+with ``repro.sim.result_mismatches``.  Run it from the repository root::
+
+    PYTHONPATH=src python tools/tie_sweep.py
+
+It exits 0 when both engines agree on every draw, and 1 otherwise, naming
+each diverging seed and depth.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+
+from repro.arch import ArchConfig
+from repro.sim import (
+    DataFlow,
+    StageCost,
+    StageDescriptor,
+    Workload,
+    result_mismatches,
+    simulate,
+)
+
+#: the seeds drawn; each is simulated at every buffer depth.  Sized to
+#: run in about 80 s on a 2-core x86 container.
+SEEDS = range(2500)
+#: the buffer depths every seed's pipeline is simulated at.
+BUFFER_DEPTHS = (1, 2, 5)
+#: the architecture every draw is mapped onto (64 clusters).
+ARCH = ArchConfig.scaled(64)
+#: the most chunks a flow moves per job (a cluster has 16 DMA channels).
+MAX_CHUNKS = 40
+
+
+def tie_workload(rng: random.Random) -> Workload:
+    """A random contended pipeline whose costs and sizes share a quantum.
+
+    Stage flows and an optional residual relay (through a storage
+    cluster's L1 or the HBM) move as up to :data:`MAX_CHUNKS` chunks per
+    job; at least one draw in three asks for more than 16, the default DMA
+    channel count.
+    """
+    quantum = rng.choice([64, 128, 256])
+    n_stages = rng.randint(2, 4)
+    n_jobs = rng.choice([7, 12, 24])
+
+    def size():
+        return quantum * rng.choice([1, 1, 2, 4])
+
+    def chunks():
+        return rng.choice([2, rng.randint(1, MAX_CHUNKS), rng.randint(17, MAX_CHUNKS)])
+
+    residual = None
+    if rng.random() < 0.7:
+        writer = rng.randrange(n_stages - 1)
+        reader = rng.randrange(writer + 1, n_stages)
+        kind = rng.choice(["storage", "storage", "hbm"])
+        residual = (writer, reader, kind, rng.randrange(64), size(), chunks(),
+                    rng.choice([1, 4]))
+    stages = []
+    cluster = 0
+    for i in range(n_stages):
+        nbytes = size()
+        inputs = (
+            (DataFlow("hbm", nbytes, label="in"),)
+            if i == 0
+            else (DataFlow("stage", nbytes, stage_id=i - 1),)
+        )
+        outputs = (
+            (DataFlow("hbm", size(), label="out"),)
+            if i == n_stages - 1
+            else (DataFlow("stage", size(), stage_id=i + 1, transfers_per_job=chunks()),)
+        )
+        if residual is not None:
+            writer, reader, kind, where, rbytes, rchunks, depth = residual
+            flow = DataFlow(
+                kind, rbytes, storage_cluster=where if kind == "storage" else None,
+                label="res", buffer_depth=depth, transfers_per_job=rchunks,
+            )
+            if i == writer:
+                outputs = outputs + (flow,)
+            if i == reader:
+                inputs = inputs + (flow,)
+        replicas = []
+        for __ in range(rng.choice([1, 1, 2, 3, 4])):
+            width = rng.choice([1, 2])
+            replicas.append(tuple(range(cluster, cluster + width)))
+            cluster += width + rng.choice([0, 1])
+        stages.append(
+            StageDescriptor(
+                stage_id=i,
+                name=f"s{i}",
+                analog_replicas=tuple(replicas),
+                cost=StageCost(
+                    analog_cycles_per_job=quantum * rng.randint(1, 8),
+                    digital_cycles_per_job=quantum * rng.choice([0, 1, 2]),
+                    analog_macs_per_job=100,
+                ),
+                inputs=inputs,
+                outputs=outputs,
+            )
+        )
+    return Workload(
+        "tie-sweep",
+        stages,
+        n_jobs=n_jobs,
+        batch_size=n_jobs,
+        tiles_per_image=1,
+        total_macs=100 * n_jobs * n_stages,
+    )
+
+
+def main() -> int:
+    began = time.perf_counter()
+    diverged = []
+    for seed in SEEDS:
+        workload = tie_workload(random.Random(seed))
+        for depth in BUFFER_DEPTHS:
+            python = simulate(ARCH, workload, True, depth, engine="python")
+            table = simulate(ARCH, workload, True, depth, engine="table")
+            mismatches = result_mismatches(python, table)
+            if mismatches:
+                diverged.append((seed, depth))
+                print(f"seed {seed}, buffer depth {depth}: {mismatches[0]}")
+    draws = len(SEEDS) * len(BUFFER_DEPTHS)
+    print(
+        f"tie sweep: {len(diverged)} of {draws} draws diverge "
+        f"({len(SEEDS)} seeds x depths {BUFFER_DEPTHS}), "
+        f"{time.perf_counter() - began:.0f} s"
+    )
+    return 1 if diverged else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
