@@ -855,13 +855,13 @@ class SystemSimulator:
         }
         return counters, clusters, stages, dict(tracer.link_busy)
 
-    def run(self, max_cycles: Optional[int] = None) -> SimulationResult:
+    def run(self) -> SimulationResult:
         """Run the workload to completion and return the results."""
         if self._table is not None:
             table = self._table
             table.build()
             table.start()
-            self.engine.run(until=max_cycles)
+            self.engine.run()
             table.finalize()
             jobs_completed = table.jobs_completed_by_stage()
         else:
@@ -871,7 +871,7 @@ class SystemSimulator:
             for runtime in self._stages.values():
                 if not runtime.desc.inputs:
                     runtime._try_start()
-            self.engine.run(until=max_cycles)
+            self.engine.run()
             jobs_completed = {
                 stage_id: runtime.jobs_completed
                 for stage_id, runtime in self._stages.items()
@@ -881,7 +881,7 @@ class SystemSimulator:
             for sid, count in jobs_completed.items()
             if count != self.workload.n_jobs
         }
-        if incomplete and max_cycles is None:
+        if incomplete:
             raise SimulationError(
                 f"simulation finished with incomplete stages: {incomplete} "
                 f"(expected {self.workload.n_jobs} jobs each); the workload "
@@ -889,7 +889,7 @@ class SystemSimulator:
             )
         makespan = self.tracer.makespan
         engine = self.engine
-        if isinstance(engine, TableEngine) and not engine._times:
+        if isinstance(engine, TableEngine):
             # drained run: drop the peak-size row storage so a long-lived
             # holder of this simulator (sweep workers, the steady-state
             # prober) does not retain it (see ``TableEngine.reset``).

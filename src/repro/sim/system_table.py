@@ -41,17 +41,21 @@ same simulated time, in the same bucket insertion position, as the object
 kernel's equivalent event — the compiled handlers replicate the object
 kernel's synchronous callback chains (server ``on_done``-then-dequeue
 order, credit FIFO grants, barrier arrivals, the ``written``-then-relay
-order of storage flows) statement for statement.  Two deliberate
+order of storage flows) statement for statement.  Three deliberate
 differences are in granularity only: the equal-size chunks of one burst
 share a single source-side communication record of ``duration * count``
 cycles where the object kernel records each chunk (the cluster totals are
-the same), and one ``OP_NOC_BURST`` row stands for ``k`` adjacent
+the same); one ``OP_NOC_BURST`` row stands for ``k`` adjacent
 NoC-entry events of the object kernel (so the table lane dispatches fewer
 events; nothing runs between adjacent entries of a bucket, so nothing can
-observe the difference).  Tracer state that the fast-forward prober must
-see mid-run (aggregate counters, live
-:class:`~repro.sim.tracer.StageActivity`, stage completions) stays on the
-tracer; per-cluster and per-link activity accumulate in dense arrays and
+observe the difference); and one ``OP_BURST_LANDED`` row stands for the
+``k`` contended landings of a burst to an already-touched cluster, at the
+last landing's time and bucket position (the earlier landings only add to
+the destination's sums and running maxima, and cannot complete the flow;
+the lane keeps per-chunk landings while an observer is attached).  Tracer
+state that the fast-forward prober must see mid-run (aggregate counters,
+live :class:`~repro.sim.tracer.StageActivity`, stage completions) stays on
+the tracer; per-cluster and per-link activity accumulate in dense arrays and
 materialise into the tracer in first-touch order at
 :meth:`TableProgram.finalize` (``SystemSimulator.snapshot_activity`` reads
 the dense form mid-run).  :attr:`TableProgram.observer` streams
@@ -79,6 +83,7 @@ OP_FLOW_NULL = K_OP_BASE + 4  # arg: flow_id * n_jobs + job (zero-byte send)
 OP_HBM_ARRIVE = K_OP_BASE + 5  # arg: [pending, hop, target] barrier cell
 OP_CHAN_DONE = K_OP_BASE + 6  # arg: (channel, barrier cell)
 OP_NOC_BURST = K_OP_BASE + 7  # arg: k * burst_stride + group_id * n_jobs + job
+OP_BURST_LANDED = K_OP_BASE + 8  # arg: k * burst_stride + group_id * n_jobs + job
 
 #: observer category of a stage-job record: ``key`` is the stage id,
 #: ``cycles`` the job's span from start to compute end, ``end`` the
@@ -292,7 +297,8 @@ class TableProgram:
         #: DMA and delivery ``"communication"`` records (same fields), and
         #: stage-job ends (category :data:`STAGE_JOB`).  Calls happen in
         #: event order, so every ``(key, category, cycles)`` stream is in
-        #: the order the run made it.
+        #: the order the run made it.  While one is attached, every chunk
+        #: lands through its own row (no OP_BURST_LANDED fold).
         self.observer: Optional[Callable[[int, str, int, int], None]] = None
 
     # ------------------------------------------------------------------ #
@@ -430,6 +436,7 @@ class TableProgram:
                 self._op_hbm_arrive,
                 self._op_chan_done,
                 self._op_noc_burst,
+                self._op_burst_landed,
             )
         )
         self._burst_stride = len(self.groups) * nj
@@ -913,7 +920,10 @@ class TableProgram:
         contention burst ``i`` drains at ``start + i * ser``, where
         ``start`` is ``max(now, busy_until)`` over the route's links (a
         route between two endpoints always has one).  The landing rows go
-        out in burst order.
+        out in burst order, except that a contended cluster-to-cluster
+        burst of ``k > 1`` lands as one OP_BURST_LANDED row at its last
+        landing when its destination is already touched and no observer
+        is attached.
         """
         tracer = self.tracer
         engine = self.engine
@@ -964,6 +974,13 @@ class TableProgram:
                 pend = [2, hop, arg]
                 engine.sched_op(start + i * ser, OP_HBM_ARRIVE, pend)
                 self._chan_submit(chan_cycles, pend)
+        elif k > 1 and self.observer is None and self._cl_seen[group.dst]:
+            # only the last landing can complete the flow, and the others
+            # only add to the destination's sums and running maxima: one
+            # row at the last landing's time and bucket position does all
+            engine.defer_op(
+                start + k * ser, plan.hop, OP_BURST_LANDED, k * self._burst_stride + arg
+            )
         else:
             hop = plan.hop
             for i in range(1, k + 1):
@@ -991,6 +1008,34 @@ class TableProgram:
         flow = group.flow
         job = arg - gid * nj
         remaining = flow.pending[job] - 1
+        flow.pending[job] = remaining
+        if remaining == 0:
+            self._complete_flow(flow, job)
+
+    def _op_burst_landed(self, arg: int) -> None:
+        """The last of ``k`` contended landings of one burst (``k`` in ``arg``).
+
+        Does what the burst's ``k`` OP_CHUNK_LANDED handlers do together:
+        ``_enter_noc`` folds a burst only when its destination is already
+        in the first-touch order and no observer is attached, so the
+        landings before the last leave nothing but sums and maxima.
+        """
+        stride = self._burst_stride
+        k = arg // stride
+        arg -= k * stride
+        nj = self._nj
+        gid = arg // nj
+        group = self.groups[gid]
+        dst = group.dst
+        end = self.engine._now
+        self._cl_comm[dst] += k * group.comm_cycles
+        if end > self._cl_last[dst]:
+            self._cl_last[dst] = end
+        if end > self._mk:
+            self._mk = end
+        flow = group.flow
+        job = arg - gid * nj
+        remaining = flow.pending[job] - k
         flow.pending[job] = remaining
         if remaining == 0:
             self._complete_flow(flow, job)

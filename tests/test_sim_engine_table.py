@@ -45,8 +45,15 @@ from repro.sim.engine_table import K_OP_BASE
 from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 from repro.sim.system_table import OP_NOC_BURST, OP_NOC_START, STAGE_JOB, TableProgram
 
-from test_sim_fast_forward import ARCH64, SYNTHETIC, ZOO, _chain, _zoo_workload
-from test_sim_kernel_equivalence import _chunked_chain, _random_workload
+from test_sim_fast_forward import (
+    ARCH64,
+    SYNTHETIC,
+    ZOO,
+    _chain,
+    _chunked_chain,
+    _zoo_workload,
+)
+from test_sim_kernel_equivalence import _random_workload
 
 
 # --------------------------------------------------------------------------- #
@@ -425,27 +432,46 @@ class TestDropIn:
 
 
 # --------------------------------------------------------------------------- #
-# TableProgram: chunk bursts enter the NoC as one row
+# TableProgram: chunk bursts enter the NoC as one row and land as one row
 # --------------------------------------------------------------------------- #
-class TestBurstRows:
-    def _run(self, workload, model_contention, monkeypatch, per_chunk=False):
-        """A table-lane run and the ``k`` of every burst row it dispatched.
+def _saved_events(bursts, folded):
+    """Events the merged rows save against one row per chunk: ``k - 1``
+    per burst row, and ``2 * (k - 1)`` per folded landing (``k``
+    ``defer_op`` rows of two events each become one)."""
+    return sum(k - 1 for k, __ in bursts) + 2 * sum(k - 1 for k, __ in folded)
 
-        ``per_chunk`` expands each burst row into ``k`` adjacent
-        OP_NOC_START rows where it is scheduled: the rows the lane
-        scheduled before burst rows existed.
+
+class TestBurstRows:
+    def _run(self, workload, model_contention, monkeypatch, per_chunk=False,
+             observer=None):
+        """A table-lane run, its event count and the merged rows it dispatched.
+
+        Returns ``(result, events, bursts, folded)``: ``bursts`` holds the
+        ``(k, group_id * n_jobs + job)`` of every OP_NOC_BURST row,
+        ``folded`` the same of every OP_BURST_LANDED row.  ``per_chunk``
+        expands each burst row into ``k`` adjacent OP_NOC_START rows where
+        it is scheduled: the rows the lane scheduled before burst rows
+        existed, each of which lands through its own row.  ``observer`` is
+        attached to the program before the run.
         """
         simulator = SystemSimulator(ARCH64, workload, model_contention, engine="table")
         program = simulator._table
+        program.observer = observer
         bursts = []
+        folded = []
         with monkeypatch.context() as patch:
-            dispatch = TableProgram._op_noc_burst
 
-            def recording(self, arg):
-                bursts.append(arg // self._burst_stride)
-                dispatch(self, arg)
+            def record(name, rows):
+                dispatch = getattr(TableProgram, name)
 
-            patch.setattr(TableProgram, "_op_noc_burst", recording)
+                def recording(self, arg):
+                    rows.append(divmod(arg, self._burst_stride))
+                    dispatch(self, arg)
+
+                patch.setattr(TableProgram, name, recording)
+
+            record("_op_noc_burst", bursts)
+            record("_op_burst_landed", folded)
             if per_chunk:
                 sched_op = TableEngine.sched_op
 
@@ -459,12 +485,14 @@ class TestBurstRows:
 
                 patch.setattr(TableEngine, "sched_op", expanded)
             result = simulator.run()
-        return result, simulator.engine.events_processed, bursts
+        return result, simulator.engine.events_processed, bursts, folded
 
     @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
     def test_a_burst_row_saves_k_minus_one_events(self, model_contention, monkeypatch):
         # 16-chunk stage flows against 16 DMA channels: every job's flow
-        # finds all channels free, so each is one burst row of k = 16
+        # finds all channels free, so each is one burst row of k = 16;
+        # under contention its landings fold into one row once the
+        # destination is touched, i.e. on every job but the first
         workload = _chunked_chain(16)
         chunked = [
             flow.transfers_per_job
@@ -472,26 +500,58 @@ class TestBurstRows:
             for flow in stage.outputs
             if flow.transfers_per_job > 1
         ]
-        result, events, bursts = self._run(workload, model_contention, monkeypatch)
-        per_chunk, per_chunk_events, unmerged = self._run(
+        result, events, bursts, folded = self._run(workload, model_contention, monkeypatch)
+        per_chunk, per_chunk_events, unmerged, unfolded = self._run(
             workload, model_contention, monkeypatch, per_chunk=True
         )
-        assert unmerged == []  # every burst row was expanded
-        assert bursts == [16] * (workload.n_jobs * len(chunked))
-        saved = workload.n_jobs * sum(k - 1 for k in chunked)
-        assert events == per_chunk_events - saved
+        assert unmerged == unfolded == []  # every burst row was expanded
+        assert [k for k, __ in bursts] == [16] * (workload.n_jobs * len(chunked))
+        if model_contention:
+            assert [k for k, __ in folded] == [16] * ((workload.n_jobs - 1) * len(chunked))
+        else:
+            assert folded == []  # uncontended landings stay per chunk
+        assert events == per_chunk_events - _saved_events(bursts, folded)
         assert result_mismatches(per_chunk, result) == []
 
     def test_split_bursts_keep_per_chunk_rows_for_busy_channels(self, monkeypatch):
         # 24 chunks: 16 find free channels (one burst row), 8 wait
         workload = _chunked_chain(24, residual="storage")
-        result, events, bursts = self._run(workload, True, monkeypatch)
-        per_chunk, per_chunk_events, __ = self._run(
+        result, events, bursts, folded = self._run(workload, True, monkeypatch)
+        per_chunk, per_chunk_events, __, __ = self._run(
             workload, True, monkeypatch, per_chunk=True
         )
-        assert bursts and set(bursts) <= set(range(2, 17))
-        assert events == per_chunk_events - sum(k - 1 for k in bursts)
+        assert bursts and {k for k, __ in bursts} <= set(range(2, 17))
+        # only a burst row's landings can fold: the waiting chunks enter
+        # and land one row each
+        assert folded and set(folded) <= set(bursts)
+        assert events == per_chunk_events - _saved_events(bursts, folded)
         assert result_mismatches(per_chunk, result) == []
+
+    def test_an_attached_observer_keeps_per_chunk_landings(self, monkeypatch):
+        workload = _chunked_chain(16)
+        records = []
+        result, events, bursts, folded = self._run(
+            workload, True, monkeypatch, observer=lambda *record: records.append(record)
+        )
+        per_chunk, per_chunk_events, __, __ = self._run(
+            workload, True, monkeypatch, per_chunk=True
+        )
+        assert bursts and folded == []
+        assert events == per_chunk_events - _saved_events(bursts, folded)
+        assert result_mismatches(per_chunk, result) == []
+        _assert_records_add_up(result, records)
+
+    def test_a_burst_to_an_untouched_cluster_keeps_per_chunk_landings(self, monkeypatch):
+        # the first job's bursts are the first traffic into the clusters of
+        # stages 1 and 2, whose first-touch order the tracer keeps
+        workload = _chunked_chain(16)
+        result, __, bursts, folded = self._run(workload, True, monkeypatch)
+        unfolded = {base for __, base in bursts} - {base for __, base in folded}
+        # one burst of each of the two chunked flows, both of job 0
+        groups, jobs = zip(*sorted(divmod(base, workload.n_jobs) for base in unfolded))
+        assert len(set(groups)) == 2 and jobs == (0, 0)
+        python = simulate(ARCH64, workload, True, engine="python")
+        assert result_mismatches(python, result) == []
 
 
 # --------------------------------------------------------------------------- #

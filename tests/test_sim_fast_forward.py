@@ -103,6 +103,66 @@ def _chain(
     )
 
 
+def _stage(i, replicas, analog, digital, inputs, outputs):
+    """One stage with explicit replicas, costs and flows."""
+    return StageDescriptor(
+        stage_id=i,
+        name=f"s{i}",
+        analog_replicas=replicas,
+        cost=StageCost(
+            analog_cycles_per_job=analog,
+            digital_cycles_per_job=digital,
+            analog_macs_per_job=100,
+        ),
+        inputs=inputs,
+        outputs=outputs,
+    )
+
+
+def _pipeline(stages, n_jobs):
+    """A closed workload of ``n_jobs`` single-tile jobs over ``stages``."""
+    return Workload(
+        "pipeline",
+        stages,
+        n_jobs=n_jobs,
+        batch_size=n_jobs,
+        tiles_per_image=1,
+        total_macs=100 * n_jobs * len(stages),
+    )
+
+
+def _chunked_chain(n_chunks, residual=None, n_jobs=24):
+    """A 3-stage chain whose stage flows move as ``n_chunks`` chunks per job.
+
+    ``residual`` adds a relay from the first stage to the last, through a
+    storage cluster's L1 (``"storage"``) or the HBM (``"hbm"``), chunked
+    the same way; the HBM relay's read enters the NoC with no DMA.
+    """
+    res = None
+    if residual is not None:
+        res = DataFlow(residual, 2048, label="res", buffer_depth=4,
+                       storage_cluster=40 if residual == "storage" else None,
+                       transfers_per_job=n_chunks)
+    stages = []
+    for i in range(3):
+        inputs = (
+            (DataFlow("hbm", 2048, label="in"),)
+            if i == 0
+            else (DataFlow("stage", 2048, stage_id=i - 1),)
+        )
+        outputs = (
+            (DataFlow("hbm", 2048, label="out"),)
+            if i == 2
+            else (DataFlow("stage", 2048, stage_id=i + 1, transfers_per_job=n_chunks),)
+        )
+        if res is not None and i == 0:
+            outputs += (res,)
+        if res is not None and i == 2:
+            inputs += (res,)
+        stages.append(_stage(i, ((8 * i,), (8 * i + 3,)), 400, 0, inputs, outputs))
+    return _pipeline(stages, n_jobs)
+
+
 def _fold_replicas(workload: Workload) -> Workload:
     """Fold every stage's replicas onto two clusters (``(2*i + r % 2,)``)."""
     stages = tuple(
@@ -195,6 +255,10 @@ SYNTHETIC = [
     # window 5 does not divide any aligned probe gap: exercises the
     # re-probe-at-aligned-size path
     ("replicated-w5-realign", _chain(n_jobs=120, replication=5), True),
+    # 16-chunk bursts and a storage relay: under contention the global
+    # probe folds most bursts' landings into one row each, and its
+    # mid-run snapshots still certify
+    ("chunked-storage", _chunked_chain(16, residual="storage", n_jobs=96), True),
     # too small to amortise a probe: must fall back untouched
     ("below-min-jobs", _chain(n_jobs=MIN_JOBS - 1), False),
 ]

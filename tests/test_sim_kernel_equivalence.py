@@ -15,10 +15,10 @@ Three layers of coverage:
 
 * the synthetic pipelines and model-zoo mappings shared with the
   fast-forward suite (known shapes: replication, residual storage, HBM
-  endpoints, periodic and non-periodic pipelines), chunked flows whose
-  bursts enter the NoC as one row or split across busy DMA channels, and
-  reproducers of same-cycle ties under contention, with draws of
-  ``tools/tie_sweep.py`` that once diverged;
+  endpoints, periodic and non-periodic pipelines), the paper's headline
+  point, chunked flows whose bursts enter the NoC as one row or split
+  across busy DMA channels, and reproducers of same-cycle ties under
+  contention, with draws of ``tools/tie_sweep.py`` that once diverged;
 * a seeded randomized property sweep over small pipelines — stage counts,
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
@@ -47,8 +47,18 @@ from repro.sim import (
     result_mismatches,
     simulate,
 )
+from repro.sim.system_table import TableProgram
 
-from test_sim_fast_forward import ARCH64, SYNTHETIC, ZOO, _chain, _zoo_workload
+from test_sim_fast_forward import (
+    ARCH64,
+    SYNTHETIC,
+    ZOO,
+    _chain,
+    _chunked_chain,
+    _pipeline,
+    _stage,
+    _zoo_workload,
+)
 
 
 def _load_tie_sweep():
@@ -65,32 +75,6 @@ tie_sweep = _load_tie_sweep()
 #: queued burst's link drain or DMA start when its service started, not at
 #: issue, and so diverged from the table lane on a same-cycle tie.
 TIE_SEEDS = (96, 410, 468, 650, 669, 857, 1037, 1093, 1392, 1937, 2175, 2196)
-
-
-def _stage(i, replicas, analog, digital, inputs, outputs):
-    return StageDescriptor(
-        stage_id=i,
-        name=f"s{i}",
-        analog_replicas=replicas,
-        cost=StageCost(
-            analog_cycles_per_job=analog,
-            digital_cycles_per_job=digital,
-            analog_macs_per_job=100,
-        ),
-        inputs=inputs,
-        outputs=outputs,
-    )
-
-
-def _pipeline(stages, n_jobs):
-    return Workload(
-        "ties",
-        stages,
-        n_jobs=n_jobs,
-        batch_size=n_jobs,
-        tiles_per_image=1,
-        total_macs=100 * n_jobs * len(stages),
-    )
 
 
 def _link_tie_workload():
@@ -127,38 +111,6 @@ def _dma_tie_workload():
     ], n_jobs=24)
 
 
-def _chunked_chain(n_chunks, residual=None, n_jobs=24):
-    """A 3-stage chain whose stage flows move as ``n_chunks`` chunks per job.
-
-    ``residual`` adds a relay from the first stage to the last, through a
-    storage cluster's L1 (``"storage"``) or the HBM (``"hbm"``), chunked
-    the same way; the HBM relay's read enters the NoC with no DMA.
-    """
-    res = None
-    if residual is not None:
-        res = DataFlow(residual, 2048, label="res", buffer_depth=4,
-                       storage_cluster=40 if residual == "storage" else None,
-                       transfers_per_job=n_chunks)
-    stages = []
-    for i in range(3):
-        inputs = (
-            (DataFlow("hbm", 2048, label="in"),)
-            if i == 0
-            else (DataFlow("stage", 2048, stage_id=i - 1),)
-        )
-        outputs = (
-            (DataFlow("hbm", 2048, label="out"),)
-            if i == 2
-            else (DataFlow("stage", 2048, stage_id=i + 1, transfers_per_job=n_chunks),)
-        )
-        if res is not None and i == 0:
-            outputs += (res,)
-        if res is not None and i == 2:
-            inputs += (res,)
-        stages.append(_stage(i, ((8 * i,), (8 * i + 3,)), 400, 0, inputs, outputs))
-    return _pipeline(stages, n_jobs)
-
-
 # --------------------------------------------------------------------------- #
 # Known shapes: the fast-forward suite's synthetic + zoo workloads
 # --------------------------------------------------------------------------- #
@@ -190,6 +142,24 @@ class TestKnownShapes:
         python = simulate(arch, workload, engine="python")
         table = simulate(arch, workload, engine="table")
         assert_results_identical(python, table)
+
+    def test_paper_headline_identical(self, monkeypatch):
+        """The paper's Sec. VI point: ResNet-18, FINAL, 3×256×256, batch
+        16, 512 clusters, contention on — where the table lane folds most
+        chunk bursts' landings into one row each."""
+        arch, workload = _zoo_workload("resnet18", (3, 256, 256), "final", 16, 512)
+        folded = []
+        dispatch = TableProgram._op_burst_landed
+
+        def recording(self, arg):
+            folded.append(arg)
+            dispatch(self, arg)
+
+        monkeypatch.setattr(TableProgram, "_op_burst_landed", recording)
+        python = simulate(arch, workload, engine="python")
+        table = simulate(arch, workload, engine="table")
+        assert result_mismatches(python, table) == []
+        assert folded
 
     def test_payloads_identical_including_stage_completions(self):
         """The persisted payloads — the cache currency — match exactly.
