@@ -816,8 +816,11 @@ class SystemSimulator:
         input_stall, output_stall, first_job_start, last_job_end)`` and a
         per-link busy-cycles dict.  The steady-state prober reads this at
         every final-stage completion; the hook exists because the table
-        engine accumulates cluster/link activity in dense vectors that
-        only materialise into the tracer at the end of the run.
+        engine counts cluster/link activity per record source, expands
+        the counts into dense vectors only when it flushes, and
+        materialises those into the tracer at the end of the run.  On the
+        table engine this call flushes first, which only moves counts
+        into the vectors: it never changes the run's result.
         """
         if self._table is not None:
             return self._table.snapshot_activity()

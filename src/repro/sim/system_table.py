@@ -55,12 +55,17 @@ the destination's sums and running maxima, and cannot complete the flow;
 the lane keeps per-chunk landings while an observer is attached).  Tracer
 state that the fast-forward prober must see mid-run (aggregate counters,
 live :class:`~repro.sim.tracer.StageActivity`, stage completions) stays on
-the tracer; per-cluster and per-link activity accumulate in dense arrays and
-materialise into the tracer in first-touch order at
-:meth:`TableProgram.finalize` (``SystemSimulator.snapshot_activity`` reads
-the dense form mid-run).  :attr:`TableProgram.observer` streams
-every record as it is made.  Bit-identity against the object kernel is
-asserted by ``tests/test_sim_kernel_equivalence.py``.
+the tracer.  Per-cluster and per-link activity is counted per *record
+source* — a :class:`_Source` for each analog replica, each digital group
+and the source and delivery side of each chunk group, and a route's
+booked cycles on its :class:`_Plan` — so a record touches one object, not
+every cluster and link it charges.  ``TableProgram._flush`` expands the
+counts made since the last flush into dense per-cluster and per-link
+arrays, which materialise into the tracer in first-touch order at
+:meth:`TableProgram.finalize` (``SystemSimulator.snapshot_activity``
+flushes, then reads the dense form mid-run).  :attr:`TableProgram.observer`
+streams every record, per cluster, as it is made.  Bit-identity against
+the object kernel is asserted by ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -108,6 +113,8 @@ class _Plan:
         "involves_hbm",
         "touched",
         "cycles_memo",
+        "busy",
+        "flushed",
     )
 
     def __init__(
@@ -129,6 +136,58 @@ class _Plan:
         #: n_bytes -> (serialization, hbm_extra) for the callback-fallback
         #: transfer path (compiled groups precompute these instead).
         self.cycles_memo: Dict[int, Tuple[int, int]] = {}
+        #: cycles the compiled groups booked on every link of the route,
+        #: and how many of them ``TableProgram._flush`` has added to the
+        #: per-link totals.
+        self.busy = 0
+        self.flushed = 0
+
+
+class _Source:
+    """A fixed set of clusters that every one of its records charges alike.
+
+    Each record adds ``cycles`` to every cluster of ``clusters`` and ends
+    at a cycle no earlier than the record before, so the hot path only
+    counts records (``count``) and keeps the latest end (``last``);
+    ``TableProgram._flush`` adds the ``count - flushed`` records made since
+    the last flush to the dense per-cluster lists.
+    """
+
+    __slots__ = ("clusters", "cycles", "count", "flushed", "last")
+
+    def __init__(self, clusters: Tuple[int, ...], cycles: int):
+        self.clusters = clusters
+        self.cycles = cycles
+        self.count = 0
+        self.flushed = 0
+        self.last = 0
+
+
+def _fold(
+    sources: List[_Source],
+    totals: List[int],
+    last_busy: List[int],
+    latest: int,
+    jobs: Optional[List[int]] = None,
+) -> int:
+    """Add each source's unflushed records to ``totals`` (and one job per
+    record to ``jobs``), raise ``last_busy``; return the latest end seen."""
+    for source in sources:
+        n = source.count - source.flushed
+        if n:
+            source.flushed = source.count
+            cycles = n * source.cycles
+            end = source.last
+            for cluster in source.clusters:
+                totals[cluster] += cycles
+                if end > last_busy[cluster]:
+                    last_busy[cluster] = end
+            if jobs is not None:
+                for cluster in source.clusters:
+                    jobs[cluster] += n
+            if end > latest:
+                latest = end
+    return latest
 
 
 class _Group:
@@ -148,6 +207,8 @@ class _Group:
         "byte_hops",
         "uncont_lat",
         "chan_cycles",
+        "dma",
+        "delivery",
     )
 
     def __init__(self, gid, flow, size, count, dma_dur, comm_cycles, ser, hbm_extra, dst, plan):
@@ -165,6 +226,10 @@ class _Group:
         self.byte_hops = size * plan.n_hops if plan is not None else 0
         self.uncont_lat = plan.hop + ser + hbm_extra if plan is not None else 0
         self.chan_cycles = ser + hbm_extra
+        #: record sources of the source-side DMA (``None`` from the HBM)
+        #: and of the delivery attribution (``None`` into the HBM).
+        self.dma: Optional[_Source] = None
+        self.delivery: Optional[_Source] = None
 
 
 class _Flow:
@@ -212,10 +277,10 @@ class _CompiledStage:
         "analog_d",
         "analog_record",
         "repl",
-        "replicas",
+        "analog_sources",
         "digital_d",
         "dslots",
-        "digital_groups",
+        "digital_sources",
         "an_busy",
         "an_wait",
         "dg_busy",
@@ -258,7 +323,9 @@ class TableProgram:
         self.flows: List[_Flow] = []
         self.groups: List[_Group] = []
         self._by_sid: Dict[int, _CompiledStage] = {}
-        # dense cluster activity (materialised into the tracer at finalize)
+        # dense cluster activity (materialised into the tracer at finalize);
+        # the compiled records count per source and reach these lists at
+        # each _flush
         n_clusters = sim.arch.n_clusters
         self._cl_analog = [0] * n_clusters
         self._cl_digital = [0] * n_clusters
@@ -268,6 +335,11 @@ class TableProgram:
         self._cl_seen = bytearray(n_clusters)
         self._cl_order: List[int] = []
         self._mk = 0
+        self._analog_sources: List[_Source] = []
+        self._digital_sources: List[_Source] = []
+        #: source-side DMA and delivery sources, which both charge
+        #: communication cycles.
+        self._comm_sources: List[_Source] = []
         # dense link state (ids assigned in plan-creation route order;
         # first-touch order of actual traffic tracked separately, matching
         # the object kernel's tracer.link_busy insertion order)
@@ -278,6 +350,7 @@ class TableProgram:
         self._link_seen: List[bool] = []
         self._link_order: List[int] = []
         self._plans: Dict[Optional[int], Dict[Optional[int], _Plan]] = {}
+        self._plan_list: List[_Plan] = []
         # dense HBM channels (capacity-1 FIFO servers)
         n_chan = sim.arch.hbm.n_channels
         self._chan_busy = [0] * n_chan
@@ -324,10 +397,16 @@ class TableProgram:
             st.analog_d = desc.cost.analog_cycles_per_job
             st.analog_record = st.analog_d if st.is_analog else 0
             st.repl = desc.replication
-            st.replicas = desc.analog_replicas
+            st.analog_sources = tuple(
+                self._source(replica, st.analog_d, self._analog_sources)
+                for replica in desc.analog_replicas
+            )
             st.digital_d = desc.cost.digital_cycles_per_job
             st.dslots = desc.digital_slots
-            st.digital_groups = desc.digital_groups()
+            st.digital_sources = tuple(
+                self._source(group, st.digital_d, self._digital_sources)
+                for group in desc.digital_groups()
+            )
             st.an_busy = 0
             st.an_wait = deque()
             st.dg_busy = 0
@@ -424,7 +503,7 @@ class TableProgram:
                         1,
                         producer=st,
                     )
-                    for replica in st.replicas
+                    for replica in st.desc.analog_replicas
                 )
         self.engine.set_handlers(
             (
@@ -494,10 +573,27 @@ class TableProgram:
             group = _Group(
                 len(self.groups), flow, size, count, dma_dur, comm, ser, extra, dst, plan
             )
+            if src is not None:
+                group.dma = self._source((src,), dma_dur, self._comm_sources)
+            if dst is not None:
+                group.delivery = self._source((dst,), comm, self._comm_sources)
             self.groups.append(group)
             groups.append(group)
         flow.groups = tuple(groups)
         return flow
+
+    @staticmethod
+    def _source(
+        clusters: Tuple[int, ...], cycles: int, kind: List[_Source]
+    ) -> Optional[_Source]:
+        """A record source charging ``cycles`` to ``clusters`` per record,
+        appended to ``kind`` (a list ``_flush`` folds); ``None`` when
+        there are no clusters to charge."""
+        if not clusters:
+            return None
+        source = _Source(clusters, cycles)
+        kind.append(source)
+        return source
 
     def _plan(self, src: Optional[int], dst: Optional[int]) -> _Plan:
         by_dst = self._plans.get(src)
@@ -536,7 +632,18 @@ class TableProgram:
             involves_hbm,
         )
         by_dst[dst] = plan
+        self._plan_list.append(plan)
         return plan
+
+    def _touch(self, source: _Source) -> None:
+        """First record of ``source``: its unseen clusters join the
+        first-touch order, in the source's cluster order."""
+        seen = self._cl_seen
+        order = self._cl_order
+        for cluster in source.clusters:
+            if not seen[cluster]:
+                seen[cluster] = 1
+                order.append(cluster)
 
     def _touch_plan(self, plan: _Plan) -> None:
         seen = self._link_seen
@@ -559,14 +666,45 @@ class TableProgram:
     def jobs_completed_by_stage(self) -> Dict[int, int]:
         return {st.sid: st.jobs_completed for st in self.stages}
 
+    def _flush(self) -> None:
+        """Expand the records counted since the last flush into the dense
+        per-cluster and per-link lists (and the makespan).
+
+        Exact at any point of the run: every record of a source adds the
+        same cycles to the same clusters, so ``n`` records are one addition
+        of ``n`` times as much; a source's ends never decrease, so its
+        latest end is the running maximum of its records; and a route's
+        booked cycles go to each of its links, whose first-touch order the
+        hot path keeps.
+        """
+        last_busy = self._cl_last
+        latest = _fold(
+            self._analog_sources, self._cl_analog, last_busy, self._mk, self._cl_jobs
+        )
+        latest = _fold(self._digital_sources, self._cl_digital, last_busy, latest)
+        self._mk = _fold(self._comm_sources, self._cl_comm, last_busy, latest)
+        link_busy = self._link_busy
+        for plan in self._plan_list:
+            cycles = plan.busy - plan.flushed
+            if cycles:
+                plan.flushed = plan.busy
+                for lid in plan.lids:
+                    link_busy[lid] += cycles
+
     def finalize(self) -> None:
         """Materialise the dense activity lanes into the tracer.
 
         Cluster records and per-link busy cycles are created in
         first-touch order — the same insertion order the object kernel's
         per-event dict updates produce — so downstream dict-order checks
-        (``repro.sim.compare``) see identical tracers.
+        (``repro.sim.compare``) see identical tracers.  The makespan is
+        the latest record end or stage-job end.
         """
+        self._flush()
+        mk = self._mk
+        for st in self.stages:
+            if st.activity.last_job_end > mk:
+                mk = st.activity.last_job_end
         tracer = self.tracer
         clusters = tracer.clusters
         for cid in self._cl_order:
@@ -584,11 +722,15 @@ class TableProgram:
         busy = self._link_busy
         for lid in self._link_order:
             link_busy[names[lid]] += busy[lid]
-        if self._mk > tracer.makespan:
-            tracer.makespan = self._mk
+        if mk > tracer.makespan:
+            tracer.makespan = mk
 
     def snapshot_activity(self):
-        """Mid-run activity snapshot (the fast-forward probe hook)."""
+        """Mid-run activity snapshot (the fast-forward probe hook).
+
+        Flushes first, so the dense lists hold every record made so far.
+        """
+        self._flush()
         tracer = self.tracer
         counters = (
             self.engine._now,
@@ -673,25 +815,16 @@ class TableProgram:
         engine = self.engine
         now = engine._now
         dur = st.analog_d
-        replica = st.replicas[job % st.repl]
-        if replica:
-            cl_analog = self._cl_analog
-            cl_jobs = self._cl_jobs
-            cl_last = self._cl_last
-            seen = self._cl_seen
+        source = st.analog_sources[job % st.repl]
+        if source is not None:
+            if not source.count:
+                self._touch(source)
+            source.count += 1
+            source.last = now
             observe = self.observer
-            for cluster in replica:
-                cl_analog[cluster] += dur
-                cl_jobs[cluster] += 1
-                if now > cl_last[cluster]:
-                    cl_last[cluster] = now
-                if not seen[cluster]:
-                    seen[cluster] = 1
-                    self._cl_order.append(cluster)
-                if observe is not None:
+            if observe is not None:
+                for cluster in source.clusters:
                     observe(cluster, "analog", dur, now)
-            if now > self._mk:
-                self._mk = now
         intra = st.intra_flows
         if intra is not None:
             self._issue_flow(intra[job % st.repl], job)
@@ -724,23 +857,16 @@ class TableProgram:
         engine = self.engine
         now = engine._now
         dur = st.digital_d
-        group = st.digital_groups[job % st.dslots]
-        if group:
-            cl_digital = self._cl_digital
-            cl_last = self._cl_last
-            seen = self._cl_seen
+        source = st.digital_sources[job % st.dslots]
+        if source is not None:
+            if not source.count:
+                self._touch(source)
+            source.count += 1
+            source.last = now
             observe = self.observer
-            for cluster in group:
-                cl_digital[cluster] += dur
-                if now > cl_last[cluster]:
-                    cl_last[cluster] = now
-                if not seen[cluster]:
-                    seen[cluster] = 1
-                    self._cl_order.append(cluster)
-                if observe is not None:
+            if observe is not None:
+                for cluster in source.clusters:
                     observe(cluster, "digital", dur, now)
-            if now > self._mk:
-                self._mk = now
         self._after_compute(st, job, dur)
         if st.dg_wait and st.dg_busy < st.dslots:
             st.dg_busy += 1
@@ -758,8 +884,6 @@ class TableProgram:
             act.first_job_start = start
         if now > act.last_job_end:
             act.last_job_end = now
-        if now > self._mk:
-            self._mk = now
         observe = self.observer
         if observe is not None:
             observe(st.sid, STAGE_JOB, now - start, now)
@@ -866,10 +990,18 @@ class TableProgram:
         now = engine._now
         defer_op = engine.defer_op
         heapreplace = heapq.heapreplace
+        observe = self.observer
         for group in flow.groups:
             dur = group.dma_dur
             count = group.count
-            self._record_comm(src, dur * count, now + dur)
+            # one source-side record of the group's chunks
+            source = group.dma
+            if not source.count:
+                self._touch(source)
+            source.count += count
+            source.last = now + dur
+            if observe is not None:
+                observe(src, "communication", dur * count, now + dur)
             arg = group.gid * nj + job
             # the slot vector is kept as a heap: only the minimum free-at
             # value is observable (channels are interchangeable), so the
@@ -945,20 +1077,16 @@ class TableProgram:
             self._touch_plan(plan)
         ser = group.ser
         occupied = k * ser
-        link_busy = self._link_busy
-        lids = plan.lids
+        plan.busy += occupied
         now = engine._now
         if not self.model_contention:
-            for lid in lids:
-                link_busy[lid] += occupied
             landed = now + group.uncont_lat
             for __ in range(k):
                 engine.sched_op(landed, OP_CHUNK_LANDED, arg)
             return
         busy_until = self._link_until
         start = now
-        for lid in lids:
-            link_busy[lid] += occupied
+        for lid in plan.lids:
             queued = busy_until[lid]
             if queued > now:
                 busy_until[lid] = queued + occupied
@@ -990,21 +1118,16 @@ class TableProgram:
         nj = self._nj
         gid = arg // nj
         group = self.groups[gid]
-        dst = group.dst
-        if dst is not None:
-            # delivery-side DMA attribution (record_communication, inlined)
-            end = self.engine._now
-            self._cl_comm[dst] += group.comm_cycles
-            if end > self._cl_last[dst]:
-                self._cl_last[dst] = end
-            if end > self._mk:
-                self._mk = end
-            if not self._cl_seen[dst]:
-                self._cl_seen[dst] = 1
-                self._cl_order.append(dst)
+        source = group.delivery
+        if source is not None:
+            # delivery-side DMA attribution
+            if not source.count:
+                self._touch(source)
+            source.count += 1
+            end = source.last = self.engine._now
             observe = self.observer
             if observe is not None:
-                observe(dst, "communication", group.comm_cycles, end)
+                observe(group.dst, "communication", group.comm_cycles, end)
         flow = group.flow
         job = arg - gid * nj
         remaining = flow.pending[job] - 1
@@ -1026,13 +1149,10 @@ class TableProgram:
         nj = self._nj
         gid = arg // nj
         group = self.groups[gid]
-        dst = group.dst
-        end = self.engine._now
-        self._cl_comm[dst] += k * group.comm_cycles
-        if end > self._cl_last[dst]:
-            self._cl_last[dst] = end
-        if end > self._mk:
-            self._mk = end
+        # the destination is already touched: no first-touch work
+        source = group.delivery
+        source.count += k
+        source.last = self.engine._now
         flow = group.flow
         job = arg - gid * nj
         remaining = flow.pending[job] - k
@@ -1041,6 +1161,8 @@ class TableProgram:
             self._complete_flow(flow, job)
 
     def _record_comm(self, cluster: int, cycles: int, end: int) -> None:
+        """An external-feed delivery (callback lane): written straight
+        into the dense lists, which a flush only adds to."""
         self._cl_comm[cluster] += cycles
         if end > self._cl_last[cluster]:
             self._cl_last[cluster] = end

@@ -18,13 +18,17 @@ Three layers of coverage:
   endpoints, periodic and non-periodic pipelines), the paper's headline
   point, chunked flows whose bursts enter the NoC as one row or split
   across busy DMA channels, and reproducers of same-cycle ties under
-  contention, with draws of ``tools/tie_sweep.py`` that once diverged;
+  contention, with draws of ``tools/tie_sweep.py`` that once diverged and
+  draws of its digital generator (digital groups sharing clusters,
+  intra-stage partial-sum flows);
 * a seeded randomized property sweep over small pipelines — stage counts,
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
   unanticipated shape shows up here first (and reproducibly);
 * the fast-forward path on top of both kernels, whose shortened probe
-  runs feed the certifier mid-run snapshots from each kernel's own state.
+  runs feed the certifier mid-run snapshots from each kernel's own state,
+  and those mid-run snapshots themselves, compared across the kernels at
+  every final-stage completion.
 """
 
 import importlib.util
@@ -42,6 +46,7 @@ from repro.sim import (
     PoissonArrivals,
     StageCost,
     StageDescriptor,
+    SystemSimulator,
     Workload,
     assert_results_identical,
     result_mismatches,
@@ -200,6 +205,17 @@ class TestKnownShapes:
     @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
     def test_tie_sweep_draws_identical(self, seed, model_contention):
         workload = tie_sweep.tie_workload(random.Random(seed))
+        for depth in tie_sweep.BUFFER_DEPTHS:
+            python = simulate(ARCH64, workload, model_contention, depth, engine="python")
+            table = simulate(ARCH64, workload, model_contention, depth, engine="table")
+            assert result_mismatches(python, table) == [], depth
+
+    @pytest.mark.parametrize("seed", tie_sweep.DIGITAL_SEEDS[:10])
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_digital_tie_sweep_draws_identical(self, seed, model_contention):
+        """Digital records, intra-stage flows and record groups that share
+        clusters, which only the zoo mappings reach otherwise."""
+        workload = tie_sweep.digital_tie_workload(random.Random(seed))
         for depth in tie_sweep.BUFFER_DEPTHS:
             python = simulate(ARCH64, workload, model_contention, depth, engine="python")
             table = simulate(ARCH64, workload, model_contention, depth, engine="table")
@@ -407,6 +423,115 @@ class TestBoundedRunEquivalence:
         table = simulate(ARCH64, workload, fast_forward=True, engine="table")
         assert python.fast_forwarded and table.fast_forwarded
         assert result_mismatches(python, table) == []
+
+
+# --------------------------------------------------------------------------- #
+# Mid-run activity snapshots
+# --------------------------------------------------------------------------- #
+class _SnapshotSimulator(SystemSimulator):
+    """Takes ``snapshot_activity()`` where the fast-forward prober does
+    (``steady_state._ProbeSimulator``): at every final-stage completion.
+
+    ``observe`` attaches a no-op record observer to the table lane, which
+    keeps every chunk landing in its own row.  ``every_stage`` instead
+    snapshots twice at every stage's completions and keeps nothing.
+    """
+
+    def __init__(self, arch, workload, model_contention, engine, observe=False,
+                 every_stage=False):
+        super().__init__(arch, workload, model_contention, engine=engine)
+        self._final_stage_id = workload.final_stage().stage_id
+        self._every_stage = every_stage
+        self.snapshots = []
+        if observe:
+            self._table.observer = lambda *record: None
+
+    def job_finished(self, stage_id, job_index):
+        super().job_finished(stage_id, job_index)
+        if self._every_stage:
+            self.snapshot_activity()
+            self.snapshot_activity()
+        elif stage_id == self._final_stage_id:
+            self.snapshots.append(self.snapshot_activity())
+
+
+def _case(name):
+    """``(arch, workload)`` of a SYNTHETIC or ZOO case, by name."""
+    for case in SYNTHETIC:
+        if case[0] == name:
+            return ARCH64, case[1]
+    for case in ZOO:
+        if case[0] == name:
+            return _zoo_workload(*case[1:8])
+    raise KeyError(name)
+
+
+#: cases whose snapshots catch a folded burst in flight: its destination is
+#: credited only at the burst's last landing (``docs/simulator.md``
+#: § Landing fold), so such a snapshot lacks the earlier landings' share.
+FOLDS_IN_FLIGHT = {("chunked-storage", True)}
+
+#: the entries of a snapshot's per-cluster tuple that a landing credits:
+#: communication cycles and the last-busy cycle.
+_LANDING_ENTRIES = (2, 5)
+
+
+def _assert_only_landings_lag(python, table):
+    """Every snapshot matches except for landing credit the table lane has
+    not yet given, and at least one snapshot lacks some."""
+    assert len(table) == len(python)
+    lagging = 0
+    for (counters, clusters, stages, links), expected in zip(table, python):
+        assert (counters, stages, links) == (expected[0], expected[2], expected[3])
+        assert list(clusters) == list(expected[1])
+        for cid, row in clusters.items():
+            want = expected[1][cid]
+            for index in range(6):
+                if index in _LANDING_ENTRIES:
+                    assert row[index] <= want[index], (cid, index)
+                else:
+                    assert row[index] == want[index], (cid, index)
+        lagging += clusters != expected[1]
+    assert lagging
+
+
+class TestMidRunSnapshots:
+    """``snapshot_activity()`` at every final-stage completion matches
+    across the kernels, whatever the table lane has left to flush."""
+
+    @pytest.mark.parametrize("name", [case[0] for case in SYNTHETIC + ZOO])
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_snapshots_match_the_object_kernel(self, name, model_contention):
+        arch, workload = _case(name)
+        streams = {}
+        for engine, observe in (("python", False), ("table", True), ("table", False)):
+            simulator = _SnapshotSimulator(
+                arch, workload, model_contention, engine, observe=observe
+            )
+            simulator.run()
+            streams[engine, observe] = simulator.snapshots
+        python = streams["python", False]
+        assert len(python) == workload.n_jobs
+        # an attached observer keeps every landing in its own row
+        assert streams["table", True] == python
+        if (name, model_contention) in FOLDS_IN_FLIGHT:
+            _assert_only_landings_lag(python, streams["table", False])
+        else:
+            assert streams["table", False] == python
+
+    @pytest.mark.parametrize(
+        "name", [case[0] for case in SYNTHETIC] + ["resnet18-naive"]
+    )
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_flushing_never_counts_twice(self, name, model_contention):
+        """Two snapshots at every stage completion leave the run's result
+        exactly as a run that never takes one."""
+        arch, workload = _case(name)
+        plain = simulate(arch, workload, model_contention, engine="table")
+        flushed = _SnapshotSimulator(
+            arch, workload, model_contention, "table", every_stage=True
+        ).run()
+        assert result_mismatches(plain, flushed) == []
 
 
 # --------------------------------------------------------------------------- #

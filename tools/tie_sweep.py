@@ -3,18 +3,21 @@
 Draws small contended pipelines whose costs and byte sizes are multiples
 of one quantum, so that many events fall due on the same cycle, with
 chunked stage flows and residual relays of up to 40 chunks (more chunks
-than a cluster has DMA channels, so DMA queues).  Every draw is simulated
-on both engines at buffer depths 1, 2 and 5, and the results are compared
+than a cluster has DMA channels, so DMA queues).  A second generator adds
+digital clusters, digital slots and intra-stage partial-sum flows to such
+pipelines, so that stages share clusters.  Every draw is simulated on
+both engines at buffer depths 1, 2 and 5, and the results are compared
 with ``repro.sim.result_mismatches``.  Run it from the repository root::
 
     PYTHONPATH=src python tools/tie_sweep.py
 
 It exits 0 when both engines agree on every draw, and 1 otherwise, naming
-each diverging seed and depth.
+each diverging generator, seed and depth.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import time
@@ -32,6 +35,9 @@ from repro.sim import (
 #: the seeds drawn; each is simulated at every buffer depth.  Sized to
 #: run in about 80 s on a 2-core x86 container.
 SEEDS = range(2500)
+#: the seeds :func:`digital_tie_workload` draws, disjoint from
+#: :data:`SEEDS`; about 20 s on the same container.
+DIGITAL_SEEDS = range(2500, 2900)
 #: the buffer depths every seed's pipeline is simulated at.
 BUFFER_DEPTHS = (1, 2, 5)
 #: the architecture every draw is mapped onto (64 clusters).
@@ -118,24 +124,62 @@ def tie_workload(rng: random.Random) -> Workload:
     )
 
 
-def main() -> int:
+def digital_tie_workload(rng: random.Random) -> Workload:
+    """A :func:`tie_workload` draw whose stages also have digital clusters.
+
+    The pipeline is drawn first, unchanged.  Then each stage draws its
+    digital clusters from its own replica clusters, the other stages'
+    clusters and one free cluster (so stages and record groups share
+    clusters), 1 to 3 digital slots (more slots than clusters make the
+    groups share the last one) and the bytes of its intra-stage
+    partial-sum flow, which runs from each replica to the first digital
+    cluster.
+    """
+    workload = tie_workload(rng)
+    used = {c for stage in workload.stages for replica in stage.analog_replicas
+            for c in replica}
+    free = min(set(range(ARCH.n_clusters)) - used)
+    stages = []
+    for stage in workload.stages:
+        own = {c for replica in stage.analog_replicas for c in replica}
+        candidates = sorted(own) + sorted(used - own) + [free]
+        clusters = tuple(rng.sample(candidates, rng.choice([0, 1, 1, 2, 3])))
+        cost = dataclasses.replace(
+            stage.cost, intra_stage_bytes_per_job=rng.choice([0, 64, 128, 512])
+        )
+        stages.append(dataclasses.replace(
+            stage, digital_clusters=clusters, digital_slots=rng.choice([1, 2, 3]),
+            cost=cost,
+        ))
+    return dataclasses.replace(workload, stages=stages)
+
+
+def sweep(name, generator, seeds) -> int:
+    """Simulate every draw of ``generator`` on both engines; return the
+    number of diverging draws."""
     began = time.perf_counter()
-    diverged = []
-    for seed in SEEDS:
-        workload = tie_workload(random.Random(seed))
+    diverged = 0
+    for seed in seeds:
+        workload = generator(random.Random(seed))
         for depth in BUFFER_DEPTHS:
             python = simulate(ARCH, workload, True, depth, engine="python")
             table = simulate(ARCH, workload, True, depth, engine="table")
             mismatches = result_mismatches(python, table)
             if mismatches:
-                diverged.append((seed, depth))
-                print(f"seed {seed}, buffer depth {depth}: {mismatches[0]}")
-    draws = len(SEEDS) * len(BUFFER_DEPTHS)
+                diverged += 1
+                print(f"{name}: seed {seed}, buffer depth {depth}: {mismatches[0]}")
+    draws = len(seeds) * len(BUFFER_DEPTHS)
     print(
-        f"tie sweep: {len(diverged)} of {draws} draws diverge "
-        f"({len(SEEDS)} seeds x depths {BUFFER_DEPTHS}), "
+        f"{name}: {diverged} of {draws} draws diverge "
+        f"({len(seeds)} seeds x depths {BUFFER_DEPTHS}), "
         f"{time.perf_counter() - began:.0f} s"
     )
+    return diverged
+
+
+def main() -> int:
+    diverged = sweep("tie sweep", tie_workload, SEEDS)
+    diverged += sweep("digital tie sweep", digital_tie_workload, DIGITAL_SEEDS)
     return 1 if diverged else 0
 
 
