@@ -199,7 +199,10 @@ class NetworkMapping:
         IMA is idle), which is exactly the "array is not used at all" case
         the paper describes as the second source of inefficiency.
         """
-        used = self.n_used_clusters
+        return self._local_mapping_efficiency(self.n_used_clusters)
+
+    def _local_mapping_efficiency(self, used: int) -> float:
+        """:attr:`local_mapping_efficiency` given the used-cluster count."""
         if used == 0:
             return 0.0
         total = 0.0
@@ -262,7 +265,7 @@ class NetworkMapping:
             "options": dataclasses.asdict(self.options),
             "tiling": dataclasses.asdict(self.tiling),
             "layers": {
-                node_id: dataclasses.asdict(layer)
+                node_id: _layer_payload(layer)
                 for node_id, layer in self.layers.items()
             },
             "residuals": dataclasses.asdict(self.residuals),
@@ -286,7 +289,8 @@ class NetworkMapping:
                 f"mapping payload version {version!r} does not match "
                 f"{MAPPING_PAYLOAD_VERSION} (stale artifact)"
             )
-        graph.infer_shapes()  # consumers rely on annotated shapes
+        if not graph.shapes_inferred:
+            graph.infer_shapes()  # consumers rely on annotated shapes
         layers = {
             node_id: _layer_from_payload(fields)
             for node_id, fields in payload["layers"].items()
@@ -313,13 +317,14 @@ class NetworkMapping:
 
     def record(self) -> MappingRecord:
         """The lightweight, serialisable summary of this mapping."""
+        used = self.n_used_clusters
         return MappingRecord(
             name=self.options.name,
             batch_size=self.options.batch_size,
-            n_used_clusters=self.n_used_clusters,
+            n_used_clusters=used,
             total_clusters=self.arch.n_clusters,
-            global_mapping_efficiency=self.global_mapping_efficiency,
-            local_mapping_efficiency=self.local_mapping_efficiency,
+            global_mapping_efficiency=used / self.arch.n_clusters,
+            local_mapping_efficiency=self._local_mapping_efficiency(used),
             total_crossbars=self.total_crossbars,
             total_stored_params=self.total_stored_params,
             policy=self.policy,
@@ -349,6 +354,22 @@ class NetworkMapping:
                 f"{layer.n_clusters:>8} {layer.crossbar_cell_utilization():>6.1%}"
             )
         return "\n".join(lines)
+
+
+#: field names of :class:`LayerMapping`, in declaration order.
+_LAYER_FIELDS = tuple(f.name for f in dataclasses.fields(LayerMapping))
+
+
+def _layer_payload(layer: LayerMapping) -> Dict[str, object]:
+    """The ``dataclasses.asdict`` form of one :class:`LayerMapping`, built
+    shallowly: the tuples of cluster ids are shared rather than deep-copied,
+    and only ``split`` and ``reduction`` are rendered by ``asdict``."""
+    fields = {name: getattr(layer, name) for name in _LAYER_FIELDS}
+    if layer.split is not None:
+        fields["split"] = dataclasses.asdict(layer.split)
+    if layer.reduction is not None:
+        fields["reduction"] = dataclasses.asdict(layer.reduction)
+    return fields
 
 
 def _layer_from_payload(fields: Dict[str, object]) -> LayerMapping:

@@ -49,6 +49,14 @@ NETWORK_INPUT_LABEL = "network_input"
 #: label of the network output stream written back to HBM.
 NETWORK_OUTPUT_LABEL = "network_output"
 
+#: version of the lowering rules behind :func:`lower_to_workload`.  The
+#: persisted workload is the bare :class:`~repro.sim.workload.Workload`,
+#: which no loader checks, so this version (with
+#: :data:`~repro.core.mapping.MAPPING_PAYLOAD_VERSION`) is hashed into the
+#: workload's cache key instead: bump it on any change to the lowering or
+#: the cost model, and warm stores lower every workload again.
+WORKLOAD_PAYLOAD_VERSION = 1
+
 
 def lower_to_workload(
     mapping: NetworkMapping,

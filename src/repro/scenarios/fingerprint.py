@@ -15,6 +15,15 @@ sets.  Unknown objects are rejected loudly rather than fingerprinted by
 ``repr`` — a silent identity-based key would defeat the cache's correctness
 contract.
 
+Canonicalisation dispatches on the exact type of the builtins the IR is
+made of, renders a dataclass from a field plan built once per class
+(editing a dataclass's fields at runtime is therefore unsupported), and
+sends every other object through one ordered ``isinstance`` chain.
+:func:`content_digest` memoizes a digest on the object it describes.  The
+workload stage computes a workload's digest when it lowers it, so the memo
+is persisted with the workload and a workload served from the store keys
+its simulation without being canonicalised again.
+
 Module contract:
 
 * **What is hashed:** the ``*_key`` helpers below define, per pipeline
@@ -26,7 +35,9 @@ Module contract:
   canonicalisation rules themselves; the on-disk store namespaces entries
   by it, so bumping it silently invalidates every persisted artifact.
   Adding a *new* tagged key region (e.g. the ``"accuracy"`` tag) does not
-  require a bump — existing keys are unaffected.
+  require a bump — existing keys are unaffected.  The persisted workload
+  carries no payload stamp, so :func:`workload_key` hashes the mapping
+  and lowering versions instead.
 * Everything canonicalised must be plain data or a registered type; the
   rendering is injective on its domain (tuples and lists tag distinctly,
   class names tag dataclasses and enums).
@@ -38,10 +49,12 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
+from ..core import mapping as core_mapping
+from ..core import pipeline as core_pipeline
 from ..dnn.graph import Graph
 from ..sim.system import DEFAULT_ENGINE
 
@@ -65,49 +78,55 @@ def canonicalize(obj: Any) -> Any:
     The rendering is injective on the supported domain: distinct values map
     to distinct structures (class names tag dataclasses and enums so that,
     e.g., two spec types with identical fields do not collide).
+
+    Exact builtin types and dataclasses with a cached plan are dispatched
+    first; every other object takes the ordered ``isinstance`` chain,
+    which is also where a dataclass's plan is built.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
+    kind = type(obj)
+    if kind is int or kind is str or kind is bool or obj is None:
+        return obj
+    if kind is tuple:
+        # Tagged distinctly from lists: (1, 2) and [1, 2] are different
+        # values and the injectivity contract forbids their collision.
+        return {"__tuple__": [canonicalize(item) for item in obj]}
+    plan = _DATACLASS_PLANS.get(kind)
+    if plan is not None:
+        name, fields = plan
+        rendered = {}
+        for field_name, omit_default, default in fields:
+            value = getattr(obj, field_name)
+            if omit_default and value == default:
+                continue
+            rendered[field_name] = canonicalize(value)
+        return {"__dataclass__": name, "fields": rendered}
+    if kind is float:
+        # repr() is the shortest round-trip representation: stable and exact.
+        return {"__float__": repr(obj)}
+    if kind is list:
+        return [canonicalize(item) for item in obj]
+    if kind is dict:
+        return _canonicalize_dict(obj)
+    if isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        # repr() is the shortest round-trip representation: stable and exact.
         return {"__float__": repr(obj)}
     if isinstance(obj, enum.Enum):
         return {"__enum__": type(obj).__name__, "value": canonicalize(obj.value)}
     if isinstance(obj, Graph):
         return _canonicalize_graph(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # A dataclass may opt individual fields out of the rendering *while
-        # they hold their default value* by listing them in a class-level
-        # ``__fingerprint_omit_defaults__`` tuple.  This lets an artifact
-        # type grow a new optional field (e.g. ``Workload.arrival_cycles``)
-        # without changing the canonical form — and therefore the content
-        # keys — of every pre-existing value that does not use it.  A
-        # non-default value renders normally, so the axis still keys.
-        omit_defaults = frozenset(getattr(obj, "__fingerprint_omit_defaults__", ()))
-        fields = {}
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if f.name in omit_defaults and value == f.default:
-                continue
-            fields[f.name] = canonicalize(value)
-        return {"__dataclass__": type(obj).__name__, "fields": fields}
+        _DATACLASS_PLANS[kind] = _dataclass_plan(kind)
+        return canonicalize(obj)
     if isinstance(obj, list):
         return [canonicalize(item) for item in obj]
     if isinstance(obj, tuple):
-        # Tagged distinctly from lists: (1, 2) and [1, 2] are different
-        # values and the injectivity contract forbids their collision.
         return {"__tuple__": [canonicalize(item) for item in obj]}
     if isinstance(obj, (set, frozenset)):
         items = sorted(json.dumps(canonicalize(i), sort_keys=True) for i in obj)
         return {"__set__": items}
     if isinstance(obj, dict):
-        # Keys may be non-strings (e.g. per-node-id replication factors):
-        # canonicalize them too and sort by the serialised key.
-        items = sorted(
-            (json.dumps(canonicalize(k), sort_keys=True), canonicalize(v))
-            for k, v in obj.items()
-        )
-        return {"__dict__": items}
+        return _canonicalize_dict(obj)
     if isinstance(obj, np.ndarray):
         return {
             "__ndarray__": obj.shape,
@@ -120,6 +139,43 @@ def canonicalize(obj: Any) -> Any:
         f"cannot fingerprint object of type {type(obj).__name__}; add a "
         "canonical rendering to repro.scenarios.fingerprint"
     )
+
+
+#: :func:`_dataclass_plan` of each dataclass :func:`canonicalize` has
+#: rendered, keyed by the exact class.  Plans are read from the class once,
+#: so editing a dataclass's fields or its ``__fingerprint_omit_defaults__``
+#: at runtime is unsupported.
+_DATACLASS_PLANS: Dict[type, Tuple[str, Tuple[Tuple[str, bool, Any], ...]]] = {}
+
+
+def _dataclass_plan(cls: type) -> Tuple[str, Tuple[Tuple[str, bool, Any], ...]]:
+    """The field plan :func:`canonicalize` renders instances of ``cls`` from:
+    the class name and one ``(field name, omit-when-default, default)``
+    triple per field, in declaration order.
+
+    A dataclass may opt individual fields out of the rendering *while they
+    hold their default value* by listing them in a class-level
+    ``__fingerprint_omit_defaults__`` tuple.  This lets an artifact type
+    grow a new optional field (e.g. ``Workload.arrival_cycles``) without
+    changing the canonical form — and therefore the content keys — of
+    every pre-existing value that does not use it.  A non-default value
+    renders normally, so the axis still keys.
+    """
+    omit_defaults = frozenset(getattr(cls, "__fingerprint_omit_defaults__", ()))
+    fields = tuple(
+        (f.name, f.name in omit_defaults, f.default) for f in dataclasses.fields(cls)
+    )
+    return cls.__name__, fields
+
+
+def _canonicalize_dict(obj: Dict[Any, Any]) -> Any:
+    """Keys may be non-strings (e.g. per-node-id replication factors):
+    canonicalize them too and sort by the serialised key."""
+    items = sorted(
+        (json.dumps(canonicalize(k), sort_keys=True), canonicalize(v))
+        for k, v in obj.items()
+    )
+    return {"__dict__": items}
 
 
 def _canonicalize_graph(graph: Graph) -> Any:
@@ -165,6 +221,13 @@ def content_digest(obj: Any) -> str:
     the pipeline are build-once (workloads and mappings are never mutated
     after lowering).  Objects that reject attribute assignment are simply
     fingerprinted each time.
+
+    The memo is an instance attribute, so it is pickled with the object.
+    The workload stage digests each workload it lowers before the store
+    persists it, so a workload served from the store returns its memo here
+    without being canonicalised.  Copies made with
+    :func:`dataclasses.replace` (``Workload.with_arrivals``,
+    ``Workload.with_n_jobs``) do not inherit the memo.
     """
     version = getattr(obj, "structure_version", None)
     memo = getattr(obj, _DIGEST_ATTR, None)
@@ -242,8 +305,25 @@ def mapping_key(
 
 
 def workload_key(mapping_fp: str, zero_communication: bool) -> str:
-    """Key of a lowered :class:`~repro.sim.workload.Workload`."""
-    return fingerprint(("workload", mapping_fp, zero_communication))
+    """Key of a lowered :class:`~repro.sim.workload.Workload`.
+
+    The persisted workload carries no payload stamp, so the key hashes the
+    versions of the rules that produced it:
+    :data:`~repro.core.mapping.MAPPING_PAYLOAD_VERSION` (placement) and
+    :data:`~repro.core.pipeline.WORKLOAD_PAYLOAD_VERSION` (lowering and
+    cost model).  Bumping either re-keys every workload, so a warm store
+    lowers each one again instead of serving it stale.  Both are read at
+    call time, from their defining modules.
+    """
+    return fingerprint(
+        (
+            "workload",
+            mapping_fp,
+            zero_communication,
+            core_mapping.MAPPING_PAYLOAD_VERSION,
+            core_pipeline.WORKLOAD_PAYLOAD_VERSION,
+        )
+    )
 
 
 def simulation_key(

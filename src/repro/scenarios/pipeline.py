@@ -227,16 +227,28 @@ def workload_stage(
     zero_communication: bool = False,
     cache: Optional[ArtifactCache] = None,
 ) -> Workload:
-    """Lower (or reuse) the simulator workload of a mapping."""
+    """Lower (or reuse) the simulator workload of a mapping.
+
+    With a cache, the build also computes the workload's content digest
+    (:func:`~repro.scenarios.fingerprint.content_digest`) before the
+    workload is persisted.  The memo lives in the workload's ``__dict__``,
+    so it is pickled with the workload, and a workload served from the
+    store keys its simulation without canonicalising the IR again.  The
+    key (:func:`~repro.scenarios.fingerprint.workload_key`) hashes the
+    mapping's content and the mapping and lowering versions.
+    """
     if cache is None:
         return lower_to_workload(mapping, zero_communication=zero_communication)
+
+    def build() -> Workload:
+        workload = lower_to_workload(mapping, zero_communication=zero_communication)
+        content_digest(workload)
+        return workload
+
     key = workload_key(_mapping_content_key(mapping), zero_communication)
     # the workload IR is already plain data, so it is its own store payload
     return cache.get_or_create(
-        ArtifactCache.REGION_WORKLOAD,
-        key,
-        lambda: lower_to_workload(mapping, zero_communication=zero_communication),
-        persist=True,
+        ArtifactCache.REGION_WORKLOAD, key, build, persist=True
     )
 
 

@@ -8,6 +8,8 @@ versioning/corruption-tolerance rules and the compact ``NetworkMapping``
 round trip.
 """
 
+import dataclasses
+import importlib
 import json
 import pickle
 
@@ -15,13 +17,19 @@ import pytest
 
 from repro.arch import ArchConfig
 from repro.core import OptimizationLevel
-from repro.core.mapping import MAPPING_PAYLOAD_VERSION, NetworkMapping
+from repro.core import mapping as core_mapping
+from repro.core import pipeline as core_pipeline
+from repro.core.mapping import MAPPING_PAYLOAD_VERSION, MappingRecord, NetworkMapping
+from repro.dnn.graph import Graph
+from repro.dnn.layers import ReLU
 from repro.scenarios import (
     ArtifactCache,
     ArtifactStore,
     Scenario,
     ScenarioGrid,
     SweepRunner,
+    fingerprint,
+    graph_stage,
     mapping_stage,
     run_scenario,
     simulation_stage,
@@ -30,6 +38,10 @@ from repro.scenarios import (
 from repro.scenarios import pipeline as pipeline_module
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.store import SCHEMA_VERSION
+
+# the package re-exports the fingerprint *function*, shadowing the
+# submodule attribute; resolve the module itself for patching.
+fingerprint_module = importlib.import_module("repro.scenarios.fingerprint")
 
 TINY = Scenario(
     model="tiny_cnn",
@@ -521,3 +533,153 @@ class TestCLIPersistence:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-store"))
         self._run(tmp_path, "env")
         assert (tmp_path / "env-store").exists()
+
+
+def stage_chain(scenario, cache):
+    """Graph, arch, mapping and workload of one scenario through ``cache``."""
+    graph = graph_stage(scenario, cache)
+    arch = scenario.build_arch()
+    mapping = mapping_stage(
+        graph,
+        arch,
+        scenario.batch_size,
+        scenario.mapping_policy,
+        cache=cache,
+        reserve_clusters=scenario.reserve_clusters,
+        max_replication=scenario.max_replication,
+    )
+    return graph, arch, mapping, workload_stage(mapping, cache=cache)
+
+
+class TestWorkloadKeyVersions:
+    """The persisted workload has no payload stamp, so the mapping and
+    lowering versions are hashed into its key: bumping either lowers every
+    workload again, once, while the simulations stay disk hits."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            (core_mapping, "MAPPING_PAYLOAD_VERSION"),
+            (core_pipeline, "WORKLOAD_PAYLOAD_VERSION"),
+        ],
+    )
+    def test_version_bump_lowers_each_workload_once(
+        self, store, monkeypatch, module, name
+    ):
+        scenarios = GRID.expand()
+        n = len(scenarios)
+        calls = counting_simulate(monkeypatch)
+        version = getattr(module, name)
+        passes = []
+        for bump in (0, 0, 1, 1):
+            monkeypatch.setattr(module, name, version + bump)
+            cache = ArtifactCache(store=store)
+            outcomes = [run_scenario(s, cache) for s in scenarios]
+            passes.append((cache.stats, outcomes))
+        assert len(calls) == n  # the cold pass only
+        (_, cold), (unbumped, _), (first, bumped), (second, _) = passes
+        for region in ("mapping", "workload", "simulation"):
+            assert unbumped.miss_count(region) == 0, region
+        assert first.miss_count("workload") == n
+        assert second.miss_count("workload") == 0
+        assert first.disk_hit_count("simulation") == n
+        assert second.disk_hit_count("simulation") == n
+        for before, after in zip(cold, bumped):
+            assert before.simulation == after.simulation
+            assert before.metrics == after.metrics
+
+
+class TestCarriedDigest:
+    def test_store_served_workload_keys_without_canonicalising(
+        self, store, monkeypatch
+    ):
+        run_scenario(TINY, ArtifactCache(store=store))
+        cache = ArtifactCache(store=store)
+        workload = stage_chain(TINY, cache)[3]
+        assert cache.stats.disk_hit_count("workload") == 1
+        _, memo = vars(workload)[fingerprint_module._DIGEST_ATTR]
+        assert memo == fingerprint(workload)
+
+        calls = []
+        real = fingerprint_module.canonicalize
+
+        def counting(obj):
+            calls.append(1)
+            return real(obj)
+
+        monkeypatch.setattr(fingerprint_module, "canonicalize", counting)
+        assert fingerprint_module.content_digest(workload) == memo
+        assert calls == []
+
+    def test_derived_workloads_do_not_inherit_the_memo(self, store):
+        workload = stage_chain(TINY, ArtifactCache(store=store))[3]
+        for derived in (
+            workload.with_n_jobs(1),
+            workload.with_arrivals(range(workload.n_jobs)),
+        ):
+            assert fingerprint_module._DIGEST_ATTR not in vars(derived)
+            assert fingerprint_module.content_digest(derived) == fingerprint(derived)
+
+
+#: the perfbench ladder grid: three models, the three ladder levels and
+#: two batch sizes at 3x64x64 on the paper's 512 clusters.
+LADDER = ScenarioGrid.from_axes(
+    Scenario(input_shape=(3, 64, 64)),
+    model=["resnet18", "resnet34", "mobilenet_v2"],
+    level=["naive", "replicated", "final"],
+    batch_size=[4, 16],
+)
+
+
+@pytest.fixture(scope="module")
+def ladder_mappings():
+    cache = ArtifactCache()
+    return [stage_chain(s, cache)[2] for s in LADDER.expand()]
+
+
+class TestShallowMappingPayload:
+    def test_layer_payloads_equal_their_asdict_form(self, ladder_mappings):
+        for mapping in ladder_mappings:
+            reference = {
+                node_id: dataclasses.asdict(layer)
+                for node_id, layer in mapping.layers.items()
+            }
+            payload = mapping.to_payload()
+            assert payload["layers"] == reference
+            restored = NetworkMapping.from_payload(
+                pickle.loads(pickle.dumps(payload)), mapping.graph, mapping.arch
+            )
+            assert restored.record() == mapping.record()
+
+    def test_record_equals_the_properties(self, ladder_mappings):
+        for mapping in ladder_mappings:
+            assert mapping.record() == MappingRecord(
+                name=mapping.options.name,
+                batch_size=mapping.options.batch_size,
+                n_used_clusters=mapping.n_used_clusters,
+                total_clusters=mapping.arch.n_clusters,
+                global_mapping_efficiency=mapping.global_mapping_efficiency,
+                local_mapping_efficiency=mapping.local_mapping_efficiency,
+                total_crossbars=mapping.total_crossbars,
+                total_stored_params=mapping.total_stored_params,
+                policy=mapping.policy,
+            )
+
+    def test_from_payload_infers_shapes_only_when_stale(self, monkeypatch):
+        graph, arch = TINY.build_graph(), TINY.build_arch()
+        payload = mapping_stage(graph, arch, 2, OptimizationLevel.FINAL).to_payload()
+        calls = []
+        real = Graph.infer_shapes
+
+        def counting(self):
+            calls.append(1)
+            real(self)
+
+        monkeypatch.setattr(Graph, "infer_shapes", counting)
+        assert graph.shapes_inferred
+        NetworkMapping.from_payload(payload, graph, arch)
+        assert calls == []
+        graph.add(ReLU(name="extra"), inputs=[graph.output_nodes[0].node_id])
+        NetworkMapping.from_payload(payload, graph, arch)
+        assert calls == [1]
+        assert graph.shapes_inferred
