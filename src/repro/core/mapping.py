@@ -188,7 +188,11 @@ class NetworkMapping:
     @property
     def global_mapping_efficiency(self) -> float:
         """Fraction of the system's clusters used at all (Sec. VI, first factor)."""
-        return self.n_used_clusters / self.arch.n_clusters
+        return self._global_mapping_efficiency(self.n_used_clusters)
+
+    def _global_mapping_efficiency(self, used: int) -> float:
+        """:attr:`global_mapping_efficiency` given the used-cluster count."""
+        return used / self.arch.n_clusters
 
     @property
     def local_mapping_efficiency(self) -> float:
@@ -289,8 +293,7 @@ class NetworkMapping:
                 f"mapping payload version {version!r} does not match "
                 f"{MAPPING_PAYLOAD_VERSION} (stale artifact)"
             )
-        if not graph.shapes_inferred:
-            graph.infer_shapes()  # consumers rely on annotated shapes
+        graph.ensure_shapes()  # consumers rely on annotated shapes
         layers = {
             node_id: _layer_from_payload(fields)
             for node_id, fields in payload["layers"].items()
@@ -323,7 +326,7 @@ class NetworkMapping:
             batch_size=self.options.batch_size,
             n_used_clusters=used,
             total_clusters=self.arch.n_clusters,
-            global_mapping_efficiency=used / self.arch.n_clusters,
+            global_mapping_efficiency=self._global_mapping_efficiency(used),
             local_mapping_efficiency=self._local_mapping_efficiency(used),
             total_crossbars=self.total_crossbars,
             total_stored_params=self.total_stored_params,

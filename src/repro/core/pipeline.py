@@ -53,8 +53,13 @@ NETWORK_OUTPUT_LABEL = "network_output"
 #: persisted workload is the bare :class:`~repro.sim.workload.Workload`,
 #: which no loader checks, so this version (with
 #: :data:`~repro.core.mapping.MAPPING_PAYLOAD_VERSION`) is hashed into the
-#: workload's cache key instead: bump it on any change to the lowering or
-#: the cost model, and warm stores lower every workload again.
+#: workload's cache key instead.  Bump it on any change to the lowering or
+#: the cost model, and on any change to the fields or the canonical
+#: rendering of :class:`~repro.sim.workload.Workload` and the classes it is
+#: built from (``StageDescriptor``, ``StageCost``, ``DataFlow``): a stored
+#: workload carries the content digest computed when it was lowered, so a
+#: store must never serve it to code that would digest the same workload
+#: differently.  Warm stores then lower every workload again.
 WORKLOAD_PAYLOAD_VERSION = 1
 
 

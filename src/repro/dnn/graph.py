@@ -245,17 +245,17 @@ class Graph:
     # ------------------------------------------------------------------ #
     def total_params(self) -> int:
         """Total parameter count of the network."""
-        self._ensure_shapes()
+        self.ensure_shapes()
         return sum(node.param_count for node in self.nodes)
 
     def total_macs(self) -> int:
         """Total MAC count for one inference."""
-        self._ensure_shapes()
+        self.ensure_shapes()
         return sum(node.macs for node in self.nodes)
 
     def total_ops(self) -> int:
         """Total operations (1 MAC = 2 ops, plus digital element-wise ops)."""
-        self._ensure_shapes()
+        self.ensure_shapes()
         return sum(2 * node.macs + node.digital_ops for node in self.nodes)
 
     def analog_nodes(self) -> List[Node]:
@@ -266,7 +266,8 @@ class Graph:
         """Nodes executed on the RISC-V cores."""
         return [n for n in self.nodes if not n.is_analog and n.inputs]
 
-    def _ensure_shapes(self) -> None:
+    def ensure_shapes(self) -> None:
+        """Run :meth:`infer_shapes` unless the shapes are already inferred."""
         if not self._shapes_valid:
             self.infer_shapes()
 
@@ -275,7 +276,7 @@ class Graph:
     # ------------------------------------------------------------------ #
     def summary(self) -> str:
         """Human-readable per-node table (id, kind, shapes, params, MACs)."""
-        self._ensure_shapes()
+        self.ensure_shapes()
         lines = [
             f"Graph {self.name!r}: {len(self)} nodes, "
             f"{self.total_params() / 1e6:.2f} M params, "

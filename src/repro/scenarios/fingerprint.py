@@ -22,7 +22,8 @@ sends every other object through one ordered ``isinstance`` chain.
 :func:`content_digest` memoizes a digest on the object it describes.  The
 workload stage computes a workload's digest when it lowers it, so the memo
 is persisted with the workload and a workload served from the store keys
-its simulation without being canonicalised again.
+its simulation, closed-batch or open-system, without being canonicalised
+again.
 
 Module contract:
 
@@ -227,7 +228,9 @@ def content_digest(obj: Any) -> str:
     persists it, so a workload served from the store returns its memo here
     without being canonicalised.  Copies made with
     :func:`dataclasses.replace` (``Workload.with_arrivals``,
-    ``Workload.with_n_jobs``) do not inherit the memo.
+    ``Workload.with_n_jobs``) do not inherit the memo; the simulation stage
+    therefore keys an open-system run on the memo of the workload it is
+    handed plus the schedule, and never digests the stamped copy.
     """
     version = getattr(obj, "structure_version", None)
     memo = getattr(obj, _DIGEST_ATTR, None)
@@ -356,9 +359,13 @@ def simulation_key(
     workload — the tuple of per-job arrival cycles, never the generator
     spec or trace path that produced it — so two spellings resolving to
     the same timestamps share one artifact, and a trace file's location on
-    disk never enters the key.  Closed-batch simulations pass ``None`` and
-    the key token is omitted entirely, keeping their keys byte-identical
-    to the pre-arrivals rendering.
+    disk never enters the key.  ``workload_fp`` may then be the digest of
+    the workload *before* the schedule was stamped on it (the scenario
+    pipeline's simulation stage keys that way, so the stamped copy is
+    never canonicalised): stamping is a pure function of the two, so the
+    pair still identifies the simulated workload.  Closed-batch
+    simulations pass ``None`` and the key token is omitted entirely,
+    keeping their keys byte-identical to the pre-arrivals rendering.
     """
     token = (
         "simulate",

@@ -281,11 +281,16 @@ def simulation_stage(
     ``arrivals`` accepts every spelling
     :func:`~repro.sim.workload.resolve_arrivals` does; when given, the
     resolved process generates the per-job arrival schedule and the
-    workload is stamped with it *before* keying, so the cache key hashes
-    the resolved cycle tuple (two spellings generating the same schedule
-    share one simulation; editing a trace file changes the key even though
-    its path did not).
+    workload is stamped with it.  The cache key hashes the resolved cycle
+    tuple (two spellings generating the same schedule share one
+    simulation; editing a trace file changes the key even though its path
+    did not) next to the content digest of the workload as it was passed
+    in, which the workload stage computed when it lowered it.  Stamping is
+    a pure function of that workload and the schedule, so the pair
+    identifies the simulated workload, and the stamped copy is never
+    canonicalised.
     """
+    given = workload
     process = resolve_arrivals(arrivals)
     if process is not None:
         workload = workload.with_arrivals(process.generate(workload.n_jobs))
@@ -300,7 +305,7 @@ def simulation_stage(
         )
     key = simulation_key(
         arch_key(arch),
-        content_digest(workload),
+        content_digest(given),
         model_contention,
         buffer_depth,
         fast_forward,

@@ -37,7 +37,9 @@ from repro.scenarios import (
 )
 from repro.scenarios import pipeline as pipeline_module
 from repro.scenarios.cli import main as cli_main
+from repro.scenarios.fingerprint import arch_key, content_digest, simulation_key
 from repro.scenarios.store import SCHEMA_VERSION
+from repro.sim.workload import Workload
 
 # the package re-exports the fingerprint *function*, shadowing the
 # submodule attribute; resolve the module itself for patching.
@@ -589,6 +591,10 @@ class TestWorkloadKeyVersions:
             assert before.metrics == after.metrics
 
 
+#: TINY served open-system: one request every 1,000 cycles.
+OPEN = TINY.replace(arrivals={"process": "deterministic", "interval_cycles": 1000})
+
+
 class TestCarriedDigest:
     def test_store_served_workload_keys_without_canonicalising(
         self, store, monkeypatch
@@ -610,6 +616,43 @@ class TestCarriedDigest:
         monkeypatch.setattr(fingerprint_module, "canonicalize", counting)
         assert fingerprint_module.content_digest(workload) == memo
         assert calls == []
+
+    def test_open_system_run_digests_each_workload_once(self, store, monkeypatch):
+        """An open-system run keys its simulation on the lowered workload's
+        digest and the schedule: the cold run digests the workload once,
+        when it lowers it, and never the copy stamped with the schedule;
+        the warm run digests nothing."""
+        digested = []
+        real = fingerprint_module.fingerprint
+
+        def counting(obj):
+            if isinstance(obj, Workload):
+                digested.append(obj.is_open)
+            return real(obj)
+
+        monkeypatch.setattr(fingerprint_module, "fingerprint", counting)
+        cold = run_scenario(OPEN, ArtifactCache(store=store))
+        assert digested == [False]
+        cache = ArtifactCache(store=store)
+        warm = run_scenario(OPEN, cache)
+        assert digested == [False]
+        assert cache.stats.disk_hit_count("simulation") == 1
+        assert warm.simulation == cold.simulation
+        assert warm.metrics == cold.metrics
+
+    def test_open_system_simulation_keys_on_the_lowered_workload(self):
+        cache = ArtifactCache()
+        _, arch, _, workload = stage_chain(OPEN, cache)
+        result = simulation_stage(arch, workload, arrivals=OPEN.arrivals, cache=cache)
+        assert result.workload.is_open and not workload.is_open
+        key = simulation_key(
+            arch_key(arch),
+            content_digest(workload),
+            True,
+            2,
+            arrivals=result.workload.arrival_cycles,
+        )
+        assert cache.lookup(ArtifactCache.REGION_SIMULATION, key) is result
 
     def test_derived_workloads_do_not_inherit_the_memo(self, store):
         workload = stage_chain(TINY, ArtifactCache(store=store))[3]
