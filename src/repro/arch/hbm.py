@@ -31,9 +31,10 @@ class HBMSpec:
     max_burst_bytes: int = 1024
     #: number of independent channels/pseudo-channels the controller exposes;
     #: transfers are serialised within a channel but different channels can
-    #: proceed in parallel.  Table I exposes a single 64-byte HBM link
-    #: through one controller (Fig. 1B), so the default is 1; ablation
-    #: benchmarks sweep this parameter.
+    #: proceed in parallel.  A burst books the earliest-free channel when it
+    #: enters the NoC (``repro.sim.noc.book_hbm_channel``).  Table I exposes
+    #: a single 64-byte HBM link through one controller (Fig. 1B), so the
+    #: default is 1, and every shipped configuration uses one channel.
     n_channels: int = 1
 
     def __post_init__(self) -> None:

@@ -6,8 +6,7 @@ with the three primitives the system model needs:
 
 * :class:`Engine` — the event queue and simulated clock (in cycles);
 * :class:`Server` — a capacity-limited FIFO resource that serves jobs with a
-  caller-specified duration (used for IMAs, core complexes and HBM
-  channels);
+  caller-specified duration (used for IMAs and core complexes);
 * :class:`CreditStore` — a counter-based credit/token mechanism used for the
   bounded buffers that implement the self-timed flow control between
   pipeline stages.

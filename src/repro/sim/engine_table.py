@@ -3,9 +3,7 @@
 The object kernel (:mod:`repro.sim.engine`) dispatches every event as a
 Python callable, and profiling the FINAL-mapping run shows the floor is
 exactly those callables: per-job closures (start/finish/deliver),
-credit-grant lambdas, and transfer closures and barrier arrivals whose
-only purpose is to delay one completion by a statically known number of
-cycles.
+credit-grant lambdas and per-chunk transfer completions.
 
 :class:`TableEngine` keeps the object kernel's bucketed queue (heap of
 distinct timestamps, FIFO list per timestamp, zero-heap same-cycle lane)
@@ -37,11 +35,10 @@ Three scheduling entry points:
   to the consumed marker), and the handler runs when the re-queued row is
   dispatched.  The insertion into the target bucket happens at simulated
   time ``time``, as the object kernel's ``after`` inside its ``at``
-  callback does (a link drain, a queued DMA start), which keeps the two
-  kernels' event orders aligned; a ``cycles == 0`` deferral re-queues at
-  the tail of the active bucket, like ``after(0, ...)``;
-* :meth:`defer_at` — :meth:`defer_op` with a callback payload, for the
-  steps the tables do not compile (external-feed transfers).
+  callback does (a queued DMA start), which keeps the two kernels' event
+  orders aligned; a ``cycles == 0`` deferral re-queues at the tail of the
+  active bucket, like ``after(0, ...)``;
+* :meth:`defer_at` — :meth:`defer_op` with a callback payload.
 
 Rows are single-use and recycled through a free list so the storage stays
 dense; :meth:`reset` releases it after a drained run.  Every row dispatch
@@ -61,9 +58,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .engine import Callback, Engine, SimulationError
 
-#: row kind of a :meth:`TableEngine.defer_at` callback row (scheduled at a
-#: transfer's link-drain cycle, deferring its delivery callback by the
-#: route's hop latency); its built-in handler calls the payload.
+#: row kind of a :meth:`TableEngine.defer_at` callback row (a callback
+#: deferred by a fixed number of cycles from the row's own cycle); its
+#: built-in handler calls the payload.
 K_TRANSFER_DRAIN = 0
 
 #: first client opcode: kinds at or above it index the handlers passed to

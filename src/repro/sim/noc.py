@@ -3,36 +3,41 @@
 The structural topology (which links exist, which route a transfer takes)
 comes from :class:`repro.arch.interconnect.QuadrantTopology`; this module
 books every transfer on the directed links of its route and on an HBM
-channel (a :class:`repro.sim.engine.Server`) so that concurrent transfers
-contend for them, which is the mechanism behind the communication
-bottlenecks of Sec. V.4 and VI.
+channel so that concurrent transfers contend for them, which is the
+mechanism behind the communication bottlenecks of Sec. V.4 and VI.
 
 A transfer over a route:
 
 1. waits until every link of the route has drained the bursts booked on
    it before (each link is a capacity-1 FIFO),
 2. holds all of them for the serialisation time ``ceil(bytes / width)``,
-3. completes after an additional zero-load hop latency.
+3. lands one zero-load hop latency after the slowest link has drained it.
 
-Transfers from/to HBM additionally occupy one HBM channel (chosen by a
-round-robin over the least-loaded channels) for the serialisation time plus
-the 100-cycle access latency of Table I.
+Transfers from/to HBM additionally occupy one HBM channel for the
+serialisation time plus the 100-cycle access latency of Table I, and land
+one hop latency after the later of the link drain and the channel finish.
+A burst books the earliest-free channel when it enters the NoC
+(:func:`book_hbm_channel`).  Links and channels are capacity-1 FIFOs with
+durations fixed at submission, so a transfer's whole timing is known when
+it enters the NoC, and its landing is queued then, as one event.
 
 This is the object-kernel implementation (``engine="python"``).  The
 default table lane keeps the same busy-until state in flat vectors in
-:mod:`repro.sim.system_table`; the two are bit-identical by contract, so
+:mod:`repro.sim.system_table` and books HBM channels through the same
+:func:`book_hbm_channel`; the two are bit-identical by contract, so
 timing changes here must be applied to both and re-validated through
 ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..arch.config import ArchConfig
 from ..arch.interconnect import QuadrantTopology, Route
-from .engine import Barrier, Callback, Engine, Server
+from .engine import Callback, Engine
 from .tracer import Tracer
 
 
@@ -65,6 +70,21 @@ class TransferRequest:
         )
 
 
+def book_hbm_channel(free_at: List[int], now: int, service: int) -> int:
+    """Book one burst of ``service`` cycles on the earliest-free HBM channel.
+
+    ``free_at`` holds each channel's free-at cycle as a heap.  A channel is
+    a capacity-1 FIFO whose durations are fixed at submission, so the burst
+    finishes at ``max(now, free_at) + service``, known when it enters the
+    NoC.  Channels are interchangeable, so only the earliest free-at cycle
+    is observable.  Returns the finish cycle.  Both kernels call this.
+    """
+    earliest = free_at[0]
+    finish = (earliest if earliest > now else now) + service
+    heapq.heapreplace(free_at, finish)
+    return finish
+
+
 class NocModel:
     """Event-driven model of the quadrant NoC plus the HBM controller."""
 
@@ -80,11 +100,9 @@ class NocModel:
         self.topology: QuadrantTopology = arch.topology()
         self.tracer = tracer if tracer is not None else Tracer()
         self.model_contention = model_contention
-        self.hbm_channels = [
-            Server(engine, f"hbm_channel[{i}]", capacity=1)
-            for i in range(arch.hbm.n_channels)
-        ]
-        self._hbm_next_channel = 0
+        #: per-channel free-at cycles of the HBM, kept as a heap.
+        self._hbm_free_at: List[int] = [0] * arch.hbm.n_channels
+        self._hbm_busy = 0
         #: per-link cycle at which the link drains its last booked burst.
         self._link_until: Dict[str, int] = {}
 
@@ -179,7 +197,7 @@ class NocModel:
         hbm_extra: int,
         on_done: Callback,
     ) -> None:
-        """Book the burst on every link of the route, then on an HBM channel.
+        """Book the burst on every link of the route and on an HBM channel.
 
         The burst traverses the route in a cut-through fashion: every link
         is occupied for the serialisation time of the whole burst, the
@@ -191,11 +209,9 @@ class NocModel:
 
         A link is a capacity-1 FIFO whose durations are fixed at
         submission, so it drains a new burst at ``max(now, busy_until) +
-        serialization``: the drain of the whole route is known at issue and
-        is booked then, as one event at the drain cycle.  The HBM channel
-        stays a :class:`Server`, because the round-robin pick reads channel
-        state at issue time; the links and the channel join in a two-way
-        barrier.
+        serialization``, and an HBM channel is one too
+        (:func:`book_hbm_channel`): the landing is known at issue and is
+        queued then, as one event.
         """
         engine = self.engine
         now = engine._now
@@ -207,37 +223,17 @@ class NocModel:
             until[name] = end
             if end > drain:
                 drain = end
-        hop = route.hop_latency_cycles
-
-        def drained() -> None:
-            engine.after(hop, on_done)
-
-        if not involves_hbm:
-            engine.at(drain, drained)
-            return
-        barrier = Barrier(2, drained)
-        engine.at(drain, barrier.arrive)
-        self._pick_hbm_channel().submit(serialization + hbm_extra, barrier.arrive)
-
-    def _pick_hbm_channel(self) -> Server:
-        """Round-robin over HBM channels, preferring idle ones."""
-        channels = self.hbm_channels
-        start = self._hbm_next_channel
-        best = None
-        for offset in range(len(channels)):
-            candidate = channels[(start + offset) % len(channels)]
-            if candidate.in_service == 0 and candidate.queue_length == 0:
-                best = candidate
-                self._hbm_next_channel = (start + offset + 1) % len(channels)
-                break
-        if best is None:
-            best = min(channels, key=lambda ch: ch.queue_length + ch.in_service)
-            self._hbm_next_channel = (start + 1) % len(channels)
-        return best
+        if involves_hbm:
+            service = serialization + hbm_extra
+            self._hbm_busy += service
+            finish = book_hbm_channel(self._hbm_free_at, now, service)
+            if finish > drain:
+                drain = finish
+        engine.at(drain + route.hop_latency_cycles, on_done)
 
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
     def hbm_busy_cycles(self) -> int:
-        """Total busy cycles accumulated over all HBM channels."""
-        return sum(channel.utilization_time for channel in self.hbm_channels)
+        """Total busy cycles booked over all HBM channels."""
+        return self._hbm_busy

@@ -72,7 +72,14 @@ from .workload import (
 #: results change on same-cycle ties under contention (table-lane results
 #: are unchanged); v4 payloads cannot say which kernel made them, so every
 #: one is re-simulated once.
-SIMULATION_PAYLOAD_VERSION = 5
+#: Version 6: both kernels queue a contended transfer's landing when it
+#: enters the NoC, and an HBM burst books the earliest-free channel then,
+#: instead of joining its link drain and channel completion in a barrier;
+#: every event keeps its cycle, but a landing now runs before a same-cycle
+#: event queued while its transfer was in flight, and with more than one
+#: HBM channel the pick rule changed, so every v5 payload is re-simulated
+#: once.
+SIMULATION_PAYLOAD_VERSION = 6
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
 #: :class:`SystemSimulator`: the object kernel, kept as the readable

@@ -15,12 +15,14 @@ once, before the first event, into integer transition state consumed by
   HBM extra, delivery attribution — every per-transfer quantity the
   object kernel recomputes or memo-looks-up per event);
 * NoC links, per-cluster DMA channels and HBM channels become dense
-  vectors (busy-until, busy cycles, channel queues) updated by indexed
+  vectors (busy-until, busy cycles, free-at heaps) updated by indexed
   arithmetic inside the opcode handlers.  A capacity-1 FIFO link with
   durations fixed at submission is deterministic — it drains a new burst
-  at ``max(now, busy_until) + serialization`` — so a contended transfer
-  is one busy-until pass over its route plus one deferred row, booked at
-  issue in both kernels;
+  at ``max(now, busy_until) + serialization`` — and so is an HBM channel
+  (:func:`~repro.sim.noc.book_hbm_channel`, shared with the object
+  kernel), so a contended transfer is one busy-until pass over its route,
+  an HBM channel booking when it goes to or from the HBM, and one landing
+  row, queued when it enters the NoC in both kernels;
 * the chunks of one group that find a free DMA channel at issue enter the
   NoC at the same cycle, in adjacent rows of one bucket, so they travel
   as one ``OP_NOC_BURST`` row that carries their count and does the work
@@ -29,30 +31,30 @@ once, before the first event, into integer transition state consumed by
 The **legality rule** for compiling a lifecycle step: a step may be
 table-compiled only when its *successor and timing are fully determined at
 schedule time* from integer state (server finishes, credit grants and
-their FIFO cascades, chunk fan-outs, HBM round-robin picks — all
+their FIFO cascades, chunk fan-outs, HBM channel bookings — all
 deterministic given event order).  Steps whose continuation is an
-arbitrary closure stay callbacks and ride the engine's callback rows
-unchanged: external HBM feeds (their fetch → grant → deliver recursion is
-re-entrant through the credit queue, so the credit waiter queues hold
-*either* packed ints or callables).
+arbitrary closure stay plain engine callbacks: external HBM feeds (their
+fetch → grant → deliver recursion is re-entrant through the credit queue,
+so the credit waiter queues hold *either* packed ints or callables).
 
 Equivalence contract: every event this program schedules lands at the
 same simulated time, in the same bucket insertion position, as the object
 kernel's equivalent event — the compiled handlers replicate the object
 kernel's synchronous callback chains (server ``on_done``-then-dequeue
-order, credit FIFO grants, barrier arrivals, the ``written``-then-relay
-order of storage flows) statement for statement.  Three deliberate
-differences are in granularity only: the equal-size chunks of one burst
-share a single source-side communication record of ``duration * count``
-cycles where the object kernel records each chunk (the cluster totals are
-the same); one ``OP_NOC_BURST`` row stands for ``k`` adjacent
-NoC-entry events of the object kernel (so the table lane dispatches fewer
-events; nothing runs between adjacent entries of a bucket, so nothing can
-observe the difference); and one ``OP_BURST_LANDED`` row stands for the
-``k`` contended landings of a burst to an already-touched cluster, at the
-last landing's time and bucket position (the earlier landings only add to
-the destination's sums and running maxima, and cannot complete the flow;
-the lane keeps per-chunk landings while an observer is attached).  Tracer
+order, credit FIFO grants, output-barrier arrivals, the
+``written``-then-relay order of storage flows) statement for statement.
+Three deliberate differences are in granularity only: the equal-size
+chunks of one burst share a single source-side communication record of
+``duration * count`` cycles where the object kernel records each chunk
+(the cluster totals are the same); one ``OP_NOC_BURST`` row stands for
+``k`` adjacent NoC-entry events of the object kernel (so the table lane
+dispatches fewer events; nothing runs between adjacent entries of a
+bucket, so nothing can observe the difference); and one
+``OP_BURST_LANDED`` row stands for the ``k`` contended landings of a
+burst to an already-touched cluster or to the HBM, at the last landing's
+time and bucket position (the earlier landings only add to the
+destination's sums and running maxima, and cannot complete the flow; the
+lane keeps per-chunk landings while an observer is attached).  Tracer
 state that the fast-forward prober must see mid-run (aggregate counters,
 live :class:`~repro.sim.tracer.StageActivity`, stage completions) stays on
 the tracer.  Per-cluster and per-link activity is counted per *record
@@ -76,6 +78,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import SimulationError
 from .engine_table import K_OP_BASE, TableEngine
+from .noc import book_hbm_channel
 from .tracer import ClusterActivity
 from .workload import ENDPOINT_HBM, ENDPOINT_STAGE, ENDPOINT_STORAGE, chunk_groups
 
@@ -85,10 +88,8 @@ OP_DIGITAL_DONE = K_OP_BASE + 1  # arg: stage_slot * n_jobs + job
 OP_NOC_START = K_OP_BASE + 2  # arg: group_id * n_jobs + job (DMA done)
 OP_CHUNK_LANDED = K_OP_BASE + 3  # arg: group_id * n_jobs + job
 OP_FLOW_NULL = K_OP_BASE + 4  # arg: flow_id * n_jobs + job (zero-byte send)
-OP_HBM_ARRIVE = K_OP_BASE + 5  # arg: [pending, hop, target] barrier cell
-OP_CHAN_DONE = K_OP_BASE + 6  # arg: (channel, barrier cell)
-OP_NOC_BURST = K_OP_BASE + 7  # arg: k * burst_stride + group_id * n_jobs + job
-OP_BURST_LANDED = K_OP_BASE + 8  # arg: k * burst_stride + group_id * n_jobs + job
+OP_NOC_BURST = K_OP_BASE + 5  # arg: k * burst_stride + group_id * n_jobs + job
+OP_BURST_LANDED = K_OP_BASE + 6  # arg: k * burst_stride + group_id * n_jobs + job
 
 #: observer category of a stage-job record: ``key`` is the stage id,
 #: ``cycles`` the job's span from start to compute end, ``end`` the
@@ -351,12 +352,8 @@ class TableProgram:
         self._link_order: List[int] = []
         self._plans: Dict[Optional[int], Dict[Optional[int], _Plan]] = {}
         self._plan_list: List[_Plan] = []
-        # dense HBM channels (capacity-1 FIFO servers)
-        n_chan = sim.arch.hbm.n_channels
-        self._chan_busy = [0] * n_chan
-        self._chan_queue: List[deque] = [deque() for __ in range(n_chan)]
-        self._chan_busy_cycles = [0] * n_chan
-        self._hbm_next = 0
+        # per-channel free-at cycles of the HBM, kept as a heap
+        self._hbm_free_at = [0] * sim.arch.hbm.n_channels
         # per-cluster DMA channel free-at cycles, kept as heaps
         self._dma_slots: Dict[int, List[int]] = {}
         #: payload stride of the burst count in an OP_NOC_BURST row (one
@@ -512,8 +509,6 @@ class TableProgram:
                 self._op_noc_start,
                 self._op_chunk_landed,
                 self._op_flow_null,
-                self._op_hbm_arrive,
-                self._op_chan_done,
                 self._op_noc_burst,
                 self._op_burst_landed,
             )
@@ -1047,15 +1042,16 @@ class TableProgram:
         The same as ``k`` OP_NOC_START handlers run back to back, which is
         what ``k`` adjacent rows of one bucket do: each only adds to the
         counters, books the route (and an HBM channel) and schedules its
-        landing rows.  So the counters grow once by ``k`` times as much,
+        landing row.  So the counters grow once by ``k`` times as much,
         every link is booked once for ``k`` serialisations, and under
         contention burst ``i`` drains at ``start + i * ser``, where
         ``start`` is ``max(now, busy_until)`` over the route's links (a
-        route between two endpoints always has one).  The landing rows go
-        out in burst order, except that a contended cluster-to-cluster
+        route between two endpoints always has one), and lands one hop
+        later, or one hop after its HBM channel finishes if that is later.
+        The landing rows go out in burst order, except that a contended
         burst of ``k > 1`` lands as one OP_BURST_LANDED row at its last
-        landing when its destination is already touched and no observer
-        is attached.
+        landing when its destination is already touched (or is the HBM)
+        and no observer is attached.
         """
         tracer = self.tracer
         engine = self.engine
@@ -1094,25 +1090,38 @@ class TableProgram:
                     start = queued
             else:
                 busy_until[lid] = now + occupied
-        if plan.involves_hbm:
-            # 2-way barrier: links drained + HBM channel drained, then hop
-            hop = plan.hop
-            chan_cycles = group.chan_cycles
-            for i in range(1, k + 1):
-                pend = [2, hop, arg]
-                engine.sched_op(start + i * ser, OP_HBM_ARRIVE, pend)
-                self._chan_submit(chan_cycles, pend)
-        elif k > 1 and self.observer is None and self._cl_seen[group.dst]:
+        # chunk i drains the route at start + i * ser and, to or from the
+        # HBM, finishes on the channel it books now; it lands one hop after
+        # the later of the two, so its landing row is queued now
+        hop = plan.hop
+        dst = group.dst
+        if k > 1 and self.observer is None and (dst is None or self._cl_seen[dst]):
             # only the last landing can complete the flow, and the others
             # only add to the destination's sums and running maxima: one
-            # row at the last landing's time and bucket position does all
-            engine.defer_op(
-                start + k * ser, plan.hop, OP_BURST_LANDED, k * self._burst_stride + arg
-            )
-        else:
-            hop = plan.hop
+            # row at the last landing's time and bucket position does all.
+            # Drains and channel finishes both grow with i, so the last
+            # chunk lands last.
+            landed = start + k * ser
+            if plan.involves_hbm:
+                free_at = self._hbm_free_at
+                service = group.chan_cycles
+                for __ in range(k):
+                    finish = book_hbm_channel(free_at, now, service)
+                if finish > landed:
+                    landed = finish
+            engine.sched_op(landed + hop, OP_BURST_LANDED, k * self._burst_stride + arg)
+        elif plan.involves_hbm:
+            free_at = self._hbm_free_at
+            service = group.chan_cycles
             for i in range(1, k + 1):
-                engine.defer_op(start + i * ser, hop, OP_CHUNK_LANDED, arg)
+                drained = start + i * ser
+                finish = book_hbm_channel(free_at, now, service)
+                engine.sched_op(
+                    (finish if finish > drained else drained) + hop, OP_CHUNK_LANDED, arg
+                )
+        else:
+            for i in range(1, k + 1):
+                engine.sched_op(start + i * ser + hop, OP_CHUNK_LANDED, arg)
 
     def _op_chunk_landed(self, arg: int) -> None:
         nj = self._nj
@@ -1140,8 +1149,9 @@ class TableProgram:
 
         Does what the burst's ``k`` OP_CHUNK_LANDED handlers do together:
         ``_enter_noc`` folds a burst only when its destination is already
-        in the first-touch order and no observer is attached, so the
-        landings before the last leave nothing but sums and maxima.
+        in the first-touch order or is the HBM, and no observer is
+        attached, so the landings before the last leave nothing but sums
+        and maxima.
         """
         stride = self._burst_stride
         k = arg // stride
@@ -1149,10 +1159,12 @@ class TableProgram:
         nj = self._nj
         gid = arg // nj
         group = self.groups[gid]
-        # the destination is already touched: no first-touch work
+        # the destination is already touched (no first-touch work) or is
+        # the HBM, which has no delivery record
         source = group.delivery
-        source.count += k
-        source.last = self.engine._now
+        if source is not None:
+            source.count += k
+            source.last = self.engine._now
         flow = group.flow
         job = arg - gid * nj
         remaining = flow.pending[job] - k
@@ -1174,67 +1186,6 @@ class TableProgram:
         observe = self.observer
         if observe is not None:
             observe(cluster, "communication", cycles, end)
-
-    # ------------------------------------------------------------------ #
-    # HBM channels (dense capacity-1 FIFO servers)
-    # ------------------------------------------------------------------ #
-    def _pick_channel(self) -> int:
-        """Round-robin over channels, preferring idle ones (exact mirror)."""
-        busy = self._chan_busy
-        queues = self._chan_queue
-        n = len(busy)
-        start = self._hbm_next
-        for offset in range(n):
-            chan = (start + offset) % n
-            if busy[chan] == 0 and not queues[chan]:
-                self._hbm_next = (start + offset + 1) % n
-                return chan
-        # min(queue_length + in_service), first minimal in channel order
-        best = 0
-        load = busy[0] + len(queues[0])
-        for chan in range(1, n):
-            candidate = busy[chan] + len(queues[chan])
-            if candidate < load:
-                load = candidate
-                best = chan
-        self._hbm_next = (start + 1) % n
-        return best
-
-    def _chan_submit(self, duration: int, pend: list) -> None:
-        chan = self._pick_channel()
-        if self._chan_busy[chan] == 0 and not self._chan_queue[chan]:
-            self._chan_busy[chan] = 1
-            self._chan_busy_cycles[chan] += duration
-            engine = self.engine
-            engine.sched_op(engine._now + duration, OP_CHAN_DONE, (chan, pend))
-        else:
-            self._chan_queue[chan].append((duration, pend))
-
-    def _op_chan_done(self, arg: tuple) -> None:
-        chan, pend = arg
-        self._chan_busy[chan] -= 1
-        # Server._finish: completion callback first, then dequeue
-        self._op_hbm_arrive(pend)
-        if self._chan_busy[chan] == 0:
-            queue = self._chan_queue[chan]
-            if queue:
-                duration, pend2 = queue.popleft()
-                self._chan_busy[chan] = 1
-                self._chan_busy_cycles[chan] += duration
-                engine = self.engine
-                engine.sched_op(engine._now + duration, OP_CHAN_DONE, (chan, pend2))
-
-    def _op_hbm_arrive(self, pend: list) -> None:
-        """Barrier.arrive of the links+channel join of one HBM transfer."""
-        remaining = pend[0] - 1
-        pend[0] = remaining
-        if remaining == 0:
-            target = pend[2]
-            engine = self.engine
-            if type(target) is int:
-                engine.sched_op(engine._now + pend[1], OP_CHUNK_LANDED, target)
-            else:
-                engine.after(pend[1], target)
 
     # ------------------------------------------------------------------ #
     # Callback fallback: external feeds
@@ -1290,9 +1241,8 @@ class TableProgram:
         """Callback-continuation transfer over the dense link/channel state.
 
         Same timing and tracer updates as the compiled path, but the
-        completion is an arbitrary callable, delivered through the
-        engine's callback rows (and the HBM barrier cell's callable
-        target).
+        completion is an arbitrary callable, queued as a plain engine
+        callback at its landing cycle.
         """
         engine = self.engine
         tracer = self.tracer
@@ -1338,8 +1288,7 @@ class TableProgram:
             if end > drain:
                 drain = end
         if plan.involves_hbm:
-            pend = [2, plan.hop, on_done]
-            engine.sched_op(drain, OP_HBM_ARRIVE, pend)
-            self._chan_submit(serialization + hbm_extra, pend)
-        else:
-            engine.defer_at(drain, plan.hop, on_done)
+            finish = book_hbm_channel(self._hbm_free_at, now, serialization + hbm_extra)
+            if finish > drain:
+                drain = finish
+        engine.at(drain + plan.hop, on_done)

@@ -436,9 +436,9 @@ class TestDropIn:
 # --------------------------------------------------------------------------- #
 def _saved_events(bursts, folded):
     """Events the merged rows save against one row per chunk: ``k - 1``
-    per burst row, and ``2 * (k - 1)`` per folded landing (``k``
-    ``defer_op`` rows of two events each become one)."""
-    return sum(k - 1 for k, __ in bursts) + 2 * sum(k - 1 for k, __ in folded)
+    per burst row, and ``k - 1`` per folded landing (``k`` landing rows
+    of one event each become one)."""
+    return sum(k - 1 for k, __ in bursts) + sum(k - 1 for k, __ in folded)
 
 
 class TestBurstRows:

@@ -5,7 +5,10 @@ of one quantum, so that many events fall due on the same cycle, with
 chunked stage flows and residual relays of up to 40 chunks (more chunks
 than a cluster has DMA channels, so DMA queues).  A second generator adds
 digital clusters, digital slots and intra-stage partial-sum flows to such
-pipelines, so that stages share clusters.  Every draw is simulated on
+pipelines, so that stages share clusters.  A third arm draws the first
+generator's pipelines on an HBM controller with two channels: every draw
+fetches its input from the HBM and some relay a residual through it, so
+bursts contend for the earliest-free channel.  Every draw is simulated on
 both engines at buffer depths 1, 2 and 5, and the results are compared
 with ``repro.sim.result_mismatches``.  Run it from the repository root::
 
@@ -38,10 +41,17 @@ SEEDS = range(2500)
 #: the seeds :func:`digital_tie_workload` draws, disjoint from
 #: :data:`SEEDS`; about 20 s on the same container.
 DIGITAL_SEEDS = range(2500, 2900)
+#: the seeds :func:`tie_workload` draws on :data:`TWO_CHANNEL_ARCH`,
+#: disjoint from the other two ranges; about 15 s on the same container.
+TWO_CHANNEL_SEEDS = range(2900, 3300)
 #: the buffer depths every seed's pipeline is simulated at.
 BUFFER_DEPTHS = (1, 2, 5)
 #: the architecture every draw is mapped onto (64 clusters).
 ARCH = ArchConfig.scaled(64)
+#: :data:`ARCH` with a two-channel HBM controller.
+TWO_CHANNEL_ARCH = dataclasses.replace(
+    ARCH, hbm=dataclasses.replace(ARCH.hbm, n_channels=2)
+)
 #: the most chunks a flow moves per job (a cluster has 16 DMA channels).
 MAX_CHUNKS = 40
 
@@ -154,16 +164,16 @@ def digital_tie_workload(rng: random.Random) -> Workload:
     return dataclasses.replace(workload, stages=stages)
 
 
-def sweep(name, generator, seeds) -> int:
-    """Simulate every draw of ``generator`` on both engines; return the
-    number of diverging draws."""
+def sweep(name, generator, seeds, arch=ARCH) -> int:
+    """Simulate every draw of ``generator`` on both engines on ``arch``;
+    return the number of diverging draws."""
     began = time.perf_counter()
     diverged = 0
     for seed in seeds:
         workload = generator(random.Random(seed))
         for depth in BUFFER_DEPTHS:
-            python = simulate(ARCH, workload, True, depth, engine="python")
-            table = simulate(ARCH, workload, True, depth, engine="table")
+            python = simulate(arch, workload, True, depth, engine="python")
+            table = simulate(arch, workload, True, depth, engine="table")
             mismatches = result_mismatches(python, table)
             if mismatches:
                 diverged += 1
@@ -180,6 +190,9 @@ def sweep(name, generator, seeds) -> int:
 def main() -> int:
     diverged = sweep("tie sweep", tie_workload, SEEDS)
     diverged += sweep("digital tie sweep", digital_tie_workload, DIGITAL_SEEDS)
+    diverged += sweep(
+        "two-channel HBM tie sweep", tie_workload, TWO_CHANNEL_SEEDS, TWO_CHANNEL_ARCH
+    )
     return 1 if diverged else 0
 
 
