@@ -9,8 +9,9 @@ A cluster (Fig. 1A of the paper) contains:
 * a DMA engine for cluster-to-cluster and cluster-to-HBM transfers,
 * one IMA (nvAIMC accelerator) acting as a master on the TCDM interconnect.
 
-This module carries the static description; the timing behaviour is in
-:mod:`repro.sim.cluster_model`.
+This module carries the static description and its cost rules
+(:meth:`ClusterSpec.dma_cycles` and the like); the simulator kernels
+(:mod:`repro.sim.system`, :mod:`repro.sim.system_table`) charge them.
 """
 
 from __future__ import annotations

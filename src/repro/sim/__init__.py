@@ -1,6 +1,5 @@
 """Event-driven system simulator (the GVSOC substitute)."""
 
-from .cluster_model import ClusterModel, L1OverflowError
 from .compare import assert_results_identical, result_mismatches
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
 from .engine_table import K_TRANSFER_DRAIN, TableEngine
@@ -43,7 +42,6 @@ __all__ = [
     "BurstyArrivals",
     "CATEGORIES",
     "ClusterActivity",
-    "ClusterModel",
     "CreditStore",
     "DEFAULT_ENGINE",
     "DataFlow",
@@ -55,7 +53,6 @@ __all__ = [
     "IMAJob",
     "IMATimingModel",
     "K_TRANSFER_DRAIN",
-    "L1OverflowError",
     "NocModel",
     "PoissonArrivals",
     "SIMULATION_ENGINES",

@@ -75,12 +75,6 @@ def result_mismatches(
             (y.analog, y.digital, y.communication, y.synchronization,
              y.last_busy_cycle, y.jobs),
         )
-    _check(
-        out,
-        "tracer.stage_replica_groups",
-        dict(getattr(ta, "stage_replica_groups", {})),
-        dict(getattr(tb, "stage_replica_groups", {})),
-    )
     _check(out, "tracer.stages order", list(ta.stages), list(tb.stages))
     for sid in ta.stages:
         x = ta.stages[sid]

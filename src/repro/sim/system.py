@@ -79,7 +79,14 @@ from .workload import (
 #: event queued while its transfer was in flight, and with more than one
 #: HBM channel the pick rule changed, so every v5 payload is re-simulated
 #: once.
-SIMULATION_PAYLOAD_VERSION = 6
+#: Version 7: the replica-symmetry certification path is gone, so a
+#: contention-off run whose effective window exceeds the certification cap
+#: now refuses ``window-too-large`` before probing.  A stored v6
+#: fast-forward result may carry provenance this code no longer produces
+#: (engagement by that path, or a refusal reason that no longer exists),
+#: and the pickled tracer lost its per-stage replica-group field, so every
+#: v6 payload is re-simulated once.
+SIMULATION_PAYLOAD_VERSION = 7
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
 #: :class:`SystemSimulator`: the object kernel, kept as the readable
@@ -397,14 +404,8 @@ class _StageRuntime:
             else None
         )
         self._digital_groups = descriptor.digital_groups()
-        # register for per-stage statistics, with the replica-group shape
-        # the steady-state certifier folds completion traces by
-        sim.tracer.stage(
-            descriptor.stage_id,
-            descriptor.name,
-            replication=descriptor.replication,
-            digital_slots=descriptor.digital_slots,
-        )
+        # register for per-stage statistics
+        sim.tracer.stage(descriptor.stage_id, descriptor.name)
 
     # ------------------------------------------------------------------ #
     # Input side
@@ -929,12 +930,11 @@ def simulate(
 
     With ``fast_forward=True`` the steady-state fast-forward
     (:mod:`repro.sim.steady_state`) first probes a shortened run; when the
-    pipeline's event pattern is verifiably periodic — via the global
-    single-anchor certification or, on contention-free runs of wide
-    replica groups, the replica-symmetry certification — the remaining
+    pipeline's event pattern is verifiably periodic with a window of at
+    most :data:`~repro.sim.steady_state.MAX_WINDOW` jobs, the remaining
     jobs are extrapolated analytically.  The returned result is
-    bit-identical to the full run (asserted over the model zoo and the
-    FINAL mapping in ``tests/test_sim_fast_forward.py``) and carries
+    bit-identical to the full run (asserted over the model zoo in
+    ``tests/test_sim_fast_forward.py``) and carries
     ``fast_forwarded=True``.  When certification is refused the full
     event-driven run executes and the typed refusal is attached to the
     result (``fast_forward_refusal``), so ``fast_forward=True`` is always

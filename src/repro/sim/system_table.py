@@ -53,20 +53,18 @@ bucket, so nothing can observe the difference); and one
 ``OP_BURST_LANDED`` row stands for the ``k`` contended landings of a
 burst to an already-touched cluster or to the HBM, at the last landing's
 time and bucket position (the earlier landings only add to the
-destination's sums and running maxima, and cannot complete the flow; the
-lane keeps per-chunk landings while an observer is attached).  Tracer
-state that the fast-forward prober must see mid-run (aggregate counters,
-live :class:`~repro.sim.tracer.StageActivity`, stage completions) stays on
-the tracer.  Per-cluster and per-link activity is counted per *record
-source* — a :class:`_Source` for each analog replica, each digital group
-and the source and delivery side of each chunk group, and a route's
-booked cycles on its :class:`_Plan` — so a record touches one object, not
-every cluster and link it charges.  ``TableProgram._flush`` expands the
+destination's sums and running maxima, and cannot complete the flow).
+Tracer state that the fast-forward prober must see mid-run (aggregate
+counters, live :class:`~repro.sim.tracer.StageActivity`, stage
+completions) stays on the tracer.  Per-cluster and per-link activity is
+counted per *record source* — a :class:`_Source` for each analog
+replica, each digital group and the source and delivery side of each
+chunk group, and a route's booked cycles on its :class:`_Plan` — so a
+record touches one object, not every cluster and link it charges.  ``TableProgram._flush`` expands the
 counts made since the last flush into dense per-cluster and per-link
 arrays, which materialise into the tracer in first-touch order at
 :meth:`TableProgram.finalize` (``SystemSimulator.snapshot_activity``
-flushes, then reads the dense form mid-run).  :attr:`TableProgram.observer`
-streams every record, per cluster, as it is made.  Bit-identity against
+flushes, then reads the dense form mid-run).  Bit-identity against
 the object kernel is asserted by ``tests/test_sim_kernel_equivalence.py``.
 """
 
@@ -74,7 +72,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .engine import SimulationError
 from .engine_table import K_OP_BASE, TableEngine
@@ -90,11 +88,6 @@ OP_CHUNK_LANDED = K_OP_BASE + 3  # arg: group_id * n_jobs + job
 OP_FLOW_NULL = K_OP_BASE + 4  # arg: flow_id * n_jobs + job (zero-byte send)
 OP_NOC_BURST = K_OP_BASE + 5  # arg: k * burst_stride + group_id * n_jobs + job
 OP_BURST_LANDED = K_OP_BASE + 6  # arg: k * burst_stride + group_id * n_jobs + job
-
-#: observer category of a stage-job record: ``key`` is the stage id,
-#: ``cycles`` the job's span from start to compute end, ``end`` the
-#: compute end (see :attr:`TableProgram.observer`).
-STAGE_JOB = "stage-job"
 
 #: flow kinds.
 F_DIRECT = 0  # producer stage -> consumer stage (credit-gated)
@@ -359,17 +352,6 @@ class TableProgram:
         #: payload stride of the burst count in an OP_NOC_BURST row (one
         #: past the largest ``group_id * n_jobs + job``; set by build).
         self._burst_stride = 0
-        #: per-record observer: ``None`` (the default, read once per
-        #: handler) or ``observer(key, category, cycles, end)``, called at
-        #: the exact point of every record this lane makes — analog and
-        #: digital cluster records (``key`` the cluster, ``cycles`` the
-        #: busy cycles added, ``end`` the cycle the record ends at), source
-        #: DMA and delivery ``"communication"`` records (same fields), and
-        #: stage-job ends (category :data:`STAGE_JOB`).  Calls happen in
-        #: event order, so every ``(key, category, cycles)`` stream is in
-        #: the order the run made it.  While one is attached, every chunk
-        #: lands through its own row (no OP_BURST_LANDED fold).
-        self.observer: Optional[Callable[[int, str, int, int], None]] = None
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -433,12 +415,7 @@ class TableProgram:
             )
             self.stages.append(st)
             self._by_sid[desc.stage_id] = st
-            st.activity = self.tracer.stage(
-                desc.stage_id,
-                desc.name,
-                replication=desc.replication,
-                digital_slots=desc.digital_slots,
-            )
+            st.activity = self.tracer.stage(desc.stage_id, desc.name)
         # relay targets: (kind, label) -> consuming stage input
         relay: Dict[Tuple[str, str], Tuple[_CompiledStage, int]] = {}
         for st in self.stages:
@@ -816,10 +793,6 @@ class TableProgram:
                 self._touch(source)
             source.count += 1
             source.last = now
-            observe = self.observer
-            if observe is not None:
-                for cluster in source.clusters:
-                    observe(cluster, "analog", dur, now)
         intra = st.intra_flows
         if intra is not None:
             self._issue_flow(intra[job % st.repl], job)
@@ -858,10 +831,6 @@ class TableProgram:
                 self._touch(source)
             source.count += 1
             source.last = now
-            observe = self.observer
-            if observe is not None:
-                for cluster in source.clusters:
-                    observe(cluster, "digital", dur, now)
         self._after_compute(st, job, dur)
         if st.dg_wait and st.dg_busy < st.dslots:
             st.dg_busy += 1
@@ -879,9 +848,6 @@ class TableProgram:
             act.first_job_start = start
         if now > act.last_job_end:
             act.last_job_end = now
-        observe = self.observer
-        if observe is not None:
-            observe(st.sid, STAGE_JOB, now - start, now)
         # input credits released: producers may push the next chunk.  The
         # waiter queues hold packed ints (compiled flows) or callables
         # (external-feed grants) — CreditStore.release's FIFO drain.
@@ -985,7 +951,6 @@ class TableProgram:
         now = engine._now
         defer_op = engine.defer_op
         heapreplace = heapq.heapreplace
-        observe = self.observer
         for group in flow.groups:
             dur = group.dma_dur
             count = group.count
@@ -995,8 +960,6 @@ class TableProgram:
                 self._touch(source)
             source.count += count
             source.last = now + dur
-            if observe is not None:
-                observe(src, "communication", dur * count, now + dur)
             arg = group.gid * nj + job
             # the slot vector is kept as a heap: only the minimum free-at
             # value is observable (channels are interchangeable), so the
@@ -1050,8 +1013,7 @@ class TableProgram:
         later, or one hop after its HBM channel finishes if that is later.
         The landing rows go out in burst order, except that a contended
         burst of ``k > 1`` lands as one OP_BURST_LANDED row at its last
-        landing when its destination is already touched (or is the HBM)
-        and no observer is attached.
+        landing when its destination is already touched (or is the HBM).
         """
         tracer = self.tracer
         engine = self.engine
@@ -1095,7 +1057,7 @@ class TableProgram:
         # the later of the two, so its landing row is queued now
         hop = plan.hop
         dst = group.dst
-        if k > 1 and self.observer is None and (dst is None or self._cl_seen[dst]):
+        if k > 1 and (dst is None or self._cl_seen[dst]):
             # only the last landing can complete the flow, and the others
             # only add to the destination's sums and running maxima: one
             # row at the last landing's time and bucket position does all.
@@ -1133,10 +1095,7 @@ class TableProgram:
             if not source.count:
                 self._touch(source)
             source.count += 1
-            end = source.last = self.engine._now
-            observe = self.observer
-            if observe is not None:
-                observe(group.dst, "communication", group.comm_cycles, end)
+            source.last = self.engine._now
         flow = group.flow
         job = arg - gid * nj
         remaining = flow.pending[job] - 1
@@ -1149,9 +1108,8 @@ class TableProgram:
 
         Does what the burst's ``k`` OP_CHUNK_LANDED handlers do together:
         ``_enter_noc`` folds a burst only when its destination is already
-        in the first-touch order or is the HBM, and no observer is
-        attached, so the landings before the last leave nothing but sums
-        and maxima.
+        in the first-touch order or is the HBM, so the landings before the
+        last leave nothing but sums and maxima.
         """
         stride = self._burst_stride
         k = arg // stride
@@ -1183,9 +1141,6 @@ class TableProgram:
         if not self._cl_seen[cluster]:
             self._cl_seen[cluster] = 1
             self._cl_order.append(cluster)
-        observe = self.observer
-        if observe is not None:
-            observe(cluster, "communication", cycles, end)
 
     # ------------------------------------------------------------------ #
     # Callback fallback: external feeds

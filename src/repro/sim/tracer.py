@@ -104,12 +104,6 @@ class Tracer:
         #: Together with ``Workload.arrival_cycles`` this defines the
         #: request sojourn time; empty on closed-batch runs.
         self.request_completions: Dict[int, int] = {}
-        #: replica-group shape of each stage: stage_id -> (replication,
-        #: digital_slots).  Round-robin dispatch over these groups is what
-        #: makes per-stage completion traces periodic with an effective
-        #: window of lcm(replication, digital_slots); the steady-state
-        #: certifier folds traces by this metadata (replica symmetry).
-        self.stage_replica_groups: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Cluster activity
@@ -196,29 +190,13 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Stage activity
     # ------------------------------------------------------------------ #
-    def stage(
-        self,
-        stage_id: int,
-        name: str = "",
-        replication: Optional[int] = None,
-        digital_slots: Optional[int] = None,
-    ) -> StageActivity:
-        """Return (creating if needed) the activity record of a stage.
-
-        ``replication``/``digital_slots``, when provided by the engine at
-        stage registration, are stored in :attr:`stage_replica_groups` for
-        the replica-symmetry steady-state certifier.
-        """
+    def stage(self, stage_id: int, name: str = "") -> StageActivity:
+        """Return (creating if needed) the activity record of a stage."""
         if stage_id not in self.stages:
             self.stages[stage_id] = StageActivity(stage_id, name)
         record = self.stages[stage_id]
         if name and not record.name:
             record.name = name
-        if replication is not None and digital_slots is not None:
-            self.stage_replica_groups[stage_id] = (
-                int(replication),
-                int(digital_slots),
-            )
         return record
 
     def record_stage_job(

@@ -205,7 +205,7 @@ class TestStoreRobustness:
         """
         from repro.sim.system import SIMULATION_PAYLOAD_VERSION
 
-        assert SIMULATION_PAYLOAD_VERSION == 6  # landings queued at NoC entry
+        assert SIMULATION_PAYLOAD_VERSION == 7  # replica fast-forward path deleted
         store = ArtifactStore(tmp_path / "sim-payload-store")
         cache = ArtifactCache(store=store)
         graph, arch = TINY.build_graph(), TINY.build_arch()

@@ -1,4 +1,4 @@
-"""Kernel contract and record observer of the compiled table lane.
+"""Kernel contract of the compiled table lane.
 
 The table kernel (``engine="table"``, the default) compiles
 ``_StageRuntime``'s per-job lifecycle into integer transition tables
@@ -16,17 +16,10 @@ bit-identity against the object kernel lives in
   chunks of one group that find free DMA channels enter the NoC as one
   ``OP_NOC_BURST`` row, which saves ``k - 1`` events per burst of ``k``
   chunks and changes no observable;
-* the per-record observer of :class:`~repro.sim.system_table.TableProgram`:
-  on the synthetic, zoo and seeded randomized shapes an observed run stays
-  bit-identical to the object kernel, and the observed records add up to
-  the tracer's aggregates exactly;
 * the ``engine`` axis: two registered engines, ``table`` the default, and
   the retired ``"array"`` name rejected everywhere a user can spell it
   (per-engine cache keys are covered in the equivalence suite).
 """
-
-import random
-from collections import Counter, defaultdict
 
 import pytest
 
@@ -43,17 +36,9 @@ from repro.sim import (
 )
 from repro.sim.engine_table import K_OP_BASE
 from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
-from repro.sim.system_table import OP_NOC_BURST, OP_NOC_START, STAGE_JOB, TableProgram
+from repro.sim.system_table import OP_NOC_BURST, OP_NOC_START, TableProgram
 
-from test_sim_fast_forward import (
-    ARCH64,
-    SYNTHETIC,
-    ZOO,
-    _chain,
-    _chunked_chain,
-    _zoo_workload,
-)
-from test_sim_kernel_equivalence import _random_workload
+from test_sim_fast_forward import ARCH64, _chain, _chunked_chain
 
 
 # --------------------------------------------------------------------------- #
@@ -442,8 +427,7 @@ def _saved_events(bursts, folded):
 
 
 class TestBurstRows:
-    def _run(self, workload, model_contention, monkeypatch, per_chunk=False,
-             observer=None):
+    def _run(self, workload, model_contention, monkeypatch, per_chunk=False):
         """A table-lane run, its event count and the merged rows it dispatched.
 
         Returns ``(result, events, bursts, folded)``: ``bursts`` holds the
@@ -451,12 +435,10 @@ class TestBurstRows:
         ``folded`` the same of every OP_BURST_LANDED row.  ``per_chunk``
         expands each burst row into ``k`` adjacent OP_NOC_START rows where
         it is scheduled: the rows the lane scheduled before burst rows
-        existed, each of which lands through its own row.  ``observer`` is
-        attached to the program before the run.
+        existed, each of which lands through its own row.
         """
         simulator = SystemSimulator(ARCH64, workload, model_contention, engine="table")
         program = simulator._table
-        program.observer = observer
         bursts = []
         folded = []
         with monkeypatch.context() as patch:
@@ -527,20 +509,6 @@ class TestBurstRows:
         assert events == per_chunk_events - _saved_events(bursts, folded)
         assert result_mismatches(per_chunk, result) == []
 
-    def test_an_attached_observer_keeps_per_chunk_landings(self, monkeypatch):
-        workload = _chunked_chain(16)
-        records = []
-        result, events, bursts, folded = self._run(
-            workload, True, monkeypatch, observer=lambda *record: records.append(record)
-        )
-        per_chunk, per_chunk_events, __, __ = self._run(
-            workload, True, monkeypatch, per_chunk=True
-        )
-        assert bursts and folded == []
-        assert events == per_chunk_events - _saved_events(bursts, folded)
-        assert result_mismatches(per_chunk, result) == []
-        _assert_records_add_up(result, records)
-
     def test_a_burst_to_an_untouched_cluster_keeps_per_chunk_landings(self, monkeypatch):
         # the first job's bursts are the first traffic into the clusters of
         # stages 1 and 2, whose first-touch order the tracer keeps
@@ -552,122 +520,6 @@ class TestBurstRows:
         assert len(set(groups)) == 2 and jobs == (0, 0)
         python = simulate(ARCH64, workload, True, engine="python")
         assert result_mismatches(python, result) == []
-
-
-# --------------------------------------------------------------------------- #
-# The per-record observer of TableProgram
-# --------------------------------------------------------------------------- #
-#: observer categories whose ``end`` is the record's own dispatch time
-#: (source DMA records end ``duration`` cycles later, so "communication"
-#: is not among them).
-_STAMPED_NOW = ("analog", "digital", STAGE_JOB)
-
-
-def _observed(arch, workload, model_contention=True, buffer_depth=2):
-    """A table-lane run with a recording observer attached."""
-    simulator = SystemSimulator(
-        arch, workload, model_contention, buffer_depth, engine="table"
-    )
-    records = []
-    simulator._table.observer = lambda *record: records.append(record)
-    return simulator.run(), records
-
-
-def _assert_records_add_up(result, records):
-    """The observed records reproduce every tracer aggregate they feed."""
-    tracer = result.tracer
-    busy = defaultdict(Counter)
-    horizon = {}
-    analog_jobs = Counter()
-    stage_jobs = Counter()
-    stage_start, stage_end = {}, {}
-    clock = 0
-    for key, category, cycles, end in records:
-        if category in _STAMPED_NOW:
-            # records arrive in event order, so dispatch times never rewind
-            assert end >= clock
-            clock = end
-        if category == STAGE_JOB:
-            stage_jobs[key] += 1
-            start = end - cycles
-            stage_start[key] = min(stage_start.get(key, start), start)
-            stage_end[key] = max(stage_end.get(key, end), end)
-            continue
-        busy[key][category] += cycles
-        horizon[key] = max(horizon.get(key, 0), end)
-        if category == "analog":
-            analog_jobs[key] += 1
-    assert set(busy) == set(tracer.clusters)
-    for cid, act in tracer.clusters.items():
-        assert (act.analog, act.digital, act.communication, act.jobs) == (
-            busy[cid]["analog"], busy[cid]["digital"],
-            busy[cid]["communication"], analog_jobs[cid],
-        ), cid
-        assert act.last_busy_cycle == horizon[cid], cid
-    for sid, rec in tracer.stages.items():
-        assert stage_jobs[sid] == rec.jobs_completed, sid
-        assert (stage_start[sid], stage_end[sid]) == (
-            rec.first_job_start, rec.last_job_end,
-        ), sid
-
-
-class TestObserverKnownShapes:
-    @pytest.mark.parametrize(
-        "name,workload,_must_engage",
-        SYNTHETIC,
-        ids=[case[0] for case in SYNTHETIC],
-    )
-    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
-    def test_synthetic_pipelines_observed(self, name, workload, _must_engage,
-                                          model_contention):
-        python = simulate(ARCH64, workload, model_contention, engine="python")
-        table, records = _observed(ARCH64, workload, model_contention)
-        assert result_mismatches(python, table) == []
-        _assert_records_add_up(table, records)
-
-    @pytest.mark.parametrize(
-        "name,model,shape,level,batch,clusters,classes,crossbar,_must_engage",
-        ZOO,
-        ids=[case[0] for case in ZOO],
-    )
-    def test_zoo_mappings_observed(
-        self, name, model, shape, level, batch, clusters, classes, crossbar,
-        _must_engage,
-    ):
-        arch, workload = _zoo_workload(
-            model, shape, level, batch, clusters, classes, crossbar
-        )
-        python = simulate(arch, workload, engine="python")
-        table, records = _observed(arch, workload)
-        assert result_mismatches(python, table) == []
-        _assert_records_add_up(table, records)
-
-    def test_attached_observer_leaves_the_payload_unchanged(self):
-        arch, workload = _zoo_workload("tiny_cnn", (3, 32, 32), "final", 16, 16, 10, 128)
-        detached = simulate(arch, workload, engine="table")
-        observed, records = _observed(arch, workload)
-        assert records
-        assert result_mismatches(detached, observed) == []
-        detached_payload = detached.to_payload()
-        observed_payload = observed.to_payload()
-        assert type(detached_payload.pop("tracer")) is type(observed_payload.pop("tracer"))
-        assert detached_payload == observed_payload
-
-
-class TestObserverRandomized:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_pipelines_observed(self, seed):
-        rng = random.Random(1000 + seed)
-        workload = _random_workload(rng)
-        model_contention = rng.random() < 0.7
-        buffer_depth = rng.choice([1, 2, 5])
-        python = simulate(
-            ARCH64, workload, model_contention, buffer_depth, engine="python"
-        )
-        table, records = _observed(ARCH64, workload, model_contention, buffer_depth)
-        mismatches = result_mismatches(python, table)
-        assert mismatches == [], f"seed {seed}: {mismatches}"
-        _assert_records_add_up(table, records)
 
 
 # --------------------------------------------------------------------------- #

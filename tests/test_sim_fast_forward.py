@@ -37,6 +37,7 @@ from repro.sim import steady_state
 from repro.sim.steady_state import (
     MAX_WINDOW,
     MIN_JOBS,
+    REFUSAL_NON_PERIODIC,
     REFUSAL_OPEN_WORKLOAD,
     REFUSAL_PROBE_TOO_SHORT,
     REFUSAL_REPLICAS_SHARE_CLUSTERS,
@@ -307,6 +308,21 @@ class TestSyntheticPipelines:
         )
 
 
+@pytest.fixture
+def probe_events(monkeypatch):
+    """Events each fast-forward probe dispatches, in probe order."""
+    events = []
+
+    class RecordingProbe(steady_state._ProbeSimulator):
+        def run(self):
+            result = super().run()
+            events.append(self.engine.events_processed)
+            return result
+
+    monkeypatch.setattr(steady_state, "_ProbeSimulator", RecordingProbe)
+    return events
+
+
 # --------------------------------------------------------------------------- #
 # Model zoo: real lowered mappings
 # --------------------------------------------------------------------------- #
@@ -337,17 +353,8 @@ class TestModelZoo:
     )
     def test_fast_forward_matches_full_run(
         self, name, model, shape, level, batch, clusters, classes, crossbar,
-        must_engage, engine, monkeypatch,
+        must_engage, engine, probe_events,
     ):
-        probe_events = []
-
-        class RecordingProbe(steady_state._ProbeSimulator):
-            def run(self):
-                result = super().run()
-                probe_events.append(self.engine.events_processed)
-                return result
-
-        monkeypatch.setattr(steady_state, "_ProbeSimulator", RecordingProbe)
         arch, workload = _zoo_workload(
             model, shape, level, batch, clusters, classes, crossbar
         )
@@ -365,6 +372,55 @@ class TestModelZoo:
 
 
 # --------------------------------------------------------------------------- #
+# Coverage: outcome, exactness and probe cost on real mappings
+# --------------------------------------------------------------------------- #
+ENGAGED = "engaged"
+BEFORE_PROBING = "refused before probing"
+AFTER_PROBING = "refused after probing"
+
+#: (model, input shape, level) at batch 64 on the paper's 512 clusters ->
+#: the fast-forward outcome and refusal reason, the same with contention
+#: on and off.
+COVERAGE = {
+    ("resnet34", (3, 64, 64), "replicated"): (AFTER_PROBING, REFUSAL_NON_PERIODIC),
+    ("resnet34", (3, 64, 64), "final"): (AFTER_PROBING, REFUSAL_NON_PERIODIC),
+    ("mobilenet_v2", (3, 64, 64), "naive"): (AFTER_PROBING, REFUSAL_NON_PERIODIC),
+    ("resnet18", (3, 64, 64), "naive"): (ENGAGED, None),
+    ("resnet18", (3, 64, 64), "final"): (BEFORE_PROBING, REFUSAL_WINDOW_TOO_LARGE),
+    ("tiny_cnn", (3, 32, 32), "naive"): (AFTER_PROBING, REFUSAL_NON_PERIODIC),
+    ("linear_cnn", (3, 32, 32), "naive"): (ENGAGED, None),
+}
+
+
+class TestCoverage:
+    """A fast-forward attempt's probes cost at most half the full run.
+
+    On each point, in both contention modes, the outcome matches the
+    table, the result matches the full run, and the probes dispatch at
+    most half of the full run's events, whether they certify or not.
+    """
+
+    @pytest.mark.parametrize("contention", [True, False], ids=["cont", "nocont"])
+    @pytest.mark.parametrize(
+        "point", list(COVERAGE), ids=lambda p: f"{p[0]}-{p[1][1]}px-{p[2]}"
+    )
+    def test_outcome_exactness_and_probe_cost(self, point, contention, probe_events):
+        model, shape, level = point
+        arch, workload = _zoo_workload(model, shape, level, 64, 512)
+        full_run = SystemSimulator(arch, workload, model_contention=contention)
+        full = full_run.run()
+        ff = simulate(arch, workload, model_contention=contention, fast_forward=True)
+        refusal = ff.fast_forward_refusal
+        if ff.fast_forwarded:
+            outcome = (ENGAGED, None)
+        else:
+            outcome = (AFTER_PROBING if probe_events else BEFORE_PROBING, refusal.reason)
+        assert outcome == COVERAGE[point]
+        assert result_mismatches(full, ff, ignore_provenance=True) == []
+        assert 2 * sum(probe_events) <= full_run.engine.events_processed
+
+
+# --------------------------------------------------------------------------- #
 # The paper's headline workload: FINAL ResNet-18, 256-job macro
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
@@ -373,41 +429,26 @@ def final_macro():
     return _zoo_workload("resnet18", (3, 256, 256), "final", 64, 512)
 
 
-@pytest.fixture(scope="module")
-def final_macro_events(final_macro):
-    """Events a full contention-free table-lane run of the FINAL macro dispatches."""
-    arch, workload = final_macro
-    simulator = SystemSimulator(arch, workload, model_contention=False, engine="table")
-    simulator.run()
-    return simulator.engine.events_processed
-
-
 class TestFinalMapping:
-    """Replica-symmetry certification on the mapping the tentpole targets.
+    """The paper's headline mapping refuses before probing, in both modes.
 
-    The FINAL mapping's 33/9/3-way stage replications exceed the global
-    certification cap, so engagement here exercises the replica path:
-    per-stage anchors, merged-family certification and the exact integer
-    extrapolation — asserted bit-identical on every registered engine.
+    The FINAL mapping's 33/9/3-way stage replications exceed the
+    certification cap, so no window can certify: the refusal is typed and
+    the full run it falls back to is asserted bit-identical on every
+    registered engine.
     """
 
     @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
-    def test_engages_and_is_bit_identical(
-        self, final_macro, final_macro_events, engine, monkeypatch
+    def test_refuses_before_probing_and_is_bit_identical(
+        self, final_macro, engine, monkeypatch
     ):
-        probe_engines = []
-        probe_events = []
-
-        class RecordingProbe(steady_state._ReplicaProbeSimulator):
-            def run(self):
-                probe_engines.append(self.engine_kind)
-                result = super().run()
-                probe_events.append(self.engine.events_processed)
-                return result
-
-        monkeypatch.setattr(steady_state, "_ReplicaProbeSimulator", RecordingProbe)
         arch, workload = final_macro
         full = simulate(arch, workload, engine=engine, model_contention=False)
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(steady_state, "_run_probe", no_probe)
         ff = simulate(
             arch,
             workload,
@@ -415,14 +456,10 @@ class TestFinalMapping:
             model_contention=False,
             fast_forward=True,
         )
-        assert ff.fast_forwarded, (
-            f"{engine}: refused: {ff.fast_forward_refusal}"
-        )
+        refusal = ff.fast_forward_refusal
+        assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
+        assert "refused before probing" in refusal.probes[0]
         assert not result_mismatches(full, ff, ignore_provenance=True)
-        # the replica probe runs on the table lane whatever the caller's engine
-        assert probe_engines == ["table"]
-        # ... and dispatches at most a third of a full table-lane run's events
-        assert 3 * probe_events[0] <= final_macro_events
 
     def test_contention_refusal_is_typed(self, final_macro):
         arch, workload = final_macro
@@ -440,7 +477,6 @@ class TestFinalMapping:
             raise AssertionError("a probe ran")
 
         monkeypatch.setattr(steady_state, "_run_probe", no_probe)
-        monkeypatch.setattr(steady_state, "_ReplicaProbeSimulator", no_probe)
         arch, workload = final_macro
         refusal = fast_forward_simulate(arch, workload)  # contention on
         assert isinstance(refusal, FastForwardRefusal)
@@ -469,8 +505,7 @@ class TestRefusalTaxonomy:
         assert refusal.reason == REFUSAL_OPEN_WORKLOAD
 
     def test_wide_replicas_under_contention_refuse_before_probing(self):
-        # replication 13 exceeds MAX_WINDOW: under contention the replica
-        # path is unavailable and no global window can certify, so the
+        # replication 13 exceeds MAX_WINDOW: no window can certify, so the
         # refusal is typed and traceable without paying for a probe.
         workload = _chain(n_jobs=96, replication=13)
         refusal = fast_forward_simulate(ARCH64, workload, model_contention=True)
@@ -478,8 +513,8 @@ class TestRefusalTaxonomy:
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
         assert "13 analog replicas" in refusal.detail
         assert refusal.probes == (
-            f"refused before probing: stages [0, 1, 2, 3] are replicated "
-            f"beyond MAX_WINDOW={MAX_WINDOW} under contention",
+            f"refused before probing: stages [0, 1, 2, 3] have effective "
+            f"windows beyond MAX_WINDOW={MAX_WINDOW}",
         )
 
     def test_wide_replicas_sharing_clusters_refuse_before_probing(self):
@@ -511,7 +546,6 @@ class TestRefusalTaxonomy:
             raise AssertionError("a probe ran")
 
         monkeypatch.setattr(steady_state, "_run_probe", no_probe)
-        monkeypatch.setattr(steady_state, "_ReplicaProbeSimulator", no_probe)
         ff = simulate(ARCH64, workload, model_contention=contention, fast_forward=True)
         refusal = ff.fast_forward_refusal
         assert refusal.reason == REFUSAL_REPLICAS_SHARE_CLUSTERS
@@ -543,11 +577,11 @@ class TestRefusalTaxonomy:
         probed = steady_state._global_fast_forward(arch, workload, True, 2, "table", [])
         assert probed is None
 
-    def test_wide_lcm_window_under_contention_records_rejected_windows(self):
+    @pytest.mark.parametrize("contention", [True, False])
+    def test_wide_lcm_window_refuses_before_probing(self, contention, monkeypatch):
         # replication 4 with 5 digital slots: each shape fits MAX_WINDOW
-        # but their lcm (20) does not.  Several slots may share a cluster,
-        # so a shorter window could still certify: the global path probes,
-        # and the refusal must carry the candidate windows it rejected.
+        # but their lcm (20) does not.  The rule refuses on the lcm, in
+        # both contention modes, without paying for a probe.
         workload = _chain(n_jobs=96, replication=4)
         stages = list(workload.stages)
         stages[1] = dataclasses.replace(
@@ -561,11 +595,19 @@ class TestRefusalTaxonomy:
             ),
         )
         workload = dataclasses.replace(workload, stages=tuple(stages))
-        refusal = fast_forward_simulate(ARCH64, workload, model_contention=True)
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(steady_state, "_run_probe", no_probe)
+        refusal = fast_forward_simulate(ARCH64, workload, model_contention=contention)
         assert isinstance(refusal, FastForwardRefusal)
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
-        assert "effective replica window 20" in refusal.detail
-        assert any("rejected" in line for line in refusal.probes)
+        assert "an effective window of 20 jobs" in refusal.detail
+        assert refusal.probes == (
+            f"refused before probing: stages [1] have effective windows "
+            f"beyond MAX_WINDOW={MAX_WINDOW}",
+        )
 
     def test_probe_escalation_is_logged(self, caplog):
         # window 5 never divides the first probe's remaining job count, so
@@ -588,7 +630,7 @@ class TestRefusalTaxonomy:
 
 
 # --------------------------------------------------------------------------- #
-# Replica-permutation invariance (the symmetry the replica path rests on)
+# Replica-permutation invariance
 # --------------------------------------------------------------------------- #
 def _permute_replicas(workload: Workload, seed: int) -> Workload:
     """Shuffle the replica order of every stage with a seeded RNG."""
@@ -606,11 +648,11 @@ def _permute_replicas(workload: Workload, seed: int) -> Workload:
 class TestReplicaPermutationInvariance:
     """Permuting replica ids must not break cross-engine bit-identity.
 
-    The replica-symmetry certification treats a stage's replicas as
-    timing-interchangeable under round-robin dispatch; that assumption is
-    only sound if every engine handles an arbitrary replica order
-    identically.  A seeded shuffle of each stage's replica tuple must
-    leave ``result_mismatches`` empty across both engines.
+    Both engines round-robin a stage's jobs over its replicas in tuple
+    order, and nothing else may depend on which cluster ids a replica
+    holds.  A seeded shuffle of each stage's replica tuple must leave
+    ``result_mismatches`` empty across both engines, and the fast-forward
+    exact.
     """
 
     @pytest.mark.parametrize("seed", [0, 7, 2023])

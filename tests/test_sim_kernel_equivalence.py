@@ -432,19 +432,15 @@ class _SnapshotSimulator(SystemSimulator):
     """Takes ``snapshot_activity()`` where the fast-forward prober does
     (``steady_state._ProbeSimulator``): at every final-stage completion.
 
-    ``observe`` attaches a no-op record observer to the table lane, which
-    keeps every chunk landing in its own row.  ``every_stage`` instead
-    snapshots twice at every stage's completions and keeps nothing.
+    ``every_stage`` instead snapshots twice at every stage's completions
+    and keeps nothing.
     """
 
-    def __init__(self, arch, workload, model_contention, engine, observe=False,
-                 every_stage=False):
+    def __init__(self, arch, workload, model_contention, engine, every_stage=False):
         super().__init__(arch, workload, model_contention, engine=engine)
         self._final_stage_id = workload.final_stage().stage_id
         self._every_stage = every_stage
         self.snapshots = []
-        if observe:
-            self._table.observer = lambda *record: None
 
     def job_finished(self, stage_id, job_index):
         super().job_finished(stage_id, job_index)
@@ -504,20 +500,16 @@ class TestMidRunSnapshots:
     def test_snapshots_match_the_object_kernel(self, name, model_contention):
         arch, workload = _case(name)
         streams = {}
-        for engine, observe in (("python", False), ("table", True), ("table", False)):
-            simulator = _SnapshotSimulator(
-                arch, workload, model_contention, engine, observe=observe
-            )
+        for engine in ("python", "table"):
+            simulator = _SnapshotSimulator(arch, workload, model_contention, engine)
             simulator.run()
-            streams[engine, observe] = simulator.snapshots
-        python = streams["python", False]
+            streams[engine] = simulator.snapshots
+        python = streams["python"]
         assert len(python) == workload.n_jobs
-        # an attached observer keeps every landing in its own row
-        assert streams["table", True] == python
         if (name, model_contention) in FOLDS_IN_FLIGHT:
-            _assert_only_landings_lag(python, streams["table", False])
+            _assert_only_landings_lag(python, streams["table"])
         else:
-            assert streams["table", False] == python
+            assert streams["table"] == python
 
     @pytest.mark.parametrize(
         "name", [case[0] for case in SYNTHETIC] + ["resnet18-naive"]

@@ -1,14 +1,12 @@
-"""Tests for the NoC, IMA, cluster and tracer models."""
+"""Tests for the NoC, IMA and tracer models."""
 
 import pytest
 
 from repro.arch import ArchConfig, ClusterSpec
 from repro.sim import (
-    ClusterModel,
     Engine,
     IMAJob,
     IMATimingModel,
-    L1OverflowError,
     NocModel,
     Tracer,
     TransferRequest,
@@ -57,53 +55,6 @@ class TestIMATiming:
             IMAJob(n_mvms=-1, rows_used=1, cols_used=1)
         with pytest.raises(ValueError):
             IMAJob(n_mvms=1, rows_used=0, cols_used=1)
-
-
-class TestClusterModel:
-    def _cluster(self):
-        engine = Engine()
-        tracer = Tracer()
-        return engine, ClusterModel(engine, 0, ClusterSpec(), tracer=tracer)
-
-    def test_analog_job_records_activity(self):
-        engine, cluster = self._cluster()
-        done = []
-        job = IMAJob(n_mvms=10, rows_used=256, cols_used=256)
-        cluster.run_analog_job(job, lambda: done.append(engine.now))
-        engine.run()
-        assert done
-        assert cluster.tracer.clusters[0].analog > 0
-        assert cluster.tracer.clusters[0].jobs == 1
-
-    def test_digital_kernel_records_activity(self):
-        engine, cluster = self._cluster()
-        cluster.run_digital_kernel(10_000, lambda: None)
-        engine.run()
-        assert cluster.tracer.clusters[0].digital > 0
-
-    def test_reduction_kernel_slower_with_more_operands(self):
-        engine, cluster = self._cluster()
-        few = cluster.run_digital_kernel(30_000, lambda: None, reduction_operands=2)
-        many = cluster.run_digital_kernel(30_000, lambda: None, reduction_operands=16)
-        assert many >= few
-
-    def test_dma_cycles_and_activity(self):
-        engine, cluster = self._cluster()
-        cycles = cluster.run_dma(64 * 100, lambda: None)
-        assert cycles == cluster.spec.cores.dma_config_cycles + 100
-        engine.run()
-        assert cluster.tracer.clusters[0].communication > 0
-
-    def test_l1_allocation_and_overflow(self):
-        __, cluster = self._cluster()
-        cluster.allocate_l1(512 * 1024)
-        assert cluster.l1_free == 512 * 1024
-        with pytest.raises(L1OverflowError):
-            cluster.allocate_l1(600 * 1024)
-        cluster.free_l1(512 * 1024)
-        assert cluster.l1_allocated == 0
-        with pytest.raises(Exception):
-            cluster.free_l1(1)
 
 
 class TestNocModel:

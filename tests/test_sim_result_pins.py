@@ -28,31 +28,31 @@ from test_sim_fast_forward import _zoo_workload
 #: run on the paper's 512 clusters with 256-wide crossbars.
 PINNED_RESULTS = {
     ("resnet18", (3, 64, 64), "pipelined", 16, None): (
-        "790324f4a572ce8add6057bfd363c637d9dd7bd579262c8dd3a7cc89007a69b2"
+        "c7d82804ecce1794b33bbd830dbcbf889bbdd7e29112e6b83d281248e10bb364"
     ),
     ("resnet34", (3, 64, 64), "pipelined", 16, None): (
-        "1fa472f2514c94404f286a31af18244324ebe2ea56dd4044c38d8c2bad21ffed"
+        "1490e458ee7fdb245f32ffb97d7cc8b66daff77a21b8446d268112543a948f36"
     ),
     ("mobilenet_v2", (3, 64, 64), "pipelined", 16, None): (
-        "22fd42f78a4eb37f144b16824972fe8fc0d94a851fadeb3ac45a02b767024434"
+        "bab6754bc923122e3af4e85e2110183866c16d491147fdf0a557e7283b2baf49"
     ),
     ("resnet18", (3, 128, 128), "naive", 16, None): (
-        "d922df5a9d4b04efa360fc04fe14d08f77ed877659de1a8d69227aaa06a135fb"
+        "7585442a6dc8285b99833a68d84f5f932172a5e1560381d02128f5cc6b651c94"
     ),
     ("resnet18", (3, 128, 128), "replicated", 16, None): (
-        "3dcc780a5e611d3cd08df05ba6a2d922ded78da735e75a4ca724d0d9d73f55fe"
+        "bfee5e85ffc4fb700d71826f02bdd4982585cf533735a59d5d815263c68c77da"
     ),
     ("tiny_cnn", (3, 32, 32), "naive", 64, 10): (
-        "2468193611a6940a7a3f8a3eb78767fd0b207d47092f8c27e225db86b1c2f467"
+        "3af16a06aca0b3e072c068c152ae58f49ba7c6135270b5507faf3287c1111742"
     ),
     ("linear_cnn", (3, 32, 32), "naive", 64, 10): (
-        "2208faf54e96ed0f9dbab552912c17078b09c81bd08db485d3c1f34478f90328"
+        "47d8afa80609f1c253859aacddbfc7ac32a654855fe3f639013478cbe5387c44"
     ),
     # the stage completion traces of this point move when a queued DMA
     # burst enters the NoC at an event booked at issue instead of through
     # the deferral booked at the channel's free cycle
     ("resnet34", (3, 64, 64), "replicated", 64, None): (
-        "4995927763cb85b710bffb1f58a80e3e3f7a1cafaafc666d14c2d932ec1b328f"
+        "7eb6a070d8a9eca211d337f355283ef6f9fb2ce84e8b06abcc1187070ad9d468"
     ),
 }
 
@@ -78,7 +78,6 @@ def result_digest(result) -> str:
              x.last_busy_cycle, x.jobs)
             for cid, x in tracer.clusters.items()
         ],
-        list(tracer.stage_replica_groups.items()),
         [
             (sid, x.name, x.jobs_completed, x.analog_busy, x.digital_busy,
              x.input_stall, x.output_stall, x.first_job_start, x.last_job_end)
