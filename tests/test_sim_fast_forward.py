@@ -264,6 +264,12 @@ SYNTHETIC = [
     ("below-min-jobs", _chain(n_jobs=MIN_JOBS - 1), False),
 ]
 
+#: SYNTHETIC rows that never settle without contention: their first stages
+#: complete a job every 448 cycles while the final stage alternates 448
+#: and 462, so the upstream stages run ahead for the whole run and no
+#: window certifies.
+UNSETTLED_WITHOUT_CONTENTION = {"plain", "odd-job-count", "residual-storage"}
+
 
 class TestSyntheticPipelines:
     @pytest.mark.parametrize(
@@ -276,6 +282,23 @@ class TestSyntheticPipelines:
         ff = simulate(ARCH64, workload, fast_forward=True)
         assert not full.fast_forwarded
         if must_engage:
+            assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
+        assert_identical(full, ff)
+
+    @pytest.mark.parametrize(
+        "name,workload,must_engage",
+        SYNTHETIC,
+        ids=[case[0] for case in SYNTHETIC],
+    )
+    def test_fast_forward_without_contention_is_bit_identical(
+        self, name, workload, must_engage
+    ):
+        """Contention-off runs take the same probe-and-certify path."""
+        full = simulate(ARCH64, workload, model_contention=False)
+        ff = simulate(ARCH64, workload, model_contention=False, fast_forward=True)
+        if name in UNSETTLED_WITHOUT_CONTENTION:
+            assert ff.fast_forward_refusal.reason == REFUSAL_NON_PERIODIC
+        elif must_engage:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert_identical(full, ff)
 
@@ -361,6 +384,35 @@ class TestModelZoo:
         full_run = SystemSimulator(arch, workload, engine=engine)
         full = full_run.run()
         ff = simulate(arch, workload, fast_forward=True, engine=engine)
+        if must_engage:
+            assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
+        assert_identical(full, ff)
+        if name in MAX_PROBE_SHARE:
+            assert probe_events
+            assert sum(probe_events) <= (
+                MAX_PROBE_SHARE[name] * full_run.engine.events_processed
+            )
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    @pytest.mark.parametrize(
+        "name,model,shape,level,batch,clusters,classes,crossbar,must_engage",
+        ZOO,
+        ids=[case[0] for case in ZOO],
+    )
+    def test_fast_forward_without_contention_matches_full_run(
+        self, name, model, shape, level, batch, clusters, classes, crossbar,
+        must_engage, engine, probe_events,
+    ):
+        """Without contention the same global probe certifies each mapping,
+        the naive ones at the paper's input size included."""
+        arch, workload = _zoo_workload(
+            model, shape, level, batch, clusters, classes, crossbar
+        )
+        full_run = SystemSimulator(arch, workload, model_contention=False, engine=engine)
+        full = full_run.run()
+        ff = simulate(
+            arch, workload, model_contention=False, fast_forward=True, engine=engine
+        )
         if must_engage:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert_identical(full, ff)

@@ -27,8 +27,9 @@ Three layers of coverage:
   unanticipated shape shows up here first (and reproducibly);
 * the fast-forward path on top of both kernels, whose shortened probe
   runs feed the certifier mid-run snapshots from each kernel's own state,
-  and those mid-run snapshots themselves, compared across the kernels at
-  every final-stage completion.
+  on the known shapes and on seeded random pipelines long enough to probe
+  in both contention modes, and those mid-run snapshots themselves,
+  compared across the kernels at every final-stage completion.
 """
 
 import importlib.util
@@ -423,6 +424,28 @@ class TestBoundedRunEquivalence:
         table = simulate(ARCH64, workload, fast_forward=True, engine="table")
         assert python.fast_forwarded and table.fast_forwarded
         assert result_mismatches(python, table) == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pipelines_on_each_kernel(self, seed):
+        """On each kernel, in both contention modes, the fast-forward of a
+        random pipeline long enough to probe reproduces the full run, and
+        both kernels reach the same outcome through the same probes."""
+        rng = random.Random(1000 + seed)
+        workload = _random_workload(rng).with_n_jobs(rng.choice([48, 61, 96, 120]))
+        buffer_depth = rng.choice([1, 2, 5])
+        for model_contention in (True, False):
+            ff = {}
+            for engine in SIMULATION_ENGINES:
+                full = simulate(
+                    ARCH64, workload, model_contention, buffer_depth, engine=engine
+                )
+                ff[engine] = simulate(
+                    ARCH64, workload, model_contention, buffer_depth,
+                    engine=engine, fast_forward=True,
+                )
+                mismatches = result_mismatches(full, ff[engine], ignore_provenance=True)
+                assert mismatches == [], f"seed {seed} {engine}: {mismatches}"
+            assert result_mismatches(ff["python"], ff["table"]) == [], f"seed {seed}"
 
 
 # --------------------------------------------------------------------------- #
