@@ -412,7 +412,7 @@ def assign_groups(graph: Graph) -> Dict[int, int]:
     topological order of their first occurrence, and the input node itself
     belongs to no group (-1).
     """
-    graph.infer_shapes()
+    graph.ensure_shapes()
     groups: Dict[int, int] = {}
     shape_to_group: Dict[TensorShape, int] = {}
     next_group = 0
@@ -443,7 +443,7 @@ def build_mapping(
     replication/parallelisation factors do not fit the system.
     """
     options = options if options is not None else MappingOptions()
-    graph.infer_shapes()
+    graph.ensure_shapes()
     if tiling is None:
         tiling = TilingPlan.choose(graph, arch.cluster, options.batch_size)
     groups = assign_groups(graph)

@@ -71,7 +71,7 @@ class MappingOptimizer:
     max_replication: int = 64
 
     def __post_init__(self) -> None:
-        self.graph.infer_shapes()
+        self.graph.ensure_shapes()
         self._tiling = TilingPlan.choose(self.graph, self.arch.cluster, self.batch_size)
         self._balance: Optional[BalanceResult] = None
 

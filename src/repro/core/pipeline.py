@@ -69,7 +69,7 @@ def lower_to_workload(
 ) -> Workload:
     """Convert a network mapping into a simulator workload."""
     graph = mapping.graph
-    graph.infer_shapes()
+    graph.ensure_shapes()
     tiling = mapping.tiling
     arch = mapping.arch
     residuals = mapping.residuals

@@ -81,7 +81,7 @@ class BalanceResult:
 
 def naive_cluster_count(graph: Graph, arch: ArchConfig) -> int:
     """Clusters needed by the naive mapping (replication/parallelisation = 1)."""
-    graph.infer_shapes()
+    graph.ensure_shapes()
     total = 0
     for node in graph.topological_order():
         if not node.inputs:
@@ -142,7 +142,7 @@ def balance_pipeline(
     ``cluster_budget`` defaults to the clusters left over by the naive
     mapping minus a small reserve kept for residual storage.
     """
-    graph.infer_shapes()
+    graph.ensure_shapes()
     if cluster_budget is None:
         cluster_budget = arch.n_clusters - naive_cluster_count(graph, arch) - reserve_clusters
     cluster_budget = max(0, cluster_budget)

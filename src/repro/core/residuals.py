@@ -103,7 +103,7 @@ class ResidualPlan:
         than one pipeline stage and it cannot ride the regular
         producer-to-consumer stream.
         """
-        graph.infer_shapes()
+        graph.ensure_shapes()
         order = {node.node_id: index for index, node in enumerate(graph.topological_order())}
         edges: List[ResidualEdge] = []
         for node in graph.topological_order():

@@ -80,7 +80,7 @@ class TilingPlan:
     def fits(self, graph: Graph, cluster: ClusterSpec) -> bool:
         """Whether every node's working set fits the L1 budget."""
         budget = int(cluster.l1_size_bytes * self.l1_budget_fraction)
-        graph.infer_shapes()
+        graph.ensure_shapes()
         return all(self.working_set_bytes(node) <= budget for node in graph.nodes)
 
     # ------------------------------------------------------------------ #
@@ -97,7 +97,7 @@ class TilingPlan:
         max_tiles: int = 256,
     ) -> "TilingPlan":
         """Pick the smallest power-of-two tile count that fits the L1 budget."""
-        graph.infer_shapes()
+        graph.ensure_shapes()
         tiles = 1
         while tiles <= max_tiles:
             plan = cls(
@@ -116,7 +116,7 @@ class TilingPlan:
 
     def describe(self, graph: Graph) -> Dict[str, int]:
         """Summary of the tiling decision (diagnostics)."""
-        graph.infer_shapes()
+        graph.ensure_shapes()
         worst = max(graph.nodes, key=self.working_set_bytes)
         return {
             "tiles_per_image": self.tiles_per_image,

@@ -94,6 +94,9 @@ class Node:
 class Graph:
     """A DNN expressed as a DAG of :class:`Node` objects."""
 
+    #: the memoised topological order, ``None`` until taken after an edit.
+    _order: Optional[Tuple[Node, ...]] = None
+
     def __init__(self, name: str = "network"):
         self.name = name
         self._nodes: Dict[int, Node] = {}
@@ -129,6 +132,7 @@ class Graph:
         for src in inputs:
             self._consumers[src].append(node_id)
         self._shapes_valid = False
+        self._order = None
         self.structure_version += 1
         return node_id
 
@@ -175,8 +179,14 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Topology
     # ------------------------------------------------------------------ #
-    def topological_order(self) -> List[Node]:
-        """Nodes in a topological order (raises on cycles)."""
+    def topological_order(self) -> Tuple[Node, ...]:
+        """Nodes in a topological order (raises on cycles).
+
+        Computed once per structure: :meth:`add` drops the memo.  It is a
+        tuple, so a caller cannot reorder it for the next one.
+        """
+        if self._order is not None:
+            return self._order
         in_degree = {nid: len(node.inputs) for nid, node in self._nodes.items()}
         ready = sorted(nid for nid, deg in in_degree.items() if deg == 0)
         order: List[Node] = []
@@ -190,7 +200,8 @@ class Graph:
             ready.sort()
         if len(order) != len(self._nodes):
             raise GraphError("graph contains a cycle")
-        return order
+        self._order = tuple(order)
+        return self._order
 
     def validate(self) -> None:
         """Check structural invariants: acyclic, single component entry."""

@@ -2,7 +2,7 @@
 
 from .compare import assert_results_identical, result_mismatches
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
-from .engine_table import K_TRANSFER_DRAIN, TableEngine
+from .engine_table import TableEngine
 from .ima_model import IMAJob, IMATimingModel
 from .noc import NocModel, TransferRequest
 from .steady_state import fast_forward_simulate
@@ -52,7 +52,6 @@ __all__ = [
     "Engine",
     "IMAJob",
     "IMATimingModel",
-    "K_TRANSFER_DRAIN",
     "NocModel",
     "PoissonArrivals",
     "SIMULATION_ENGINES",

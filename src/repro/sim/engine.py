@@ -15,32 +15,41 @@ Timing is expressed in integer cycles of the 1 GHz system clock; the engine
 itself is unit-agnostic.
 
 Dispatch contract (see ``docs/simulator.md`` for the full kernel contract):
-events fire in non-decreasing time order, FIFO within a timestamp —
-including events scheduled *at the current timestamp while it is being
-drained*, which land at the tail of the in-flight batch without touching
-the heap.  The engine keeps one list ("bucket") of callbacks per distinct
-timestamp and a heap of the timestamps themselves, so a cascade of
-``after(0, ...)`` continuations (the dominant pattern in credit release →
-job start chains) costs one list append each instead of a heap push/pop
-pair, and draining ``k`` events that share a timestamp touches the heap
-once, not ``k`` times.
+events fire in (cycle, scheduling order), so events that share a cycle fire
+FIFO, and an event scheduled *at the current cycle while it drains* runs
+after everything already queued for that cycle.  Every event is a **row**
+of two append-only columns, a handler kind and its payload, and the queue
+is one heap of integer keys ``cycle << 32 | row``.  A row is allocated when
+its event is scheduled, so the row number is the scheduling order and one
+integer comparison orders two events.  A callable scheduled with
+:meth:`Engine.at` or :meth:`Engine.after` is a row of kind :data:`K_CALL`,
+whose handler calls the payload; :class:`~repro.sim.engine_table.TableEngine`
+adds opcode kinds that the compiled table lane registers.  Both kernels
+therefore run on this one queue.
 
-:class:`~repro.sim.engine_table.TableEngine` subclasses this kernel with a
-lane of opcode rows (integer row indices in the buckets instead of
-closures, dispatched through a handler jump table); it is the default
-engine of :func:`repro.sim.system.simulate` and must stay bit-identical to
-this one (``tests/test_sim_kernel_equivalence.py``).  Any change to the
-dispatch contract here must be mirrored there.
+The columns only grow while a run dispatches, so every
+:data:`COMPACT_ROWS` dispatched rows the queue renumbers its pending rows
+``0 … n-1`` in row order and truncates the columns in place.  Renumbering
+keeps the relative order of rows, so it keeps the order of events.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Deque, Dict, List, Optional
 from collections import deque
-
+from operator import call as _call
+from typing import Callable, Deque, List, Optional
 
 Callback = Callable[[], None]
+
+#: row kind of a callable event; its handler calls the payload.
+K_CALL = 0
+#: bits of a queue key below the cycle, which hold the row.
+ROW_BITS = 32
+_ROW_MASK = (1 << ROW_BITS) - 1
+#: dispatched rows the columns keep before the queue compacts them away.
+#: A run reads it when it starts.
+COMPACT_ROWS = 4096
 
 
 class SimulationError(RuntimeError):
@@ -50,19 +59,20 @@ class SimulationError(RuntimeError):
 class Engine:
     """Event queue and simulated clock."""
 
-    __slots__ = ("_times", "_buckets", "_now", "_events_processed", "_running", "_active")
+    __slots__ = ("_heap", "_kind", "_arg", "_handlers", "_dropped", "_now", "_running")
 
     def __init__(self):
-        #: heap of distinct timestamps that have pending events.
-        self._times: List[int] = []
-        #: pending callbacks per timestamp, in FIFO order.
-        self._buckets: Dict[int, List[Callback]] = {}
+        #: keys ``cycle << ROW_BITS | row`` of the pending rows.
+        self._heap: List[int] = []
+        #: per row: the index of its handler in ``_handlers``, and the
+        #: handler's argument.
+        self._kind: List[int] = []
+        self._arg: List[object] = []
+        self._handlers = (_call,)
+        #: dispatched rows that compaction and :meth:`reset` removed.
+        self._dropped = 0
         self._now = 0
-        self._events_processed = 0
         self._running = False
-        #: the bucket currently being drained by :meth:`run`; same-cycle
-        #: scheduling appends here directly (the zero-heap fast lane).
-        self._active: Optional[List[Callback]] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -72,8 +82,11 @@ class Engine:
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far (diagnostic)."""
-        return self._events_processed
+        """Number of events executed so far (diagnostic).
+
+        Every row is either pending or dispatched, so this counts itself.
+        """
+        return self._dropped + len(self._kind) - len(self._heap)
 
     def at(self, time: int, callback: Callback) -> None:
         """Schedule ``callback`` at absolute time ``time``."""
@@ -82,32 +95,13 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule an event in the past ({time} < {self._now})"
             )
-        if time == self._now and self._active is not None:
-            self._active.append(callback)
-            return
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [callback]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(callback)
+        _schedule(self, time, callback)
 
     def after(self, delay: int, callback: Callback) -> None:
         """Schedule ``callback`` after ``delay`` cycles."""
         if delay < 0:
             raise SimulationError(f"delay cannot be negative, got {delay}")
-        time = self._now + int(delay)
-        if time == self._now:
-            active = self._active
-            if active is not None:
-                active.append(callback)
-                return
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [callback]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(callback)
+        _schedule(self, self._now + int(delay), callback)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``until`` / ``max_events`` is hit).
@@ -117,96 +111,134 @@ class Engine:
         so back-to-back ``run(until=...)`` calls observe a consistent,
         monotonic clock regardless of how the events happen to be spaced.
         A bound in the past is a no-op: the clock never moves backward.
-        ``max_events`` may stop the run in the middle of a same-cycle batch;
-        the unprocessed remainder stays queued in order and a later ``run``
-        resumes exactly where this one stopped.  ``run`` is not re-entrant:
-        calling it from inside an event callback raises
-        :class:`SimulationError`.
+        ``max_events`` may stop the run between any two events of one
+        cycle; the rest stay queued, and a later ``run`` resumes exactly
+        where this one stopped.  A handler that raises leaves every later
+        event queued.  ``run`` is not re-entrant: calling it from inside an
+        event callback raises :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError(
                 "Engine.run() is not re-entrant: it was called from inside "
                 "an event callback while a run is already in progress"
             )
+        if until is None and max_events is None:
+            return self._drain()
         if until is not None and until < self._now:
             return self._now
         self._running = True
-        processed = 0
-        times = self._times
-        buckets = self._buckets
-        heappop = heapq.heappop
+        heap = self._heap
+        kinds = self._kind
+        args = self._arg
+        handlers = self._handlers
+        limit = COMPACT_ROWS
+        stop = None if until is None else until << ROW_BITS | _ROW_MASK
+        left = max_events
         try:
-            while times:
-                time = times[0]
-                if until is not None and time > until:
+            while heap:
+                if stop is not None and heap[0] > stop:
                     self._now = until
                     break
-                heappop(times)
-                bucket = buckets.pop(time)
-                self._now = time
-                self._active = bucket
-                index = 0
-                try:
-                    if max_events is None:
-                        # hot loop: the batch may grow while it drains
-                        # (same-cycle continuations append to ``bucket``),
-                        # so iterate by index until it runs off the end.
-                        while True:
-                            try:
-                                callback = bucket[index]
-                            except IndexError:
-                                break
-                            index += 1
-                            callback()
-                            processed += 1
-                    else:
-                        while index < len(bucket):
-                            callback = bucket[index]
-                            index += 1
-                            callback()
-                            processed += 1
-                            if processed >= max_events:
-                                break
-                finally:
-                    self._active = None
-                    if index < len(bucket):
-                        # truncated mid-batch (max_events, or a callback
-                        # raised): requeue the unprocessed tail so a later
-                        # run() resumes in order.
-                        buckets[time] = bucket[index:]
-                        heapq.heappush(times, time)
-                if max_events is not None and processed >= max_events:
-                    break
-            if until is not None and not times and self._now < until:
+                if left is not None:
+                    if left <= 0:
+                        break
+                    left -= 1
+                if len(kinds) - len(heap) >= limit:
+                    self._compact()
+                key = heapq.heappop(heap)
+                row = key & _ROW_MASK
+                self._now = key >> ROW_BITS
+                arg = args[row]
+                args[row] = None
+                handlers[kinds[row]](arg)
+            if until is not None and not heap and self._now < until:
                 self._now = until
         finally:
             self._running = False
-            self._active = None
-            self._events_processed += processed
         return self._now
+
+    def _drain(self) -> int:
+        """The unbounded run, in passes of :data:`COMPACT_ROWS` dispatches.
+
+        A pass may dispatch only as many rows as the columns have room
+        for dead rows; a pass that uses them all ends in a compaction.
+        """
+        self._running = True
+        heap = self._heap
+        kinds = self._kind
+        args = self._arg
+        handlers = self._handlers
+        heappop = heapq.heappop
+        limit = COMPACT_ROWS
+        try:
+            while heap:
+                for __ in range(limit - len(kinds) + len(heap)):
+                    if not heap:
+                        break
+                    key = heappop(heap)
+                    row = key & _ROW_MASK
+                    self._now = key >> ROW_BITS
+                    arg = args[row]
+                    args[row] = None
+                    handlers[kinds[row]](arg)
+                else:
+                    self._compact()
+        finally:
+            self._running = False
+        return self._now
+
+    def _compact(self) -> None:
+        """Drop the dispatched rows: renumber the pending rows ``0 … n-1``
+        in row order and truncate the columns in place.
+
+        The renumbering keeps the relative order of rows, so every key
+        keeps its rank and the heap stays a heap when its keys are
+        rewritten where they are.
+        """
+        heap = self._heap
+        kinds = self._kind
+        args = self._arg
+        rows = sorted(key & _ROW_MASK for key in heap)
+        renumbered = {row: new for new, row in enumerate(rows)}
+        self._dropped += len(kinds) - len(rows)
+        kinds[:] = [kinds[row] for row in rows]
+        args[:] = [args[row] for row in rows]
+        for index, key in enumerate(heap):
+            row = key & _ROW_MASK
+            heap[index] = key - row + renumbered[row]
+
+    def reset(self) -> None:
+        """Release the columns of a drained engine.
+
+        Compaction keeps them at most :data:`COMPACT_ROWS` rows longer
+        than the pending rows, and a long-lived holder of the engine (a
+        ``SweepRunner`` worker, the steady-state prober) need not keep even
+        those.  Raises :class:`SimulationError` when called mid-run or with
+        events still queued: a reset must never orphan a pending row.
+        """
+        if self._running:
+            raise SimulationError("cannot reset an engine from inside run()")
+        if self._heap:
+            raise SimulationError("cannot reset an engine with pending events")
+        self._dropped += len(self._kind)
+        self._kind.clear()
+        self._arg.clear()
 
     def empty(self) -> bool:
         """Whether no events remain."""
-        return not self._times
+        return not self._heap
 
 
-def _schedule(engine: Engine, time: int, callback: Callback) -> None:
-    """Engine-internal scheduling body, shared by the kernel primitives.
+def _schedule(engine: Engine, time: int, payload, kind: int = K_CALL) -> None:
+    """Queue a row of ``kind`` (by default a callable ``payload``) at the
+    pre-validated absolute ``time``.
 
-    Identical to :meth:`Engine.after` with a pre-validated absolute time;
-    a module-level function so the server hot path pays one call, not two.
+    A module-level function so the server hot path pays one call, not two.
     """
-    if time == engine._now:
-        active = engine._active
-        if active is not None:
-            active.append(callback)
-            return
-    bucket = engine._buckets.get(time)
-    if bucket is None:
-        engine._buckets[time] = [callback]
-        heapq.heappush(engine._times, time)
-    else:
-        bucket.append(callback)
+    kinds = engine._kind
+    heapq.heappush(engine._heap, time << ROW_BITS | len(kinds))
+    kinds.append(kind)
+    engine._arg.append(payload)
 
 
 class _ServerJob:
@@ -300,35 +332,12 @@ class Server:
         job = _ServerJob(self, duration, on_done, engine._now)
         if self._in_service < self.capacity and not self._waiting:
             # fast lane: free slot, empty queue — start now (wait is 0).
-            # The completion event is scheduled inline (the ``after``
-            # fast-lane logic, minus a call per job).
             self._in_service += 1
             self.total_service += duration
             self._busy_slot_time += duration
             _schedule(engine, engine._now + duration, job.finish)
         else:
             self._waiting.append(job)
-
-    # ------------------------------------------------------------------ #
-    # Direct occupancy
-    # ------------------------------------------------------------------ #
-    def occupy(self, duration: int) -> None:
-        """Take one slot for ``duration`` cycles without a completion event.
-
-        The caller guarantees the server is idle and promises to call
-        :meth:`vacate` exactly ``duration`` cycles later.  Statistics are
-        accounted exactly as for a zero-wait :meth:`submit`.
-        """
-        self._in_service += 1
-        self.total_service += duration
-        self._busy_slot_time += duration
-
-    def vacate(self) -> None:
-        """Release a slot taken with :meth:`occupy`, waking queued jobs."""
-        self._in_service -= 1
-        self.jobs_served += 1
-        if self._waiting:
-            self._start_queued()
 
     # ------------------------------------------------------------------ #
     def _start_queued(self) -> None:

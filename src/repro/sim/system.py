@@ -560,8 +560,6 @@ class SystemSimulator:
         #: per-cluster DMA channel free-at cycles, kept as heaps.
         self._dma_slots: Dict[int, List[int]] = {}
         self._stages: Dict[int, _StageRuntime] = {}
-        self._finished_stages = 0
-        self._last_completion_cycle = 0
         #: on open workloads, completions of this stage are the request
         #: completions the sojourn metrics are computed from; ``None``
         #: disables per-request recording on closed batches, keeping their
@@ -805,10 +803,9 @@ class SystemSimulator:
     # Run
     # ------------------------------------------------------------------ #
     def job_finished(self, stage_id: int, job_index: int) -> None:
-        """Called by stage runtimes; tracks overall completion."""
+        """Called by stage runtimes when a job finishes: records the
+        stage's completion (and, on open workloads, the request's)."""
         now = self.engine._now
-        if now > self._last_completion_cycle:
-            self._last_completion_cycle = now
         self.tracer.record_stage_completion(stage_id, now)
         if stage_id == self._request_stage_id:
             self.tracer.record_request_completion(job_index, now)
@@ -824,11 +821,12 @@ class SystemSimulator:
         input_stall, output_stall, first_job_start, last_job_end)`` and a
         per-link busy-cycles dict.  The steady-state prober reads this at
         every final-stage completion; the hook exists because the table
-        engine counts cluster/link activity per record source, expands
-        the counts into dense vectors only when it flushes, and
-        materialises those into the tracer at the end of the run.  On the
-        table engine this call flushes first, which only moves counts
-        into the vectors: it never changes the run's result.
+        engine counts cluster/link activity per record source and traffic
+        per chunk group, expands the counts into dense vectors and the
+        tracer's traffic counters only when it flushes, and materialises
+        the vectors into the tracer at the end of the run.  On the table
+        engine this call flushes first, which only moves counts into the
+        vectors and counters: it never changes the run's result.
         """
         if self._table is not None:
             return self._table.snapshot_activity()
@@ -899,12 +897,10 @@ class SystemSimulator:
                 "data-flow graph is inconsistent"
             )
         makespan = self.tracer.makespan
-        engine = self.engine
-        if isinstance(engine, TableEngine):
-            # drained run: drop the peak-size row storage so a long-lived
-            # holder of this simulator (sweep workers, the steady-state
-            # prober) does not retain it (see ``TableEngine.reset``).
-            engine.reset()
+        # drained run: drop the event rows so a long-lived holder of this
+        # simulator (sweep workers, the steady-state prober) does not
+        # retain them (see ``Engine.reset``).
+        self.engine.reset()
         final_stage = self.workload.final_stage()
         final_trace = self.tracer.stage_completions.get(final_stage.stage_id, ())
         return SimulationResult(

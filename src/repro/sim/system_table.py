@@ -24,9 +24,14 @@ once, before the first event, into integer transition state consumed by
   an HBM channel booking when it goes to or from the HBM, and one landing
   row, queued when it enters the NoC in both kernels;
 * the chunks of one group that find a free DMA channel at issue enter the
-  NoC at the same cycle, in adjacent rows of one bucket, so they travel
-  as one ``OP_NOC_BURST`` row that carries their count and does the work
-  of all of them in one handler call.
+  NoC at the same cycle, in rows adjacent in the scheduling order, so
+  they travel as one ``OP_NOC_BURST`` row that carries their count and
+  does the work of all of them in one handler call.
+
+The hot handlers append their rows to the engine's columns and push the
+keys (``cycle << ROW_BITS | row``) themselves, as
+:meth:`~repro.sim.engine_table.TableEngine.sched_op` does without the
+call; the burst row and the rare paths go through ``sched_op``.
 
 The **legality rule** for compiling a lifecycle step: a step may be
 table-compiled only when its *successor and timing are fully determined at
@@ -38,7 +43,7 @@ fetch → grant → deliver recursion is re-entrant through the credit queue,
 so the credit waiter queues hold *either* packed ints or callables).
 
 Equivalence contract: every event this program schedules lands at the
-same simulated time, in the same bucket insertion position, as the object
+same cycle, in the same place of the scheduling order, as the object
 kernel's equivalent event — the compiled handlers replicate the object
 kernel's synchronous callback chains (server ``on_done``-then-dequeue
 order, credit FIFO grants, output-barrier arrivals, the
@@ -48,33 +53,34 @@ chunks of one burst share a single source-side communication record of
 ``duration * count`` cycles where the object kernel records each chunk
 (the cluster totals are the same); one ``OP_NOC_BURST`` row stands for
 ``k`` adjacent NoC-entry events of the object kernel (so the table lane
-dispatches fewer events; nothing runs between adjacent entries of a
-bucket, so nothing can observe the difference); and one
+dispatches fewer events; nothing runs between events adjacent in the
+scheduling order, so nothing can observe the difference); and one
 ``OP_BURST_LANDED`` row stands for the ``k`` contended landings of a
 burst to an already-touched cluster or to the HBM, at the last landing's
-time and bucket position (the earlier landings only add to the
+cycle and place in the order (the earlier landings only add to the
 destination's sums and running maxima, and cannot complete the flow).
-Tracer state that the fast-forward prober must see mid-run (aggregate
-counters, live :class:`~repro.sim.tracer.StageActivity`, stage
-completions) stays on the tracer.  Per-cluster and per-link activity is
-counted per *record source* — a :class:`_Source` for each analog
-replica, each digital group and the source and delivery side of each
-chunk group, and a route's booked cycles on its :class:`_Plan` — so a
-record touches one object, not every cluster and link it charges.  ``TableProgram._flush`` expands the
-counts made since the last flush into dense per-cluster and per-link
-arrays, which materialise into the tracer in first-touch order at
-:meth:`TableProgram.finalize` (``SystemSimulator.snapshot_activity``
-flushes, then reads the dense form mid-run).  Bit-identity against
+Live :class:`~repro.sim.tracer.StageActivity` and stage completions stay
+on the tracer.  Per-cluster and per-link activity is counted per *record
+source* — a :class:`_Source` for each analog replica, each digital group
+and the source and delivery side of each chunk group, and a route's
+booked cycles on its :class:`_Plan` — so a record touches one object, not
+every cluster and link it charges; and each chunk group counts the chunks
+it sent for the tracer's traffic counters.  ``TableProgram._flush``
+expands the counts made since the last flush into dense per-cluster and
+per-link arrays and the traffic counters, and the arrays materialise into
+the tracer in first-touch order at :meth:`TableProgram.finalize`
+(``SystemSimulator.snapshot_activity`` flushes, then reads the dense form
+and the counters mid-run).  Bit-identity against
 the object kernel is asserted by ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappush, heapreplace
 from typing import Dict, List, Optional, Tuple
 
-from .engine import SimulationError
+from .engine import ROW_BITS, SimulationError
 from .engine_table import K_OP_BASE, TableEngine
 from .noc import book_hbm_channel
 from .tracer import ClusterActivity
@@ -203,6 +209,7 @@ class _Group:
         "chan_cycles",
         "dma",
         "delivery",
+        "sent",
     )
 
     def __init__(self, gid, flow, size, count, dma_dur, comm_cycles, ser, hbm_extra, dst, plan):
@@ -224,6 +231,10 @@ class _Group:
         #: and of the delivery attribution (``None`` into the HBM).
         self.dma: Optional[_Source] = None
         self.delivery: Optional[_Source] = None
+        #: chunks that entered the NoC (or were handed off locally) since
+        #: the last ``TableProgram._flush``, which adds their traffic to
+        #: the tracer's counters.
+        self.sent = 0
 
 
 class _Flow:
@@ -241,6 +252,7 @@ class _Flow:
         "total_chunks",
         "zero",
         "pending",
+        "dma_slots",
     )
 
     def __init__(self, fid, kind, src, producer, consumer, flow_index):
@@ -256,6 +268,9 @@ class _Flow:
         self.zero = False
         #: per-job count of chunks still in flight.
         self.pending: List[int] = []
+        #: the free-at heap of the source cluster's DMA channels (``None``
+        #: from the HBM), shared by every flow from that cluster.
+        self.dma_slots: Optional[List[int]] = None
 
 
 class _CompiledStage:
@@ -303,7 +318,13 @@ class TableProgram:
         if not isinstance(engine, TableEngine):
             raise SimulationError("TableProgram requires a TableEngine")
         self.sim = sim
+        self._job_finished = sim.job_finished
         self.engine: TableEngine = engine
+        # the engine's queue: the hot handlers append their rows to its
+        # columns and push their keys themselves, as ``sched_op`` does
+        self._heap = engine._heap
+        self._kinds = engine._kind
+        self._args = engine._arg
         self.tracer = sim.tracer
         self.arch = sim.arch
         self.workload = sim.workload
@@ -524,6 +545,11 @@ class TableProgram:
             flow.zero = True
             return flow
         flow.pending = [0] * self._nj
+        if src is not None:
+            slots = self._dma_slots.get(src)
+            if slots is None:
+                slots = self._dma_slots[src] = [0] * self._dma_channels
+            flow.dma_slots = slots
         grouped = chunk_groups(n_bytes, n_chunks)
         flow.total_chunks = sum(count for __, count in grouped)
         plan = None if src == dst else self._plan(src, dst)
@@ -662,6 +688,21 @@ class TableProgram:
                 plan.flushed = plan.busy
                 for lid in plan.lids:
                     link_busy[lid] += cycles
+        tracer = self.tracer
+        for group in self.groups:
+            n = group.sent
+            if n:
+                group.sent = 0
+                tracer.n_transfers += n
+                size = n * group.size
+                plan = group.plan
+                if plan is None:
+                    tracer.local_bytes += size
+                    continue
+                tracer.noc_bytes += size
+                tracer.noc_byte_hops += n * group.byte_hops
+                if plan.involves_hbm:
+                    tracer.hbm_bytes += size
 
     def finalize(self) -> None:
         """Materialise the dense activity lanes into the tracer.
@@ -764,15 +805,16 @@ class TableProgram:
                 st.out_wait.append(job)
 
     def _start_job(self, st: _CompiledStage, job: int) -> None:
-        engine = self.engine
-        st.job_start[job] = engine._now
+        now = self.engine._now
+        st.job_start[job] = now
         if st.is_analog:
             # analog Server.submit (capacity = replication)
             if st.an_busy < st.repl and not st.an_wait:
                 st.an_busy += 1
-                engine.sched_op(
-                    engine._now + st.analog_d, OP_ANALOG_DONE, st.slot * self._nj + job
-                )
+                kinds = self._kinds
+                heappush(self._heap, (now + st.analog_d) << ROW_BITS | len(kinds))
+                kinds.append(OP_ANALOG_DONE)
+                self._args.append(st.slot * self._nj + job)
             else:
                 st.an_wait.append(job)
         else:
@@ -801,7 +843,10 @@ class TableProgram:
         # Server._finish: completion first, then start one queued job
         if st.an_wait and st.an_busy < st.repl:
             st.an_busy += 1
-            engine.sched_op(now + dur, OP_ANALOG_DONE, arg - job + st.an_wait.popleft())
+            kinds = self._kinds
+            heappush(self._heap, (now + dur) << ROW_BITS | len(kinds))
+            kinds.append(OP_ANALOG_DONE)
+            self._args.append(arg - job + st.an_wait.popleft())
 
     def _run_digital(self, st: _CompiledStage, job: int) -> None:
         dur = st.digital_d
@@ -811,8 +856,10 @@ class TableProgram:
         # digital Server.submit (capacity = digital_slots)
         if st.dg_busy < st.dslots and not st.dg_wait:
             st.dg_busy += 1
-            engine = self.engine
-            engine.sched_op(engine._now + dur, OP_DIGITAL_DONE, st.slot * self._nj + job)
+            kinds = self._kinds
+            heappush(self._heap, (self.engine._now + dur) << ROW_BITS | len(kinds))
+            kinds.append(OP_DIGITAL_DONE)
+            self._args.append(st.slot * self._nj + job)
         else:
             st.dg_wait.append(job)
 
@@ -834,7 +881,10 @@ class TableProgram:
         self._after_compute(st, job, dur)
         if st.dg_wait and st.dg_busy < st.dslots:
             st.dg_busy += 1
-            engine.sched_op(now + dur, OP_DIGITAL_DONE, arg - job + st.dg_wait.popleft())
+            kinds = self._kinds
+            heappush(self._heap, (now + dur) << ROW_BITS | len(kinds))
+            kinds.append(OP_DIGITAL_DONE)
+            self._args.append(arg - job + st.dg_wait.popleft())
 
     def _after_compute(self, st: _CompiledStage, job: int, digital_cycles: int) -> None:
         now = self.engine._now
@@ -896,7 +946,7 @@ class TableProgram:
         while st.out_credits > 0 and wait:
             st.out_credits -= 1
             self._start_job(st, wait.popleft())
-        self.sim.job_finished(st.sid, job)
+        self._job_finished(st.sid, job)
 
     def _output_arrived(self, st: _CompiledStage, job: int) -> None:
         """One output flow of ``job`` delivered (a Barrier.arrive)."""
@@ -945,12 +995,9 @@ class TableProgram:
             for group in flow.groups:
                 self._enter_noc(group, group.gid * nj + job, group.count)
             return
-        slots = self._dma_slots.get(src)
-        if slots is None:
-            slots = self._dma_slots[src] = [0] * self._dma_channels
+        slots = flow.dma_slots
         now = engine._now
         defer_op = engine.defer_op
-        heapreplace = heapq.heapreplace
         for group in flow.groups:
             dur = group.dma_dur
             count = group.count
@@ -967,14 +1014,17 @@ class TableProgram:
             # plus a sift — identical burst timing.  The chunks that find
             # a free channel are a prefix of the group (a sift never lowers
             # the minimum below ``now`` again), and their NoC-entry rows
-            # would sit adjacent in bucket ``now + dur``: one burst row
+            # would be adjacent at cycle ``now + dur``: one burst row
             # carries them all.
             free = 0
             while free < count and slots[0] <= now:
                 heapreplace(slots, now + dur)
                 free += 1
             if free == 1:
-                engine.sched_op(now + dur, OP_NOC_START, arg)
+                kinds = self._kinds
+                heappush(self._heap, (now + dur) << ROW_BITS | len(kinds))
+                kinds.append(OP_NOC_START)
+                self._args.append(arg)
             elif free:
                 engine.sched_op(
                     now + dur, OP_NOC_BURST, free * self._burst_stride + arg
@@ -1003,9 +1053,9 @@ class TableProgram:
         """``k`` bursts of ``group`` enter the NoC, in order (transfer_bytes).
 
         The same as ``k`` OP_NOC_START handlers run back to back, which is
-        what ``k`` adjacent rows of one bucket do: each only adds to the
-        counters, books the route (and an HBM channel) and schedules its
-        landing row.  So the counters grow once by ``k`` times as much,
+        what ``k`` rows adjacent in the scheduling order do: each only adds
+        to the counters, books the route (and an HBM channel) and schedules
+        its landing row.  So the counters grow once by ``k`` times as much,
         every link is booked once for ``k`` serialisations, and under
         contention burst ``i`` drains at ``start + i * ser``, where
         ``start`` is ``max(now, busy_until)`` over the route's links (a
@@ -1015,32 +1065,30 @@ class TableProgram:
         burst of ``k > 1`` lands as one OP_BURST_LANDED row at its last
         landing when its destination is already touched (or is the HBM).
         """
-        tracer = self.tracer
-        engine = self.engine
+        now = self.engine._now
+        heap = self._heap
+        kinds = self._kinds
+        args = self._args
         plan = group.plan
-        tracer.n_transfers += k
+        group.sent += k
         if plan is None:
             # local (same-cluster) handoff: no NoC involvement
-            tracer.local_bytes += k * group.size
-            now = engine._now
             for __ in range(k):
-                engine.sched_op(now, OP_CHUNK_LANDED, arg)
+                heappush(heap, now << ROW_BITS | len(kinds))
+                kinds.append(OP_CHUNK_LANDED)
+                args.append(arg)
             return
-        size = k * group.size
-        tracer.noc_bytes += size
-        tracer.noc_byte_hops += k * group.byte_hops
-        if plan.involves_hbm:
-            tracer.hbm_bytes += size
         if not plan.touched:
             self._touch_plan(plan)
         ser = group.ser
         occupied = k * ser
         plan.busy += occupied
-        now = engine._now
         if not self.model_contention:
             landed = now + group.uncont_lat
             for __ in range(k):
-                engine.sched_op(landed, OP_CHUNK_LANDED, arg)
+                heappush(heap, landed << ROW_BITS | len(kinds))
+                kinds.append(OP_CHUNK_LANDED)
+                args.append(arg)
             return
         busy_until = self._link_until
         start = now
@@ -1060,7 +1108,8 @@ class TableProgram:
         if k > 1 and (dst is None or self._cl_seen[dst]):
             # only the last landing can complete the flow, and the others
             # only add to the destination's sums and running maxima: one
-            # row at the last landing's time and bucket position does all.
+            # row at the last landing's cycle and place in the order does
+            # all.
             # Drains and channel finishes both grow with i, so the last
             # chunk lands last.
             landed = start + k * ser
@@ -1071,19 +1120,24 @@ class TableProgram:
                     finish = book_hbm_channel(free_at, now, service)
                 if finish > landed:
                     landed = finish
-            engine.sched_op(landed + hop, OP_BURST_LANDED, k * self._burst_stride + arg)
+            heappush(heap, (landed + hop) << ROW_BITS | len(kinds))
+            kinds.append(OP_BURST_LANDED)
+            args.append(k * self._burst_stride + arg)
         elif plan.involves_hbm:
             free_at = self._hbm_free_at
             service = group.chan_cycles
             for i in range(1, k + 1):
                 drained = start + i * ser
                 finish = book_hbm_channel(free_at, now, service)
-                engine.sched_op(
-                    (finish if finish > drained else drained) + hop, OP_CHUNK_LANDED, arg
-                )
+                landed = finish if finish > drained else drained
+                heappush(heap, (landed + hop) << ROW_BITS | len(kinds))
+                kinds.append(OP_CHUNK_LANDED)
+                args.append(arg)
         else:
             for i in range(1, k + 1):
-                engine.sched_op(start + i * ser + hop, OP_CHUNK_LANDED, arg)
+                heappush(heap, (start + i * ser + hop) << ROW_BITS | len(kinds))
+                kinds.append(OP_CHUNK_LANDED)
+                args.append(arg)
 
     def _op_chunk_landed(self, arg: int) -> None:
         nj = self._nj

@@ -145,6 +145,22 @@ class TestGraph:
         assert order == [node_in, conv, pool]
         assert graph.node(pool).output_shape == TensorShape(4, 4, 4)
 
+    def test_an_edit_after_the_order_was_taken_yields_the_new_order_and_shapes(self):
+        graph, node_in, conv, pool = self._chain()
+        graph.ensure_shapes()
+        first = graph.topological_order()
+        assert graph.topological_order() is first  # memoised
+        with pytest.raises((TypeError, AttributeError)):
+            first.reverse()  # callers cannot reorder the memo
+        relu = graph.add(ReLU(), [pool])
+        assert not graph.shapes_inferred
+        graph.ensure_shapes()
+        assert [node.node_id for node in graph.topological_order()] == [
+            node_in, conv, pool, relu,
+        ]
+        assert [node.node_id for node in first] == [node_in, conv, pool]
+        assert graph.node(relu).output_shape == TensorShape(4, 4, 4)
+
     def test_consumers_and_producers(self):
         graph, node_in, conv, pool = self._chain()
         assert graph.consumers(node_in) == [conv]

@@ -246,31 +246,6 @@ class TestServer:
         assert not hasattr(Server(engine, "s"), "__dict__")
         assert not hasattr(CreditStore(engine, "c"), "__dict__")
 
-    def test_occupy_vacate_matches_submit_statistics(self):
-        """Direct occupancy (grouped transfers) accounts like a zero-wait job."""
-        engine = Engine()
-        via_submit = Server(engine, "a")
-        via_occupy = Server(engine, "b")
-        via_submit.submit(10, lambda: None)
-        via_occupy.occupy(10)
-        engine.after(10, via_occupy.vacate)
-        engine.run()
-        for field in ("jobs_served", "total_wait", "total_service"):
-            assert getattr(via_submit, field) == getattr(via_occupy, field)
-        assert via_submit.utilization_time == via_occupy.utilization_time
-
-    def test_vacate_starts_queued_jobs(self):
-        engine = Engine()
-        server = Server(engine, "s", capacity=1)
-        done = []
-        server.occupy(5)
-        server.submit(3, lambda: done.append(engine.now))
-        assert server.queue_length == 1
-        engine.after(5, server.vacate)
-        engine.run()
-        assert done == [8]
-        assert server.total_wait == 5
-
 
 class TestCreditStore:
     def test_acquire_available_credit_immediately(self):

@@ -1,17 +1,20 @@
-"""Kernel contract of the compiled table lane.
+"""Kernel contract of the event queue and the compiled table lane.
 
 The table kernel (``engine="table"``, the default) compiles
 ``_StageRuntime``'s per-job lifecycle into integer transition tables
 (:mod:`repro.sim.system_table`) dispatched through
-:class:`~repro.sim.engine_table.TableEngine`'s row lane.  End-to-end
+:class:`~repro.sim.engine_table.TableEngine`'s opcode rows.  End-to-end
 bit-identity against the object kernel lives in
 ``tests/test_sim_kernel_equivalence.py``; this module covers:
 
-* ``TableEngine`` alone: opcode scheduling/deferral semantics, callback
-  rows (``defer_at``), FIFO interleaving with callables, row storage with
-  its free list and ``reset`` rules, the bounded ``max_events`` loop
-  (truncation between rows with in-order resume, the exception-safe tail
-  requeue), ``until`` bounds and non-re-entrancy;
+* ``TableEngine`` alone: opcode scheduling and deferral semantics, FIFO
+  interleaving with callables, the bounded ``max_events`` loop (truncation
+  between rows with in-order resume, a raising handler leaving the rest
+  queued), ``until`` bounds and non-re-entrancy;
+* the queue both kernels share: same-cycle scheduling from inside a
+  handler, compaction of the row columns (bounded columns, unchanged
+  dispatch order and results, bounded runs across a compaction) and
+  ``reset``;
 * the burst rows of :class:`~repro.sim.system_table.TableProgram`: the
   chunks of one group that find free DMA channels enter the NoC as one
   ``OP_NOC_BURST`` row, which saves ``k - 1`` events per burst of ``k``
@@ -20,6 +23,8 @@ bit-identity against the object kernel lives in
   the retired ``"array"`` name rejected everywhere a user can spell it
   (per-engine cache keys are covered in the equivalence suite).
 """
+
+import weakref
 
 import pytest
 
@@ -34,6 +39,7 @@ from repro.sim import (
     result_mismatches,
     simulate,
 )
+from repro.sim import engine as engine_module
 from repro.sim.engine_table import K_OP_BASE
 from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 from repro.sim.system_table import OP_NOC_BURST, OP_NOC_START, TableProgram
@@ -70,35 +76,83 @@ class TestTableEngine:
         assert log == ["cb1", "op", "cb2"]
 
     def test_defer_op_requeues_at_dispatch_time(self):
-        # the deferral is two events: the row dispatches at time 2 and
-        # re-queues itself into bucket 5, landing *after* the callable
-        # that was already scheduled there.
+        # the deferral is two events: a row dispatches at time 2 and
+        # queues the opcode row at 5, *after* the callable that was
+        # already scheduled there.
         log = []
         engine = self._engine(log)
         engine.at(5, lambda: log.append("resident"))
         engine.defer_op(2, 3, K_OP_BASE, "deferred")
         engine.run()
         assert log == ["resident", "deferred"]
-        assert engine.events_processed == 3  # callable + row twice
+        assert engine.events_processed == 3  # callable + two deferral rows
 
-    def test_zero_cycle_deferral_appends_to_the_active_bucket_tail(self):
+    def test_defer_op_equals_at_plus_after(self):
+        """defer_op(t, c, op, arg) runs at t + c, like at(t, after(c, ...))."""
+        table = TableEngine()
+        obj = Engine()
+        seen_table, seen_obj = [], []
+        table.set_handlers((lambda arg: seen_table.append((table.now, arg)),))
+        table.defer_op(10, 7, K_OP_BASE, "x")
+        obj.at(10, lambda: obj.after(7, lambda: seen_obj.append((obj.now, "x"))))
+        table.run()
+        obj.run()
+        assert seen_table == seen_obj == [(17, "x")]
+
+    def test_zero_cycle_deferral_lands_after_everything_queued_at_its_cycle(self):
         log = []
         engine = self._engine(log)
-        engine.defer_op(0, 0, K_OP_BASE, "deferred")
-        engine.at(0, lambda: log.append("same-bucket"))
+        engine.defer_op(3, 0, K_OP_BASE, "deferred")
+        engine.at(3, lambda: log.append("peer"))
+        engine.sched_op(3, K_OP_BASE, "row")
+
+        def chained():
+            # queued while cycle 3 drains, after the deferral's second row
+            log.append("chained")
+            engine.after(0, lambda: log.append("chained-again"))
+
+        engine.at(3, chained)
         engine.run()
-        assert log == ["same-bucket", "deferred"]
+        assert log == ["peer", "row", "chained", "deferred", "chained-again"]
+        assert engine.now == 3
+
+    def test_long_same_cycle_run_keeps_scheduling_order(self):
+        log = []
+        engine = TableEngine()
+        engine.set_handlers((lambda arg: log.append((engine.now, arg)),))
+        for i in range(24):
+            engine.defer_op(10, i % 3, K_OP_BASE, i)
+        engine.at(10, lambda: log.append((engine.now, "mid")))
+        for i in range(24, 32):
+            engine.defer_op(10, 0, K_OP_BASE, i)
+        engine.run()
+        # every row lands at 10 + its own deferral, and rows sharing a
+        # cycle keep the order in which they were deferred
+        assert log == (
+            [(10, "mid")]
+            + [(10, i) for i in range(0, 24, 3)]
+            + [(10, i) for i in range(24, 32)]
+            + [(11, i) for i in range(1, 24, 3)]
+            + [(12, i) for i in range(2, 24, 3)]
+        )
+
+    def test_deferral_counts_as_two_events(self):
+        engine = self._engine([])
+        engine.defer_op(1, 5, K_OP_BASE, None)
+        engine.run()
+        # the deferring row's dispatch plus the opcode row's
+        assert engine.events_processed == 2
 
     def test_max_events_truncates_between_mixed_rows_and_resumes_in_order(self):
-        """The bounded loop stops between any two entries — callables,
-        callback rows, opcode rows and deferred opcode rows alike — and a
-        later run resumes exactly where it stopped."""
+        """The bounded loop stops between any two events — callables, the
+        rows a callable defers, opcode rows and deferred opcode rows alike
+        — and a later run resumes exactly where it stopped."""
 
         def trace(bound):
             log = []
             engine = self._engine(log)
             engine.sched_op(4, K_OP_BASE, "op1")
-            engine.defer_at(4, 0, lambda: log.append("cb-row"))
+            engine.at(4, lambda: engine.after(0, lambda: log.append("cb-row")))
             engine.at(4, lambda: log.append("callable"))
             engine.defer_op(4, 0, K_OP_BASE, "deferred0")
             engine.defer_op(4, 3, K_OP_BASE, "deferred3")
@@ -132,7 +186,7 @@ class TestTableEngine:
         engine.run(max_events=2)
         assert log == ["a", "b"]
         assert engine.now == 4 and engine.events_processed == 2
-        engine.run()  # the unbounded inlined loop resumes mid-bucket
+        engine.run()  # the unbounded loop resumes mid-cycle
         assert log == ["a", "b", "c"]
 
     @pytest.mark.parametrize("max_events", [None, 10], ids=["unbounded", "bounded"])
@@ -167,146 +221,233 @@ class TestTableEngine:
 
 
 # --------------------------------------------------------------------------- #
-# TableEngine: callback rows (defer_at)
+# The queue both kernels share: same-cycle order, compaction, reset
 # --------------------------------------------------------------------------- #
-class TestDeferAt:
-    def test_equivalent_to_at_plus_after(self):
-        """defer_at(t, c, cb) fires cb at t + c, like at(t, after(c, cb))."""
-        table = TableEngine()
-        obj = Engine()
-        seen_table, seen_obj = [], []
-        table.defer_at(10, 7, lambda: seen_table.append(table.now))
-        obj.at(10, lambda: obj.after(7, lambda: seen_obj.append(obj.now)))
-        table.run()
-        obj.run()
-        assert seen_table == seen_obj == [17]
+ENGINES = [Engine, TableEngine]
 
-    def test_zero_cycles_row_lands_in_same_cycle(self):
-        engine = TableEngine()
-        order = []
-        engine.at(5, lambda: order.append("callable"))
-        engine.defer_at(5, 0, lambda: order.append("row"))
+
+class _Recorder:
+    """Wraps an engine's handlers to log every dispatch as ``(cycle, kind,
+    payload)`` (a callable payload by its qualified name) and to check, at
+    every dispatch, that the columns hold at most ``COMPACT_ROWS`` rows
+    besides the pending ones."""
+
+    def __init__(self):
+        self.log = []
+        self.widest = 0  # most dispatched rows the columns held at once
+
+    def wrap(self, engine, handlers):
+        def recording(kind, handler):
+            def dispatch(arg):
+                dead = len(engine._kind) - len(engine._heap)
+                assert dead <= engine_module.COMPACT_ROWS
+                self.widest = max(self.widest, dead)
+                label = arg if type(arg) is int else getattr(arg, "__qualname__", "?")
+                self.log.append((engine.now, kind, label))
+                handler(arg)
+
+            return dispatch
+
+        return tuple(recording(kind, handler) for kind, handler in enumerate(handlers))
+
+
+def _recorded_run(engine_kind, workload, monkeypatch):
+    """Simulate ``workload`` on ``engine_kind``, logging every dispatch."""
+    recorder = _Recorder()
+    simulator = SystemSimulator(ARCH64, workload, True, engine=engine_kind)
+    engine = simulator.engine
+    with monkeypatch.context() as patch:
+        if engine_kind == "table":
+            set_handlers = TableEngine.set_handlers
+
+            def recording(self, handlers):
+                set_handlers(self, handlers)
+                self._handlers = recorder.wrap(self, self._handlers)
+
+            patch.setattr(TableEngine, "set_handlers", recording)
+        else:
+            engine._handlers = recorder.wrap(engine, engine._handlers)
+        result = simulator.run()
+    return result, recorder, engine.events_processed
+
+
+class TestQueue:
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_same_cycle_schedules_run_after_everything_queued(self, engine_kind):
+        """Rows and callables scheduled for the current cycle from inside a
+        handler run after everything already queued for that cycle, in
+        scheduling order."""
+        engine = engine_kind()
+        log = []
+        has_rows = engine_kind is TableEngine
+        if has_rows:
+            engine.set_handlers((lambda arg: log.append(arg),))
+
+        def handler(tag):
+            log.append(tag)
+            engine.after(0, lambda: log.append(f"{tag}-after0"))
+            if has_rows:
+                engine.sched_op(engine.now, K_OP_BASE, f"{tag}-row")
+            engine.at(engine.now, lambda: log.append(f"{tag}-atnow"))
+
+        engine.at(5, lambda: handler("x"))
+        if has_rows:
+            engine.sched_op(5, K_OP_BASE, "queued-row")
+        engine.at(5, lambda: handler("y"))
+        engine.at(6, lambda: log.append("next"))
         engine.run()
-        # the row dispatches after the callable (FIFO within the cycle) and
-        # its zero deferral re-queues it at the tail of the in-flight batch
-        assert order == ["callable", "row"]
-        assert engine.now == 5
+        assert log == (
+            ["x"]
+            + (["queued-row"] if has_rows else [])
+            + ["y", "x-after0"]
+            + (["x-row"] if has_rows else [])
+            + ["x-atnow", "y-after0"]
+            + (["y-row"] if has_rows else [])
+            + ["y-atnow", "next"]
+        )
 
-    def test_zero_heap_cascade_from_row_callback(self):
-        """A row's callback can chain after(0) continuations, all at one t."""
-        engine = TableEngine()
-        order = []
+    @pytest.mark.parametrize("engine_kind", SIMULATION_ENGINES)
+    def test_compaction_keeps_dispatch_order_and_results(self, engine_kind, monkeypatch):
+        """A run forced through many compactions dispatches the same
+        sequence as an uncompacted one, gives the same result, and its
+        columns never hold more than ``COMPACT_ROWS`` dispatched rows."""
+        workload = _chunked_chain(24, residual="storage")
+        compactions = []
+        compact = Engine._compact
 
-        def chained():
-            order.append("chained")
-            engine.after(0, lambda: order.append("chained-again"))
+        def counting(self):
+            compactions.append(len(self._heap))
+            compact(self)
 
-        engine.defer_at(3, 0, chained)
-        engine.at(3, lambda: order.append("peer"))
-        engine.run()
-        # the row's zero deferral joins the tail of the in-flight batch
-        # (after the already-queued peer), then its callback chains again
-        assert order == ["peer", "chained", "chained-again"]
-        assert engine.now == 3
+        monkeypatch.setattr(Engine, "_compact", counting)
+        monkeypatch.setattr(engine_module, "COMPACT_ROWS", 1 << 30)
+        reference, plain, events = _recorded_run(engine_kind, workload, monkeypatch)
+        assert compactions == []
+        monkeypatch.setattr(engine_module, "COMPACT_ROWS", 16)
+        result, compacted, compacted_events = _recorded_run(
+            engine_kind, workload, monkeypatch
+        )
+        assert len(compactions) == events // 16 > 20
+        assert compacted.widest == 16
+        assert compacted.log == plain.log
+        assert compacted_events == events == len(plain.log)
+        assert result_mismatches(reference, result) == []
 
-    def test_rows_interleave_with_callables_in_fifo_order(self):
-        engine = TableEngine()
-        order = []
-        engine.defer_at(4, 0, lambda: order.append("r1"))
-        engine.at(4, lambda: order.append("c1"))
-        engine.defer_at(4, 0, lambda: order.append("r2"))
-        engine.at(4, lambda: order.append("c2"))
-        engine.run()
-        # rows dispatch in submission order relative to callables; their
-        # zero deferrals append to the batch tail in dispatch order
-        assert order == ["c1", "c2", "r1", "r2"]
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_bounded_runs_stop_and_resume_across_compactions(
+        self, engine_kind, monkeypatch
+    ):
+        """``run(max_events=...)`` and ``run(until=...)`` stop and resume in
+        order when the columns compact between and inside the calls."""
 
-    def test_long_same_cycle_run_dispatches_in_row_order(self):
-        engine = TableEngine()
-        done = []
-        for i in range(24):
-            engine.defer_at(10, i % 3, lambda i=i: done.append((engine.now, i)))
-        engine.run()
-        # every callback fires at 10 + its own deferral, and rows sharing a
-        # target time keep their submission order
-        assert done == sorted(done)
-        assert {time for time, __ in done} == {10, 11, 12}
+        def trace(compact_rows, step):
+            monkeypatch.setattr(engine_module, "COMPACT_ROWS", compact_rows)
+            engine = engine_kind()
+            log = []
 
-    def test_row_runs_split_at_a_callable_keep_fifo_order(self):
-        engine = TableEngine()
-        order = []
-        for i in range(8):
-            engine.defer_at(1, 0, lambda i=i: order.append(f"a{i}"))
-        engine.at(1, lambda: order.append("mid"))
-        for i in range(8):
-            engine.defer_at(1, 0, lambda i=i: order.append(f"b{i}"))
-        engine.run()
-        assert order == ["mid"] + [f"a{i}" for i in range(8)] + [f"b{i}" for i in range(8)]
+            def event(tag, depth):
+                log.append((engine.now, tag))
+                assert len(engine._kind) - len(engine._heap) <= compact_rows
+                if depth:
+                    # a same-cycle cascade and a later event per level
+                    engine.after(0, lambda: event(f"{tag}.0", depth - 1))
+                    engine.after(depth, lambda: event(f"{tag}.{depth}", depth - 1))
 
-    def test_past_time_rejected(self):
-        engine = TableEngine()
-        engine.at(10, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.defer_at(5, 1, lambda: None)
+            for i in range(6):
+                engine.at(i % 3, lambda i=i: event(str(i), 4))
+            stops = []
+            while not engine.empty():
+                if step is None:
+                    engine.run()
+                elif step[0] == "max_events":
+                    engine.run(max_events=step[1])
+                else:
+                    engine.run(until=engine.now + step[1])
+                stops.append(engine.now)
+            return log, engine.events_processed, stops
 
-    def test_negative_cycles_rejected(self):
-        engine = TableEngine()
-        with pytest.raises(SimulationError):
-            engine.defer_at(0, -1, lambda: None)
-
-    def test_row_counts_as_two_events(self):
-        engine = TableEngine()
-        engine.defer_at(1, 5, lambda: None)
-        engine.run()
-        # the row's dispatch plus the dispatch of its deferred callback
-        assert engine.events_processed == 2
+        reference, events, __ = trace(4096, None)
+        assert events == len(reference) == 6 * 31
+        for step in (("max_events", 1), ("max_events", 7), ("until", 1), ("until", 3)):
+            for compact_rows in (3, 8):
+                log, traced_events, stops = trace(compact_rows, step)
+                assert log == reference, (step, compact_rows)
+                assert traced_events == events
+                assert stops == sorted(stops)
 
 
 # --------------------------------------------------------------------------- #
-# TableEngine: row storage
+# Row storage: bounded columns and reset
 # --------------------------------------------------------------------------- #
 class TestRowStorage:
-    def test_free_list_recycles_rows(self):
-        """Sequential rows reuse one storage slot — the table stays dense."""
-        engine = TableEngine()
-        for start in range(0, 50, 2):
-            engine.defer_at(start, 1, lambda: None)
-            engine.run()
-        assert len(engine._row_kind) == 1
-        assert engine._free_rows == [0]
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_columns_stay_bounded(self, engine_kind):
+        """A long run keeps at most ``COMPACT_ROWS`` dispatched rows in the
+        columns besides the pending ones, and counts every event."""
+        engine = engine_kind()
+        widest = []
 
-    def test_reset_releases_row_storage(self):
-        """Post-run compaction drops the peak-size columns and free list of
-        opcode and callback rows alike."""
+        def step(left):
+            widest.append(len(engine._kind) - len(engine._heap))
+            if left:
+                engine.after(left % 3, lambda: step(left - 1))
+                engine.after(0, lambda: None)
+
+        engine.at(0, lambda: step(5000))
+        engine.run()
+        assert engine.events_processed == 1 + 2 * 5000
+        # the run outgrew the threshold twice, and compacted each time
+        assert engine.events_processed > 2 * engine_module.COMPACT_ROWS
+        assert max(widest) <= engine_module.COMPACT_ROWS
+        assert len(engine._kind) <= engine_module.COMPACT_ROWS
+
+    @pytest.mark.parametrize("max_events", [None, 2], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_a_dispatched_row_drops_its_payload(self, engine_kind, max_events):
+        """The columns keep no callable alive once its event has run."""
+
+        class Payload:
+            def __call__(self):
+                pass
+
+        engine = engine_kind()
+        payload = Payload()
+        alive = weakref.ref(payload)
+        engine.at(1, payload)
+        del payload
+        seen = []
+        engine.at(2, lambda: seen.append(alive()))
+        engine.run(max_events=max_events)
+        assert seen == [None] and engine.empty()
+
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_reset_releases_the_columns(self, engine_kind):
+        """A drained engine's columns go, its event count stays, and it
+        stays usable."""
+        engine = engine_kind()
         fired = []
-        engine = TableEngine()
-        engine.set_handlers((fired.append,))
         for start in range(8):
-            engine.sched_op(start, K_OP_BASE, start)
-            engine.defer_at(start, 1, lambda: None)
+            engine.at(start, lambda start=start: fired.append(start))
+            engine.at(start, lambda: engine.after(1, lambda: None))
         engine.run()
-        assert len(engine._row_kind) > 0 and engine._free_rows
+        assert len(engine._kind) == len(engine._arg) == 8 * 3
         engine.reset()
-        assert engine._row_kind == []
-        assert engine._row_cycles == []
-        assert engine._row_callback == []
-        assert engine._free_rows == []
-        # the engine stays usable after compaction
-        engine.sched_op(20, K_OP_BASE, "z")
-        engine.defer_at(20, 2, lambda: fired.append("cb"))
+        assert engine._kind == [] and engine._arg == [] and engine._heap == []
+        assert engine.events_processed == 8 * 3
+        engine.at(20, lambda: fired.append("z"))
         engine.run()
-        assert fired == list(range(8)) + ["z", "cb"]
+        assert fired == list(range(8)) + ["z"]
+        assert engine.events_processed == 8 * 3 + 1
 
     @pytest.mark.parametrize("lane", ["op", "callback"])
     def test_reset_refuses_pending_events(self, lane):
-        """A reset must never orphan a live row index sitting in a bucket."""
+        """A reset must never orphan a pending row."""
         engine = TableEngine()
         engine.set_handlers((lambda arg: None,))
         if lane == "op":
             engine.sched_op(5, K_OP_BASE, None)
         else:
-            engine.defer_at(5, 1, lambda: None)
+            engine.at(5, lambda: None)
         with pytest.raises(SimulationError, match="pending"):
             engine.reset()
         engine.run()
@@ -326,31 +467,36 @@ class TestRowStorage:
         engine.run()
         assert errors and "inside run()" in errors[0]
 
-    def test_simulator_run_compacts_a_drained_engine(self):
-        """SystemSimulator.run() resets the row storage after the run
-        drains, so long-lived workers do not retain peak-size columns
-        between scenarios."""
-        simulator = SystemSimulator(ARCH64, _chain(n_jobs=8), engine="table")
+    @pytest.mark.parametrize("engine_kind", SIMULATION_ENGINES)
+    def test_simulator_run_compacts_a_drained_engine(self, engine_kind):
+        """SystemSimulator.run() resets the columns after the run drains,
+        so long-lived workers do not retain them between scenarios."""
+        simulator = SystemSimulator(ARCH64, _chain(n_jobs=8), engine=engine_kind)
         simulator.run()
-        assert simulator.engine._row_kind == []
-        assert simulator.engine._free_rows == []
+        assert simulator.engine._kind == [] and simulator.engine._arg == []
+        assert simulator.engine.events_processed > 0
 
 
 # --------------------------------------------------------------------------- #
 # TableEngine: bounded runs and re-entrancy
 # --------------------------------------------------------------------------- #
 class TestBoundedRuns:
-    def test_max_events_truncates_between_rows_and_resumes_in_order(self):
-        """Mirrors the object kernel's mid-batch truncation contract."""
+    def _engine(self, log):
         engine = TableEngine()
+        engine.set_handlers((lambda arg: log.append(arg),))
+        return engine
+
+    def test_max_events_truncates_between_rows_and_resumes_in_order(self):
+        """Mirrors the object kernel's mid-cycle truncation contract."""
         order = []
-        engine.defer_at(7, 0, lambda: order.append("r1"))
-        engine.defer_at(7, 0, lambda: order.append("r2"))
+        engine = self._engine(order)
+        engine.defer_op(7, 0, K_OP_BASE, "r1")
+        engine.defer_op(7, 0, K_OP_BASE, "r2")
         engine.at(7, lambda: order.append("c1"))
         engine.at(9, lambda: order.append("late"))
         engine.run(max_events=2)
-        # two of the three t=7 entries dispatched; the rows re-queued
-        # themselves behind the unprocessed tail
+        # two of the three events queued at 7 dispatched; the rows they
+        # deferred queue behind the third
         assert engine.now == 7
         assert not engine.empty()
         engine.run()
@@ -358,13 +504,13 @@ class TestBoundedRuns:
         assert engine.now == 9
 
     def test_max_events_counts_rows_as_events(self):
-        engine = TableEngine()
         fired = []
+        engine = self._engine(fired)
         for i in range(4):
-            engine.defer_at(1, 10, lambda i=i: fired.append(i))
+            engine.defer_op(1, 10, K_OP_BASE, i)
         engine.run(max_events=3)
         assert engine.now == 1
-        assert fired == []  # rows dispatched, callbacks land at t=11
+        assert fired == []  # deferring rows dispatched, opcode rows land at 11
         engine.run()
         assert fired == [0, 1, 2, 3]
 
@@ -382,13 +528,14 @@ class TestBoundedRuns:
         engine = TableEngine()
         errors = []
 
-        def reenter():
+        def reenter(arg):
             try:
                 engine.run()
             except SimulationError as error:
                 errors.append(str(error))
 
-        engine.defer_at(1, 0, reenter)
+        engine.set_handlers((reenter,))
+        engine.defer_op(1, 0, K_OP_BASE, None)
         engine.run()
         assert len(errors) == 1
         assert "re-entrant" in errors[0]

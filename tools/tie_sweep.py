@@ -8,9 +8,13 @@ digital clusters, digital slots and intra-stage partial-sum flows to such
 pipelines, so that stages share clusters.  A third arm draws the first
 generator's pipelines on an HBM controller with two channels: every draw
 fetches its input from the HBM and some relay a residual through it, so
-bursts contend for the earliest-free channel.  Every draw is simulated on
-both engines at buffer depths 1, 2 and 5, and the results are compared
-with ``repro.sim.result_mismatches``.  Run it from the repository root::
+bursts contend for the earliest-free channel.  A fourth arm draws the
+first generator's pipelines again with the event queue's compaction
+threshold (``repro.sim.engine.COMPACT_ROWS``) lowered to a few rows, so
+every run renumbers its pending rows many times, also in the middle of
+same-cycle cascades.  Every draw is simulated on both engines at buffer
+depths 1, 2 and 5, and the results are compared with
+``repro.sim.result_mismatches``.  Run it from the repository root::
 
     PYTHONPATH=src python tools/tie_sweep.py
 
@@ -26,6 +30,7 @@ import sys
 import time
 
 from repro.arch import ArchConfig
+from repro.sim import engine as event_queue
 from repro.sim import (
     DataFlow,
     StageCost,
@@ -44,6 +49,14 @@ DIGITAL_SEEDS = range(2500, 2900)
 #: the seeds :func:`tie_workload` draws on :data:`TWO_CHANNEL_ARCH`,
 #: disjoint from the other two ranges; about 15 s on the same container.
 TWO_CHANNEL_SEEDS = range(2900, 3300)
+#: the seeds :func:`tie_workload` draws with the queue compacting every
+#: :data:`COMPACT_ROWS` dispatches, disjoint from the other ranges; about
+#: 20 s on the same container.
+COMPACTING_SEEDS = range(3300, 3700)
+#: the compaction threshold of the compacting arm: a run compacts about
+#: 100 times, more than half of them while events of the current cycle
+#: are still queued.
+COMPACT_ROWS = 16
 #: the buffer depths every seed's pipeline is simulated at.
 BUFFER_DEPTHS = (1, 2, 5)
 #: the architecture every draw is mapped onto (64 clusters).
@@ -193,6 +206,12 @@ def main() -> int:
     diverged += sweep(
         "two-channel HBM tie sweep", tie_workload, TWO_CHANNEL_SEEDS, TWO_CHANNEL_ARCH
     )
+    default_rows = event_queue.COMPACT_ROWS
+    event_queue.COMPACT_ROWS = COMPACT_ROWS
+    try:
+        diverged += sweep("compacting tie sweep", tie_workload, COMPACTING_SEEDS)
+    finally:
+        event_queue.COMPACT_ROWS = default_rows
     return 1 if diverged else 0
 
 
