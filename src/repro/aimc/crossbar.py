@@ -488,7 +488,7 @@ class AnalogExecutor:
     ):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        graph.infer_shapes()
+        graph.ensure_shapes()
         self.graph = graph
         self.noise = noise if noise is not None else NoiseModel.typical()
         self.backend = backend

@@ -177,6 +177,6 @@ class GraphBuilder:
     # Finalisation
     # ------------------------------------------------------------------ #
     def build(self) -> Graph:
-        """Run shape inference and return the finished graph."""
-        self.graph.infer_shapes()
+        """Infer any missing shapes and return the finished graph."""
+        self.graph.ensure_shapes()
         return self.graph

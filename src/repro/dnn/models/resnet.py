@@ -60,7 +60,7 @@ def _basic_block(
 def _needs_projection(builder: GraphBuilder, node_id: int, channels: int) -> bool:
     """Whether the shortcut needs a projection to match ``channels``."""
     graph = builder.graph
-    graph.infer_shapes()
+    graph.ensure_shapes()
     return graph.node(node_id).output_shape.channels != channels
 
 

@@ -176,7 +176,7 @@ class LayerParameters:
 
 def initialize_parameters(graph: Graph, seed: int = 0) -> Dict[int, LayerParameters]:
     """Generate deterministic random parameters for every analog node."""
-    graph.infer_shapes()
+    graph.ensure_shapes()
     rng = np.random.default_rng(seed)
     params: Dict[int, LayerParameters] = {}
     for node in graph.analog_nodes():
@@ -228,7 +228,7 @@ class ReferenceExecutor:
         seed: int = 0,
         mvm_hook: Optional[Callable[[Node, np.ndarray, np.ndarray], np.ndarray]] = None,
     ):
-        graph.infer_shapes()
+        graph.ensure_shapes()
         self.graph = graph
         self.parameters = parameters if parameters is not None else initialize_parameters(graph, seed)
         self.mvm_hook = mvm_hook
@@ -316,7 +316,7 @@ class ReferenceExecutor:
 
 def random_input(graph: Graph, seed: int = 0) -> np.ndarray:
     """Generate a deterministic random input tensor matching the graph input."""
-    graph.infer_shapes()
+    graph.ensure_shapes()
     inputs = graph.input_nodes
     if len(inputs) != 1:
         raise GraphError("random_input requires a graph with exactly one input")

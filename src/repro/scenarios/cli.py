@@ -177,7 +177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--fast-forward",
         action="store_true",
         help="enable the exact steady-state fast-forward for every scenario "
-        "(periodic simulations are probed and extrapolated, bit-identical "
+        "(periodic simulations are cut short and extrapolated, bit-identical "
         "results; non-periodic ones run in full) — equivalent to "
         "fast_forward = true in the spec's [base] table",
     )

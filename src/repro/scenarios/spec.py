@@ -294,9 +294,9 @@ class Scenario:
     model_contention: bool = True
     buffer_depth: int = 2
     #: when True the simulation stage may use the steady-state fast-forward
-    #: (:mod:`repro.sim.steady_state`): periodic runs are probed and
-    #: extrapolated exactly, non-periodic ones fall back to the full
-    #: event-driven simulation.  Results are bit-identical either way; the
+    #: (:mod:`repro.sim.steady_state`): periodic runs are cut short and
+    #: extrapolated exactly, non-periodic ones run as the full event-driven
+    #: simulation.  Results are bit-identical either way; the
     #: flag is still part of the simulation cache key because the record
     #: carries the ``fast_forwarded`` provenance marker.
     fast_forward: bool = False

@@ -212,7 +212,7 @@ class Engine:
 
         Compaction keeps them at most :data:`COMPACT_ROWS` rows longer
         than the pending rows, and a long-lived holder of the engine (a
-        ``SweepRunner`` worker, the steady-state prober) need not keep even
+        ``SweepRunner`` worker, the steady-state fast-forward) need not keep even
         those.  Raises :class:`SimulationError` when called mid-run or with
         events still queued: a reset must never orphan a pending row.
         """

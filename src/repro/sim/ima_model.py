@@ -103,10 +103,6 @@ class IMATimingModel:
             total = (analog + stream_in + stream_out) * job.n_mvms
         return self.spec.config_cycles + total
 
-    def job_time_ns(self, job: IMAJob, double_buffering: bool = True) -> float:
-        """Job duration in nanoseconds."""
-        return self.job_cycles(job, double_buffering) * self.cluster.cycle_time_ns
-
     def effective_utilization(self, job: IMAJob) -> float:
         """Fraction of the crossbar's peak MACs actually used by the job.
 

@@ -9,33 +9,39 @@ everything after the insertion point by exactly ``D`` cycles and adds
 exactly one window's worth of activity and traffic.
 
 :func:`fast_forward_simulate` exploits this *without approximating*, along
-one certification path for both contention modes: simulate a shortened
-copy of the workload (a few dozen jobs), snapshot every recorded quantity
-at each final-stage completion, and find the smallest window
-``W ≤ MAX_WINDOW`` whose per-window increments are identical over
-:data:`MIN_WINDOWS` consecutive windows.  All stages share one anchor;
-extrapolation shifts the probe's drain tail and adds ``t×`` the certified
-window increment to every counter.  Integer arithmetic throughout: the
-result is bit-identical to the full run (asserted over synthetic pipelines
-and the model zoo in ``tests/test_sim_fast_forward.py``).
+one certification path for both contention modes.  It runs the real
+workload once and, at each final-stage completion, snapshots every
+recorded quantity and looks for the smallest window ``W ≤ MAX_WINDOW``
+whose per-window increments repeat over :data:`MIN_WINDOWS` consecutive
+windows.  A run of ``n`` jobs and a run of ``n′`` jobs dispatch the same
+events until some stage admits job ``n′`` or an external feed fetches it,
+so once a window certifies the run lowers its admission limit
+(``SystemSimulator.job_limit``) to the smallest ``n′ ≡ n (mod W)`` not yet
+admitted and drains as the ``n′``-job run.  That run is certified again
+in full and extended to ``n`` jobs: all stages share one anchor;
+extrapolation shifts the drain tail and adds ``t×`` the certified window
+increment to every counter.  Integer arithmetic throughout: the result is
+bit-identical to the full run (asserted over synthetic pipelines and the
+model zoo in ``tests/test_sim_fast_forward.py``).
 
 A stage whose round-robin over its analog replicas and digital slots
 repeats only every ``lcm(replication, digital_slots) > MAX_WINDOW`` jobs —
 the paper's headline FINAL mapping replicates stages 33/9/3-way — repeats
 over more jobs than any candidate window, so such a workload is refused
-before any probe runs.
+before anything is simulated.
 
-When certification fails the function returns a typed
+Refusals decided from the workload alone return a typed
 :class:`FastForwardRefusal` naming the reason (see
-:data:`REFUSAL_REASONS`); :func:`repro.sim.system.simulate` then falls back
-to the full event-driven simulation and attaches the refusal to the result,
-so ``fast_forward=True`` is always safe, merely not always faster.  See
-``docs/simulator.md`` for the correctness argument.
+:data:`REFUSAL_REASONS`), and :func:`repro.sim.system.simulate` then runs
+the full simulation.  A run in which no window certifies simply finishes:
+it is the full run, returned with its ``non-periodic-probe`` refusal
+attached, so ``fast_forward=True`` is always safe and costs a refused run
+only its snapshots.  See ``docs/simulator.md`` for the correctness
+argument.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
@@ -44,19 +50,9 @@ from ..arch.config import ArchConfig
 from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator
 from .workload import StageDescriptor, Workload
 
-logger = logging.getLogger(__name__)
-
-#: below this job count a probe costs about as much as the full run.
+#: below this job count an attempt is refused up front: its snapshots
+#: would cost more than the few jobs a cut could save.
 MIN_JOBS = 48
-
-#: aimed probe size, in jobs; the probe must contain the pipeline fill plus
-#: at least ``(MIN_WINDOWS + 1)`` steady windows plus the drain.
-PROBE_TARGET = 24
-
-#: the probe size is chosen ``≡ n_jobs (mod PROBE_ALIGN)`` so that every
-#: window length dividing this value yields an integer window count without
-#: a second probe.
-PROBE_ALIGN = 12
 
 #: largest candidate window (jobs) considered by the detector.
 MAX_WINDOW = 12
@@ -71,11 +67,12 @@ MIN_WINDOWS = 3
 #: some stage's effective window ``lcm(replication, digital_slots)`` exceeds
 #: :data:`MAX_WINDOW`.
 REFUSAL_WINDOW_TOO_LARGE = "window-too-large"
-#: arrival-driven workload: a probe sees only the schedule's prefix.
+#: arrival-driven workload: it never reaches a closed steady state.
 REFUSAL_OPEN_WORKLOAD = "open-workload"
-#: the probe ran but some quantity failed periodicity certification.
+#: the run was watched, but no window certified before half of its jobs
+#: were admitted; it finished in full.
 REFUSAL_NON_PERIODIC = "non-periodic-probe"
-#: the run is too short for a probe to amortise (or to settle).
+#: the run has fewer than :data:`MIN_JOBS` jobs, too few to settle and cut.
 REFUSAL_PROBE_TOO_SHORT = "probe-too-short"
 #: one cluster serves two analog replicas of one stage, so a replica's
 #: jobs no longer map one-to-one onto its clusters' activity.
@@ -96,9 +93,10 @@ class FastForwardRefusal:
     """A structured explanation of why fast-forward did not engage.
 
     ``reason`` is one of :data:`REFUSAL_REASONS`; ``detail`` is a free-form
-    human-readable elaboration; ``probes`` records every probe attempt and
-    rejected candidate window, so coverage cliffs are visible instead of
-    silently degrading to the full run.
+    human-readable elaboration; ``probes`` records how the attempt ended —
+    the rule that refused it before anything ran, or how far the run was
+    watched — so coverage cliffs are visible instead of silently degrading
+    to the full run.
     """
 
     reason: str
@@ -133,41 +131,119 @@ _StageSnap = Dict[int, Tuple]
 _LinkSnap = Dict[str, int]
 
 
-class _ProbeSimulator(SystemSimulator):
-    """A system simulator that snapshots state at final-stage completions.
+class _AttemptSimulator(SystemSimulator):
+    """Runs the full workload and fast-forwards it from inside the run.
 
-    Snapshots are taken at identical event positions (the ``job_finished``
-    call of the final stage), so window-to-window comparisons are exact.
+    At every final-stage completion it snapshots the run (at identical
+    event positions, so window-to-window comparisons are exact) and tries
+    each candidate window.  The first window that certifies lowers the
+    admission limit, and the run drains as the ``job_limit``-job run.
+    Until then only the last ``2·MAX_WINDOW + 1`` activity snapshots are
+    kept; once a stage has admitted more than half of the jobs, a cut
+    would save less than half of the run, so watching stops and the run
+    finishes in full.
     """
 
-    def __init__(
-        self, arch, workload, model_contention, buffer_depth, engine=DEFAULT_ENGINE
-    ):
-        super().__init__(
-            arch,
-            workload,
-            model_contention=model_contention,
-            buffer_depth=buffer_depth,
-            engine=engine,
-        )
-        self._final_stage_id = workload.final_stage().stage_id
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._final_stage_id = self.workload.final_stage().stage_id
+        self._watching = True
+        #: the certified window, once the admission limit has been lowered.
+        self.window: Optional[int] = None
+        #: how the attempt ended: the certification or the give-up point.
+        self.record = ""
         #: (now, hbm_bytes, noc_bytes, noc_byte_hops, local_bytes, n_transfers)
         self.counter_snaps: List[Tuple[int, ...]] = []
-        self.cluster_snaps: List[_ClusterSnap] = []
-        self.stage_snaps: List[_StageSnap] = []
-        self.link_snaps: List[_LinkSnap] = []
+        #: ``counter_deltas[j]`` = ``counter_snaps[j + 1] - counter_snaps[j]``
+        self.counter_deltas: List[Tuple[int, ...]] = []
+        #: activity snapshots by completion index; ``None`` once dropped.
+        self.cluster_snaps: List[Optional[_ClusterSnap]] = []
+        self.stage_snaps: List[Optional[_StageSnap]] = []
+        self.link_snaps: List[Optional[_LinkSnap]] = []
 
     def job_finished(self, stage_id: int, job_index: int) -> None:
         super().job_finished(stage_id, job_index)
-        if stage_id == self._final_stage_id:
-            # snapshot_activity is engine-aware: the table engine serves
-            # clusters/links from its dense mid-run lanes, the object
-            # kernel from the tracer — identical values either way.
-            counters, clusters, stages, links = self.snapshot_activity()
-            self.counter_snaps.append(counters)
-            self.cluster_snaps.append(clusters)
-            self.stage_snaps.append(stages)
-            self.link_snaps.append(links)
+        if stage_id != self._final_stage_id or not self._watching:
+            return
+        n = self.workload.n_jobs
+        if self.window is None:
+            admitted = self.admitted_jobs()
+            if 2 * admitted > n:
+                self._watching = False
+                self.record = (
+                    f"no window certified; stopped watching at final-stage "
+                    f"completion {len(self.counter_snaps) + 1}, with "
+                    f"{admitted} of {n} jobs admitted"
+                )
+                return
+        # snapshot_activity is engine-aware: the table engine serves
+        # clusters/links from its dense mid-run lanes, the object kernel
+        # from the tracer — identical values either way.
+        counters, clusters, stages, links = self.snapshot_activity()
+        if self.counter_snaps:
+            previous = self.counter_snaps[-1]
+            self.counter_deltas.append(tuple(b - a for a, b in zip(previous, counters)))
+        self.counter_snaps.append(counters)
+        self.cluster_snaps.append(clusters)
+        self.stage_snaps.append(stages)
+        self.link_snaps.append(links)
+        if self.window is not None:
+            return  # draining: the final analysis may anchor anywhere
+        stale = len(self.counter_snaps) - 2 * MAX_WINDOW - 2
+        if stale >= 0:
+            self.cluster_snaps[stale] = None
+            self.stage_snaps[stale] = None
+            self.link_snaps[stale] = None
+        for window in range(1, MAX_WINDOW + 1):
+            period = self._certifies(window)
+            if period is not None:
+                # the smallest n′ ≡ n (mod W) that nothing has reached yet
+                self.job_limit = admitted + (n - admitted) % window
+                self.window = window
+                self.record = (
+                    f"certified W={window} D={period} at final-stage "
+                    f"completion {len(self.counter_snaps)}; admissions cut "
+                    f"to {self.job_limit} of {n} jobs"
+                )
+                return
+
+    def _certifies(self, window: int) -> Optional[int]:
+        """The period ``D`` when ``window`` certifies at this completion.
+
+        The counter deltas and every stage's completion-trace deltas must
+        repeat with ``window`` over the last ``MIN_WINDOWS·window``
+        completions, with one positive period, and every activity record
+        must pass the second-difference test.
+        """
+        snaps = self.counter_snaps
+        anchor = len(snaps) - 1
+        span = (MIN_WINDOWS + 1) * window
+        if anchor < span:
+            return None
+        period = snaps[anchor][0] - snaps[anchor - window][0]
+        if period <= 0 or not _repeats(self.counter_deltas, window):
+            return None
+        for stage in self.workload.stages:
+            trace = self.tracer.stage_completions.get(stage.stage_id, ())
+            if (
+                len(trace) <= span
+                or trace[-1] - trace[-1 - window] != period
+                or not _repeats(_deltas(trace[-span - 1 :]), window)
+            ):
+                return None
+        if not _verify_window_increments(self, anchor, window, period):
+            return None
+        return period
+
+
+def _repeats(deltas: List, window: int) -> bool:
+    """Whether each of the last ``MIN_WINDOWS·window`` deltas equals the
+    delta ``window`` positions earlier."""
+    last = len(deltas) - 1
+    return all(
+        deltas[j] == deltas[j - window]
+        for j in range(last, last - MIN_WINDOWS * window, -1)
+    )
 
 
 @dataclass
@@ -207,25 +283,23 @@ def _rightmost_periodic_run(deltas: List, window: int) -> Optional[int]:
     return None
 
 
-def _deltas(values: List) -> List:
-    return [
-        tuple(b - a for a, b in zip(x, y)) if isinstance(x, tuple) else y - x
-        for x, y in zip(values, values[1:])
-    ]
+def _deltas(values: List[int]) -> List[int]:
+    return [y - x for x, y in zip(values, values[1:])]
 
 
-def _analyze(probe: _ProbeSimulator, result: SimulationResult, window: int) -> Optional[_Plan]:
-    """Certify periodicity of one probe run at one candidate window."""
-    b = result.workload.n_jobs
-    snaps = probe.counter_snaps
+def _analyze(run: _AttemptSimulator, result: SimulationResult, window: int) -> Optional[_Plan]:
+    """Certify periodicity of a drained run at one candidate window."""
+    b = run.job_limit
+    snaps = run.counter_snaps
     if len(snaps) != b:
         return None
-    counter_deltas = _deltas(snaps)
-    end = _rightmost_periodic_run(counter_deltas, window)
+    end = _rightmost_periodic_run(run.counter_deltas, window)
     if end is None:
         return None
     anchor = end + 1  # snapshot index whose preceding window is certified
-    if anchor - 2 * window < 0:
+    # the in-run certification anchors at or before this anchor, so its
+    # ring still holds the activity two windows back; refuse otherwise
+    if anchor - 2 * window < 0 or run.cluster_snaps[anchor - 2 * window] is None:
         return None
     counter_delta = tuple(
         a - c for a, c in zip(snaps[anchor], snaps[anchor - window])
@@ -240,8 +314,7 @@ def _analyze(probe: _ProbeSimulator, result: SimulationResult, window: int) -> O
         trace = result.tracer.stage_completions.get(stage_id, ())
         if len(trace) != b:
             return None
-        trace_deltas = [y - x for x, y in zip(trace, trace[1:])]
-        trace_end = _rightmost_periodic_run(trace_deltas, window)
+        trace_end = _rightmost_periodic_run(_deltas(trace), window)
         if trace_end is None:
             return None
         head = trace_end + 2  # trace[:head] ends inside the certified region
@@ -251,7 +324,7 @@ def _analyze(probe: _ProbeSimulator, result: SimulationResult, window: int) -> O
 
     # per-cluster, per-stage and per-link activity must grow by the same
     # amount over the two certified windows before the anchor
-    if not _verify_window_increments(probe, anchor, window, period):
+    if not _verify_window_increments(run, anchor, window, period):
         return None
     return _Plan(
         window=window,
@@ -263,13 +336,13 @@ def _analyze(probe: _ProbeSimulator, result: SimulationResult, window: int) -> O
 
 
 def _verify_window_increments(
-    probe: _ProbeSimulator, anchor: int, window: int, period: int
+    run: _AttemptSimulator, anchor: int, window: int, period: int
 ) -> bool:
     """Check that every activity dict grew identically over the last two
     certified windows (the second-difference test)."""
-    c0 = probe.cluster_snaps[anchor - 2 * window]
-    c1 = probe.cluster_snaps[anchor - window]
-    c2 = probe.cluster_snaps[anchor]
+    c0 = run.cluster_snaps[anchor - 2 * window]
+    c1 = run.cluster_snaps[anchor - window]
+    c2 = run.cluster_snaps[anchor]
     zero6 = (0, 0, 0, 0, 0, 0)
     for cid in c2:
         s0 = c0.get(cid, zero6)
@@ -284,9 +357,9 @@ def _verify_window_increments(
         d1, d2 = s1[5] - s0[5], s2[5] - s1[5]
         if d2 != d1 or d2 not in (0, period):
             return False
-    g0 = probe.stage_snaps[anchor - 2 * window]
-    g1 = probe.stage_snaps[anchor - window]
-    g2 = probe.stage_snaps[anchor]
+    g0 = run.stage_snaps[anchor - 2 * window]
+    g1 = run.stage_snaps[anchor - window]
+    g2 = run.stage_snaps[anchor]
     for sid in g2:
         s0, s1, s2 = g0.get(sid), g1.get(sid), g2[sid]
         if s0 is None or s1 is None:
@@ -300,9 +373,9 @@ def _verify_window_increments(
             return False  # first_job_start is settled during the fill
         if s2[6] - s1[6] != period or s1[6] - s0[6] != period:
             return False
-    l0 = probe.link_snaps[anchor - 2 * window]
-    l1 = probe.link_snaps[anchor - window]
-    l2 = probe.link_snaps[anchor]
+    l0 = run.link_snaps[anchor - 2 * window]
+    l1 = run.link_snaps[anchor - window]
+    l2 = run.link_snaps[anchor]
     for link in l2:
         if l2[link] - l1.get(link, 0) != l1.get(link, 0) - l0.get(link, 0):
             return False
@@ -310,14 +383,11 @@ def _verify_window_increments(
 
 
 def _extrapolate(
-    probe: _ProbeSimulator,
-    result: SimulationResult,
-    plan: _Plan,
-    workload: Workload,
+    run: _AttemptSimulator, result: SimulationResult, plan: _Plan
 ) -> SimulationResult:
-    """Advance the probe result by ``t`` certified windows, in place."""
-    b = result.workload.n_jobs
-    n = workload.n_jobs
+    """Advance the drained run's result by ``t`` certified windows, in place."""
+    b = run.job_limit
+    n = run.workload.n_jobs
     window, period = plan.window, plan.period
     t = (n - b) // window
     shift = t * period
@@ -333,8 +403,8 @@ def _extrapolate(
     tracer.makespan += shift
 
     # per-cluster activity
-    c1 = probe.cluster_snaps[plan.anchor - window]
-    c2 = probe.cluster_snaps[plan.anchor]
+    c1 = run.cluster_snaps[plan.anchor - window]
+    c2 = run.cluster_snaps[plan.anchor]
     zero6 = (0, 0, 0, 0, 0, 0)
     for cid, act in tracer.clusters.items():
         s1 = c1.get(cid, zero6)
@@ -350,8 +420,8 @@ def _extrapolate(
             act.last_busy_cycle += shift
 
     # per-stage activity records
-    g1 = probe.stage_snaps[plan.anchor - window]
-    g2 = probe.stage_snaps[plan.anchor]
+    g1 = run.stage_snaps[plan.anchor - window]
+    g2 = run.stage_snaps[plan.anchor]
     for sid, rec in tracer.stages.items():
         s1, s2 = g1[sid], g2[sid]
         rec.jobs_completed += t * window
@@ -362,8 +432,8 @@ def _extrapolate(
         rec.last_job_end += shift
 
     # per-link busy cycles
-    l1 = probe.link_snaps[plan.anchor - window]
-    l2 = probe.link_snaps[plan.anchor]
+    l1 = run.link_snaps[plan.anchor - window]
+    l2 = run.link_snaps[plan.anchor]
     for link, busy in l2.items():
         tracer.link_busy[link] += t * (busy - l1.get(link, 0))
 
@@ -377,117 +447,12 @@ def _extrapolate(
             new_trace.append(trace[j] + shift)
         tracer.stage_completions[sid] = new_trace
 
-    final_stage_id = workload.final_stage().stage_id
-    final_trace = tracer.stage_completions[final_stage_id]
-    result.workload = workload
+    final_trace = tracer.stage_completions[run._final_stage_id]
     result.makespan_cycles = tracer.makespan
     result.jobs_completed = {sid: n for sid in result.jobs_completed}
     result.final_stage_completions = tuple(final_trace[-2:])
     result.fast_forwarded = True
     return result
-
-
-def _probe_size(n: int, align: int, target: int) -> int:
-    """Smallest probe size ``≡ n (mod align)`` at or above ``target``."""
-    return n - align * ((n - target) // align)
-
-
-def _run_probe(
-    arch: ArchConfig,
-    workload: Workload,
-    b: int,
-    model_contention: bool,
-    buffer_depth: int,
-    engine: str,
-) -> Tuple[_ProbeSimulator, SimulationResult]:
-    probe = _ProbeSimulator(
-        arch, workload.with_n_jobs(b), model_contention, buffer_depth, engine
-    )
-    return probe, probe.run()
-
-
-def _global_fast_forward(
-    arch: ArchConfig,
-    workload: Workload,
-    model_contention: bool,
-    buffer_depth: int,
-    engine: str,
-    attempts: List[str],
-) -> Optional[SimulationResult]:
-    """Probe, certify a window ``≤ MAX_WINDOW`` and extrapolate.
-
-    Returns the extrapolated result, or ``None`` when no global window
-    certifies; every probe attempt and every rejected candidate window is
-    appended to ``attempts`` (and logged) so refusals carry a full record.
-    """
-    n = workload.n_jobs
-    # probe sizing: start near PROBE_TARGET; if certification fails —
-    # typically because the probe is shorter than the pipeline's fill plus
-    # drain, so no window exists in which *every* stage runs at the
-    # bottleneck rate — escalate once to a depth-scaled probe.  A probe
-    # costing more than half the full run cannot pay for itself.
-    targets = (PROBE_TARGET, PROBE_TARGET + 2 * len(workload.stages))
-    probes_run = 0
-    for target in targets:
-        if target > n // 2 or probes_run >= 2:
-            break
-        b = _probe_size(n, PROBE_ALIGN, target)
-        if b >= n or b > n // 2:
-            attempts.append(f"global probe b={b} skipped: exceeds n/2={n // 2}")
-            break
-        probe, result = _run_probe(
-            arch, workload, b, model_contention, buffer_depth, engine
-        )
-        probes_run += 1
-        logger.info("fast-forward global probe: b=%d engine=%s", b, engine)
-        if not result.completed:
-            attempts.append(f"global probe b={b}: probe run did not complete")
-            return None
-        rejected: List[int] = []
-        uncertified: Optional[int] = None
-        for window in range(1, MAX_WINDOW + 1):
-            if (n - b) % window == 0:
-                plan = _analyze(probe, result, window)
-                if plan is not None:
-                    attempts.append(
-                        f"global probe b={b}: certified W={window} D={plan.period}"
-                    )
-                    return _extrapolate(probe, result, plan, workload)
-                rejected.append(window)
-            elif uncertified is None and _analyze(probe, result, window) is not None:
-                uncertified = window
-        attempts.append(
-            f"global probe b={b}: rejected windows {rejected}"
-            + (f"; W={uncertified} certifies but does not divide n-b" if uncertified else "")
-        )
-        logger.info(
-            "fast-forward global probe b=%d: rejected windows %s", b, rejected
-        )
-        if uncertified is not None:
-            # the pipeline is periodic, but the window does not divide the
-            # remaining job count: re-probe once at an aligned size
-            window = uncertified
-            b2 = n - window * ((n - target) // window)
-            if b2 < n and b2 != b and b2 <= n // 2:
-                attempts.append(
-                    f"global escalation: re-probe b={b2} aligned to W={window}"
-                )
-                logger.info(
-                    "fast-forward global escalation: b=%d aligned to W=%d", b2, window
-                )
-                probe, result = _run_probe(
-                    arch, workload, b2, model_contention, buffer_depth, engine
-                )
-                if result.completed:
-                    plan = _analyze(probe, result, window)
-                    if plan is not None:
-                        attempts.append(
-                            f"global probe b={b2}: certified W={window} D={plan.period}"
-                        )
-                        return _extrapolate(probe, result, plan, workload)
-                attempts.append(f"global probe b={b2}: W={window} no longer certifies")
-            return None
-    return None
 
 
 def _shared_replica_cluster(
@@ -515,14 +480,16 @@ def fast_forward_simulate(
 ) -> Union[SimulationResult, "FastForwardRefusal"]:
     """Simulate ``workload`` by steady-state extrapolation when provably exact.
 
-    Returns the bit-identical extrapolated :class:`SimulationResult` on
-    success, or a typed :class:`FastForwardRefusal` explaining why the run
-    must be simulated in full.  Refusals that follow from the workload
-    alone — an open workload, too few jobs, a stage whose effective window
-    exceeds :data:`MAX_WINDOW`, or a cluster shared by two analog replicas
-    of one stage — return before any probe runs, in that order.  Otherwise
-    the probe runs, and a run with no certifiable window refuses with
-    ``non-periodic-probe``.  Both contention modes take the same path.
+    Refusals that follow from the workload alone — an open workload, too
+    few jobs, a stage whose effective window exceeds :data:`MAX_WINDOW`,
+    or a cluster shared by two analog replicas of one stage — return a
+    typed :class:`FastForwardRefusal` before anything is simulated, in
+    that order; the caller then simulates in full.  Otherwise the workload
+    runs once, certifying a window on its own final-stage completions, and
+    a :class:`SimulationResult` comes back: the bit-identical
+    extrapolation when a window certified, or else the full run itself
+    with a ``non-periodic-probe`` refusal attached.  Both contention modes
+    take the same path.
     """
     if workload.arrival_cycles:
         return FastForwardRefusal(
@@ -544,7 +511,7 @@ def fast_forward_simulate(
     # a job in one window and none in the next, and the second-difference
     # test cannot pass.  Where only q exceeds the cap the rule is merely
     # conservative (lowered workloads have one digital slot, so q = R), and
-    # a refusal never changes a result.  Refuse before paying for a probe.
+    # a refusal never changes a result.  Refuse before simulating anything.
     windows = {d.stage_id: math.lcm(d.replication, d.digital_slots) for d in workload.stages}
     wide = [sid for sid, q in windows.items() if q > MAX_WINDOW]
     if wide:
@@ -577,12 +544,23 @@ def fast_forward_simulate(
                 f"share cluster {cluster}",
             ),
         )
-    attempts: List[str] = []
-    extrapolated = _global_fast_forward(
-        arch, workload, model_contention, buffer_depth, engine, attempts
+    run = _AttemptSimulator(arch, workload, model_contention, buffer_depth, engine)
+    result = run.run()
+    records: Tuple[str, ...] = (run.record,)
+    if run.window is not None:
+        plan = _analyze(run, result, run.window)
+        if plan is not None:
+            return _extrapolate(run, result, plan)
+        # A safety net: the run passed these tests at the cut, and is now
+        # analysed again up to its own drain; no census run gets here.
+        records += (
+            f"drained run of {run.job_limit} jobs: W={run.window} no longer "
+            f"certifies; simulated in full",
+        )
+        result = SystemSimulator(
+            arch, workload, model_contention, buffer_depth, engine
+        ).run()
+    result.fast_forward_refusal = FastForwardRefusal(
+        REFUSAL_NON_PERIODIC, "no periodic window certified", records
     )
-    if extrapolated is not None:
-        return extrapolated
-    return FastForwardRefusal(
-        REFUSAL_NON_PERIODIC, "no periodic window certified", tuple(attempts)
-    )
+    return result

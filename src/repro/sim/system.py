@@ -86,7 +86,10 @@ from .workload import (
 #: (engagement by that path, or a refusal reason that no longer exists),
 #: and the pickled tracer lost its per-stage replica-group field, so every
 #: v6 payload is re-simulated once.
-SIMULATION_PAYLOAD_VERSION = 7
+#: Version 8: the fast-forward certifies inside the one run instead of on
+#: a separate probe, so a refused run's ``probes`` record changed and some
+#: runs that refused now engage; every v7 payload is re-simulated once.
+SIMULATION_PAYLOAD_VERSION = 8
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
 #: :class:`SystemSimulator`: the object kernel, kept as the readable
@@ -428,7 +431,9 @@ class _StageRuntime:
 
     def _try_start(self) -> None:
         arrivals = self._gated_arrivals
-        while self.next_job < self.sim.workload.n_jobs and self._inputs_ready(self.next_job):
+        # read the limit on every pass: a final stage without compute ends
+        # a job inside this loop, and the fast-forward may lower it there
+        while self.next_job < self.sim.job_limit and self._inputs_ready(self.next_job):
             if arrivals is not None:
                 arrival = arrivals[self.next_job]
                 if arrival > self.sim.engine._now:
@@ -557,6 +562,11 @@ class SystemSimulator:
                 self.engine, arch, tracer=self.tracer, model_contention=model_contention
             )
         self.model_contention = model_contention
+        #: jobs the stages may admit and the external feeds fetch; the
+        #: fast-forward lowers it mid-run, and the run drains as that many.
+        self.job_limit = workload.n_jobs
+        #: (stage, input flow index) of every external feed, on either kernel.
+        self._feeds: List[Tuple[object, int]] = []
         #: per-cluster DMA channel free-at cycles, kept as heaps.
         self._dma_slots: Dict[int, List[int]] = {}
         self._stages: Dict[int, _StageRuntime] = {}
@@ -621,9 +631,10 @@ class SystemSimulator:
         schedule) take the unconditional path, event for event.
         """
         arrivals = self.workload.arrival_cycles
+        self._feeds.append((runtime, flow_index))
 
         def fetch(job_index: int) -> None:
-            if job_index >= self.workload.n_jobs:
+            if job_index >= self.job_limit:
                 return
 
             def granted() -> None:
@@ -810,6 +821,15 @@ class SystemSimulator:
         if stage_id == self._request_stage_id:
             self.tracer.record_request_completion(job_index, now)
 
+    def admitted_jobs(self) -> int:
+        """One past the latest job a stage has admitted or an external feed
+        fetched (a feed fetches job ``j + 1`` once it delivers job ``j``)."""
+        stages = self._table.stages if self._table is not None else self._stages.values()
+        return max(
+            [stage.next_job for stage in stages]
+            + [stage.delivered[index] + 1 for stage, index in self._feeds]
+        )
+
     def snapshot_activity(self):
         """Mid-run snapshot of counters and per-cluster/stage/link activity.
 
@@ -819,8 +839,8 @@ class SystemSimulator:
         digital, communication, synchronization, jobs, last_busy_cycle)``,
         per-stage 7-tuples ``(jobs_completed, analog_busy, digital_busy,
         input_stall, output_stall, first_job_start, last_job_end)`` and a
-        per-link busy-cycles dict.  The steady-state prober reads this at
-        every final-stage completion; the hook exists because the table
+        per-link busy-cycles dict.  The steady-state fast-forward reads this
+        at final-stage completions; the hook exists because the table
         engine counts cluster/link activity per record source and traffic
         per chunk group, expands the counts into dense vectors and the
         tracer's traffic counters only when it flushes, and materialises
@@ -888,17 +908,17 @@ class SystemSimulator:
         incomplete = {
             sid: count
             for sid, count in jobs_completed.items()
-            if count != self.workload.n_jobs
+            if count != self.job_limit
         }
         if incomplete:
             raise SimulationError(
                 f"simulation finished with incomplete stages: {incomplete} "
-                f"(expected {self.workload.n_jobs} jobs each); the workload "
+                f"(expected {self.job_limit} jobs each); the workload "
                 "data-flow graph is inconsistent"
             )
         makespan = self.tracer.makespan
         # drained run: drop the event rows so a long-lived holder of this
-        # simulator (sweep workers, the steady-state prober) does not
+        # simulator (sweep workers, the steady-state fast-forward) does not
         # retain them (see ``Engine.reset``).
         self.engine.reset()
         final_stage = self.workload.final_stage()
@@ -925,16 +945,17 @@ def simulate(
     """Convenience wrapper: build a simulator and run the workload.
 
     With ``fast_forward=True`` the steady-state fast-forward
-    (:mod:`repro.sim.steady_state`) first probes a shortened run; when the
-    pipeline's event pattern is verifiably periodic with a window of at
-    most :data:`~repro.sim.steady_state.MAX_WINDOW` jobs, the remaining
-    jobs are extrapolated analytically.  The returned result is
-    bit-identical to the full run (asserted over the model zoo in
-    ``tests/test_sim_fast_forward.py``) and carries
-    ``fast_forwarded=True``.  When certification is refused the full
-    event-driven run executes and the typed refusal is attached to the
-    result (``fast_forward_refusal``), so ``fast_forward=True`` is always
-    safe, merely not always faster.
+    (:mod:`repro.sim.steady_state`) runs the workload once, watching it;
+    when the pipeline's event pattern is verifiably periodic with a window
+    of at most :data:`~repro.sim.steady_state.MAX_WINDOW` jobs, the run
+    stops admitting jobs early and the rest are extrapolated analytically.
+    The returned result is bit-identical to the full run (asserted over
+    the model zoo in ``tests/test_sim_fast_forward.py``) and carries
+    ``fast_forwarded=True``.  Otherwise the full run is returned with the
+    typed refusal attached (``fast_forward_refusal``); a refusal decided
+    from the workload alone costs nothing, one decided in the run costs
+    only its snapshots, so ``fast_forward=True`` is always safe, merely
+    not always faster.
 
     ``engine`` selects the event kernel: ``"table"`` (default,
     :data:`DEFAULT_ENGINE`) runs the compiled state-machine lane

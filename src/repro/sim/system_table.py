@@ -739,7 +739,7 @@ class TableProgram:
             tracer.makespan = mk
 
     def snapshot_activity(self):
-        """Mid-run activity snapshot (the fast-forward probe hook).
+        """Mid-run activity snapshot (the steady-state fast-forward's hook).
 
         Flushes first, so the dense lists hold every record made so far.
         """
@@ -783,9 +783,10 @@ class TableProgram:
     # Stage lifecycle (compiled _StageRuntime)
     # ------------------------------------------------------------------ #
     def _try_start(self, st: _CompiledStage) -> None:
-        nj = self._nj
+        sim = self.sim
         arrivals = st.arrival_gate
-        while st.next_job < nj:
+        # the limit is read on every pass, as in _StageRuntime._try_start
+        while st.next_job < sim.job_limit:
             job = st.next_job
             for count in st.delivered:
                 if count <= job:
@@ -1208,16 +1209,17 @@ class TableProgram:
         the engine's callback lane, interleaving exactly with the opcode
         rows.
         """
-        nj = self._nj
+        sim = self.sim
         dst = st.io_cluster
         comm = self._cluster.delivery_cycles(n_bytes)
         in_credits = st.in_credits
         in_wait = st.in_wait[flow_index]
         delivered_counts = st.delivered
         arrivals = self.workload.arrival_cycles
+        sim._feeds.append((st, flow_index))
 
         def fetch(job: int) -> None:
-            if job >= nj:
+            if job >= sim.job_limit:
                 return
 
             def granted() -> None:

@@ -282,11 +282,3 @@ class Tracer:
         """The ``top`` most-occupied links (name, busy cycles)."""
         ranked = sorted(self.link_busy.items(), key=lambda item: item[1], reverse=True)
         return ranked[:top]
-
-    def total_compute_cycles(self) -> int:
-        """Total compute cycles summed over all clusters."""
-        return sum(activity.compute for activity in self.clusters.values())
-
-    def active_cluster_ids(self) -> List[int]:
-        """Identifiers of clusters that recorded any activity."""
-        return sorted(cid for cid, act in self.clusters.items() if act.busy > 0)

@@ -314,8 +314,9 @@ class Workload:
         """A copy of this workload processing a different number of jobs.
 
         Everything else — stages, costs, data flows, bookkeeping totals —
-        is shared.  The steady-state fast-forward uses this for its probe
-        runs (:mod:`repro.sim.steady_state`).  An arrival schedule is
+        is shared.  A run whose admission limit the steady-state
+        fast-forward lowers to ``n_jobs`` drains exactly as this copy's run
+        (:mod:`repro.sim.steady_state`).  An arrival schedule is
         truncated alongside the job count (a prefix stays a valid
         schedule); growing the job count of an open workload has no
         defined arrival times for the new jobs and is rejected.

@@ -9,7 +9,7 @@ Four contracts pinned here:
   yields the identical ``Workload``; malformed records raise the typed
   :class:`~repro.sim.ArrivalTraceError` naming the file and line.
 * **Fast-forward refusal** — the steady-state fast-forward refuses any
-  arrival-gated workload (its probe sees only the schedule's prefix, and
+  arrival-gated workload (the schedule, not the pipeline, paces it, and
   extrapolation cannot reproduce per-request completions), so
   ``simulate(fast_forward=True)`` takes the verified full run with
   ``fast_forwarded=False`` provenance, bit-identically.

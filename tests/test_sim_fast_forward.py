@@ -11,7 +11,6 @@ equivalence assertions cannot silently pass through fallback alone.
 """
 
 import dataclasses
-import logging
 import random
 
 import pytest
@@ -253,14 +252,13 @@ SYNTHETIC = [
     ("replicated-w2", _chain(n_jobs=96, replication=2), True),
     ("replicated-w3", _chain(n_jobs=90, replication=3), True),
     ("residual-storage", _chain(n_jobs=96, storage=True), True),
-    # window 5 does not divide any aligned probe gap: exercises the
-    # re-probe-at-aligned-size path
+    # window 5: the cut must land on a job count ≡ 120 (mod 5)
     ("replicated-w5-realign", _chain(n_jobs=120, replication=5), True),
-    # 16-chunk bursts and a storage relay: under contention the global
-    # probe folds most bursts' landings into one row each, and its
-    # mid-run snapshots still certify
+    # 16-chunk bursts and a storage relay: under contention the run folds
+    # most bursts' landings into one row each, and its mid-run snapshots
+    # still certify
     ("chunked-storage", _chunked_chain(16, residual="storage", n_jobs=96), True),
-    # too small to amortise a probe: must fall back untouched
+    # too few jobs to settle and cut: must fall back untouched
     ("below-min-jobs", _chain(n_jobs=MIN_JOBS - 1), False),
 ]
 
@@ -293,7 +291,7 @@ class TestSyntheticPipelines:
     def test_fast_forward_without_contention_is_bit_identical(
         self, name, workload, must_engage
     ):
-        """Contention-off runs take the same probe-and-certify path."""
+        """Contention-off runs take the same certify-and-cut path."""
         full = simulate(ARCH64, workload, model_contention=False)
         ff = simulate(ARCH64, workload, model_contention=False, fast_forward=True)
         if name in UNSETTLED_WITHOUT_CONTENTION:
@@ -302,7 +300,7 @@ class TestSyntheticPipelines:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert_identical(full, ff)
 
-    def test_fast_forward_false_never_probes(self):
+    def test_fast_forward_false_never_fast_forwards(self):
         result = simulate(ARCH64, _chain())
         assert not result.fast_forwarded
 
@@ -332,18 +330,28 @@ class TestSyntheticPipelines:
 
 
 @pytest.fixture
-def probe_events(monkeypatch):
-    """Events each fast-forward probe dispatches, in probe order."""
+def attempt_events(monkeypatch):
+    """Events the fast-forward's one attempted run dispatches, if it ran."""
     events = []
 
-    class RecordingProbe(steady_state._ProbeSimulator):
+    class RecordingAttempt(steady_state._AttemptSimulator):
         def run(self):
             result = super().run()
             events.append(self.engine.events_processed)
             return result
 
-    monkeypatch.setattr(steady_state, "_ProbeSimulator", RecordingProbe)
+    monkeypatch.setattr(steady_state, "_AttemptSimulator", RecordingAttempt)
     return events
+
+
+@pytest.fixture
+def no_attempt(monkeypatch):
+    """Fails the test if the fast-forward simulates anything."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an attempt ran")
+
+    monkeypatch.setattr(steady_state, "_AttemptSimulator", refuse)
 
 
 # --------------------------------------------------------------------------- #
@@ -358,11 +366,11 @@ ZOO = [
     # the final mapping's replica round-robin never settles into a short
     # window: certification must refuse and fall back to the full run
     ("tiny-final-fallback", "tiny_cnn", (3, 32, 32), "final", 64, 16, 10, 128, False),
-    # the paper's input size: 256 jobs, of which the global probe runs 28
+    # the paper's input size: 256 jobs, cut to 10 after 5 completions
     ("resnet18-naive-256px", "resnet18", (3, 256, 256), "naive", 64, 256, None, 256, True),
 ]
 
-#: ZOO rows whose global probes may dispatch at most this share of the full
+#: ZOO rows whose fast-forward may dispatch at most this share of the full
 #: run's events on the same engine.
 MAX_PROBE_SHARE = {"resnet18-naive-256px": 1 / 5}
 
@@ -376,7 +384,7 @@ class TestModelZoo:
     )
     def test_fast_forward_matches_full_run(
         self, name, model, shape, level, batch, clusters, classes, crossbar,
-        must_engage, engine, probe_events,
+        must_engage, engine, attempt_events,
     ):
         arch, workload = _zoo_workload(
             model, shape, level, batch, clusters, classes, crossbar
@@ -388,8 +396,8 @@ class TestModelZoo:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert_identical(full, ff)
         if name in MAX_PROBE_SHARE:
-            assert probe_events
-            assert sum(probe_events) <= (
+            assert attempt_events
+            assert sum(attempt_events) <= (
                 MAX_PROBE_SHARE[name] * full_run.engine.events_processed
             )
 
@@ -401,10 +409,10 @@ class TestModelZoo:
     )
     def test_fast_forward_without_contention_matches_full_run(
         self, name, model, shape, level, batch, clusters, classes, crossbar,
-        must_engage, engine, probe_events,
+        must_engage, engine, attempt_events,
     ):
-        """Without contention the same global probe certifies each mapping,
-        the naive ones at the paper's input size included."""
+        """Without contention the same in-run certification engages each
+        naive mapping, at the paper's input size included."""
         arch, workload = _zoo_workload(
             model, shape, level, batch, clusters, classes, crossbar
         )
@@ -417,59 +425,138 @@ class TestModelZoo:
             assert ff.fast_forwarded, f"{name}: fast-forward failed to engage"
         assert_identical(full, ff)
         if name in MAX_PROBE_SHARE:
-            assert probe_events
-            assert sum(probe_events) <= (
+            assert attempt_events
+            assert sum(attempt_events) <= (
                 MAX_PROBE_SHARE[name] * full_run.engine.events_processed
             )
 
 
 # --------------------------------------------------------------------------- #
-# Coverage: outcome, exactness and probe cost on real mappings
+# The admission limit: a run cut mid-way drains as the shorter run
+# --------------------------------------------------------------------------- #
+def _no_compute_final(n_jobs=96):
+    """A 3-stage chain plus a final stage with no inputs, compute or outputs.
+
+    That stage admits and finishes every job inside one ``_try_start``
+    loop at cycle 0, so a limit lowered at one of its completions drops
+    in the middle of that loop.
+    """
+    workload = _chain(n_stages=3, n_jobs=n_jobs)
+    constant = StageDescriptor(stage_id=3, name="constant", digital_clusters=(62,))
+    return dataclasses.replace(workload, stages=workload.stages + [constant])
+
+
+#: SYNTHETIC rows, two ZOO rows and the no-compute final stage.
+LIMIT_CASES = [case[0] for case in SYNTHETIC] + [
+    "resnet18-naive",
+    "linear-cnn-naive",
+    "no-compute-final",
+]
+
+
+def _limit_case(name):
+    for case in SYNTHETIC:
+        if case[0] == name:
+            return ARCH64, case[1]
+    for case in ZOO:
+        if case[0] == name:
+            return _zoo_workload(*case[1:8])
+    return ARCH64, _no_compute_final()
+
+
+class _CutSimulator(SystemSimulator):
+    """Lowers ``job_limit`` to the smallest admissible job count at the
+    ``cut_at``-th final-stage completion."""
+
+    def __init__(self, *args, cut_at, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._final_stage_id = self.workload.final_stage().stage_id
+        self._cut_at = cut_at
+        self._completions = 0
+
+    def job_finished(self, stage_id, job_index):
+        super().job_finished(stage_id, job_index)
+        if stage_id == self._final_stage_id:
+            self._completions += 1
+            if self._completions == self._cut_at:
+                self.job_limit = self.admitted_jobs()
+
+
+class TestAdmissionLimit:
+    """Lowering the admission limit mid-run turns the run, event for event,
+    into the run of the lowered job count: the fast-forward's cut rests on
+    this."""
+
+    @pytest.mark.parametrize("contention", [True, False], ids=["cont", "nocont"])
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    @pytest.mark.parametrize("name", LIMIT_CASES)
+    def test_lowered_limit_drains_as_the_shorter_run(self, name, engine, contention):
+        arch, workload = _limit_case(name)
+        for cut_at in (5, 13):
+            cut = _CutSimulator(arch, workload, contention, engine=engine, cut_at=cut_at)
+            result = cut.run()
+            n_cut = cut.job_limit
+            assert cut_at <= n_cut < workload.n_jobs
+            shorter = SystemSimulator(
+                arch, workload.with_n_jobs(n_cut), contention, engine=engine
+            )
+            expected = shorter.run()
+            assert cut.engine.events_processed == shorter.engine.events_processed
+            assert result_mismatches(expected, result) == [], (name, cut_at)
+
+
+# --------------------------------------------------------------------------- #
+# Coverage: outcome, exactness and cost on real mappings
 # --------------------------------------------------------------------------- #
 ENGAGED = "engaged"
-BEFORE_PROBING = "refused before probing"
-AFTER_PROBING = "refused after probing"
+BEFORE_ATTEMPT = "refused before attempting"
+AFTER_ATTEMPT = "refused after attempting"
 
 #: (model, input shape, level) at batch 64 on the paper's 512 clusters ->
 #: the fast-forward outcome and refusal reason, the same with contention
 #: on and off.
 COVERAGE = {
-    ("resnet34", (3, 64, 64), "replicated"): (AFTER_PROBING, REFUSAL_NON_PERIODIC),
-    ("resnet34", (3, 64, 64), "final"): (AFTER_PROBING, REFUSAL_NON_PERIODIC),
-    ("mobilenet_v2", (3, 64, 64), "naive"): (AFTER_PROBING, REFUSAL_NON_PERIODIC),
+    ("resnet34", (3, 64, 64), "replicated"): (AFTER_ATTEMPT, REFUSAL_NON_PERIODIC),
+    ("resnet34", (3, 64, 64), "final"): (AFTER_ATTEMPT, REFUSAL_NON_PERIODIC),
+    ("mobilenet_v2", (3, 64, 64), "naive"): (AFTER_ATTEMPT, REFUSAL_NON_PERIODIC),
     ("resnet18", (3, 64, 64), "naive"): (ENGAGED, None),
-    ("resnet18", (3, 64, 64), "final"): (BEFORE_PROBING, REFUSAL_WINDOW_TOO_LARGE),
-    ("tiny_cnn", (3, 32, 32), "naive"): (AFTER_PROBING, REFUSAL_NON_PERIODIC),
+    ("resnet18", (3, 64, 64), "final"): (BEFORE_ATTEMPT, REFUSAL_WINDOW_TOO_LARGE),
+    ("tiny_cnn", (3, 32, 32), "naive"): (AFTER_ATTEMPT, REFUSAL_NON_PERIODIC),
     ("linear_cnn", (3, 32, 32), "naive"): (ENGAGED, None),
 }
 
 
 class TestCoverage:
-    """A fast-forward attempt's probes cost at most half the full run.
+    """A fast-forward never costs more events than the full run.
 
     On each point, in both contention modes, the outcome matches the
-    table, the result matches the full run, and the probes dispatch at
-    most half of the full run's events, whether they certify or not.
+    table and the result matches the full run.  An engaged run dispatches
+    at most half of the full run's events; a run refused after attempting
+    is the full run, so it dispatches exactly the full run's events.
     """
 
     @pytest.mark.parametrize("contention", [True, False], ids=["cont", "nocont"])
     @pytest.mark.parametrize(
         "point", list(COVERAGE), ids=lambda p: f"{p[0]}-{p[1][1]}px-{p[2]}"
     )
-    def test_outcome_exactness_and_probe_cost(self, point, contention, probe_events):
+    def test_outcome_exactness_and_cost(self, point, contention, attempt_events):
         model, shape, level = point
         arch, workload = _zoo_workload(model, shape, level, 64, 512)
         full_run = SystemSimulator(arch, workload, model_contention=contention)
         full = full_run.run()
         ff = simulate(arch, workload, model_contention=contention, fast_forward=True)
         refusal = ff.fast_forward_refusal
+        full_events = full_run.engine.events_processed
         if ff.fast_forwarded:
             outcome = (ENGAGED, None)
+            assert 2 * sum(attempt_events) <= full_events
+        elif attempt_events:
+            outcome = (AFTER_ATTEMPT, refusal.reason)
+            assert attempt_events == [full_events]
         else:
-            outcome = (AFTER_PROBING if probe_events else BEFORE_PROBING, refusal.reason)
+            outcome = (BEFORE_ATTEMPT, refusal.reason)
         assert outcome == COVERAGE[point]
         assert result_mismatches(full, ff, ignore_provenance=True) == []
-        assert 2 * sum(probe_events) <= full_run.engine.events_processed
 
 
 # --------------------------------------------------------------------------- #
@@ -492,15 +579,10 @@ class TestFinalMapping:
 
     @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
     def test_refuses_before_probing_and_is_bit_identical(
-        self, final_macro, engine, monkeypatch
+        self, final_macro, engine, no_attempt
     ):
         arch, workload = final_macro
         full = simulate(arch, workload, engine=engine, model_contention=False)
-
-        def no_probe(*args, **kwargs):
-            raise AssertionError("a probe ran")
-
-        monkeypatch.setattr(steady_state, "_run_probe", no_probe)
         ff = simulate(
             arch,
             workload,
@@ -521,14 +603,9 @@ class TestFinalMapping:
         assert refusal is not None
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
 
-    def test_contention_refusal_runs_no_probe(self, final_macro, monkeypatch):
+    def test_contention_refusal_runs_no_probe(self, final_macro, no_attempt):
         """The 33-way stages exceed MAX_WINDOW, so under contention the
-        refusal is decided from the workload alone, before any probe."""
-
-        def no_probe(*args, **kwargs):
-            raise AssertionError("a probe ran")
-
-        monkeypatch.setattr(steady_state, "_run_probe", no_probe)
+        refusal is decided from the workload alone, before any run."""
         arch, workload = final_macro
         refusal = fast_forward_simulate(arch, workload)  # contention on
         assert isinstance(refusal, FastForwardRefusal)
@@ -558,7 +635,7 @@ class TestRefusalTaxonomy:
 
     def test_wide_replicas_under_contention_refuse_before_probing(self):
         # replication 13 exceeds MAX_WINDOW: no window can certify, so the
-        # refusal is typed and traceable without paying for a probe.
+        # refusal is typed and traceable without simulating anything.
         workload = _chain(n_jobs=96, replication=13)
         refusal = fast_forward_simulate(ARCH64, workload, model_contention=True)
         assert isinstance(refusal, FastForwardRefusal)
@@ -573,7 +650,7 @@ class TestRefusalTaxonomy:
         # 13 replicas folded onto 2 clusters per stage: no cluster belongs
         # to one replica alone, so the argument behind the rule does not
         # apply, yet the rule still refuses.  That is conservative, never
-        # wrong — and here it matters: the global probe would accept a
+        # wrong — and here it matters: certification would accept a
         # window that is not a true period and extrapolate wrong
         # per-cluster job counts.
         workload = _fold_replicas(_chain(n_jobs=96, replication=13))
@@ -584,7 +661,7 @@ class TestRefusalTaxonomy:
 
     @pytest.mark.parametrize("contention", [True, False])
     def test_replicas_sharing_clusters_refuse_before_probing(
-        self, contention, monkeypatch
+        self, contention, no_attempt
     ):
         # 11 replicas (within MAX_WINDOW) folded onto 2 clusters per stage:
         # cluster 0's job pattern repeats only every 22 jobs, yet three
@@ -593,11 +670,6 @@ class TestRefusalTaxonomy:
         workload = _fold_replicas(_chain(n_jobs=96, replication=11))
         assert max(d.replication for d in workload.stages) <= MAX_WINDOW
         full = simulate(ARCH64, workload, model_contention=contention)
-
-        def no_probe(*args, **kwargs):
-            raise AssertionError("a probe ran")
-
-        monkeypatch.setattr(steady_state, "_run_probe", no_probe)
         ff = simulate(ARCH64, workload, model_contention=contention, fast_forward=True)
         refusal = ff.fast_forward_refusal
         assert refusal.reason == REFUSAL_REPLICAS_SHARE_CLUSTERS
@@ -612,9 +684,10 @@ class TestRefusalTaxonomy:
     @pytest.mark.parametrize(
         "model", ["tiny_cnn", "linear_cnn", "mobilenet_v2", "residual_chain", "resnet18"]
     )
-    def test_up_front_refusal_agrees_with_the_global_probe(self, model, level, batch):
-        """Every zoo point the rule refuses would have refused after probing
-        too; below MIN_JOBS the cheaper probe-too-short refusal comes first."""
+    def test_up_front_refusal_agrees_with_the_in_run_attempt(self, model, level, batch):
+        """Every zoo point the rule refuses would have refused after
+        attempting too; below MIN_JOBS the cheaper probe-too-short refusal
+        comes first."""
         arch, workload = _zoo_workload(model, (3, 64, 64), level, batch, 512)
         assert max(d.replication for d in workload.stages) > MAX_WINDOW
         # mapped workloads give every replica its own clusters
@@ -626,14 +699,15 @@ class TestRefusalTaxonomy:
             return
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
         assert "refused before probing" in refusal.probes[0]
-        probed = steady_state._global_fast_forward(arch, workload, True, 2, "table", [])
-        assert probed is None
+        attempt = steady_state._AttemptSimulator(arch, workload, True, 2, "table")
+        attempt.run()
+        assert attempt.window is None
 
     @pytest.mark.parametrize("contention", [True, False])
-    def test_wide_lcm_window_refuses_before_probing(self, contention, monkeypatch):
+    def test_wide_lcm_window_refuses_before_probing(self, contention, no_attempt):
         # replication 4 with 5 digital slots: each shape fits MAX_WINDOW
         # but their lcm (20) does not.  The rule refuses on the lcm, in
-        # both contention modes, without paying for a probe.
+        # both contention modes, without simulating anything.
         workload = _chain(n_jobs=96, replication=4)
         stages = list(workload.stages)
         stages[1] = dataclasses.replace(
@@ -648,10 +722,6 @@ class TestRefusalTaxonomy:
         )
         workload = dataclasses.replace(workload, stages=tuple(stages))
 
-        def no_probe(*args, **kwargs):
-            raise AssertionError("a probe ran")
-
-        monkeypatch.setattr(steady_state, "_run_probe", no_probe)
         refusal = fast_forward_simulate(ARCH64, workload, model_contention=contention)
         assert isinstance(refusal, FastForwardRefusal)
         assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
@@ -660,16 +730,6 @@ class TestRefusalTaxonomy:
             f"refused before probing: stages [1] have effective windows "
             f"beyond MAX_WINDOW={MAX_WINDOW}",
         )
-
-    def test_probe_escalation_is_logged(self, caplog):
-        # window 5 never divides the first probe's remaining job count, so
-        # certification succeeds only after the re-probe at an aligned
-        # size — and that escalation must leave a log trace.
-        workload = _chain(n_jobs=120, replication=5)
-        with caplog.at_level(logging.INFO, logger="repro.sim.steady_state"):
-            result = fast_forward_simulate(ARCH64, workload)
-        assert isinstance(result, SimulationResult)
-        assert any("escalation" in message for message in caplog.messages)
 
     def test_refusal_payload_round_trip(self):
         refusal = FastForwardRefusal(

@@ -25,10 +25,10 @@ Three layers of coverage:
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
   unanticipated shape shows up here first (and reproducibly);
-* the fast-forward path on top of both kernels, whose shortened probe
-  runs feed the certifier mid-run snapshots from each kernel's own state,
-  on the known shapes and on seeded random pipelines long enough to probe
-  in both contention modes, and those mid-run snapshots themselves,
+* the fast-forward path on top of both kernels, whose watched runs feed
+  the certifier mid-run snapshots from each kernel's own state, on the
+  known shapes and on seeded random pipelines long enough to attempt in
+  both contention modes, and those mid-run snapshots themselves,
   compared across the kernels at every final-stage completion.
 """
 
@@ -399,7 +399,7 @@ class TestOpenWorkloadEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# The fast-forward probe on top of each kernel
+# The fast-forward on top of each kernel
 # --------------------------------------------------------------------------- #
 class TestBoundedRunEquivalence:
     @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
@@ -409,7 +409,7 @@ class TestBoundedRunEquivalence:
         ids=[case[0] for case in SYNTHETIC],
     )
     def test_fast_forward_on_each_kernel(self, name, workload, must_engage, engine):
-        """The probe snapshots each kernel's own mid-run state (the table
+        """The run snapshots each kernel's own mid-run state (the table
         lane's dense vectors, the object kernel's tracer): extrapolation
         from either must reproduce that kernel's full run."""
         full = simulate(ARCH64, workload, engine=engine)
@@ -428,8 +428,8 @@ class TestBoundedRunEquivalence:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_pipelines_on_each_kernel(self, seed):
         """On each kernel, in both contention modes, the fast-forward of a
-        random pipeline long enough to probe reproduces the full run, and
-        both kernels reach the same outcome through the same probes."""
+        random pipeline long enough to attempt reproduces the full run,
+        and both kernels reach the same outcome through the same cut."""
         rng = random.Random(1000 + seed)
         workload = _random_workload(rng).with_n_jobs(rng.choice([48, 61, 96, 120]))
         buffer_depth = rng.choice([1, 2, 5])
@@ -452,8 +452,8 @@ class TestBoundedRunEquivalence:
 # Mid-run activity snapshots
 # --------------------------------------------------------------------------- #
 class _SnapshotSimulator(SystemSimulator):
-    """Takes ``snapshot_activity()`` where the fast-forward prober does
-    (``steady_state._ProbeSimulator``): at every final-stage completion.
+    """Takes ``snapshot_activity()`` where the fast-forward does
+    (``steady_state._AttemptSimulator``): at every final-stage completion.
 
     ``every_stage`` instead snapshots twice at every stage's completions
     and keeps nothing.
