@@ -107,8 +107,8 @@ def result_mismatches(
             )
     # per-request completions (open workloads): both the mapping and its
     # insertion (= completion) order are payload-visible.
-    ra = getattr(ta, "request_completions", {})
-    rb = getattr(tb, "request_completions", {})
+    ra = ta.request_completions
+    rb = tb.request_completions
     _check(out, "tracer.request_completions order", list(ra), list(rb))
     _check(out, "tracer.request_completions", dict(ra), dict(rb))
     return out

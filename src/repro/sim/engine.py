@@ -248,13 +248,12 @@ class _ServerJob:
     ``job.finish`` directly instead of allocating a closure per job.
     """
 
-    __slots__ = ("server", "duration", "on_done", "enqueued_at")
+    __slots__ = ("server", "duration", "on_done")
 
-    def __init__(self, server: "Server", duration: int, on_done: Callback, enqueued_at: int):
+    def __init__(self, server: "Server", duration: int, on_done: Callback):
         self.server = server
         self.duration = duration
         self.on_done = on_done
-        self.enqueued_at = enqueued_at
 
     def finish(self) -> None:
         self.server._finish(self)
@@ -264,14 +263,12 @@ class Server:
     """A FIFO resource with ``capacity`` parallel service slots.
 
     Jobs are submitted with :meth:`submit`; when a slot is free the job is
-    "serviced" for its duration and the completion callback fires.  The
-    server keeps busy-time and queueing statistics used by the tracer.
+    "serviced" for its duration and the completion callback fires.
 
     The uncontended case (a free slot, nobody queued) is the hot path of
-    the system simulation, so :meth:`submit` starts such jobs directly —
-    straight-line counter updates, no queue traffic, no wait-time
-    arithmetic.  Congested submissions take the queued path and pay for
-    their bookkeeping when a slot frees up.
+    the system simulation, so :meth:`submit` starts such jobs directly,
+    with no queue traffic; congested submissions queue and start when a
+    slot frees up.
     """
 
     __slots__ = (
@@ -280,11 +277,6 @@ class Server:
         "capacity",
         "_in_service",
         "_waiting",
-        "busy_time",
-        "jobs_served",
-        "total_wait",
-        "total_service",
-        "_busy_slot_time",
     )
 
     def __init__(self, engine: Engine, name: str, capacity: int = 1):
@@ -295,12 +287,6 @@ class Server:
         self.capacity = capacity
         self._in_service = 0
         self._waiting: Deque[_ServerJob] = deque()
-        # statistics
-        self.busy_time = 0
-        self.jobs_served = 0
-        self.total_wait = 0
-        self.total_service = 0
-        self._busy_slot_time = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -314,11 +300,6 @@ class Server:
         return len(self._waiting)
 
     @property
-    def utilization_time(self) -> int:
-        """Accumulated slot-busy time (slot-cycles)."""
-        return self._busy_slot_time
-
-    @property
     def idle(self) -> bool:
         """Whether no job is in service and nobody is queued."""
         return self._in_service == 0 and not self._waiting
@@ -329,12 +310,10 @@ class Server:
             raise SimulationError("job duration cannot be negative")
         duration = int(duration)
         engine = self.engine
-        job = _ServerJob(self, duration, on_done, engine._now)
+        job = _ServerJob(self, duration, on_done)
         if self._in_service < self.capacity and not self._waiting:
-            # fast lane: free slot, empty queue — start now (wait is 0).
+            # fast lane: free slot, empty queue — start now.
             self._in_service += 1
-            self.total_service += duration
-            self._busy_slot_time += duration
             _schedule(engine, engine._now + duration, job.finish)
         else:
             self._waiting.append(job)
@@ -348,14 +327,10 @@ class Server:
         while waiting and self._in_service < self.capacity:
             job = waiting.popleft()
             self._in_service += 1
-            self.total_wait += now - job.enqueued_at
-            self.total_service += job.duration
-            self._busy_slot_time += job.duration
             _schedule(engine, now + job.duration, job.finish)
 
     def _finish(self, job: _ServerJob) -> None:
         self._in_service -= 1
-        self.jobs_served += 1
         job.on_done()
         if self._waiting and self._in_service < self.capacity:
             self._start_queued()
@@ -368,9 +343,6 @@ class CreditStore:
     consumer; the consumer returns the credit when the chunk has been
     consumed and its L1 slot freed.  An initial credit count of 2 models the
     double-buffered tiles of the paper's execution model.
-
-    Each blocked waiter is stored as one ``(callback, enqueued_at)`` pair,
-    so wait-time accounting adds no bookkeeping structures on the hot path.
     """
 
     __slots__ = (
@@ -378,8 +350,6 @@ class CreditStore:
         "name",
         "_credits",
         "_waiting",
-        "total_wait",
-        "acquisitions",
     )
 
     def __init__(self, engine: Engine, name: str, initial: int = 2):
@@ -388,11 +358,8 @@ class CreditStore:
         self.engine = engine
         self.name = name
         self._credits = initial
-        #: blocked producers as (callback, enqueued_at) pairs, FIFO.
-        self._waiting: Deque = deque()
-        # statistics
-        self.total_wait = 0
-        self.acquisitions = 0
+        #: callbacks of the blocked producers, FIFO.
+        self._waiting: Deque[Callback] = deque()
 
     @property
     def available(self) -> int:
@@ -408,10 +375,9 @@ class CreditStore:
         """Take one credit, calling ``callback`` when it is granted."""
         if self._credits > 0 and not self._waiting:
             self._credits -= 1
-            self.acquisitions += 1
             callback()
         else:
-            self._waiting.append((callback, self.engine._now))
+            self._waiting.append(callback)
 
     def release(self, amount: int = 1) -> None:
         """Return ``amount`` credits, waking blocked producers in FIFO order."""
@@ -420,10 +386,8 @@ class CreditStore:
         self._credits += amount
         waiting = self._waiting
         while self._credits > 0 and waiting:
-            callback, enqueued_at = waiting.popleft()
-            self.total_wait += self.engine._now - enqueued_at
+            callback = waiting.popleft()
             self._credits -= 1
-            self.acquisitions += 1
             callback()
 
 

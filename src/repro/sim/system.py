@@ -158,7 +158,7 @@ class SimulationResult:
     jobs_completed: Dict[int, int] = field(default_factory=dict)
     model_contention: bool = True
     #: completion cycles of the last two jobs of the final pipeline stage
-    #: (empty when the simulator predates them or the run was truncated).
+    #: (one on a one-job run).
     final_stage_completions: Tuple[int, ...] = ()
     #: whether the steady-state fast-forward produced this result (the
     #: record fields are bit-identical to the full run either way).
@@ -212,20 +212,16 @@ class SimulationResult:
 
         Keyed by stage id; each value has one entry per pipeline job.  The
         traces ride the tracer, so they survive the artifact store round
-        trip; results deserialised from pre-trace payloads return an empty
-        mapping.
+        trip.
         """
-        traces = getattr(self.tracer, "stage_completions", None)
-        if not traces:
-            return {}
-        return {stage_id: tuple(trace) for stage_id, trace in traces.items()}
+        return {
+            stage_id: tuple(trace)
+            for stage_id, trace in self.tracer.stage_completions.items()
+        }
 
     def completion_trace(self, stage_id: int) -> Tuple[int, ...]:
         """The completion trace of one stage (empty when not recorded)."""
-        traces = getattr(self.tracer, "stage_completions", None)
-        if not traces:
-            return ()
-        return tuple(traces.get(stage_id, ()))
+        return tuple(self.tracer.stage_completions.get(stage_id, ()))
 
     # ------------------------------------------------------------------ #
     # Per-request sojourn (open-system workloads)
@@ -238,8 +234,7 @@ class SimulationResult:
         workloads.  Rides the tracer, so it survives the artifact-store
         round trip like the stage completion traces.
         """
-        completions = getattr(self.tracer, "request_completions", None)
-        return dict(completions) if completions else {}
+        return dict(self.tracer.request_completions)
 
     def request_latencies(self) -> Tuple[int, ...]:
         """Sojourn time (arrival → final-stage completion) per request.
@@ -595,29 +590,13 @@ class SystemSimulator:
     def _build(self) -> None:
         for descriptor in self.workload.stages:
             self._stages[descriptor.stage_id] = _StageRuntime(self, descriptor)
-        for descriptor in self.workload.stages:
-            for flow_index, flow in enumerate(descriptor.inputs):
-                if flow.kind in (ENDPOINT_HBM, ENDPOINT_STORAGE):
-                    self._relay_targets[(flow.kind, flow.label)] = (
-                        descriptor.stage_id,
-                        flow_index,
-                    )
-        # Kick off externally-fed inputs (network IFM fetched from HBM) for
-        # flows that no producer stage relays.
-        produced_labels = {
-            (flow.kind, flow.label)
-            for descriptor in self.workload.stages
-            for flow in descriptor.outputs
-            if flow.kind in (ENDPOINT_HBM, ENDPOINT_STORAGE)
-        }
-        for descriptor in self.workload.stages:
-            runtime = self._stages[descriptor.stage_id]
-            for flow_index, flow in enumerate(descriptor.inputs):
-                if flow.kind == ENDPOINT_STAGE:
-                    continue
-                if (flow.kind, flow.label) in produced_labels:
-                    continue
-                self._start_external_feed(runtime, flow_index, flow)
+        self._relay_targets = self.workload.relay_inputs()
+        # Kick off externally-fed inputs (network IFM fetched from HBM).
+        for stage_id, flow_index in self.workload.external_inputs():
+            runtime = self._stages[stage_id]
+            self._start_external_feed(
+                runtime, flow_index, runtime.desc.inputs[flow_index]
+            )
 
     def _start_external_feed(
         self, runtime: _StageRuntime, flow_index: int, flow: DataFlow

@@ -13,7 +13,8 @@ once, before the first event, into integer transition state consumed by
 * each data flow becomes a :class:`_Flow` with precompiled chunk
   :class:`_Group` records (size, count, DMA duration, serialization,
   HBM extra, delivery attribution — every per-transfer quantity the
-  object kernel recomputes or memo-looks-up per event);
+  object kernel recomputes or memo-looks-up per event), the external
+  inputs fetched from the HBM included;
 * NoC links, per-cluster DMA channels and HBM channels become dense
   vectors (busy-until, busy cycles, free-at heaps) updated by indexed
   arithmetic inside the opcode handlers.  A capacity-1 FIFO link with
@@ -37,10 +38,12 @@ The **legality rule** for compiling a lifecycle step: a step may be
 table-compiled only when its *successor and timing are fully determined at
 schedule time* from integer state (server finishes, credit grants and
 their FIFO cascades, chunk fan-outs, HBM channel bookings — all
-deterministic given event order).  Steps whose continuation is an
-arbitrary closure stay plain engine callbacks: external HBM feeds (their
-fetch → grant → deliver recursion is re-entrant through the credit queue,
-so the credit waiter queues hold *either* packed ints or callables).
+deterministic given event order).  Every transfer qualifies, an external
+feed's fetch → grant → deliver recursion included: its delivery fetches
+the next job, so every credit waiter is a packed ``flow_id * n_jobs +
+job``.  The only callables the lane queues are the wake-ups that hold a
+job until its arrival cycle on an open workload and the deferred NoC
+entry of a chunk that waits for a busy DMA channel.
 
 Equivalence contract: every event this program schedules lands at the
 same cycle, in the same place of the scheduling order, as the object
@@ -77,6 +80,7 @@ the object kernel is asserted by ``tests/test_sim_kernel_equivalence.py``.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from heapq import heappush, heapreplace
 from typing import Dict, List, Optional, Tuple
 
@@ -84,7 +88,7 @@ from .engine import ROW_BITS, SimulationError
 from .engine_table import K_OP_BASE, TableEngine
 from .noc import book_hbm_channel
 from .tracer import ClusterActivity
-from .workload import ENDPOINT_HBM, ENDPOINT_STAGE, ENDPOINT_STORAGE, chunk_groups
+from .workload import ENDPOINT_STAGE, ENDPOINT_STORAGE, chunk_groups
 
 #: opcode kinds (jump-table index = kind - K_OP_BASE, in this order).
 OP_ANALOG_DONE = K_OP_BASE + 0  # arg: stage_slot * n_jobs + job
@@ -100,6 +104,7 @@ F_DIRECT = 0  # producer stage -> consumer stage (credit-gated)
 F_WRITE = 1  # producer stage -> HBM / storage cluster
 F_READ = 2  # HBM / storage cluster -> consumer stage (relay prefetch)
 F_INTRA = 3  # analog replica -> first digital cluster (partial sums)
+F_FEED = 4  # HBM -> consumer stage: an input no stage writes (one chunk)
 
 
 class _Plan:
@@ -112,7 +117,6 @@ class _Plan:
         "min_width",
         "involves_hbm",
         "touched",
-        "cycles_memo",
         "busy",
         "flushed",
     )
@@ -133,9 +137,6 @@ class _Plan:
         #: whether every link of this plan is already in the first-touch
         #: order (short-circuits the per-transfer seen check).
         self.touched = False
-        #: n_bytes -> (serialization, hbm_extra) for the callback-fallback
-        #: transfer path (compiled groups precompute these instead).
-        self.cycles_memo: Dict[int, Tuple[int, int]] = {}
         #: cycles the compiled groups booked on every link of the route,
         #: and how many of them ``TableProgram._flush`` has added to the
         #: per-link totals.
@@ -380,9 +381,10 @@ class TableProgram:
     def build(self) -> None:
         """Compile stages, flows and feeds; registers engine handlers.
 
-        Stage registration, relay resolution and external-feed kickoff
-        happen in the exact order of ``SystemSimulator._build`` so that
-        the first events (feed fetches) are scheduled identically.
+        Stage registration and the external feeds' first fetches happen
+        in the order of ``SystemSimulator._build`` (the feeds in
+        :meth:`~repro.sim.workload.Workload.external_inputs` order), so
+        that the first events (feed fetches) are scheduled identically.
         """
         workload = self.workload
         sim = self.sim
@@ -437,12 +439,7 @@ class TableProgram:
             self.stages.append(st)
             self._by_sid[desc.stage_id] = st
             st.activity = self.tracer.stage(desc.stage_id, desc.name)
-        # relay targets: (kind, label) -> consuming stage input
-        relay: Dict[Tuple[str, str], Tuple[_CompiledStage, int]] = {}
-        for st in self.stages:
-            for flow_index, flow in enumerate(st.desc.inputs):
-                if flow.kind in (ENDPOINT_HBM, ENDPOINT_STORAGE):
-                    relay[(flow.kind, flow.label)] = (st, flow_index)
+        relays = workload.relay_inputs()
         # output flows (consumers must all exist first)
         for st in self.stages:
             out: List[_Flow] = []
@@ -472,9 +469,10 @@ class TableProgram:
                     flow.transfers_per_job,
                     producer=st,
                 )
-                target = relay.get((flow.kind, flow.label))
+                target = relays.get((flow.kind, flow.label))
                 if target is not None:
-                    consumer, flow_index = target
+                    consumer_id, flow_index = target
+                    consumer = self._by_sid[consumer_id]
                     write.relay = self._make_flow(
                         F_READ,
                         storage,
@@ -500,6 +498,24 @@ class TableProgram:
                     )
                     for replica in st.desc.analog_replicas
                 )
+        # external inputs (the network IFM fetched from the HBM) move one
+        # chunk per job whatever their transfers_per_job, as in the object
+        # kernel
+        feeds: List[_Flow] = []
+        for stage_id, flow_index in workload.external_inputs():
+            st = self._by_sid[stage_id]
+            feeds.append(
+                self._make_flow(
+                    F_FEED,
+                    None,
+                    st.io_cluster,
+                    st.desc.inputs[flow_index].bytes_per_job,
+                    1,
+                    consumer=st,
+                    flow_index=flow_index,
+                )
+            )
+            sim._feeds.append((st, flow_index))
         self.engine.set_handlers(
             (
                 self._op_analog_done,
@@ -512,21 +528,10 @@ class TableProgram:
             )
         )
         self._burst_stride = len(self.groups) * nj
-        # external feeds (network IFM fetched from HBM), in stage order —
-        # these schedule the run's first events, identically to _build()
-        produced = {
-            (flow.kind, flow.label)
-            for desc in workload.stages
-            for flow in desc.outputs
-            if flow.kind in (ENDPOINT_HBM, ENDPOINT_STORAGE)
-        }
-        for st in self.stages:
-            for flow_index, flow in enumerate(st.desc.inputs):
-                if flow.kind == ENDPOINT_STAGE:
-                    continue
-                if (flow.kind, flow.label) in produced:
-                    continue
-                self._start_feed(st, flow_index, flow.bytes_per_job)
+        # the feeds' first fetches are the run's first events, scheduled
+        # as SystemSimulator._build schedules them
+        for flow in feeds:
+            self._fetch(flow, 0)
 
     def _make_flow(
         self,
@@ -541,9 +546,13 @@ class TableProgram:
     ) -> _Flow:
         flow = _Flow(len(self.flows), kind, src, producer, consumer, flow_index)
         self.flows.append(flow)
-        if n_bytes <= 0:
+        if n_bytes <= 0 and kind != F_FEED:
+            # send_bytes(n <= 0) moves nothing, where an external feed of no
+            # bytes is still one local transfer (NocModel.transfer_bytes)
             flow.zero = True
             return flow
+        if src is None and dst is None:
+            raise ValueError("a transfer needs at least one on-chip endpoint")
         flow.pending = [0] * self._nj
         if src is not None:
             slots = self._dma_slots.get(src)
@@ -552,7 +561,7 @@ class TableProgram:
             flow.dma_slots = slots
         grouped = chunk_groups(n_bytes, n_chunks)
         flow.total_chunks = sum(count for __, count in grouped)
-        plan = None if src == dst else self._plan(src, dst)
+        plan = None if src == dst or n_bytes <= 0 else self._plan(src, dst)
         hbm = self.arch.hbm
         groups: List[_Group] = []
         for size, count in grouped:
@@ -900,8 +909,8 @@ class TableProgram:
         if now > act.last_job_end:
             act.last_job_end = now
         # input credits released: producers may push the next chunk.  The
-        # waiter queues hold packed ints (compiled flows) or callables
-        # (external-feed grants) — CreditStore.release's FIFO drain.
+        # waiter queues hold packed flow_id * n_jobs + job ints —
+        # CreditStore.release's FIFO drain.
         nj = self._nj
         in_credits = st.in_credits
         flows = self.flows
@@ -911,11 +920,8 @@ class TableProgram:
             while in_credits[index] > 0 and wait:
                 waiter = wait.popleft()
                 in_credits[index] -= 1
-                if type(waiter) is int:
-                    fid = waiter // nj
-                    self._issue_flow(flows[fid], waiter - fid * nj)
-                else:
-                    waiter()
+                fid = waiter // nj
+                self._issue_flow(flows[fid], waiter - fid * nj)
         out = st.out_flows
         if not out:
             self._job_done(st, job)
@@ -974,10 +980,26 @@ class TableProgram:
             read = flow.relay
             if read is not None:
                 self._acquire_and_issue(read, job)
-        else:  # F_READ: deliver only (the producer was released at write)
+        else:  # F_READ (the producer was released at write) or F_FEED
             consumer = flow.consumer
             consumer.delivered[flow.flow_index] += 1
             self._try_start(consumer)
+            if kind == F_FEED:
+                self._fetch(flow, job + 1)
+
+    def _fetch(self, flow: _Flow, job: int) -> None:
+        """Fetch ``job``'s external input (``_start_external_feed``'s fetch).
+
+        Nothing past the admission limit is fetched.  On an open workload
+        the credit is acquired when the request arrives, not before.
+        """
+        if job >= self.sim.job_limit:
+            return
+        arrivals = self.workload.arrival_cycles
+        if arrivals and arrivals[job] > self.engine._now:
+            self.engine.at(arrivals[job], partial(self._acquire_and_issue, flow, job))
+        else:
+            self._acquire_and_issue(flow, job)
 
     # ------------------------------------------------------------------ #
     # Data movement (compiled send_chunked / send_bytes)
@@ -1184,122 +1206,3 @@ class TableProgram:
         flow.pending[job] = remaining
         if remaining == 0:
             self._complete_flow(flow, job)
-
-    def _record_comm(self, cluster: int, cycles: int, end: int) -> None:
-        """An external-feed delivery (callback lane): written straight
-        into the dense lists, which a flush only adds to."""
-        self._cl_comm[cluster] += cycles
-        if end > self._cl_last[cluster]:
-            self._cl_last[cluster] = end
-        if end > self._mk:
-            self._mk = end
-        if not self._cl_seen[cluster]:
-            self._cl_seen[cluster] = 1
-            self._cl_order.append(cluster)
-
-    # ------------------------------------------------------------------ #
-    # Callback fallback: external feeds
-    # ------------------------------------------------------------------ #
-    def _start_feed(self, st: _CompiledStage, flow_index: int, n_bytes: int) -> None:
-        """Feed a stage input from the HBM (mirrors _start_external_feed).
-
-        The fetch → grant → deliver recursion re-enters the credit queue
-        with a continuation closure, which is exactly the state the
-        transition tables do not cover — so it stays a callback chain on
-        the engine's callback lane, interleaving exactly with the opcode
-        rows.
-        """
-        sim = self.sim
-        dst = st.io_cluster
-        comm = self._cluster.delivery_cycles(n_bytes)
-        in_credits = st.in_credits
-        in_wait = st.in_wait[flow_index]
-        delivered_counts = st.delivered
-        arrivals = self.workload.arrival_cycles
-        sim._feeds.append((st, flow_index))
-
-        def fetch(job: int) -> None:
-            if job >= sim.job_limit:
-                return
-
-            def granted() -> None:
-                def delivered() -> None:
-                    if dst is not None:
-                        self._record_comm(dst, comm, self.engine._now)
-                    delivered_counts[flow_index] += 1
-                    self._try_start(st)
-                    fetch(job + 1)
-
-                self._transfer_cb(None, dst, n_bytes, delivered)
-
-            def acquire() -> None:
-                if in_credits[flow_index] > 0 and not in_wait:
-                    in_credits[flow_index] -= 1
-                    granted()
-                else:
-                    in_wait.append(granted)
-
-            # open workloads: hold the fetch (and the credit acquisition)
-            # until the request arrives — mirrors _start_external_feed
-            if arrivals and arrivals[job] > self.engine._now:
-                self.engine.at(arrivals[job], acquire)
-            else:
-                acquire()
-
-        fetch(0)
-
-    def _transfer_cb(self, src, dst, n_bytes: int, on_done) -> None:
-        """Callback-continuation transfer over the dense link/channel state.
-
-        Same timing and tracer updates as the compiled path, but the
-        completion is an arbitrary callable, queued as a plain engine
-        callback at its landing cycle.
-        """
-        engine = self.engine
-        tracer = self.tracer
-        if n_bytes == 0 or src == dst:
-            if src is None and dst is None:
-                raise ValueError("a transfer needs at least one on-chip endpoint")
-            tracer.n_transfers += 1
-            tracer.local_bytes += n_bytes
-            engine.after(0, on_done)
-            return
-        plan = self._plan(src, dst)
-        memo = plan.cycles_memo.get(n_bytes)
-        if memo is None:
-            serialization = -(-n_bytes // plan.min_width)
-            hbm_extra = 0
-            if plan.involves_hbm:
-                hbm_extra = self.arch.hbm.service_cycles(n_bytes) - serialization
-            plan.cycles_memo[n_bytes] = (serialization, hbm_extra)
-        else:
-            serialization, hbm_extra = memo
-        tracer.n_transfers += 1
-        tracer.noc_bytes += n_bytes
-        tracer.noc_byte_hops += n_bytes * plan.n_hops
-        if plan.involves_hbm:
-            tracer.hbm_bytes += n_bytes
-        if not plan.touched:
-            self._touch_plan(plan)
-        link_busy = self._link_busy
-        lids = plan.lids
-        if not self.model_contention:
-            for lid in lids:
-                link_busy[lid] += serialization
-            engine.after(plan.hop + serialization + hbm_extra, on_done)
-            return
-        now = engine._now
-        busy_until = self._link_until
-        drain = now
-        for lid in lids:
-            link_busy[lid] += serialization
-            queued = busy_until[lid]
-            end = (queued if queued > now else now) + serialization
-            busy_until[lid] = end
-            if end > drain:
-                drain = end
-        if plan.involves_hbm:
-            finish = book_hbm_channel(self._hbm_free_at, now, serialization + hbm_extra)
-            if finish > drain:
-                drain = finish
-        engine.at(drain + plan.hop, on_done)

@@ -229,10 +229,6 @@ class Tracer:
             trace = self.stage_completions[stage_id] = []
         trace.append(int(cycle))
 
-    def completion_trace(self, stage_id: int) -> Tuple[int, ...]:
-        """The completion trace of one stage (empty if never recorded)."""
-        return tuple(self.stage_completions.get(stage_id, ()))
-
     def record_request_completion(self, job_index: int, cycle: int) -> None:
         """Record the final-stage completion of one request (open workloads).
 

@@ -19,7 +19,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .engine import SimulationError
 
@@ -364,6 +364,45 @@ class Workload:
         ]
         candidates = sinks if sinks else self.stages
         return max(candidates, key=lambda stage: stage.stage_id)
+
+    def relay_inputs(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
+        """The stage input that reads back each relayed tensor.
+
+        A tensor is relayed when a stage writes it to the HBM or to a
+        storage cluster and a stage reads it: an output and an input of
+        the same ``(kind, label)``.  Maps that pair to the ``(stage_id,
+        input index)`` reading it (the last such input, in stage order
+        and then input order, when several do).
+        """
+        written = self._stored_outputs()
+        return {
+            (flow.kind, flow.label): (stage.stage_id, index)
+            for stage in self.stages
+            for index, flow in enumerate(stage.inputs)
+            if (flow.kind, flow.label) in written
+        }
+
+    def external_inputs(self) -> Tuple[Tuple[int, int], ...]:
+        """The HBM and storage inputs that no stage writes (the network
+        input), as ``(stage_id, input index)`` in stage order and then
+        input order: the order in which the simulator issues their first
+        fetches, which are its first events."""
+        written = self._stored_outputs()
+        return tuple(
+            (stage.stage_id, index)
+            for stage in self.stages
+            for index, flow in enumerate(stage.inputs)
+            if flow.kind != ENDPOINT_STAGE and (flow.kind, flow.label) not in written
+        )
+
+    def _stored_outputs(self) -> Set[Tuple[str, str]]:
+        """``(kind, label)`` of every output written to the HBM or storage."""
+        return {
+            (flow.kind, flow.label)
+            for stage in self.stages
+            for flow in stage.outputs
+            if flow.kind != ENDPOINT_STAGE
+        }
 
     def validate(self, n_clusters: int) -> None:
         """Check stage references and cluster indices against the system size."""

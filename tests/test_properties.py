@@ -154,7 +154,7 @@ def test_tensor_shape_invariants(shape):
        capacity=st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_server_conservation(durations, capacity):
-    """A server serves every job exactly once and accumulates their service time."""
+    """A server serves every job exactly once."""
     engine = Engine()
     server = Server(engine, "s", capacity=capacity)
     finished = []
@@ -162,8 +162,6 @@ def test_server_conservation(durations, capacity):
         server.submit(duration, lambda d=duration: finished.append(d))
     engine.run()
     assert sorted(finished) == sorted(durations)
-    assert server.jobs_served == len(durations)
-    assert server.utilization_time == sum(durations)
     # Makespan can never beat the ideal parallel bound.
     assert engine.now >= math.ceil(sum(durations) / capacity) - max(durations, default=0)
 

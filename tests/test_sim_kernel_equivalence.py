@@ -20,7 +20,8 @@ Three layers of coverage:
   across busy DMA channels, and reproducers of same-cycle ties under
   contention, with draws of ``tools/tie_sweep.py`` that once diverged and
   draws of its digital generator (digital groups sharing clusters,
-  intra-stage partial-sum flows);
+  intra-stage partial-sum flows), and external inputs in shapes no
+  generator draws;
 * a seeded randomized property sweep over small pipelines — stage counts,
   costs, byte sizes, replication widths, storage flows, buffer depths and
   contention drawn from a fixed-seed RNG, so a kernel divergence on an
@@ -34,6 +35,7 @@ Three layers of coverage:
 
 import importlib.util
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,58 @@ def _dma_tie_workload():
                (DataFlow("stage", 128, stage_id=1), res),
                (DataFlow("hbm", 128, label="out"),)),
     ], n_jobs=24)
+
+
+def _feed_workload(shape):
+    """Inputs that no stage writes, in shapes no generator draws: the
+    generators and hand-built pipelines feed one non-empty HBM input
+    into their first stage."""
+    out = (DataFlow("hbm", 256, label="out"),)
+    to_next = (DataFlow("stage", 256, stage_id=1),)
+    from_first = DataFlow("stage", 256, stage_id=0)
+    if shape == "zero-bytes":
+        stages = [
+            _stage(0, ((0,),), 300, 40, (DataFlow("hbm", 0, label="in"),), to_next),
+            _stage(1, ((2,),), 300, 40, (from_first,), out),
+        ]
+    elif shape == "two-into-replicated":
+        feeds = (DataFlow("hbm", 512, label="in"),
+                 DataFlow("hbm", 1024, label="bias", transfers_per_job=5))
+        stages = [
+            _stage(0, ((0, 1), (2,), (4,)), 500, 60, feeds, to_next),
+            _stage(1, ((6,),), 200, 40, (from_first,), out),
+        ]
+    elif shape == "storage-into-later":
+        later = (from_first, DataFlow("hbm", 384, label="side"),
+                 DataFlow("storage", 128, storage_cluster=9, label="table"))
+        stages = [
+            _stage(0, ((0,),), 300, 40, (DataFlow("hbm", 512, label="in"),), to_next),
+            replace(_stage(1, ((2,), (3,)), 400, 80, later, out),
+                    digital_clusters=(5, 6)),
+        ]
+    else:  # digital-only
+        stages = [
+            replace(_stage(0, (), 0, 150, (DataFlow("hbm", 512, label="in"),), to_next),
+                    digital_clusters=(0, 1), digital_slots=2),
+            _stage(1, ((3,),), 300, 40, (from_first,), out),
+        ]
+    return _pipeline(stages, n_jobs=12)
+
+
+#: a stage without clusters fed from the HBM, with and without bytes, and
+#: one writing to the HBM: a transfer between two off-chip endpoints.
+NO_CLUSTER_STAGE = {
+    "fed": _pipeline([StageDescriptor(0, "s0", inputs=(DataFlow("hbm", 64),))], 4),
+    "fed-zero-bytes": _pipeline(
+        [StageDescriptor(0, "s0", inputs=(DataFlow("hbm", 0),))], 4
+    ),
+    "writing": _pipeline([
+        _stage(0, ((0,),), 100, 0, (DataFlow("hbm", 64, label="in"),),
+               (DataFlow("stage", 64, stage_id=1),)),
+        StageDescriptor(1, "s1", inputs=(DataFlow("stage", 64, stage_id=0),),
+                        outputs=(DataFlow("hbm", 64, label="out"),)),
+    ], 4),
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -239,6 +293,46 @@ class TestKnownShapes:
         python = simulate(ARCH64, workload, model_contention, engine="python")
         table = simulate(ARCH64, workload, model_contention, engine="table")
         assert result_mismatches(python, table) == []
+
+    @pytest.mark.parametrize("arrivals", [False, True], ids=["closed", "poisson"])
+    @pytest.mark.parametrize(
+        "shape",
+        ["zero-bytes", "two-into-replicated", "storage-into-later", "digital-only"],
+    )
+    def test_external_feed_shapes_identical(self, shape, arrivals):
+        """A zero-byte feed (one local transfer and a delivery record), two
+        feeds into one replicated stage (each one transfer per job, whatever
+        its ``transfers_per_job``), an unwritten storage input beside an HBM
+        one into a later stage, and a digital-only stage: the same results
+        and the same number of events on both kernels."""
+        workload = _feed_workload(shape)
+        if arrivals:
+            workload = workload.with_arrivals(
+                PoissonArrivals(mean_interarrival_cycles=400.0, seed=5).generate(
+                    workload.n_jobs
+                )
+            )
+        for model_contention in (True, False):
+            for depth in (1, 2):
+                results, events = {}, {}
+                for engine in SIMULATION_ENGINES:
+                    sim = SystemSimulator(
+                        ARCH64, workload, model_contention, depth, engine=engine
+                    )
+                    results[engine] = sim.run()
+                    events[engine] = sim.engine.events_processed
+                label = f"contention={model_contention} depth={depth}"
+                mismatches = result_mismatches(results["python"], results["table"])
+                assert mismatches == [], label
+                assert events["python"] == events["table"], label
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    @pytest.mark.parametrize("case", sorted(NO_CLUSTER_STAGE))
+    def test_transfer_without_on_chip_endpoint_raises(self, case, engine):
+        """The object kernel's NoC model rejects a transfer with neither
+        end on chip; the table lane rejects the same flows."""
+        with pytest.raises(ValueError, match="at least one on-chip endpoint"):
+            simulate(ARCH64, NO_CLUSTER_STAGE[case], engine=engine)
 
 
 # --------------------------------------------------------------------------- #
