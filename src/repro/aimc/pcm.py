@@ -255,11 +255,6 @@ class StackedPCMArray:
         """Shape of the stacked conductance tensor."""
         return self.stack_shape + (self.rows, self.cols)
 
-    @property
-    def n_tiles(self) -> int:
-        """Number of tiles held by the stack."""
-        return int(np.prod(self.stack_shape))
-
     # ------------------------------------------------------------------ #
     # Programming
     # ------------------------------------------------------------------ #

@@ -14,7 +14,7 @@ from .area_power import (
     DEFAULT_ENERGY_MODEL,
 )
 from .cluster import ClusterSpec, CoreSpec, DEFAULT_CLUSTER_SPEC
-from .config import ArchConfig, DEFAULT_ARCH
+from .config import ArchConfig
 from .hbm import HBMSpec, DEFAULT_HBM_SPEC
 from .ima import IMASpec, DEFAULT_IMA_SPEC
 from .interconnect import (
@@ -38,7 +38,6 @@ __all__ = [
     "LevelSpec",
     "QuadrantTopology",
     "Route",
-    "DEFAULT_ARCH",
     "DEFAULT_AREA_MODEL",
     "DEFAULT_CLUSTER_SPEC",
     "DEFAULT_ENERGY_MODEL",

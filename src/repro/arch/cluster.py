@@ -125,15 +125,6 @@ class ClusterSpec:
         """Latency of one analog MVM expressed in cluster clock cycles."""
         return math.ceil(self.ima.analog_latency_ns / self.cycle_time_ns)
 
-    @property
-    def peak_cluster_tops(self) -> float:
-        """Peak analog throughput of the cluster (its IMA) in TOPS."""
-        return self.ima.peak_tops
-
-    def fits_in_l1(self, n_bytes: int) -> bool:
-        """Whether a working set of ``n_bytes`` fits in the cluster L1."""
-        return 0 <= n_bytes <= self.l1_size_bytes
-
     def dma_cycles(self, n_bytes: int) -> int:
         """Cycles one DMA channel is busy pushing ``n_bytes`` out of the cluster.
 

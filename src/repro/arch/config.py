@@ -9,14 +9,13 @@ points that are convenient for tests and for the ablation benchmarks.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from .area_power import AreaModel, EnergyModel, DEFAULT_AREA_MODEL, DEFAULT_ENERGY_MODEL
 from .cluster import ClusterSpec, CoreSpec, DEFAULT_CLUSTER_SPEC
 from .hbm import HBMSpec, DEFAULT_HBM_SPEC
-from .ima import IMASpec, DEFAULT_IMA_SPEC
+from .ima import IMASpec
 from .interconnect import InterconnectSpec, QuadrantTopology, DEFAULT_INTERCONNECT_SPEC
 
 
@@ -73,10 +72,6 @@ class ArchConfig:
         """Total number of RISC-V cores in the system."""
         return self.n_clusters * self.cores.n_cores
 
-    @property
-    def total_l1_bytes(self) -> int:
-        """Aggregate L1 scratchpad capacity of the system."""
-        return self.n_clusters * self.cluster.l1_size_bytes
 
     @property
     def total_crossbar_params(self) -> int:
@@ -93,10 +88,6 @@ class ArchConfig:
         """Total silicon area of the system."""
         return self.area.system_mm2(self.n_clusters)
 
-    @property
-    def peak_area_efficiency_gops_mm2(self) -> float:
-        """Ideal peak area efficiency (GOPS per mm2)."""
-        return self.peak_tops * 1e3 / self.chip_area_mm2
 
     def topology(self) -> QuadrantTopology:
         """Instantiate the quadrant topology for this configuration."""
@@ -174,17 +165,6 @@ class ArchConfig:
             name=name or f"scaled-{n_clusters}x{crossbar_size}",
         )
 
-    def with_clusters(self, n_clusters: int) -> "ArchConfig":
-        """Return a copy of this configuration with a different cluster count."""
-        interconnect = self.interconnect
-        if n_clusters > interconnect.max_clusters:
-            interconnect = InterconnectSpec.from_factors(_default_factors(n_clusters))
-        return dataclasses.replace(
-            self,
-            n_clusters=n_clusters,
-            interconnect=interconnect,
-            name=f"{self.name}-{n_clusters}cl",
-        )
 
 
 def _default_factors(n_clusters: int) -> list:
@@ -198,7 +178,3 @@ def _default_factors(n_clusters: int) -> list:
     base = 4 * 4 * 4
     wrapper = max(1, math.ceil(n_clusters / base))
     return [1, wrapper, 4, 4, 4]
-
-
-DEFAULT_ARCH = ArchConfig.paper()
-"""The Table I architecture: 512 clusters, 256x256 IMAs, 1 GHz."""

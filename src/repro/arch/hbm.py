@@ -49,11 +49,6 @@ class HBMSpec:
         if self.max_burst_bytes <= 0:
             raise ValueError("max_burst_bytes must be positive")
 
-    @property
-    def peak_bandwidth_bytes_per_cycle(self) -> int:
-        """Aggregate controller bandwidth across all channels."""
-        return self.data_width_bytes * self.n_channels
-
     def serialization_cycles(self, n_bytes: int) -> int:
         """Cycles to serialise ``n_bytes`` over a single channel."""
         if n_bytes <= 0:

@@ -16,7 +16,7 @@ analog numerics in :mod:`repro.aimc.crossbar`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,6 @@ class IMASpec:
     def capacity_params(self) -> int:
         """Number of parameters storable on one crossbar (rows x cols)."""
         return self.rows * self.cols
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Parameter capacity expressed in bytes."""
-        return self.capacity_params * self.cell_bits // 8
 
     # ------------------------------------------------------------------ #
     # Peak throughput

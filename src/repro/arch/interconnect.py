@@ -22,8 +22,7 @@ that :mod:`repro.sim.noc` turns into contention-aware router components.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -219,12 +218,6 @@ class QuadrantTopology:
         self._check_cluster(cluster)
         return cluster // self._group_sizes[level_index]
 
-    def ancestors(self, cluster: int) -> List[str]:
-        """Node names above ``cluster``, from its L1 node to the top node."""
-        return [
-            self.node_name(i, self.ancestor_index(cluster, i))
-            for i in range(len(self._bottom_up))
-        ]
 
     def _check_cluster(self, cluster: int) -> None:
         if not 0 <= cluster < self.n_clusters:
@@ -333,41 +326,6 @@ class QuadrantTopology:
     def hop_distance(self, src: int, dst: int) -> int:
         """Number of directed links between two clusters (0 when equal)."""
         return self.route(src, dst).n_hops
-
-    # ------------------------------------------------------------------ #
-    # Link enumeration (for the NoC simulator)
-    # ------------------------------------------------------------------ #
-    def all_links(self) -> List[str]:
-        """Names of every directed link present in the topology."""
-        links: List[str] = []
-        for cluster in range(self.n_clusters):
-            l1 = self._node_of(cluster, 0)
-            links.append(self._edge(f"cluster[{cluster}]", l1, "up"))
-            links.append(self._edge(l1, f"cluster[{cluster}]", "down"))
-        n_levels = len(self._bottom_up)
-        for i in range(n_levels - 1):
-            n_nodes = math.ceil(self.n_clusters / self._group_sizes[i])
-            for node in range(n_nodes):
-                child = self.node_name(i, node)
-                parent_index = node // self._bottom_up[i + 1].quadrant_factor
-                parent = self.node_name(i + 1, parent_index)
-                links.append(self._edge(child, parent, "up"))
-                links.append(self._edge(parent, child, "down"))
-        top_index = n_levels - 1
-        n_top = math.ceil(self.n_clusters / self._group_sizes[top_index - 1]) if n_levels > 1 else 1
-        n_top_nodes = math.ceil(n_top / self._bottom_up[top_index].quadrant_factor) or 1
-        for node in range(max(1, n_top_nodes)):
-            top = self.node_name(top_index, node)
-            links.append(self._edge(top, self.HBM_NODE, "up"))
-            links.append(self._edge(self.HBM_NODE, top, "down"))
-        return sorted(set(links))
-
-    def link_width_bytes(self, link: str) -> int:
-        """Data width of a link, derived from the deeper of its two endpoints."""
-        for level in self._bottom_up:
-            if f"{level.name}[" in link or link.startswith("cluster"):
-                return level.data_width_bytes
-        return self._min_width()
 
     # ------------------------------------------------------------------ #
     # Internals

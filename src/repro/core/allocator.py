@@ -10,7 +10,7 @@ locality argument the paper's mapping relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 class AllocationError(RuntimeError):
@@ -64,10 +64,6 @@ class ClusterAllocator:
     def owner_of(self, cluster: int) -> Optional[str]:
         """Owner label of a cluster, or ``None`` if unallocated."""
         return self._owners.get(cluster)
-
-    def owners(self) -> Dict[int, str]:
-        """Copy of the full ownership map."""
-        return dict(self._owners)
 
     def utilization(self) -> float:
         """Fraction of the system's clusters that have been allocated."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from ..arch.config import ArchConfig
 from ..dnn.graph import Graph
@@ -111,7 +111,3 @@ class MappingOptimizer:
         from .policies import resolve_policy
 
         return resolve_policy(level).build(self)
-
-    def build_all(self) -> Dict[OptimizationLevel, NetworkMapping]:
-        """Build all three mappings (Fig. 5A's x-axis)."""
-        return {level: self.build(level) for level in OptimizationLevel.all()}

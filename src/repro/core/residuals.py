@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..dnn.graph import Graph, Node
+from ..dnn.graph import Graph
 from .allocator import ClusterAllocator
 from .tiling import TilingPlan
 
@@ -65,10 +65,6 @@ class ResidualPlan:
             raise ValueError(f"unknown residual mode {self.mode!r}")
 
     # ------------------------------------------------------------------ #
-    @property
-    def n_edges(self) -> int:
-        """Number of residual connections in the network."""
-        return len(self.edges)
 
     @property
     def total_storage_bytes(self) -> int:
@@ -83,14 +79,6 @@ class ResidualPlan:
     def storage_cluster_for(self, label: str) -> Optional[int]:
         """Storage cluster of one residual edge (``None`` in HBM mode)."""
         return self.assignment.get(label)
-
-    def edge_for_consumer(self, consumer: int) -> List[ResidualEdge]:
-        """Residual edges feeding one consumer node."""
-        return [edge for edge in self.edges if edge.consumer == consumer]
-
-    def edge_for_producer(self, producer: int) -> List[ResidualEdge]:
-        """Residual edges originating at one producer node."""
-        return [edge for edge in self.edges if edge.producer == producer]
 
     # ------------------------------------------------------------------ #
     @classmethod

@@ -1,4 +1,4 @@
-"""DNN frontend: graph IR, model zoo, reference numerics and quantisation."""
+"""DNN frontend: graph IR, model zoo and reference numerics."""
 
 from . import models
 from .builder import GraphBuilder
@@ -14,8 +14,6 @@ from .layers import (
     Linear,
     MaxPool2D,
     ReLU,
-    ANALOG_LAYER_KINDS,
-    DIGITAL_LAYER_KINDS,
 )
 from .numerics import (
     LayerParameters,
@@ -25,22 +23,12 @@ from .numerics import (
     initialize_parameters,
     random_input,
 )
-from .quantization import (
-    QuantizationSpec,
-    QuantizedTensor,
-    activation_scale,
-    quantization_rmse,
-    quantize,
-    quantize_graph_parameters,
-)
 from .tensor import TensorShape
 
 __all__ = [
-    "ANALOG_LAYER_KINDS",
     "Add",
     "AvgPool2D",
     "Conv2D",
-    "DIGITAL_LAYER_KINDS",
     "Flatten",
     "Graph",
     "GraphBuilder",
@@ -52,18 +40,12 @@ __all__ = [
     "Linear",
     "MaxPool2D",
     "Node",
-    "QuantizationSpec",
-    "QuantizedTensor",
     "ReLU",
     "ReferenceExecutor",
     "TensorShape",
-    "activation_scale",
     "conv2d_reference",
     "im2col",
     "initialize_parameters",
     "models",
-    "quantization_rmse",
-    "quantize",
-    "quantize_graph_parameters",
     "random_input",
 ]

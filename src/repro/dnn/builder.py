@@ -114,21 +114,6 @@ class GraphBuilder:
         )
         return self._append(layer, inputs)
 
-    def avg_pool(
-        self,
-        kernel_size: int = 2,
-        stride: Optional[int] = None,
-        name: Optional[str] = None,
-        inputs: Optional[Sequence[int]] = None,
-    ) -> int:
-        """Append an average-pooling layer."""
-        layer = AvgPool2D(
-            name=self._auto_name("avgpool", name),
-            kernel_size=kernel_size,
-            stride=stride,
-        )
-        return self._append(layer, inputs)
-
     def global_avg_pool(
         self, name: Optional[str] = None, inputs: Optional[Sequence[int]] = None
     ) -> int:

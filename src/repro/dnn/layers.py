@@ -16,9 +16,8 @@ Layers are split in two families, mirroring the paper's execution model:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .tensor import TensorShape
 
@@ -349,10 +348,3 @@ class Flatten(Layer):
     def output_shape(self, input_shapes: Sequence[TensorShape]) -> TensorShape:
         ifm = self._single_input(input_shapes)
         return TensorShape(ifm.n_elements, 1, 1)
-
-
-ANALOG_LAYER_KINDS = ("conv2d", "linear")
-"""Layer kinds executed on the IMA."""
-
-DIGITAL_LAYER_KINDS = ("maxpool2d", "avgpool2d", "add", "relu", "flatten")
-"""Layer kinds executed on the RISC-V cores."""

@@ -241,11 +241,6 @@ class ArtifactCache:
         with self._lock:
             return sum(len(memory) for memory in self._regions.values())
 
-    def size(self, region: str) -> int:
-        """Number of cached artifacts in one region."""
-        with self._lock:
-            return len(self._regions.get(region, ()))
-
     def clear(self) -> None:
         """Drop every in-memory artifact (statistics and the persistent
         store are kept)."""

@@ -27,10 +27,11 @@ whose handler calls the payload; :class:`~repro.sim.engine_table.TableEngine`
 adds opcode kinds that the compiled table lane registers.  Both kernels
 therefore run on this one queue.
 
-The columns only grow while a run dispatches, so every
-:data:`COMPACT_ROWS` dispatched rows the queue renumbers its pending rows
-``0 … n-1`` in row order and truncates the columns in place.  Renumbering
-keeps the relative order of rows, so it keeps the order of events.
+A run dispatches until the queue drains.  The columns only grow while it
+does, so every :data:`COMPACT_ROWS` dispatched rows the queue renumbers
+its pending rows ``0 … n-1`` in row order and truncates the columns in
+place.  Renumbering keeps the relative order of rows, so it keeps the
+order of events.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from operator import call as _call
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List
 
 Callback = Callable[[], None]
 
@@ -103,66 +104,21 @@ class Engine:
             raise SimulationError(f"delay cannot be negative, got {delay}")
         _schedule(self, self._now + int(delay), callback)
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or ``until`` / ``max_events`` is hit).
+    def run(self) -> int:
+        """Run until the queue drains; return the simulated time it ends at.
 
-        Returns the simulated time at which the run stopped.  A bounded run
-        always leaves the clock at ``until`` when the queue drains earlier,
-        so back-to-back ``run(until=...)`` calls observe a consistent,
-        monotonic clock regardless of how the events happen to be spaced.
-        A bound in the past is a no-op: the clock never moves backward.
-        ``max_events`` may stop the run between any two events of one
-        cycle; the rest stay queued, and a later ``run`` resumes exactly
-        where this one stopped.  A handler that raises leaves every later
-        event queued.  ``run`` is not re-entrant: calling it from inside an
-        event callback raises :class:`SimulationError`.
+        The run dispatches in passes of :data:`COMPACT_ROWS`: a pass may
+        dispatch only as many rows as the columns have room for dead
+        rows, and a pass that uses them all ends in a compaction.  A
+        handler that raises leaves every later event queued, and a later
+        ``run`` resumes with them.  ``run`` is not re-entrant: calling it
+        from inside an event callback raises :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError(
                 "Engine.run() is not re-entrant: it was called from inside "
                 "an event callback while a run is already in progress"
             )
-        if until is None and max_events is None:
-            return self._drain()
-        if until is not None and until < self._now:
-            return self._now
-        self._running = True
-        heap = self._heap
-        kinds = self._kind
-        args = self._arg
-        handlers = self._handlers
-        limit = COMPACT_ROWS
-        stop = None if until is None else until << ROW_BITS | _ROW_MASK
-        left = max_events
-        try:
-            while heap:
-                if stop is not None and heap[0] > stop:
-                    self._now = until
-                    break
-                if left is not None:
-                    if left <= 0:
-                        break
-                    left -= 1
-                if len(kinds) - len(heap) >= limit:
-                    self._compact()
-                key = heapq.heappop(heap)
-                row = key & _ROW_MASK
-                self._now = key >> ROW_BITS
-                arg = args[row]
-                args[row] = None
-                handlers[kinds[row]](arg)
-            if until is not None and not heap and self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-        return self._now
-
-    def _drain(self) -> int:
-        """The unbounded run, in passes of :data:`COMPACT_ROWS` dispatches.
-
-        A pass may dispatch only as many rows as the columns have room
-        for dead rows; a pass that uses them all ends in a compaction.
-        """
         self._running = True
         heap = self._heap
         kinds = self._kind

@@ -12,7 +12,6 @@ maximum of the three phases, exactly as described in Sec. IV.2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..arch.cluster import ClusterSpec
@@ -102,19 +101,3 @@ class IMATimingModel:
         else:
             total = (analog + stream_in + stream_out) * job.n_mvms
         return self.spec.config_cycles + total
-
-    def effective_utilization(self, job: IMAJob) -> float:
-        """Fraction of the crossbar's peak MACs actually used by the job.
-
-        This combines the array under-fill (rows/cols smaller than the
-        physical crossbar) with the streaming overheads, and is the per-IMA
-        component of the "local mapping" inefficiency of Sec. VI.
-        """
-        if job.n_mvms == 0:
-            return 0.0
-        peak_macs = self.spec.rows * self.spec.cols * job.n_mvms
-        cycles = self.job_cycles(job)
-        peak_cycles_equiv = self.analog_cycles_per_mvm() * job.n_mvms
-        fill = job.macs / peak_macs
-        timing = peak_cycles_equiv / cycles if cycles > 0 else 0.0
-        return fill * timing

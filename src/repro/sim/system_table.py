@@ -551,8 +551,6 @@ class TableProgram:
             # bytes is still one local transfer (NocModel.transfer_bytes)
             flow.zero = True
             return flow
-        if src is None and dst is None:
-            raise ValueError("a transfer needs at least one on-chip endpoint")
         flow.pending = [0] * self._nj
         if src is not None:
             slots = self._dma_slots.get(src)

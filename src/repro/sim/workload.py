@@ -371,8 +371,8 @@ class Workload:
         A tensor is relayed when a stage writes it to the HBM or to a
         storage cluster and a stage reads it: an output and an input of
         the same ``(kind, label)``.  Maps that pair to the ``(stage_id,
-        input index)`` reading it (the last such input, in stage order
-        and then input order, when several do).
+        input index)`` reading it; :meth:`validate` rejects a tensor that
+        two inputs read.
         """
         written = self._stored_outputs()
         return {
@@ -405,10 +405,21 @@ class Workload:
         }
 
     def validate(self, n_clusters: int) -> None:
-        """Check stage references and cluster indices against the system size."""
+        """Check stage references and cluster indices against the system
+        size, and that every transfer the kernels would issue can move.
+
+        A stored tensor (an HBM or storage ``(kind, label)`` some stage
+        writes) is relayed to one reader, so a second reader is rejected.
+        A transfer from or to a stage without clusters has that end off
+        chip; a non-empty flow, or any external feed, whose other end is
+        off chip too is rejected.
+        """
         ids = {stage.stage_id for stage in self.stages}
+        on_chip: Dict[int, bool] = {}
         for stage in self.stages:
-            for cluster in stage.clusters:
+            clusters = stage.clusters
+            on_chip[stage.stage_id] = bool(clusters)
+            for cluster in clusters:
                 if not 0 <= cluster < n_clusters:
                     raise ValueError(
                         f"stage {stage.stage_id} uses cluster {cluster}, but the "
@@ -427,6 +438,54 @@ class Workload:
                         f"stage {stage.stage_id} references storage cluster "
                         f"{flow.storage_cluster} outside the system"
                     )
+        written = self._stored_outputs()
+        readers: Dict[Tuple[str, str], int] = {}
+        for stage in self.stages:
+            for flow in stage.inputs:
+                tensor = (flow.kind, flow.label)
+                if tensor not in written:
+                    continue
+                if tensor in readers:
+                    raise ValueError(
+                        f"stored tensor {tensor} is read by stage "
+                        f"{readers[tensor]} and by stage {stage.stage_id}; "
+                        "a stored tensor is relayed to one reader"
+                    )
+                readers[tensor] = stage.stage_id
+        for stage in self.stages:
+            if on_chip[stage.stage_id]:
+                continue
+            for index, flow in enumerate(stage.inputs):
+                # an input that no stage writes is fed from the HBM, even
+                # when empty; a stage input is checked as its producer's output
+                fed = flow.kind != ENDPOINT_STAGE and (
+                    (flow.kind, flow.label) not in written
+                )
+                if fed or (flow.kind == ENDPOINT_HBM and flow.bytes_per_job > 0):
+                    raise _off_chip_transfer(stage, "input", index, flow)
+            for index, flow in enumerate(stage.outputs):
+                far_off_chip = flow.kind == ENDPOINT_HBM or (
+                    flow.kind == ENDPOINT_STAGE and not on_chip[flow.stage_id]
+                )
+                if far_off_chip and flow.bytes_per_job > 0:
+                    raise _off_chip_transfer(stage, "output", index, flow)
+
+
+def _off_chip_transfer(
+    stage: StageDescriptor, direction: str, index: int, flow: DataFlow
+) -> ValueError:
+    """The error for a flow of the cluster-less ``stage`` whose other end
+    is off chip too."""
+    far = (
+        f"stage {flow.stage_id}"
+        if flow.kind == ENDPOINT_STAGE
+        else f"{flow.kind} {flow.label!r}"
+    )
+    return ValueError(
+        f"stage {stage.stage_id} ({stage.name!r}) has no clusters, and its "
+        f"{direction} flow {index} ({far}, {flow.bytes_per_job} bytes per job) "
+        "has no on-chip end: a transfer needs at least one on-chip endpoint"
+    )
 
 
 # --------------------------------------------------------------------------- #

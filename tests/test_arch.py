@@ -88,12 +88,6 @@ class TestCoreAndCluster:
         assert cluster.cores.n_cores == 16
         assert cluster.analog_latency_cycles == 130
 
-    def test_fits_in_l1(self):
-        cluster = ClusterSpec()
-        assert cluster.fits_in_l1(1 << 20)
-        assert not cluster.fits_in_l1((1 << 20) + 1)
-        assert not cluster.fits_in_l1(-1)
-
     def test_dma_and_delivery_cycles(self):
         cluster = ClusterSpec()
         # 30 configuration cycles, then 64 bytes per cycle, rounded up
@@ -167,12 +161,6 @@ class TestInterconnect:
         topo = QuadrantTopology(n_clusters=16)
         with pytest.raises(ValueError):
             topo.route(0, 16)
-
-    def test_all_links_unique(self):
-        topo = QuadrantTopology(n_clusters=64)
-        links = topo.all_links()
-        assert len(links) == len(set(links))
-        assert any("hbm" in link for link in links)
 
     def test_locality_of_consecutive_clusters(self):
         topo = QuadrantTopology()
@@ -257,11 +245,6 @@ class TestArchConfig:
     def test_scaled_rejects_undersized_interconnect(self):
         with pytest.raises(ValueError):
             ArchConfig.scaled(n_clusters=64, quadrant_factors=[1, 1, 2, 2, 2])
-
-    def test_with_clusters(self, paper_arch):
-        smaller = paper_arch.with_clusters(128)
-        assert smaller.n_clusters == 128
-        assert smaller.ima.rows == paper_arch.ima.rows
 
     def test_topology_matches_cluster_count(self, small_arch):
         topo = small_arch.topology()

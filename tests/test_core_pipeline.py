@@ -266,15 +266,6 @@ class TestOptimizer:
         assert replicated.residual_mode == "hbm"
         assert final.residual_mode == "spare_l1"
 
-    def test_build_all_returns_three_mappings(self, resnet, paper_arch):
-        optimizer = MappingOptimizer(resnet, paper_arch, batch_size=16)
-        mappings = optimizer.build_all()
-        assert set(mappings) == set(OptimizationLevel.all())
-        assert (
-            mappings[OptimizationLevel.REPLICATED].n_used_clusters
-            > mappings[OptimizationLevel.NAIVE].n_used_clusters
-        )
-
     def test_end_to_end_ordering_of_levels(self, resnet, paper_arch):
         """Fig. 5A: each optimisation level improves (or at least preserves) throughput."""
         optimizer = MappingOptimizer(resnet, paper_arch, batch_size=4)

@@ -1,4 +1,4 @@
-"""Tests for the numpy reference executor and the quantisation utilities."""
+"""Tests for the numpy reference executor."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,11 @@ import pytest
 from repro.dnn import (
     Conv2D,
     MaxPool2D,
-    QuantizationSpec,
     ReferenceExecutor,
     TensorShape,
     conv2d_reference,
     im2col,
-    initialize_parameters,
     models,
-    quantization_rmse,
-    quantize,
-    quantize_graph_parameters,
     random_input,
 )
 from repro.dnn.numerics import avgpool2d_reference, linear_reference, maxpool2d_reference
@@ -150,46 +145,3 @@ class TestReferenceExecutor:
         executor = ReferenceExecutor(graph, seed=0)
         out = executor.run_output(random_input(graph, seed=1))
         assert out.shape == (10, 1, 1)
-
-
-class TestQuantization:
-    def test_round_trip_error_small(self):
-        rng = np.random.default_rng(0)
-        tensor = rng.normal(size=(64, 64))
-        rmse = quantization_rmse(tensor, QuantizationSpec(bits=8))
-        assert rmse < 0.02 * np.abs(tensor).max()
-
-    def test_lower_bits_higher_error(self):
-        rng = np.random.default_rng(1)
-        tensor = rng.normal(size=(32, 32))
-        assert quantization_rmse(tensor, QuantizationSpec(bits=4)) > quantization_rmse(
-            tensor, QuantizationSpec(bits=8)
-        )
-
-    def test_codes_within_range(self):
-        spec = QuantizationSpec(bits=8)
-        quantized = quantize(np.linspace(-3, 3, 100), spec)
-        assert quantized.codes.max() <= spec.q_max
-        assert quantized.codes.min() >= spec.q_min
-
-    def test_per_channel_scales(self):
-        tensor = np.stack([np.ones(10), 100 * np.ones(10)])
-        quantized = quantize(tensor, QuantizationSpec(bits=8, per_channel=True))
-        assert quantized.scale.shape == (2,)
-        assert np.allclose(quantized.dequantize(), tensor, rtol=0.02)
-
-    def test_zero_tensor_handled(self):
-        quantized = quantize(np.zeros((4, 4)))
-        assert np.all(quantized.codes == 0)
-        assert np.all(quantized.dequantize() == 0)
-
-    def test_graph_parameter_quantisation(self, tiny_graph):
-        params = initialize_parameters(tiny_graph, seed=0)
-        quantized = quantize_graph_parameters(params)
-        assert set(quantized) == set(params)
-        for node_id, q in quantized.items():
-            assert q.codes.shape == params[node_id].weight_matrix.shape
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            QuantizationSpec(bits=1)

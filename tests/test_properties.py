@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import HBMSpec, IMASpec, InterconnectSpec, QuadrantTopology
 from repro.aimc import Crossbar, NoiseModel, TiledMatrix
 from repro.core import LayerSplit, ReductionPlan
-from repro.dnn import QuantizationSpec, TensorShape, quantize
+from repro.dnn import TensorShape
 from repro.dnn.numerics import im2col
 from repro.sim import Engine, Server
 
@@ -100,24 +100,6 @@ def test_im2col_shape_invariant(channels, size, kernel, stride):
     out = (size + 2 * padding - kernel) // stride + 1
     assert cols.shape == (out * out, channels * kernel * kernel)
     assert np.all(np.isfinite(cols))
-
-
-@given(
-    bits=st.integers(2, 10),
-    values=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=64),
-)
-def test_quantization_error_bounded_by_step(bits, values):
-    """Quantisation error never exceeds half a quantisation step."""
-    tensor = np.asarray(values)
-    spec = QuantizationSpec(bits=bits)
-    quantized = quantize(tensor, spec)
-    max_abs = np.abs(tensor).max()
-    if max_abs == 0:
-        assert np.all(quantized.codes == 0)
-        return
-    step = max_abs / spec.q_max
-    error = np.abs(quantized.dequantize() - tensor)
-    assert np.all(error <= step / 2 + 1e-9)
 
 
 @given(

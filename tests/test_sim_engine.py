@@ -43,50 +43,6 @@ class TestEngine:
         engine.run()
         assert seen == [2, 7]
 
-    def test_run_until_stops_early(self):
-        engine = Engine()
-        fired = []
-        engine.at(100, lambda: fired.append(True))
-        engine.run(until=50)
-        assert not fired
-        assert engine.now == 50
-        engine.run()
-        assert fired
-
-    def test_run_until_advances_clock_when_queue_drains(self):
-        engine = Engine()
-        engine.at(5, lambda: None)
-        assert engine.run(until=50) == 50
-        assert engine.now == 50
-
-    def test_back_to_back_bounded_runs_keep_consistent_clock(self):
-        engine = Engine()
-        seen = []
-        engine.at(10, lambda: seen.append(engine.now))
-        assert engine.run(until=100) == 100
-        # a second bounded run on the drained queue still lands on its bound
-        assert engine.run(until=250) == 250
-        engine.after(5, lambda: seen.append(engine.now))
-        engine.run()
-        assert seen == [10, 255]
-
-    def test_run_with_past_bound_never_moves_clock_backward(self):
-        engine = Engine()
-        engine.at(60, lambda: None)
-        assert engine.run(until=50) == 50
-        # a stale (smaller) bound is a no-op, not a clock rewind
-        assert engine.run(until=40) == 50
-        assert engine.now == 50
-        engine.run()
-        assert engine.now == 60
-
-    def test_max_events_with_queue_left_does_not_jump_to_until(self):
-        engine = Engine()
-        engine.at(1, lambda: None)
-        engine.at(2, lambda: None)
-        engine.run(until=100, max_events=1)
-        assert engine.now == 1
-
     def test_engine_uses_slots(self):
         assert not hasattr(Engine(), "__dict__")
 
@@ -109,41 +65,7 @@ class TestEngine:
 
 
 class TestEngineEdgeSemantics:
-    """Bounded-run, same-cycle-batch and re-entrancy contracts of run()."""
-
-    def test_max_events_mid_batch_leaves_consistent_clock_and_order(self):
-        engine = Engine()
-        order = []
-        for tag in ("a", "b", "c"):
-            engine.at(7, lambda t=tag: order.append(t))
-        engine.at(9, lambda: order.append("late"))
-        # stop in the middle of the same-cycle batch at t=7
-        engine.run(max_events=2)
-        assert order == ["a", "b"]
-        assert engine.now == 7
-        assert not engine.empty()
-        # the unprocessed tail resumes exactly where the run stopped, FIFO
-        engine.run()
-        assert order == ["a", "b", "c", "late"]
-        assert engine.now == 9
-
-    def test_max_events_truncation_keeps_same_cycle_continuations(self):
-        engine = Engine()
-        order = []
-
-        def first():
-            order.append("first")
-            engine.after(0, lambda: order.append("chained"))
-
-        engine.at(3, first)
-        engine.at(3, lambda: order.append("second"))
-        engine.run(max_events=1)
-        # only the first event ran; both the pre-scheduled same-cycle event
-        # and the continuation it appended are still pending, in order
-        assert order == ["first"]
-        assert engine.now == 3
-        engine.run()
-        assert order == ["first", "second", "chained"]
+    """Same-cycle-batch and re-entrancy contracts of run()."""
 
     def test_same_cycle_events_scheduled_during_dispatch_run_fifo(self):
         engine = Engine()
@@ -181,18 +103,6 @@ class TestEngineEdgeSemantics:
         # the outer run survives the rejected re-entry
         engine.at(2, lambda: None)
         assert engine.run() == 2
-
-    def test_truncated_run_then_until_bound_does_not_skip_events(self):
-        engine = Engine()
-        seen = []
-        engine.at(4, lambda: seen.append("a"))
-        engine.at(4, lambda: seen.append("b"))
-        engine.run(max_events=1)
-        assert engine.now == 4 and seen == ["a"]
-        # a bounded run past the truncation point first drains the tail
-        engine.run(until=10)
-        assert seen == ["a", "b"]
-        assert engine.now == 10
 
 
 class TestServer:

@@ -8,13 +8,11 @@ bit-identity against the object kernel lives in
 ``tests/test_sim_kernel_equivalence.py``; this module covers:
 
 * ``TableEngine`` alone: opcode scheduling and deferral semantics, FIFO
-  interleaving with callables, the bounded ``max_events`` loop (truncation
-  between rows with in-order resume, a raising handler leaving the rest
-  queued), ``until`` bounds and non-re-entrancy;
+  interleaving with callables, a raising handler leaving the rest queued,
+  non-re-entrancy, and the object-kernel primitives running on it;
 * the queue both kernels share: same-cycle scheduling from inside a
   handler, compaction of the row columns (bounded columns, unchanged
-  dispatch order and results, bounded runs across a compaction) and
-  ``reset``;
+  dispatch order and results) and ``reset``;
 * the burst rows of :class:`~repro.sim.system_table.TableProgram`: the
   chunks of one group that find free DMA channels enter the NoC as one
   ``OP_NOC_BURST`` row, which saves ``k - 1`` events per burst of ``k``
@@ -143,54 +141,7 @@ class TestTableEngine:
         # the deferring row's dispatch plus the opcode row's
         assert engine.events_processed == 2
 
-    def test_max_events_truncates_between_mixed_rows_and_resumes_in_order(self):
-        """The bounded loop stops between any two events — callables, the
-        rows a callable defers, opcode rows and deferred opcode rows alike
-        — and a later run resumes exactly where it stopped."""
-
-        def trace(bound):
-            log = []
-            engine = self._engine(log)
-            engine.sched_op(4, K_OP_BASE, "op1")
-            engine.at(4, lambda: engine.after(0, lambda: log.append("cb-row")))
-            engine.at(4, lambda: log.append("callable"))
-            engine.defer_op(4, 0, K_OP_BASE, "deferred0")
-            engine.defer_op(4, 3, K_OP_BASE, "deferred3")
-            engine.sched_op(6, K_OP_BASE, "op2")
-            steps = []
-            while not engine.empty():
-                engine.run(max_events=bound)
-                steps.append((engine.now, len(log)))
-            return log, engine.events_processed, steps
-
-        unbounded_log, unbounded_events, __ = trace(None)
-        assert unbounded_log == [
-            "op1", "callable", "cb-row", "deferred0", "op2", "deferred3",
-        ]
-        for bound in (1, 2, 3):
-            log, events, steps = trace(bound)
-            assert log == unbounded_log, bound
-            assert events == unbounded_events == 9
-            # every bounded call dispatched at most ``bound`` events
-            assert len(steps) >= -(-events // bound)
-        # one event at a time: the clock never runs ahead of the rows
-        __, __, steps = trace(1)
-        assert [now for now, __ in steps] == [4] * 7 + [6, 7]
-
-    def test_bounded_run_counts_rows_as_events(self):
-        log = []
-        engine = self._engine(log)
-        engine.sched_op(4, K_OP_BASE, "a")
-        engine.sched_op(4, K_OP_BASE, "b")
-        engine.sched_op(4, K_OP_BASE, "c")
-        engine.run(max_events=2)
-        assert log == ["a", "b"]
-        assert engine.now == 4 and engine.events_processed == 2
-        engine.run()  # the unbounded loop resumes mid-cycle
-        assert log == ["a", "b", "c"]
-
-    @pytest.mark.parametrize("max_events", [None, 10], ids=["unbounded", "bounded"])
-    def test_handler_exception_requeues_the_unprocessed_tail(self, max_events):
+    def test_handler_exception_requeues_the_unprocessed_tail(self):
         log = []
         engine = TableEngine()
 
@@ -202,11 +153,29 @@ class TestTableEngine:
         engine.defer_op(1, 0, K_OP_BASE, "deferred")
         engine.sched_op(1, K_OP_BASE, "survivor")
         with pytest.raises(RuntimeError, match="kaboom"):
-            engine.run(max_events=max_events)
+            engine.run()
         assert engine.now == 1 and not engine.empty()
-        engine.run(max_events=max_events)
+        engine.run()
         assert log == ["survivor", "deferred"]
         assert engine.empty()
+
+    def test_reentrant_run_raises(self):
+        engine = TableEngine()
+        errors = []
+
+        def reenter(arg):
+            try:
+                engine.run()
+            except SimulationError as error:
+                errors.append(str(error))
+
+        engine.set_handlers((reenter,))
+        engine.defer_op(1, 0, K_OP_BASE, None)
+        engine.run()
+        assert len(errors) == 1
+        assert "re-entrant" in errors[0]
+        engine.at(2, lambda: None)
+        assert engine.run() == 2
 
     def test_scheduling_in_the_past_and_negative_deferrals_raise(self):
         engine = self._engine([])
@@ -333,48 +302,6 @@ class TestQueue:
         assert compacted_events == events == len(plain.log)
         assert result_mismatches(reference, result) == []
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_bounded_runs_stop_and_resume_across_compactions(
-        self, engine_kind, monkeypatch
-    ):
-        """``run(max_events=...)`` and ``run(until=...)`` stop and resume in
-        order when the columns compact between and inside the calls."""
-
-        def trace(compact_rows, step):
-            monkeypatch.setattr(engine_module, "COMPACT_ROWS", compact_rows)
-            engine = engine_kind()
-            log = []
-
-            def event(tag, depth):
-                log.append((engine.now, tag))
-                assert len(engine._kind) - len(engine._heap) <= compact_rows
-                if depth:
-                    # a same-cycle cascade and a later event per level
-                    engine.after(0, lambda: event(f"{tag}.0", depth - 1))
-                    engine.after(depth, lambda: event(f"{tag}.{depth}", depth - 1))
-
-            for i in range(6):
-                engine.at(i % 3, lambda i=i: event(str(i), 4))
-            stops = []
-            while not engine.empty():
-                if step is None:
-                    engine.run()
-                elif step[0] == "max_events":
-                    engine.run(max_events=step[1])
-                else:
-                    engine.run(until=engine.now + step[1])
-                stops.append(engine.now)
-            return log, engine.events_processed, stops
-
-        reference, events, __ = trace(4096, None)
-        assert events == len(reference) == 6 * 31
-        for step in (("max_events", 1), ("max_events", 7), ("until", 1), ("until", 3)):
-            for compact_rows in (3, 8):
-                log, traced_events, stops = trace(compact_rows, step)
-                assert log == reference, (step, compact_rows)
-                assert traced_events == events
-                assert stops == sorted(stops)
-
 
 # --------------------------------------------------------------------------- #
 # Row storage: bounded columns and reset
@@ -401,9 +328,8 @@ class TestRowStorage:
         assert max(widest) <= engine_module.COMPACT_ROWS
         assert len(engine._kind) <= engine_module.COMPACT_ROWS
 
-    @pytest.mark.parametrize("max_events", [None, 2], ids=["unbounded", "bounded"])
     @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_a_dispatched_row_drops_its_payload(self, engine_kind, max_events):
+    def test_a_dispatched_row_drops_its_payload(self, engine_kind):
         """The columns keep no callable alive once its event has run."""
 
         class Payload:
@@ -417,7 +343,7 @@ class TestRowStorage:
         del payload
         seen = []
         engine.at(2, lambda: seen.append(alive()))
-        engine.run(max_events=max_events)
+        engine.run()
         assert seen == [None] and engine.empty()
 
     @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
@@ -478,71 +404,8 @@ class TestRowStorage:
 
 
 # --------------------------------------------------------------------------- #
-# TableEngine: bounded runs and re-entrancy
+# TableEngine: a drop-in Engine
 # --------------------------------------------------------------------------- #
-class TestBoundedRuns:
-    def _engine(self, log):
-        engine = TableEngine()
-        engine.set_handlers((lambda arg: log.append(arg),))
-        return engine
-
-    def test_max_events_truncates_between_rows_and_resumes_in_order(self):
-        """Mirrors the object kernel's mid-cycle truncation contract."""
-        order = []
-        engine = self._engine(order)
-        engine.defer_op(7, 0, K_OP_BASE, "r1")
-        engine.defer_op(7, 0, K_OP_BASE, "r2")
-        engine.at(7, lambda: order.append("c1"))
-        engine.at(9, lambda: order.append("late"))
-        engine.run(max_events=2)
-        # two of the three events queued at 7 dispatched; the rows they
-        # deferred queue behind the third
-        assert engine.now == 7
-        assert not engine.empty()
-        engine.run()
-        assert order == ["c1", "r1", "r2", "late"]
-        assert engine.now == 9
-
-    def test_max_events_counts_rows_as_events(self):
-        fired = []
-        engine = self._engine(fired)
-        for i in range(4):
-            engine.defer_op(1, 10, K_OP_BASE, i)
-        engine.run(max_events=3)
-        assert engine.now == 1
-        assert fired == []  # deferring rows dispatched, opcode rows land at 11
-        engine.run()
-        assert fired == [0, 1, 2, 3]
-
-    def test_until_bound_matches_object_engine(self):
-        table = TableEngine()
-        obj = Engine()
-        for engine in (table, obj):
-            engine.at(100, lambda: None)
-            assert engine.run(until=50) == 50
-            assert engine.run(until=40) == 50  # stale bound: no rewind
-            engine.run()
-            assert engine.now == 100
-
-    def test_reentrant_run_raises(self):
-        engine = TableEngine()
-        errors = []
-
-        def reenter(arg):
-            try:
-                engine.run()
-            except SimulationError as error:
-                errors.append(str(error))
-
-        engine.set_handlers((reenter,))
-        engine.defer_op(1, 0, K_OP_BASE, None)
-        engine.run()
-        assert len(errors) == 1
-        assert "re-entrant" in errors[0]
-        engine.at(2, lambda: None)
-        assert engine.run() == 2
-
-
 class TestDropIn:
     def test_object_primitives_run_unchanged(self):
         """Server and CreditStore work on TableEngine exactly as on Engine."""

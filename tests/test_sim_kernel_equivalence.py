@@ -170,6 +170,18 @@ NO_CLUSTER_STAGE = {
     ], 4),
 }
 
+#: a stored tensor that two stages read: stage 0 writes storage label
+#: "res", and stages 1 and 2 both read it.
+_RES = DataFlow("storage", 256, storage_cluster=40, label="res", buffer_depth=4)
+TWO_READERS = _pipeline([
+    _stage(0, ((0,),), 300, 0, (DataFlow("hbm", 512, label="in"),),
+           (DataFlow("stage", 512, stage_id=1), _RES)),
+    _stage(1, ((8,),), 300, 0, (DataFlow("stage", 512, stage_id=0), _RES),
+           (DataFlow("stage", 512, stage_id=2),)),
+    _stage(2, ((16,),), 300, 0, (DataFlow("stage", 512, stage_id=1), _RES),
+           (DataFlow("hbm", 512, label="out"),)),
+], 4)
+
 
 # --------------------------------------------------------------------------- #
 # Known shapes: the fast-forward suite's synthetic + zoo workloads
@@ -333,6 +345,27 @@ class TestKnownShapes:
         end on chip; the table lane rejects the same flows."""
         with pytest.raises(ValueError, match="at least one on-chip endpoint"):
             simulate(ARCH64, NO_CLUSTER_STAGE[case], engine=engine)
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_transfer_without_on_chip_endpoint_names_the_stage(self, engine):
+        """The rejection names the stage, and the flow whose ends are both
+        off chip, before anything is simulated."""
+        with pytest.raises(ValueError) as info:
+            simulate(ARCH64, NO_CLUSTER_STAGE["writing"], engine=engine)
+        assert "stage 1 ('s1') has no clusters, and its output flow 0 (hbm 'out'" in str(
+            info.value
+        )
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_stored_tensor_with_two_readers_raises(self, engine):
+        """A stored tensor is relayed to one reader, so a second reader is
+        rejected before anything is simulated, naming the tensor and both
+        readers."""
+        with pytest.raises(
+            ValueError,
+            match=r"\('storage', 'res'\) is read by stage 1 and by stage 2",
+        ):
+            simulate(ARCH64, TWO_READERS, engine=engine)
 
 
 # --------------------------------------------------------------------------- #

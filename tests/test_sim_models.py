@@ -41,11 +41,6 @@ class TestIMATiming:
         job = IMAJob(n_mvms=0, rows_used=1, cols_used=1)
         assert timing.job_cycles(job) == timing.spec.config_cycles
 
-    def test_utilization_bounds(self, timing):
-        full = IMAJob(n_mvms=50, rows_used=256, cols_used=256)
-        partial = IMAJob(n_mvms=50, rows_used=64, cols_used=64)
-        assert 0 < timing.effective_utilization(partial) < timing.effective_utilization(full) <= 1
-
     def test_macs_count(self):
         job = IMAJob(n_mvms=10, rows_used=100, cols_used=200)
         assert job.macs == 10 * 100 * 200
