@@ -29,14 +29,15 @@ def _uniform_quantize(
     """Symmetric uniform quantisation onto ``n_levels`` codes with clipping.
 
     ``full_scale`` may be a scalar or an array broadcastable against
-    ``values``; zero entries pass their values through as zero.
+    ``values``.  Where it is zero, or so small that its step underflows to
+    zero, the values quantise to zero.
     """
     half_levels = (n_levels - 1) // 2
     scale = np.asarray(full_scale, dtype=float)
     if scale.ndim == 0:
-        if float(scale) == 0.0:
-            return np.zeros_like(values)
         step = float(scale) / half_levels
+        if step == 0.0:
+            return np.zeros_like(values)
         # round → clip → rescale, computed in place on one fresh array: the
         # converters run once per layer batch on the vectorized hot path,
         # where the extra temporaries are measurable memory traffic.
@@ -45,12 +46,14 @@ def _uniform_quantize(
         np.clip(codes, -half_levels, half_levels, out=codes)
         codes *= step
         return codes
-    step = np.where(scale > 0, scale, 1.0) / half_levels
+    step = scale / half_levels
+    live = step > 0
+    step = np.where(live, step, 1.0)
     codes = values / step
     np.round(codes, out=codes)
     np.clip(codes, -half_levels, half_levels, out=codes)
     codes *= step
-    return np.where(scale > 0, codes, 0.0)
+    return np.where(live, codes, 0.0)
 
 
 @dataclass(frozen=True)

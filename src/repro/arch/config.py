@@ -72,7 +72,6 @@ class ArchConfig:
         """Total number of RISC-V cores in the system."""
         return self.n_clusters * self.cores.n_cores
 
-
     @property
     def total_crossbar_params(self) -> int:
         """Aggregate non-volatile parameter capacity across all IMAs."""
@@ -87,7 +86,6 @@ class ArchConfig:
     def chip_area_mm2(self) -> float:
         """Total silicon area of the system."""
         return self.area.system_mm2(self.n_clusters)
-
 
     def topology(self) -> QuadrantTopology:
         """Instantiate the quadrant topology for this configuration."""
@@ -164,7 +162,6 @@ class ArchConfig:
             interconnect=interconnect,
             name=name or f"scaled-{n_clusters}x{crossbar_size}",
         )
-
 
 
 def _default_factors(n_clusters: int) -> list:

@@ -218,7 +218,6 @@ class QuadrantTopology:
         self._check_cluster(cluster)
         return cluster // self._group_sizes[level_index]
 
-
     def _check_cluster(self, cluster: int) -> None:
         if not 0 <= cluster < self.n_clusters:
             raise ValueError(

@@ -118,6 +118,83 @@ class TestConverters:
         with pytest.raises(ValueError):
             ADCSpec(bits=32)
 
+    @pytest.mark.parametrize("spec", [DACSpec, ADCSpec], ids=["dac", "adc"])
+    def test_fewer_bits_give_larger_error(self, spec):
+        values = np.random.default_rng(1).normal(size=(32, 32))
+        rmse = [
+            np.sqrt(np.mean((spec(bits=bits).convert(values) - values) ** 2))
+            for bits in (4, 6, 8)
+        ]
+        assert rmse[0] > rmse[1] > rmse[2]
+        assert rmse[2] < 0.02 * np.abs(values).max()
+
+    @pytest.mark.parametrize("spec", [DACSpec, ADCSpec], ids=["dac", "adc"])
+    def test_outputs_lie_on_the_code_grid(self, spec):
+        """Every output is a whole number of steps within the symmetric
+        codes, and inputs past the full scale land on the outermost code."""
+        values = np.linspace(-3, 3, 101)
+        for bits in (2, 5, 8):
+            converter = spec(bits=bits)
+            half_levels = (converter.n_levels - 1) // 2
+            codes = converter.convert(values, full_scale=2.0) / (2.0 / half_levels)
+            assert np.allclose(codes, np.round(codes))
+            assert np.abs(np.round(codes)).max() == half_levels
+            assert len(np.unique(np.round(codes))) <= converter.n_levels
+
+    def test_array_full_scale_quantises_each_row_on_its_own_grid(self):
+        """A per-row full scale quantises each row as that scalar full
+        scale would; a zero full scale, or one whose step underflows, maps
+        its row to zeros."""
+        rng = np.random.default_rng(2)
+        values = np.stack(
+            [rng.uniform(-1, 1, 10), rng.uniform(-100, 100, 10)]
+            + [rng.uniform(-1, 1, 10)] * 2
+        )
+        full_scale = np.array([[1.0], [100.0], [0.0], [5e-324]])
+        for converter in (DACSpec(), ADCSpec()):
+            out = converter.convert(values, full_scale=full_scale)
+            for row, scale in ((0, 1.0), (1, 100.0)):
+                assert np.array_equal(out[row], converter.convert(values[row], full_scale=scale))
+                step = scale / ((converter.n_levels - 1) // 2)
+                assert np.abs(out[row] - values[row]).max() <= step / 2 + 1e-12
+            assert np.all(out[2:] == 0)
+
+    def test_a_full_scale_too_small_for_one_step_gives_zeros(self):
+        """A peak so small that its step underflows to zero quantises
+        every value to zero, not to NaN."""
+        values = np.array([5e-324, 0.0, -5e-324])
+        for converter in (DACSpec(), ADCSpec()):
+            assert np.array_equal(converter.convert(values), np.zeros(3))
+            assert np.array_equal(converter.convert(values, full_scale=1e-322), np.zeros(3))
+
+    def test_default_full_scale_is_the_peak_magnitude(self):
+        values = np.random.default_rng(3).normal(size=64)
+        peak_index = np.argmax(np.abs(values))
+        for converter in (DACSpec(), ADCSpec()):
+            out = converter.convert(values)
+            assert np.array_equal(
+                out, converter.convert(values, full_scale=np.abs(values).max())
+            )
+            # the peak sits on the outermost code
+            assert out[peak_index] == pytest.approx(values[peak_index])
+
+    def test_adc_noise_is_seeded_and_scaled_by_its_fraction(self):
+        values = np.linspace(-1, 1, 200)
+        adc = ADCSpec(bits=8, noise_frac=0.01)
+        first = adc.convert(values, full_scale=1.0, rng=np.random.default_rng(3))
+        again = adc.convert(values, full_scale=1.0, rng=np.random.default_rng(3))
+        ideal = ADCSpec(bits=8).convert(values, full_scale=1.0)
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, ideal)
+        # 1% of full scale per sigma: within five sigma plus one step
+        assert np.abs(first - ideal).max() <= 5 * 0.01 + 1.0 / 127
+        with pytest.raises(ValueError):
+            ADCSpec(noise_frac=-0.1)
+
+    def test_empty_input_passthrough(self):
+        for converter in (DACSpec(), ADCSpec(noise_frac=0.1)):
+            assert converter.convert(np.zeros((0, 4))).shape == (0, 4)
+
 
 class TestCrossbar:
     def test_ideal_mvm_matches_matmul(self):

@@ -88,6 +88,17 @@ class TestCoreAndCluster:
         assert cluster.cores.n_cores == 16
         assert cluster.analog_latency_cycles == 130
 
+    def test_invalid_cluster_parameters_raise(self):
+        for bad in (
+            {"l1_size_bytes": 0},
+            {"l1_size_bytes": -1},
+            {"l1_banks": 0},
+            {"dma_bandwidth_bytes_per_cycle": 0},
+            {"dma_channels": 0},
+        ):
+            with pytest.raises(ValueError):
+                ClusterSpec(**bad)
+
     def test_dma_and_delivery_cycles(self):
         cluster = ClusterSpec()
         # 30 configuration cycles, then 64 bytes per cycle, rounded up
@@ -161,6 +172,26 @@ class TestInterconnect:
         topo = QuadrantTopology(n_clusters=16)
         with pytest.raises(ValueError):
             topo.route(0, 16)
+
+    def test_routes_are_chains_of_named_links(self):
+        """Each link of a route starts where the one before it ends, from
+        the source cluster to the destination cluster or the HBM, and the
+        route down from the HBM retraces the route up."""
+        topo = QuadrantTopology(n_clusters=64)
+
+        def hops(route):
+            return [link.split("->") for link in route.links]
+
+        for src, dst in ((0, 1), (0, 63), (17, 42)):
+            path = hops(topo.route(src, dst))
+            assert path[0][0] == f"cluster[{src}]"
+            assert path[-1][1] == f"cluster[{dst}]"
+            assert all(a[1] == b[0] for a, b in zip(path, path[1:]))
+        up = hops(topo.route_to_hbm(42))
+        assert up[0][0] == "cluster[42]" and up[-1][1] == QuadrantTopology.HBM_NODE
+        assert all(a[1] == b[0] for a, b in zip(up, up[1:]))
+        down = hops(topo.route_from_hbm(42))
+        assert [hop[::-1] for hop in reversed(down)] == up
 
     def test_locality_of_consecutive_clusters(self):
         topo = QuadrantTopology()
@@ -245,6 +276,15 @@ class TestArchConfig:
     def test_scaled_rejects_undersized_interconnect(self):
         with pytest.raises(ValueError):
             ArchConfig.scaled(n_clusters=64, quadrant_factors=[1, 1, 2, 2, 2])
+
+    def test_scaled_keeps_the_paper_cluster(self, paper_arch):
+        """Scaling the cluster count keeps the paper's cluster and HBM and
+        sizes the interconnect for the new count."""
+        smaller = ArchConfig.scaled(n_clusters=128)
+        assert smaller.n_clusters == 128
+        assert smaller.cluster == paper_arch.cluster
+        assert smaller.hbm == paper_arch.hbm
+        assert smaller.interconnect.max_clusters == 128
 
     def test_topology_matches_cluster_count(self, small_arch):
         topo = small_arch.topology()

@@ -78,6 +78,16 @@ class TestTilingPlan:
             one.output_tile_bytes(node) / 4, rel=0.05
         )
 
+    def test_chosen_tiling_is_the_smallest_that_fits(self, resnet18_graph, paper_arch):
+        """The chosen tile count fits every working set in the L1 budget,
+        and half of it does not."""
+        cluster = paper_arch.cluster
+        plan = TilingPlan.choose(resnet18_graph, cluster, batch_size=16)
+        budget = cluster.l1_size_bytes * plan.l1_budget_fraction
+        assert max(map(plan.working_set_bytes, resnet18_graph.nodes)) <= budget
+        half = TilingPlan(tiles_per_image=plan.tiles_per_image // 2, batch_size=16)
+        assert not half.fits(resnet18_graph, cluster)
+
     def test_describe(self, resnet18_graph, paper_arch):
         plan = TilingPlan.choose(resnet18_graph, paper_arch.cluster, batch_size=2)
         info = plan.describe(resnet18_graph)

@@ -266,6 +266,21 @@ class TestOptimizer:
         assert replicated.residual_mode == "hbm"
         assert final.residual_mode == "spare_l1"
 
+    def test_each_level_builds_the_mapping_its_options_describe(self, resnet, paper_arch):
+        optimizer = MappingOptimizer(resnet, paper_arch, batch_size=16)
+        for level in OptimizationLevel.all():
+            options = optimizer.options_for(level)
+            mapping = optimizer.build(level)
+            assert mapping.policy == level.value
+            assert mapping.options == options
+            replicated = {
+                node_id: layer.replication
+                for node_id, layer in mapping.layers.items()
+                if layer.replication > 1
+            }
+            assert replicated == options.replication
+            assert mapping.n_used_clusters <= paper_arch.n_clusters
+
     def test_end_to_end_ordering_of_levels(self, resnet, paper_arch):
         """Fig. 5A: each optimisation level improves (or at least preserves) throughput."""
         optimizer = MappingOptimizer(resnet, paper_arch, batch_size=4)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import HBMSpec, IMASpec, InterconnectSpec, QuadrantTopology
-from repro.aimc import Crossbar, NoiseModel, TiledMatrix
+from repro.aimc import ADCSpec, Crossbar, DACSpec, NoiseModel, TiledMatrix
 from repro.core import LayerSplit, ReductionPlan
 from repro.dnn import TensorShape
 from repro.dnn.numerics import im2col
@@ -100,6 +100,21 @@ def test_im2col_shape_invariant(channels, size, kernel, stride):
     out = (size + 2 * padding - kernel) // stride + 1
     assert cols.shape == (out * out, channels * kernel * kernel)
     assert np.all(np.isfinite(cols))
+
+
+@given(
+    bits=st.integers(2, 10),
+    values=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=64),
+)
+def test_converter_error_bounded_by_half_step(bits, values):
+    """With the default full scale (the peak magnitude), neither converter
+    is ever off by more than half a quantisation step."""
+    tensor = np.asarray(values)
+    peak = np.abs(tensor).max()
+    for converter in (DACSpec(bits=bits), ADCSpec(bits=bits)):
+        out = converter.convert(tensor)
+        step = peak / ((converter.n_levels - 1) // 2)
+        assert np.all(np.abs(out - tensor) <= step / 2 + 1e-9)
 
 
 @given(

@@ -8,11 +8,14 @@ bit-identity against the object kernel lives in
 ``tests/test_sim_kernel_equivalence.py``; this module covers:
 
 * ``TableEngine`` alone: opcode scheduling and deferral semantics, FIFO
-  interleaving with callables, a raising handler leaving the rest queued,
-  non-re-entrancy, and the object-kernel primitives running on it;
+  interleaving with callables, a raising handler leaving the rest queued
+  (between any two rows, with an in-order resume), non-re-entrancy, and
+  the object-kernel primitives running on it;
 * the queue both kernels share: same-cycle scheduling from inside a
-  handler, compaction of the row columns (bounded columns, unchanged
-  dispatch order and results) and ``reset``;
+  handler, the clock a run ends at, runs that a raising handler stops and
+  a later run resumes (also across compactions), compaction of the row
+  columns (bounded columns, unchanged dispatch order and results) and
+  ``reset``;
 * the burst rows of :class:`~repro.sim.system_table.TableProgram`: the
   chunks of one group that find free DMA channels enter the NoC as one
   ``OP_NOC_BURST`` row, which saves ``k - 1`` events per burst of ``k``
@@ -43,6 +46,45 @@ from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 from repro.sim.system_table import OP_NOC_BURST, OP_NOC_START, TableProgram
 
 from test_sim_fast_forward import ARCH64, _chain, _chunked_chain
+
+
+# --------------------------------------------------------------------------- #
+# Stopping a run: a handler that raises
+# --------------------------------------------------------------------------- #
+class _Stop(Exception):
+    """Raised by a wrapped handler to stop a run after its event."""
+
+
+def _raise_every(engine, every):
+    """Wrap ``engine``'s handlers so that every ``every``-th dispatch raises
+    :class:`_Stop` once its handler has run.  Call it after
+    ``set_handlers``."""
+    dispatched = [0]
+
+    def wrap(handler):
+        def dispatch(arg):
+            handler(arg)
+            dispatched[0] += 1
+            if dispatched[0] % every == 0:
+                raise _Stop(dispatched[0])
+
+        return dispatch
+
+    engine._handlers = tuple(wrap(handler) for handler in engine._handlers)
+
+
+def _run_through_stops(engine):
+    """Run ``engine`` until it drains, starting a new run after every
+    :class:`_Stop`; return the clock at the end of each run."""
+    stops = []
+    while True:
+        try:
+            engine.run()
+        except _Stop:
+            stops.append(engine.now)
+            continue
+        stops.append(engine.now)
+        return stops
 
 
 # --------------------------------------------------------------------------- #
@@ -140,6 +182,78 @@ class TestTableEngine:
         engine.run()
         # the deferring row's dispatch plus the opcode row's
         assert engine.events_processed == 2
+
+    MIXED_ORDER = ["op1", "callable", "cb-row", "deferred0", "op2", "deferred3"]
+
+    def _queue_mixed_rows(self, engine, log):
+        """Queue an event of every kind: opcode rows, a callable that
+        schedules a callable, a plain callable and two deferred opcode
+        rows.  Nine events in all, seven of them at cycle 4."""
+        engine.sched_op(4, K_OP_BASE, "op1")
+        engine.at(4, lambda: engine.after(0, lambda: log.append("cb-row")))
+        engine.at(4, lambda: log.append("callable"))
+        engine.defer_op(4, 0, K_OP_BASE, "deferred0")
+        engine.defer_op(4, 3, K_OP_BASE, "deferred3")
+        engine.sched_op(6, K_OP_BASE, "op2")
+
+    def test_mixed_rows_dispatch_in_scheduling_order(self):
+        """Callables, the rows a callable schedules, opcode rows and
+        deferred opcode rows run in (cycle, scheduling order), one event
+        per row."""
+        log = []
+        engine = self._engine(log)
+        self._queue_mixed_rows(engine, log)
+        assert engine.run() == 7
+        assert log == self.MIXED_ORDER
+        assert engine.events_processed == 9
+
+    def test_a_raise_after_any_row_resumes_in_order(self):
+        """A raising handler stops the run between any two events of any
+        kind, and the next run resumes exactly where it stopped."""
+        for every in (1, 2, 3):
+            log = []
+            engine = self._engine(log)
+            self._queue_mixed_rows(engine, log)
+            _raise_every(engine, every)
+            stops = _run_through_stops(engine)
+            assert log == self.MIXED_ORDER, every
+            assert engine.events_processed == 9
+            # one stopped run per ``every`` events, then the draining run
+            assert len(stops) == 9 // every + 1
+            assert stops == sorted(stops)
+            if every == 1:
+                # one event per run: the clock never runs ahead of the rows
+                assert stops == [4] * 7 + [6, 7, 7]
+
+    def test_rows_count_as_events_across_a_raise(self):
+        log = []
+        engine = self._engine(log)
+        for tag in ("a", "b", "c"):
+            engine.sched_op(4, K_OP_BASE, tag)
+        _raise_every(engine, 2)
+        with pytest.raises(_Stop):
+            engine.run()
+        assert log == ["a", "b"]
+        assert engine.now == 4 and engine.events_processed == 2
+        engine.run()  # the next run resumes mid-cycle
+        assert log == ["a", "b", "c"]
+        assert engine.events_processed == 3
+
+    def test_deferred_rows_queue_behind_their_cycle_across_a_raise(self):
+        """A zero-cycle deferral's opcode row is scheduled when its first
+        row dispatches, so it runs after the events queued for its cycle
+        before then, also when raises stop the run inside that cycle."""
+        order = []
+        engine = self._engine(order)
+        engine.defer_op(7, 0, K_OP_BASE, "r1")
+        engine.defer_op(7, 0, K_OP_BASE, "r2")
+        engine.at(7, lambda: order.append("c1"))
+        engine.at(9, lambda: order.append("late"))
+        _raise_every(engine, 2)
+        # six events: both deferring rows, c1, r1, r2 and late
+        assert _run_through_stops(engine) == [7, 7, 9, 9]
+        assert order == ["c1", "r1", "r2", "late"]
+        assert engine.events_processed == 6
 
     def test_handler_exception_requeues_the_unprocessed_tail(self):
         log = []
@@ -275,6 +389,122 @@ class TestQueue:
             + ["y-atnow", "next"]
         )
 
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_a_drained_queue_keeps_the_clock(self, engine_kind):
+        """``run()`` returns the clock it ends at: the last event's cycle,
+        or the clock unchanged when nothing is queued.  Back-to-back runs
+        schedule relative to it."""
+        engine = engine_kind()
+        seen = []
+        assert engine.run() == 0
+        engine.at(10, lambda: seen.append(engine.now))
+        assert engine.run() == 10
+        assert engine.run() == 10 and engine.now == 10
+        engine.after(5, lambda: seen.append(engine.now))
+        engine.at(10, lambda: seen.append(engine.now))  # now is not the past
+        assert engine.run() == 15
+        assert seen == [10, 10, 15]
+        assert engine.events_processed == 3
+
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_run_takes_no_bound(self, engine_kind):
+        """A run always drains: a caller that asks for a bound fails
+        loudly instead of running past it, and leaves the queue as it
+        was."""
+        engine = engine_kind()
+        engine.at(5, lambda: None)
+        for bound in ({"until": 3}, {"max_events": 1}):
+            with pytest.raises(TypeError):
+                engine.run(**bound)
+        assert engine.now == 0 and engine.events_processed == 0
+        assert not engine.empty()
+        assert engine.run() == 5
+
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_a_raise_mid_batch_leaves_consistent_clock_and_order(self, engine_kind):
+        """A handler that raises inside a same-cycle batch stops the run at
+        that cycle with the rest of the batch queued; the next run resumes
+        with it, FIFO, and then runs the later events."""
+        engine = engine_kind()
+        order = []
+
+        def fail():
+            order.append("b")
+            raise RuntimeError("b failed")
+
+        engine.at(7, lambda: order.append("a"))
+        engine.at(7, fail)
+        engine.at(7, lambda: order.append("c"))
+        engine.at(9, lambda: order.append("late"))
+        with pytest.raises(RuntimeError, match="b failed"):
+            engine.run()
+        assert order == ["a", "b"]
+        assert engine.now == 7 and not engine.empty()
+        assert engine.events_processed == 2
+        assert engine.run() == 9
+        assert order == ["a", "b", "c", "late"]
+        assert engine.events_processed == 4
+
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_a_raise_keeps_same_cycle_continuations(self, engine_kind):
+        """Events that a handler scheduled before it raised stay queued,
+        behind the events already queued for their cycle."""
+        engine = engine_kind()
+        order = []
+
+        def first():
+            order.append("first")
+            engine.after(0, lambda: order.append("chained"))
+            engine.after(2, lambda: order.append("later"))
+            raise RuntimeError("first failed")
+
+        engine.at(3, first)
+        engine.at(3, lambda: order.append("second"))
+        with pytest.raises(RuntimeError, match="first failed"):
+            engine.run()
+        assert order == ["first"]
+        assert engine.now == 3
+        assert engine.run() == 5
+        assert order == ["first", "second", "chained", "later"]
+
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_raising_handlers_stop_and_resume_across_compactions(
+        self, engine_kind, monkeypatch
+    ):
+        """Runs that raising handlers stop resume in order when the columns
+        compact between and inside the runs, and the columns never hold
+        more than ``COMPACT_ROWS`` dispatched rows."""
+
+        def trace(compact_rows, every):
+            monkeypatch.setattr(engine_module, "COMPACT_ROWS", compact_rows)
+            engine = engine_kind()
+            log = []
+
+            def event(tag, depth):
+                log.append((engine.now, tag))
+                assert len(engine._kind) - len(engine._heap) <= compact_rows
+                if depth:
+                    # a same-cycle cascade and a later event per level
+                    engine.after(0, lambda: event(f"{tag}.0", depth - 1))
+                    engine.after(depth, lambda: event(f"{tag}.{depth}", depth - 1))
+
+            for i in range(6):
+                engine.at(i % 3, lambda i=i: event(str(i), 4))
+            if every is not None:
+                _raise_every(engine, every)
+            stops = _run_through_stops(engine)
+            return log, engine.events_processed, stops
+
+        reference, events, __ = trace(4096, None)
+        assert events == len(reference) == 6 * 31
+        for every in (1, 7, 30):
+            for compact_rows in (3, 8):
+                log, traced_events, stops = trace(compact_rows, every)
+                assert log == reference, (every, compact_rows)
+                assert traced_events == events
+                assert len(stops) == events // every + 1
+                assert stops == sorted(stops)
+
     @pytest.mark.parametrize("engine_kind", SIMULATION_ENGINES)
     def test_compaction_keeps_dispatch_order_and_results(self, engine_kind, monkeypatch):
         """A run forced through many compactions dispatches the same
@@ -345,6 +575,34 @@ class TestRowStorage:
         engine.at(2, lambda: seen.append(alive()))
         engine.run()
         assert seen == [None] and engine.empty()
+
+    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
+    def test_a_row_dispatched_before_a_raise_drops_its_payload(self, engine_kind):
+        """A run that a raising handler stops keeps no callable of the rows
+        it dispatched alive, the raising one included."""
+
+        class Payload:
+            def __init__(self, fail):
+                self.fail = fail
+
+            def __call__(self):
+                if self.fail:
+                    raise RuntimeError("stop")
+
+        engine = engine_kind()
+        payloads = [Payload(False), Payload(True)]
+        alive = [weakref.ref(payload) for payload in payloads]
+        engine.at(1, payloads[0])
+        engine.at(2, payloads[1])
+        del payloads
+        seen = []
+        engine.at(3, lambda: seen.append([ref() for ref in alive]))
+        with pytest.raises(RuntimeError, match="stop"):
+            engine.run()
+        assert engine.now == 2 and not engine.empty()
+        assert [ref() for ref in alive] == [None, None]
+        engine.run()
+        assert seen == [[None, None]] and engine.empty()
 
     @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
     def test_reset_releases_the_columns(self, engine_kind):

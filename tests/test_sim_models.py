@@ -41,6 +41,20 @@ class TestIMATiming:
         job = IMAJob(n_mvms=0, rows_used=1, cols_used=1)
         assert timing.job_cycles(job) == timing.spec.config_cycles
 
+    def test_job_cycles_grow_with_work(self, timing):
+        """One more MVM costs more cycles, a partly used crossbar streams
+        less and costs fewer, and a job wider than the crossbar is clamped
+        to it."""
+        full = IMAJob(n_mvms=50, rows_used=256, cols_used=256)
+        partial = IMAJob(n_mvms=50, rows_used=64, cols_used=64)
+        longer = IMAJob(n_mvms=51, rows_used=256, cols_used=256)
+        oversized = IMAJob(n_mvms=50, rows_used=512, cols_used=512)
+        assert timing.job_cycles(longer) > timing.job_cycles(full)
+        assert timing.stream_in_cycles_per_mvm(partial) < timing.stream_in_cycles_per_mvm(full)
+        assert timing.stream_out_cycles_per_mvm(partial) < timing.stream_out_cycles_per_mvm(full)
+        assert timing.job_cycles(partial) < timing.job_cycles(full)
+        assert timing.job_cycles(oversized) == timing.job_cycles(full)
+
     def test_macs_count(self):
         job = IMAJob(n_mvms=10, rows_used=100, cols_used=200)
         assert job.macs == 10 * 100 * 200
