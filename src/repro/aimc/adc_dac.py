@@ -63,8 +63,8 @@ class DACSpec:
     bits: int = 8
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits <= 16:
-            raise ValueError("DAC resolution must be in 1..16 bits")
+        if not 2 <= self.bits <= 16:
+            raise ValueError(f"DAC bits must be in 2..16, got {self.bits}")
 
     @property
     def n_levels(self) -> int:
@@ -96,8 +96,8 @@ class ADCSpec:
     noise_frac: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bits <= 16:
-            raise ValueError("ADC resolution must be in 1..16 bits")
+        if not 2 <= self.bits <= 16:
+            raise ValueError(f"ADC bits must be in 2..16, got {self.bits}")
         if self.noise_frac < 0:
             raise ValueError("ADC noise fraction cannot be negative")
 

@@ -26,15 +26,19 @@ converters or noise enabled they differ slightly by construction (the
 vectorized engine quantises per layer batch, the reference per tile).
 
 Random-draw contract of the vectorized backend.  :class:`AnalogExecutor`
-spawns one ``SeedSequence`` child per analog node, in graph order.  A
-:class:`TiledMatrix` spawns one child per tile group — row segments
-outer, column segments inner: interior, right edge, bottom edge, corner —
-plus a last one for the ADC noise, and programs the groups in that order.
-A read-noise MVM reads the groups in the same order, each drawing g+'s
-noise, then g-'s (see :mod:`repro.aimc.pcm`), and writes each group's
-weights straight into that group's view of one fresh C-contiguous dense
-operand.  Deterministic reads draw nothing.
-``tests/test_aimc_device_pin.py`` pins the resulting bytes.
+spawns one ``SeedSequence`` child per analog node, in graph order, and
+programs the layers concurrently on a thread pool, one thread per CPU the
+process may run on.  Each layer draws only from generators seeded by its
+own child and writes only its own arrays, so the bytes do not depend on
+the pool size or the schedule.  A :class:`TiledMatrix` spawns one child
+per tile group — row segments outer, column segments inner: interior,
+right edge, bottom edge, corner — plus a last one for the ADC noise, and
+programs the groups in that order.  A read-noise MVM reads the groups in
+the same order, each filling g+'s noise stream, then g-'s, tile by tile
+(see :mod:`repro.aimc.pcm`), and writes each group's weights straight into
+that group's view of one fresh C-contiguous dense operand.  Deterministic
+reads draw nothing.  ``tests/test_aimc_device_pin.py`` pins the resulting
+bytes and checks that a one-worker pool gives the same ones.
 
 :class:`AnalogExecutor` plugs the tiled analog MVM into the graph reference
 executor so a whole network can be evaluated through the crossbar model and
@@ -44,6 +48,8 @@ compared against its digital reference.
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -57,6 +63,13 @@ from .pcm import PCMArray, SeedLike, StackedPCMArray
 #: valid values of the ``backend`` argument of :class:`TiledMatrix` /
 #: :class:`AnalogExecutor`.
 BACKENDS = ("vectorized", "reference")
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
@@ -473,7 +486,10 @@ class AnalogExecutor:
     ``backend`` selects the tiled execution engine (see :class:`TiledMatrix`);
     layer seeds are spawned from one :class:`numpy.random.SeedSequence` so
     every layer — and every tile within a layer — draws from an independent
-    stream.
+    stream.  The layers are programmed concurrently, on a thread pool as
+    large as the number of CPUs the process may run on (never more than
+    the number of layers): numpy's generator fills and large array loops
+    release the interpreter lock.
     """
 
     def __init__(
@@ -497,22 +513,34 @@ class AnalogExecutor:
         )
         self.crossbar_rows = crossbar_rows
         self.crossbar_cols = crossbar_cols
-        self._tiled: Dict[int, TiledMatrix] = {}
         analog_nodes = graph.analog_nodes()
         layer_seeds = np.random.SeedSequence(seed).spawn(len(analog_nodes))
-        for node, layer_seed in zip(analog_nodes, layer_seeds):
-            layer = node.layer
-            if getattr(layer, "groups", 1) != 1:
-                continue  # depthwise layers fall back to the digital reference
-            params = self.parameters[node.node_id]
-            self._tiled[node.node_id] = TiledMatrix(
-                params.weight_matrix,
+        # depthwise layers fall back to the digital reference
+        layers = [
+            (node.node_id, layer_seed)
+            for node, layer_seed in zip(analog_nodes, layer_seeds)
+            if getattr(node.layer, "groups", 1) == 1
+        ]
+
+        def program(node_id: int, layer_seed: np.random.SeedSequence) -> TiledMatrix:
+            return TiledMatrix(
+                self.parameters[node_id].weight_matrix,
                 crossbar_rows=crossbar_rows,
                 crossbar_cols=crossbar_cols,
                 noise=self.noise,
                 seed=layer_seed,
                 backend=backend,
             )
+
+        # Each layer draws only from its own seed's generators and writes
+        # only its own arrays, so the bytes do not depend on the schedule.
+        workers = max(1, min(_available_cpus(), len(layers)))
+        with futures.ThreadPoolExecutor(workers) as pool:
+            programmed = [pool.submit(program, *layer) for layer in layers]
+            self._tiled: Dict[int, TiledMatrix] = {
+                node_id: future.result()
+                for (node_id, _), future in zip(layers, programmed)
+            }
         self._executor = ReferenceExecutor(
             graph, parameters=self.parameters, mvm_hook=self._mvm_hook
         )

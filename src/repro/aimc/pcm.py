@@ -15,19 +15,28 @@ PCM arrays used by IBM's HERMES-class prototypes: conductances in
 few percent of ``g_max`` and drift exponent around 0.03.
 
 Random-draw contract.  Every array draws from its own generator, and only
-in two places.  ``program`` (unless ``ideal``) makes two calls
-``normal(0.0, programming_noise_frac * g_max, size=...)`` over the whole
-conductance tensor, g+'s noise first, then g-'s.  A read with
-``read_noise`` makes two calls ``normal(0.0, read_noise_frac * g_max,
-size=...)`` in the same order; a deterministic read draws nothing.  Each
-call fills its tensor in C order: for :class:`StackedPCMArray` that is
-``stack_shape + (rows, cols)``.  The per-element arithmetic is fixed as
-well: programming is ``clip(max(±w / scale, 0) * g_range + g_min + n)``
-and a read is ``((g+ * d + n+) - (g- * d + n-)) / g_range * scale``, with
-``d`` the drift factor when drift applies.  :class:`StackedPCMArray`
-computes these in place, on preallocated or caller-supplied arrays.  Its
-results equal the temporaries-based spelling bit for bit, because IEEE
-addition commutes and neither the draws nor the operation sequence move.
+in two places.  ``program`` (unless ``ideal``) draws the stream of
+``normal(0.0, programming_noise_frac * g_max)`` for the whole g+ tensor,
+then for the whole g- tensor.  A read with ``read_noise`` draws
+``normal(0.0, read_noise_frac * g_max)`` in the same order; a
+deterministic read draws nothing.  Each tensor's stream fills it in C
+order: for :class:`StackedPCMArray` that is ``stack_shape + (rows,
+cols)``.  The per-element arithmetic is fixed as well: programming is
+``clip(max(±w / scale, 0) * g_range + g_min + n)`` and a read is ``((g+ *
+d + n+) - (g- * d + n-)) / g_range * scale``, with ``d`` the drift factor
+when drift applies.
+
+:class:`PCMArray` spells this with whole-array calls and temporaries.
+:class:`StackedPCMArray` works one ``(rows, cols)`` tile at a time, in
+place: each tile's noise is drawn into one reusable tile buffer with
+``standard_normal(out=)`` and scaled by sigma, which equals ``normal(0.0,
+sigma)`` bit for bit; all of g+'s tiles are drawn before g-'s, which is
+the stream one whole-tensor call draws; a noisy read writes each tile
+straight into the caller's ``out``.  Its results equal the whole-tensor
+spelling bit for bit, because IEEE addition commutes and neither the
+draws nor the operation sequence move.  A stacked array touches only its
+own generator and arrays, so arrays may be programmed and read on
+different threads at once.
 """
 
 from __future__ import annotations
@@ -259,11 +268,13 @@ class StackedPCMArray:
     # Programming
     # ------------------------------------------------------------------ #
     def program(self, weights: np.ndarray, ideal: bool = False) -> None:
-        """Program all tiles at once from a stacked signed weight tensor.
+        """Program every tile from a stacked signed weight tensor.
 
         ``weights`` has shape ``stack_shape + (rows, cols)``; each tile is
         normalised by its own largest magnitude, exactly as the per-tile
-        :meth:`PCMArray.program` does.  Invalidates the device-state cache.
+        :meth:`PCMArray.program` does.  The work runs one tile at a time,
+        so its temporaries are one tile large.  Invalidates the
+        device-state cache.
         """
         weights = np.asarray(weights, dtype=float)
         if weights.shape != self.full_shape:
@@ -272,25 +283,39 @@ class StackedPCMArray:
                 f"{self.full_shape}"
             )
         cell = self.cell
-        # g+ and g- are built in place, on two preallocated tensors, in the
-        # per-element sequence PCMArray.program spells with temporaries:
-        # normalise, split into positive / negative parts, scale, offset,
-        # add the programming noise, clip.
-        g_plus = np.abs(weights, out=np.empty(self.full_shape))
-        max_abs = np.max(g_plus, axis=(-2, -1), keepdims=True)
-        self._target_scale = np.where(max_abs > 0, max_abs, 1.0)
-        np.divide(weights, self._target_scale, out=g_plus)  # in [-1, 1] per tile
-        g_minus = np.negative(g_plus)
-        for g in (g_plus, g_minus):
-            np.maximum(g, 0.0, out=g)
-            g *= cell.g_range_us
-            g += cell.g_min_us
-        if not ideal:
-            sigma = cell.programming_noise_frac * cell.g_max_us
-            g_plus += self._rng.normal(0.0, sigma, size=self.full_shape)
-            g_minus += self._rng.normal(0.0, sigma, size=self.full_shape)
-        self._g_plus = np.clip(g_plus, cell.g_min_us, cell.g_max_us, out=g_plus)
-        self._g_minus = np.clip(g_minus, cell.g_min_us, cell.g_max_us, out=g_minus)
+        g_plus = np.empty(self.full_shape)
+        g_minus = np.empty(self.full_shape)
+        scale = np.empty(self.stack_shape + (1, 1))
+        noise = None if ideal else np.empty((self.rows, self.cols))
+        sigma = cell.programming_noise_frac * cell.g_max_us
+
+        def add_noise_and_clip(g: np.ndarray) -> None:
+            if noise is not None:
+                g += self._draw(noise, sigma)
+            np.clip(g, cell.g_min_us, cell.g_max_us, out=g)
+
+        # Tile by tile, in place, in the per-element sequence PCMArray.program
+        # spells with temporaries: normalise, split into positive / negative
+        # parts, scale, offset, add the programming noise, clip.  Every
+        # tile's g+ noise is drawn before any g- noise.
+        tiles = list(np.ndindex(self.stack_shape))
+        for tile in tiles:
+            plus, minus = g_plus[tile], g_minus[tile]
+            np.abs(weights[tile], out=plus)
+            max_abs = plus.max()
+            scale[tile] = max_abs if max_abs > 0 else 1.0
+            np.divide(weights[tile], scale[tile], out=plus)  # in [-1, 1]
+            np.negative(plus, out=minus)
+            for g in (plus, minus):
+                np.maximum(g, 0.0, out=g)
+                g *= cell.g_range_us
+                g += cell.g_min_us
+            add_noise_and_clip(plus)
+        for tile in tiles:
+            add_noise_and_clip(g_minus[tile])
+        self._g_plus = g_plus
+        self._g_minus = g_minus
+        self._target_scale = scale
         self._programmed = True
         self._cache_time = self._NO_CACHE
         self._cache = None
@@ -328,26 +353,69 @@ class StackedPCMArray:
             if self._cache_time == time_s:
                 return self._cache
         cell = self.cell
-        g_plus = self._g_plus
-        g_minus = self._g_minus
+        drift = None
         if time_s is not None and time_s > cell.drift_t0_s:
             drift = (time_s / cell.drift_t0_s) ** (-cell.drift_nu)
+        if read_noise:
+            return self._noisy_read(drift, out)
+        g_plus = self._g_plus
+        g_minus = self._g_minus
+        if drift is not None:
             g_plus = g_plus * drift
             g_minus = g_minus * drift
-        if read_noise:
-            # the noise tensor takes the sum: IEEE addition commutes, so
-            # ``n + g`` is ``g + n`` bit for bit
-            sigma = cell.read_noise_frac * cell.g_max_us
-            noisy_plus = self._rng.normal(0.0, sigma, size=self.full_shape)
-            noisy_plus += g_plus
-            noisy_minus = self._rng.normal(0.0, sigma, size=self.full_shape)
-            noisy_minus += g_minus
-            differential = np.subtract(noisy_plus, noisy_minus, out=noisy_plus)
-        else:
-            differential = g_plus - g_minus
+        differential = g_plus - g_minus
         differential /= cell.g_range_us
         weights = np.multiply(differential, self._target_scale, out=out)
         if cache:
             self._cache_time = time_s
             self._cache = weights
         return weights
+
+    def _noisy_read(
+        self, drift: Optional[float], out: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """A read-noise read, one tile at a time, straight into ``out``.
+
+        Each tile becomes ``((g+ * d + n+) - (g- * d + n-)) / g_range *
+        scale`` (no ``* d`` without drift).  Every tile's ``n+`` is drawn
+        before any ``n-``.  The sums are formed as ``g + n`` and ``n + g``
+        where that saves a buffer; IEEE addition commutes, so the bits do
+        not change.
+        """
+        cell = self.cell
+        if out is None:
+            out = np.empty(self.full_shape)
+        sigma = cell.read_noise_frac * cell.g_max_us
+        noise = np.empty((self.rows, self.cols))
+        drifted = None if drift is None else np.empty((self.rows, self.cols))
+        tiles = list(np.ndindex(self.stack_shape))
+        for tile in tiles:
+            weights = out[tile]
+            self._draw(noise, sigma)
+            if drift is None:
+                np.add(self._g_plus[tile], noise, out=weights)
+            else:
+                np.multiply(self._g_plus[tile], drift, out=weights)
+                weights += noise
+        for tile in tiles:
+            weights = out[tile]
+            self._draw(noise, sigma)
+            if drift is None:
+                noise += self._g_minus[tile]
+            else:
+                noise += np.multiply(self._g_minus[tile], drift, out=drifted)
+            weights -= noise
+            weights /= cell.g_range_us
+            weights *= self._target_scale[tile]
+        return out
+
+    def _draw(self, buffer: np.ndarray, sigma: float) -> np.ndarray:
+        """Fill ``buffer`` with the next ``normal(0.0, sigma)`` draws.
+
+        ``standard_normal(out=)`` times ``sigma`` equals ``normal(0.0,
+        sigma)`` bit for bit, and filling the stream tile by tile in C
+        order draws what one call over the whole stack would.
+        """
+        self._rng.standard_normal(out=buffer)
+        buffer *= sigma
+        return buffer

@@ -162,8 +162,8 @@ class ExecutionSpec:
                 ) from None
             object.__setattr__(self, "noise", tuple(sorted(noise)))
         for bits, name in ((self.dac_bits, "dac_bits"), (self.adc_bits, "adc_bits")):
-            if bits is not None and not 1 <= bits <= 16:
-                raise SpecError(f"{name} must be in 1..16 when given")
+            if bits is not None and not 2 <= bits <= 16:
+                raise SpecError(f"{name} must be in 2..16 when given, got {bits}")
         if self.n_inputs <= 0:
             raise SpecError("n_inputs must be positive")
         try:

@@ -409,7 +409,8 @@ class Workload:
         size, and that every transfer the kernels would issue can move.
 
         A stored tensor (an HBM or storage ``(kind, label)`` some stage
-        writes) is relayed to one reader, so a second reader is rejected.
+        writes) is relayed from one writer to one reader, so a second
+        writer or a second reader is rejected.
         A transfer from or to a stage without clusters has that end off
         chip; a non-empty flow, or any external feed, whose other end is
         off chip too is rejected.
@@ -438,7 +439,20 @@ class Workload:
                         f"stage {stage.stage_id} references storage cluster "
                         f"{flow.storage_cluster} outside the system"
                     )
-        written = self._stored_outputs()
+        writers: Dict[Tuple[str, str], int] = {}
+        for stage in self.stages:
+            for flow in stage.outputs:
+                if flow.kind == ENDPOINT_STAGE:
+                    continue
+                tensor = (flow.kind, flow.label)
+                if tensor in writers:
+                    raise ValueError(
+                        f"stored tensor {tensor} is written by stage "
+                        f"{writers[tensor]} and by stage {stage.stage_id}; "
+                        "a stored tensor has one writer"
+                    )
+                writers[tensor] = stage.stage_id
+        written = writers.keys()
         readers: Dict[Tuple[str, str], int] = {}
         for stage in self.stages:
             for flow in stage.inputs:

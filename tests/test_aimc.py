@@ -113,10 +113,12 @@ class TestConverters:
         assert np.all(ADCSpec().convert(np.zeros(4)) == 0)
 
     def test_invalid_resolution(self):
-        with pytest.raises(ValueError):
-            DACSpec(bits=0)
-        with pytest.raises(ValueError):
-            ADCSpec(bits=32)
+        """A 1-bit converter has one level and no nonzero code, so the range
+        starts at 2 bits; the error names the field."""
+        for spec in (DACSpec, ADCSpec):
+            for bits in (0, 1, 17, 32):
+                with pytest.raises(ValueError, match="bits must be in 2..16"):
+                    spec(bits=bits)
 
     @pytest.mark.parametrize("spec", [DACSpec, ADCSpec], ids=["dac", "adc"])
     def test_fewer_bits_give_larger_error(self, spec):

@@ -7,6 +7,10 @@ a digest pins them exactly.  Nothing that passes through a GEMM is pinned:
 BLAS results differ between CPUs.  The backend equivalence suite compares
 with tolerances, so these pins are what catches a change to the order of
 the random draws or to the per-element operation sequence.
+
+:class:`AnalogExecutor` programs its layers on a pool of one thread per
+CPU the process may run on; the last test requires the same bytes from a
+one-worker pool and from the default one.
 """
 
 import hashlib
@@ -14,7 +18,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.aimc import NOISE_PRESETS, TiledMatrix
+from repro.aimc import NOISE_PRESETS, AnalogExecutor, TiledMatrix
+from repro.aimc import crossbar
+from repro.dnn import initialize_parameters, models, random_input
 from repro.dnn.layers import MaxPool2D
 from repro.dnn.numerics import maxpool2d_reference
 
@@ -100,3 +106,31 @@ def test_maxpool_output_is_pinned():
     output = maxpool2d_reference(ifm, MaxPool2D(kernel_size=3, stride=2, padding=1))
     assert output.shape == (8, 17, 16)
     assert digest(output) == MAXPOOL_PIN
+
+
+@pytest.mark.parametrize("preset", ["typical", "drift"])
+def test_executor_bytes_do_not_depend_on_the_pool_size(preset, monkeypatch):
+    """Each layer draws only from its own seed's generators, so a
+    one-worker pool and the default pool program the same conductances
+    and hand the MVMs the same read operands and the same output."""
+    graph = models.resnet18(input_shape=(3, 32, 32), num_classes=10)
+    parameters = initialize_parameters(graph, seed=0)
+    noise = NOISE_PRESETS[preset]()
+
+    def build() -> AnalogExecutor:
+        return AnalogExecutor(graph, parameters=parameters, noise=noise, seed=3)
+
+    pooled = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(crossbar, "_available_cpus", lambda: 1)
+        serial = build()
+    assert list(serial._tiled) == list(pooled._tiled)
+    assert len(serial._tiled) == 18
+    for node_id, tiled in serial._tiled.items():
+        other = pooled._tiled[node_id]
+        for group, other_group in zip(tiled._groups, other._groups, strict=True):
+            assert digest(group.array._g_plus) == digest(other_group.array._g_plus)
+            assert digest(group.array._g_minus) == digest(other_group.array._g_minus)
+        assert digest(tiled._effective_dense()) == digest(other._effective_dense())
+    image = random_input(graph, seed=1)
+    assert digest(serial.run_output(image)) == digest(pooled.run_output(image))

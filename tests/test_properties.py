@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.arch import HBMSpec, IMASpec, InterconnectSpec, QuadrantTopology
-from repro.aimc import ADCSpec, Crossbar, DACSpec, NoiseModel, TiledMatrix
+from repro.aimc import (
+    ADCSpec,
+    Crossbar,
+    DACSpec,
+    NoiseModel,
+    PCMCellSpec,
+    StackedPCMArray,
+    TiledMatrix,
+)
 from repro.core import LayerSplit, ReductionPlan
 from repro.dnn import TensorShape
 from repro.dnn.numerics import im2col
@@ -132,6 +140,95 @@ def test_tiled_matrix_equals_dense_matmul(rows, cols, xbar):
                         noise=NoiseModel.ideal(), seed=0)
     assert tiled.n_crossbars == math.ceil(rows / xbar) * math.ceil(cols / xbar)
     assert np.allclose(tiled.mvm(x), x @ weights, atol=1e-8)
+
+
+def _program_whole_stack(weights, cell, rng, ideal):
+    """``StackedPCMArray.program`` spelled over the whole stack at once:
+    the oracle its tile-by-tile kernel must reproduce bit for bit."""
+    g_plus = np.abs(weights)
+    max_abs = np.max(g_plus, axis=(-2, -1), keepdims=True)
+    scale = np.where(max_abs > 0, max_abs, 1.0)
+    np.divide(weights, scale, out=g_plus)
+    g_minus = np.negative(g_plus)
+    for g in (g_plus, g_minus):
+        np.maximum(g, 0.0, out=g)
+        g *= cell.g_range_us
+        g += cell.g_min_us
+    if not ideal:
+        sigma = cell.programming_noise_frac * cell.g_max_us
+        g_plus += rng.normal(0.0, sigma, size=weights.shape)
+        g_minus += rng.normal(0.0, sigma, size=weights.shape)
+    np.clip(g_plus, cell.g_min_us, cell.g_max_us, out=g_plus)
+    np.clip(g_minus, cell.g_min_us, cell.g_max_us, out=g_minus)
+    return g_plus, g_minus, scale
+
+
+def _read_whole_stack(g_plus, g_minus, scale, cell, rng, time_s, read_noise):
+    """``StackedPCMArray.effective_weights`` spelled over the whole stack."""
+    if time_s is not None and time_s > cell.drift_t0_s:
+        drift = (time_s / cell.drift_t0_s) ** (-cell.drift_nu)
+        g_plus = g_plus * drift
+        g_minus = g_minus * drift
+    if read_noise:
+        sigma = cell.read_noise_frac * cell.g_max_us
+        g_plus = rng.normal(0.0, sigma, size=g_plus.shape) + g_plus
+        g_minus = rng.normal(0.0, sigma, size=g_minus.shape) + g_minus
+    return (g_plus - g_minus) / cell.g_range_us * scale
+
+
+@given(
+    stack=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    tile=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    zero_tile=st.booleans(),
+    cell=st.sampled_from([
+        PCMCellSpec(),
+        PCMCellSpec(g_max_us=20.0, g_min_us=2.0, programming_noise_frac=0.1,
+                    read_noise_frac=0.05),
+    ]),
+    ideal=st.booleans(),
+    read_noise=st.booleans(),
+    time_s=st.sampled_from([None, 10.0, 25.0, 3600.0]),
+    into_dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(stack=(1, 1), tile=(4, 4), zero_tile=False, cell=PCMCellSpec(), ideal=False,
+         read_noise=True, time_s=None, into_dense=True, seed=0)
+@example(stack=(2, 3), tile=(5, 7), zero_tile=True, cell=PCMCellSpec(), ideal=False,
+         read_noise=True, time_s=3600.0, into_dense=True, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_stacked_pcm_tile_kernels_match_the_whole_stack(
+    stack, tile, zero_tile, cell, ideal, read_noise, time_s, into_dense, seed
+):
+    """Programming and reading one tile at a time draws the same stream and
+    computes the same bits as whole-stack arithmetic, including into a
+    strided view of a dense operand and over two consecutive reads."""
+    shape = stack + tile
+    weights = np.random.default_rng(seed).normal(size=shape)
+    if zero_tile:
+        weights[-1, -1] = 0.0
+    array = StackedPCMArray(stack, *tile, cell=cell, seed=seed)
+    array.program(weights, ideal=ideal)
+    rng = np.random.default_rng(seed)
+    g_plus, g_minus, scale = _program_whole_stack(weights, cell, rng, ideal)
+    assert array._g_plus.tobytes() == g_plus.tobytes()
+    assert array._g_minus.tobytes() == g_minus.tobytes()
+    assert array._target_scale.tobytes() == scale.tobytes()
+    for _ in range(2):
+        expected = _read_whole_stack(
+            g_plus, g_minus, scale, cell, rng, time_s, read_noise
+        )
+        if into_dense:
+            # the view TiledMatrix hands a read: one group's block, offset
+            # inside a larger operand, in stacked tile order
+            dense = np.full((stack[0] * tile[0] + 1, stack[1] * tile[1] + 2), np.nan)
+            out = dense[1:, 2:].reshape(stack[0], tile[0], stack[1], tile[1])
+            out = out.transpose(0, 2, 1, 3)
+            assert array.effective_weights(time_s, read_noise, out=out) is out
+            assert np.isnan(dense[0]).all() and np.isnan(dense[:, :2]).all()
+            observed = out
+        else:
+            observed = array.effective_weights(time_s, read_noise)
+        assert np.ascontiguousarray(observed).tobytes() == expected.tobytes()
 
 
 @given(shape=st.tuples(st.integers(1, 64), st.integers(1, 64), st.integers(1, 64)))

@@ -88,6 +88,8 @@ class TestExecutionSpec:
             ExecutionSpec(noise="noisy")
         with pytest.raises(SpecError, match="dac_bits"):
             ExecutionSpec(dac_bits=0)
+        with pytest.raises(SpecError, match="adc_bits must be in 2..16"):
+            ExecutionSpec(adc_bits=1)
         with pytest.raises(SpecError, match="n_inputs"):
             ExecutionSpec(n_inputs=0)
         with pytest.raises(SpecError, match="unknown noise field"):

@@ -182,6 +182,17 @@ TWO_READERS = _pipeline([
            (DataFlow("hbm", 512, label="out"),)),
 ], 4)
 
+#: a stored tensor that two stages write: stages 0 and 1 both write storage
+#: label "res", and stage 2 reads it.
+TWO_WRITERS = _pipeline([
+    _stage(0, ((0,),), 300, 0, (DataFlow("hbm", 512, label="in"),),
+           (DataFlow("stage", 512, stage_id=1), _RES)),
+    _stage(1, ((8,),), 300, 0, (DataFlow("stage", 512, stage_id=0),),
+           (DataFlow("stage", 512, stage_id=2), _RES)),
+    _stage(2, ((16,),), 300, 0, (DataFlow("stage", 512, stage_id=1), _RES),
+           (DataFlow("hbm", 512, label="out"),)),
+], 4)
+
 
 # --------------------------------------------------------------------------- #
 # Known shapes: the fast-forward suite's synthetic + zoo workloads
@@ -366,6 +377,18 @@ class TestKnownShapes:
             match=r"\('storage', 'res'\) is read by stage 1 and by stage 2",
         ):
             simulate(ARCH64, TWO_READERS, engine=engine)
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_stored_tensor_with_two_writers_raises(self, engine):
+        """A stored tensor is relayed from one writer, so a second writer
+        (whose deliveries would reach the one reader twice per job) is
+        rejected before anything is simulated, naming the tensor and both
+        writers."""
+        with pytest.raises(
+            ValueError,
+            match=r"\('storage', 'res'\) is written by stage 0 and by stage 1",
+        ):
+            simulate(ARCH64, TWO_WRITERS, engine=engine)
 
 
 # --------------------------------------------------------------------------- #
