@@ -66,7 +66,8 @@ BACKENDS = ("vectorized", "reference")
 
 
 def _available_cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on: its affinity mask, which
+    does not count a container's CPU quota."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

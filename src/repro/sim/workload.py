@@ -409,8 +409,10 @@ class Workload:
         size, and that every transfer the kernels would issue can move.
 
         A stored tensor (an HBM or storage ``(kind, label)`` some stage
-        writes) is relayed from one writer to one reader, so a second
-        writer or a second reader is rejected.
+        writes) that a stage reads is relayed from one writer to one
+        reader, so a second writer or a second reader of it is rejected.
+        Several writers of a tensor that no stage reads (the one network
+        output of a multi-head graph) are accepted.
         A transfer from or to a stage without clusters has that end off
         chip; a non-empty flow, or any external feed, whose other end is
         off chip too is rejected.
@@ -439,19 +441,13 @@ class Workload:
                         f"stage {stage.stage_id} references storage cluster "
                         f"{flow.storage_cluster} outside the system"
                     )
-        writers: Dict[Tuple[str, str], int] = {}
+        writers: Dict[Tuple[str, str], List[int]] = {}
         for stage in self.stages:
             for flow in stage.outputs:
-                if flow.kind == ENDPOINT_STAGE:
-                    continue
-                tensor = (flow.kind, flow.label)
-                if tensor in writers:
-                    raise ValueError(
-                        f"stored tensor {tensor} is written by stage "
-                        f"{writers[tensor]} and by stage {stage.stage_id}; "
-                        "a stored tensor has one writer"
+                if flow.kind != ENDPOINT_STAGE:
+                    writers.setdefault((flow.kind, flow.label), []).append(
+                        stage.stage_id
                     )
-                writers[tensor] = stage.stage_id
         written = writers.keys()
         readers: Dict[Tuple[str, str], int] = {}
         for stage in self.stages:
@@ -466,6 +462,14 @@ class Workload:
                         "a stored tensor is relayed to one reader"
                     )
                 readers[tensor] = stage.stage_id
+        for tensor in readers:
+            first, *others = writers[tensor]
+            if others:
+                raise ValueError(
+                    f"stored tensor {tensor} is written by stage {first} and "
+                    f"by stage {others[0]}; a stored tensor that a stage "
+                    "reads is relayed from one writer"
+                )
         for stage in self.stages:
             if on_chip[stage.stage_id]:
                 continue

@@ -40,6 +40,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import NETWORK_OUTPUT_LABEL
+from repro.dnn.layers import ReLU
+from repro.scenarios import Scenario, graph_stage, mapping_stage, workload_stage
 from repro.scenarios.fingerprint import simulation_key
 from repro.sim import (
     SIMULATION_ENGINES,
@@ -192,6 +195,32 @@ TWO_WRITERS = _pipeline([
     _stage(2, ((16,),), 300, 0, (DataFlow("stage", 512, stage_id=1), _RES),
            (DataFlow("hbm", 512, label="out"),)),
 ], 4)
+
+#: two sink stages that both write the network output ("hbm", "out"), which
+#: no stage reads back: the shape the lowering pass gives a multi-head graph.
+TWO_SINKS = _pipeline([
+    _stage(0, ((0,),), 300, 0, (DataFlow("hbm", 512, label="in"),),
+           (DataFlow("stage", 512, stage_id=1), DataFlow("stage", 512, stage_id=2))),
+    _stage(1, ((8,),), 300, 0, (DataFlow("stage", 512, stage_id=0),),
+           (DataFlow("hbm", 512, label="out"),)),
+    _stage(2, ((16,),), 300, 0, (DataFlow("stage", 512, stage_id=0),),
+           (DataFlow("hbm", 512, label="out"),)),
+], 4)
+
+
+def _two_head_workload():
+    """tiny_cnn with a second head (a ReLU beside the classifier, on its
+    input), mapped and lowered: both heads write the network output."""
+    scenario = Scenario(
+        model="tiny_cnn", input_shape=(3, 32, 32), num_classes=10,
+        batch_size=4, level="final", n_clusters=16, crossbar_size=128,
+    )
+    graph = graph_stage(scenario)
+    head = graph.output_nodes[0]
+    graph.add(ReLU(name="head2"), inputs=[head.inputs[0]])
+    arch = scenario.build_arch()
+    mapping = mapping_stage(graph, arch, scenario.batch_size, scenario.level_enum)
+    return arch, workload_stage(mapping)
 
 
 # --------------------------------------------------------------------------- #
@@ -389,6 +418,28 @@ class TestKnownShapes:
             match=r"\('storage', 'res'\) is written by stage 0 and by stage 1",
         ):
             simulate(ARCH64, TWO_WRITERS, engine=engine)
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_unread_tensor_with_two_writers_simulates(self, engine):
+        """A tensor that no stage reads is never relayed, so two sinks may
+        both write it."""
+        result = simulate(ARCH64, TWO_SINKS, engine=engine)
+        assert result.jobs_completed == {0: 4, 1: 4, 2: 4}
+
+    def test_two_head_graph_identical(self):
+        """A lowered multi-head graph gives every head the one network
+        output label; it simulates, the same on both kernels."""
+        arch, workload = _two_head_workload()
+        heads = [
+            stage
+            for stage in workload.stages
+            for flow in stage.outputs
+            if flow.label == NETWORK_OUTPUT_LABEL
+        ]
+        assert len(heads) == 2
+        python = simulate(arch, workload, engine="python")
+        table = simulate(arch, workload, engine="table")
+        assert_results_identical(python, table)
 
 
 # --------------------------------------------------------------------------- #
