@@ -23,7 +23,7 @@ that :mod:`repro.sim.noc` turns into contention-aware router components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -321,6 +321,17 @@ class QuadrantTopology:
         )
         self._hbm_down_cache[cluster] = route
         return route
+
+    def route_between(self, src: Optional[int], dst: Optional[int]) -> Route:
+        """Route of a transfer from ``src`` to ``dst``, where ``None`` is the
+        HBM: :meth:`route_from_hbm`, :meth:`route_to_hbm` or :meth:`route`."""
+        if src is None:
+            if dst is None:
+                raise ValueError("a transfer needs at least one on-chip endpoint")
+            return self.route_from_hbm(dst)
+        if dst is None:
+            return self.route_to_hbm(src)
+        return self.route(src, dst)
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Number of directed links between two clusters (0 when equal)."""

@@ -152,7 +152,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         help="worker processes (1 = in-process serial with a shared cache; "
-        "0 = one per CPU)",
+        "0 = one per CPU in this process's affinity mask)",
     )
     parser.add_argument(
         "--json", type=Path, default=None, help="also write full results as JSON"

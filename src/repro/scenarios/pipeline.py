@@ -294,7 +294,8 @@ def simulation_stage(
     process = resolve_arrivals(arrivals)
     if process is not None:
         workload = workload.with_arrivals(process.generate(workload.n_jobs))
-    if cache is None:
+
+    def build() -> SimulationResult:
         return simulate(
             arch,
             workload,
@@ -303,6 +304,9 @@ def simulation_stage(
             fast_forward=fast_forward,
             engine=engine,
         )
+
+    if cache is None:
+        return build()
     key = simulation_key(
         arch_key(arch),
         content_digest(given),
@@ -315,14 +319,7 @@ def simulation_stage(
     return cache.get_or_create(
         ArtifactCache.REGION_SIMULATION,
         key,
-        lambda: simulate(
-            arch,
-            workload,
-            model_contention=model_contention,
-            buffer_depth=buffer_depth,
-            fast_forward=fast_forward,
-            engine=engine,
-        ),
+        build,
         persist=True,
         dump=lambda result: result.to_payload(),
         load=lambda payload: SimulationResult.from_payload(payload, arch, workload),

@@ -64,7 +64,7 @@ from ..core.policies import (
 )
 from ..dnn import models as model_zoo
 from ..dnn.graph import Graph
-from ..sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
+from ..sim.system import DEFAULT_ENGINE, check_engine
 from ..sim.workload import (
     ARRIVAL_PROCESSES,
     ArrivalError,
@@ -363,11 +363,10 @@ class Scenario:
             raise SpecError("n_clusters must be positive when given")
         if self.buffer_depth <= 0:
             raise SpecError("buffer_depth must be positive")
-        if self.engine not in SIMULATION_ENGINES:
-            raise SpecError(
-                f"unknown simulation engine {self.engine!r}; "
-                f"expected one of {SIMULATION_ENGINES}"
-            )
+        try:
+            check_engine(self.engine)
+        except ValueError as error:
+            raise SpecError(str(error)) from None
         if self.arrivals is not None:
             object.__setattr__(self, "arrivals", _freeze_arrivals(self.arrivals))
             try:

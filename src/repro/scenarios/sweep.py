@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple, Union
 
+from ..aimc.crossbar import _available_cpus
 from .cache import ArtifactCache, CacheStats
 from .pipeline import ScenarioOutcome, run_scenario
 from .spec import Scenario, ScenarioGrid
@@ -195,10 +196,11 @@ class SweepResult:
 class SweepRunner:
     """Executes scenario lists/grids, in parallel when it pays off.
 
-    ``max_workers=None`` sizes the pool to the CPU count (capped by the
-    scenario count); ``max_workers<=1`` forces the serial path.  The serial
-    path reuses ``cache`` across scenarios and across successive ``run``
-    calls, so repeated sweeps on one runner are served from warm artifacts.
+    ``max_workers=None`` sizes the pool to the CPUs this process may run
+    on (capped by the scenario count); ``max_workers<=1`` forces the
+    serial path.  The serial path reuses ``cache`` across scenarios and
+    across successive ``run`` calls, so repeated sweeps on one runner are
+    served from warm artifacts.
 
     ``on_error`` selects the failure policy: ``"raise"`` (default)
     propagates the first error; ``"record"`` turns failing scenarios into
@@ -217,7 +219,7 @@ class SweepRunner:
 
     def resolve_workers(self, n_scenarios: int) -> int:
         """Number of worker processes a sweep of ``n_scenarios`` would use."""
-        limit = self.max_workers if self.max_workers is not None else os.cpu_count() or 1
+        limit = self.max_workers if self.max_workers is not None else _available_cpus()
         return max(1, min(limit, n_scenarios))
 
     # ------------------------------------------------------------------ #

@@ -2,9 +2,8 @@
 
 from .compare import assert_results_identical, result_mismatches
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
-from .engine_table import TableEngine
 from .ima_model import IMAJob, IMATimingModel
-from .noc import NocModel, TransferRequest
+from .noc import NocModel
 from .steady_state import fast_forward_simulate
 from .system import (
     DEFAULT_ENGINE,
@@ -63,10 +62,8 @@ __all__ = [
     "StageCost",
     "StageDescriptor",
     "SystemSimulator",
-    "TableEngine",
     "TraceArrivals",
     "Tracer",
-    "TransferRequest",
     "Workload",
     "assert_results_identical",
     "fast_forward_simulate",

@@ -23,9 +23,27 @@ is one heap of integer keys ``cycle << 32 | row``.  A row is allocated when
 its event is scheduled, so the row number is the scheduling order and one
 integer comparison orders two events.  A callable scheduled with
 :meth:`Engine.at` or :meth:`Engine.after` is a row of kind :data:`K_CALL`,
-whose handler calls the payload; :class:`~repro.sim.engine_table.TableEngine`
-adds opcode kinds that the compiled table lane registers.  Both kernels
-therefore run on this one queue.
+whose handler calls the payload.  The kinds from :data:`K_OP_BASE` up
+index a handler table a client registers once per run
+(:meth:`Engine.set_handlers`); their payload is the handler's argument,
+usually a packed integer naming a slot in the client's flat state
+vectors.  The compiled table lane (:mod:`repro.sim.system_table`) runs
+on these opcode rows and the object kernel on callables, so both kernels
+run on this one queue.
+
+Two entry points schedule an opcode row:
+
+* :meth:`Engine.sched_op` ≡ ``at(time, lambda: handler(arg))`` — one
+  event;
+* :meth:`Engine.defer_op` ≡ ``at(time, lambda: after(cycles, lambda:
+  handler(arg)))`` — two events: a call row at ``time`` whose dispatch
+  schedules the opcode row at ``time + cycles``.  The second row is
+  allocated at simulated time ``time``, where the object kernel's
+  ``after`` inside its ``at`` callback allocates its event (a queued DMA
+  start), which keeps the two kernels' event orders aligned.
+
+A client may also append rows to the columns and push their keys itself,
+exactly as :meth:`Engine.sched_op` does.
 
 A run dispatches until the queue drains.  The columns only grow while it
 does, so every :data:`COMPACT_ROWS` dispatched rows the queue renumbers
@@ -38,13 +56,17 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from operator import call as _call
-from typing import Callable, Deque, List
+from typing import Callable, Deque, List, Sequence
 
 Callback = Callable[[], None]
 
 #: row kind of a callable event; its handler calls the payload.
 K_CALL = 0
+#: first client opcode: kinds at or above it index the handlers passed to
+#: :meth:`Engine.set_handlers`, in order.
+K_OP_BASE = K_CALL + 1
 #: bits of a queue key below the cycle, which hold the row.
 ROW_BITS = 32
 _ROW_MASK = (1 << ROW_BITS) - 1
@@ -103,6 +125,35 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"delay cannot be negative, got {delay}")
         _schedule(self, self._now + int(delay), callback)
+
+    def set_handlers(self, handlers: Sequence[Callable]) -> None:
+        """Register the opcode jump table: ``handlers[op - K_OP_BASE]``."""
+        self._handlers = self._handlers[:K_OP_BASE] + tuple(handlers)
+
+    def sched_op(self, time: int, op: int, arg) -> None:
+        """Schedule ``handlers[op - K_OP_BASE](arg)`` at ``time``.
+
+        One event, like ``at(time, callback)``.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule an event in the past ({time} < {self._now})"
+            )
+        _schedule(self, time, arg, op)
+
+    def defer_op(self, time: int, cycles: int, op: int, arg) -> None:
+        """At ``time``, defer ``handlers[op - K_OP_BASE](arg)`` by ``cycles``.
+
+        Two events: a row at ``time`` whose dispatch schedules the opcode
+        row at ``time + cycles``, behind every row already queued there.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule an event in the past ({time} < {self._now})"
+            )
+        if cycles < 0:
+            raise SimulationError(f"deferral cannot be negative, got {cycles}")
+        _schedule(self, time, partial(self.sched_op, time + cycles, op, arg))
 
     def run(self) -> int:
         """Run until the queue drains; return the simulated time it ends at.

@@ -19,55 +19,30 @@ one hop latency after the later of the link drain and the channel finish.
 A burst books the earliest-free channel when it enters the NoC
 (:func:`book_hbm_channel`).  Links and channels are capacity-1 FIFOs with
 durations fixed at submission, so a transfer's whole timing is known when
-it enters the NoC, and its landing is queued then, as one event.
+it enters the NoC, and its landing is queued then, as one event.  With
+contention off, a transfer lands as it would on idle links and an idle
+channel.
 
 This is the object-kernel implementation (``engine="python"``).  The
 default table lane keeps the same busy-until state in flat vectors in
-:mod:`repro.sim.system_table` and books HBM channels through the same
-:func:`book_hbm_channel`; the two are bit-identical by contract, so
-timing changes here must be applied to both and re-validated through
+:mod:`repro.sim.system_table`; both kernels take a route from
+:meth:`~repro.arch.interconnect.QuadrantTopology.route_between`, a
+burst's timing from :func:`burst_timing` and an HBM channel from
+:func:`book_hbm_channel`.  The two are bit-identical by contract, so
+booking changes here must be applied to both and re-validated through
 ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import ArchConfig
+from ..arch.hbm import HBMSpec
 from ..arch.interconnect import QuadrantTopology, Route
 from .engine import Callback, Engine
 from .tracer import Tracer
-
-
-@dataclass(frozen=True)
-class TransferRequest:
-    """One DMA transfer through the system interconnect."""
-
-    src_cluster: Optional[int]  # None when the source is the HBM
-    dst_cluster: Optional[int]  # None when the destination is the HBM
-    n_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.n_bytes < 0:
-            raise ValueError("transfer size cannot be negative")
-        if self.src_cluster is None and self.dst_cluster is None:
-            raise ValueError("a transfer needs at least one on-chip endpoint")
-
-    @property
-    def involves_hbm(self) -> bool:
-        """Whether the transfer reads from or writes to the HBM."""
-        return self.src_cluster is None or self.dst_cluster is None
-
-    @property
-    def is_local(self) -> bool:
-        """Whether source and destination are the same cluster (L1-local copy)."""
-        return (
-            self.src_cluster is not None
-            and self.dst_cluster is not None
-            and self.src_cluster == self.dst_cluster
-        )
 
 
 def book_hbm_channel(free_at: List[int], now: int, service: int) -> int:
@@ -83,6 +58,27 @@ def book_hbm_channel(free_at: List[int], now: int, service: int) -> int:
     finish = (earliest if earliest > now else now) + service
     heapq.heapreplace(free_at, finish)
     return finish
+
+
+def burst_timing(
+    route: Route, n_bytes: int, hbm: Optional[HBMSpec]
+) -> Tuple[int, int, int]:
+    """The fixed timing of one burst of ``n_bytes`` over ``route``.
+
+    ``hbm`` is the HBM's spec when the burst goes to or from the HBM, else
+    ``None``.  Returns ``(serialization, service, uncontended)``: the
+    cycles the burst holds each link of the route, the cycles it holds an
+    HBM channel (0 for an on-chip burst), and the cycles from NoC entry to
+    landing on idle links and an idle channel, which is one hop latency
+    after the later of the drain and the channel finish.  Both kernels
+    call this.
+    """
+    serialization = route.serialization_cycles(n_bytes)
+    # HBM bursts occupy a controller channel for one access latency per
+    # DMA burst plus the serialisation of the payload (closed-page model).
+    service = hbm.service_cycles(n_bytes) if hbm is not None else 0
+    slowest = service if service > serialization else serialization
+    return serialization, service, route.hop_latency_cycles + slowest
 
 
 class NocModel:
@@ -109,12 +105,6 @@ class NocModel:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def transfer(self, request: TransferRequest, on_done: Callback) -> None:
-        """Perform a transfer, calling ``on_done`` when the data has landed."""
-        self.transfer_bytes(
-            request.src_cluster, request.dst_cluster, request.n_bytes, on_done
-        )
-
     def transfer_bytes(
         self,
         src: Optional[int],
@@ -122,12 +112,8 @@ class NocModel:
         n_bytes: int,
         on_done: Callback,
     ) -> None:
-        """:meth:`transfer` on raw endpoints (``None`` = HBM).
-
-        The system simulator issues tens of thousands of transfers per run;
-        taking the endpoints directly skips a :class:`TransferRequest`
-        allocation per transfer on that hot path.
-        """
+        """Move ``n_bytes`` from ``src`` to ``dst`` (cluster ids, ``None`` =
+        HBM), calling ``on_done`` when the data has landed."""
         if n_bytes < 0:
             raise ValueError("transfer size cannot be negative")
         if n_bytes == 0 or src == dst:
@@ -138,22 +124,11 @@ class NocModel:
             self.tracer.record_transfer(n_bytes, 0, local=True)
             self.engine.after(0, on_done)
             return
-        topology = self.topology
-        if src is None:
-            route = topology.route_from_hbm(dst)
-            involves_hbm = True
-        elif dst is None:
-            route = topology.route_to_hbm(src)
-            involves_hbm = True
-        else:
-            route = topology.route(src, dst)
-            involves_hbm = False
-        serialization = -(-n_bytes // route.min_width_bytes)
-        # HBM transfers occupy a controller channel for one access latency per
-        # DMA burst plus the serialisation of the payload (closed-page model).
-        hbm_extra = 0
-        if involves_hbm:
-            hbm_extra = self.arch.hbm.service_cycles(n_bytes) - serialization
+        route = self.topology.route_between(src, dst)
+        involves_hbm = src is None or dst is None
+        serialization, service, uncontended = burst_timing(
+            route, n_bytes, self.arch.hbm if involves_hbm else None
+        )
         self.tracer.record_transfer(
             n_bytes,
             route.n_hops,
@@ -162,39 +137,19 @@ class NocModel:
             busy_cycles=serialization,
         )
         if not self.model_contention:
-            total = route.hop_latency_cycles + serialization + hbm_extra
-            self.engine.after(total, on_done)
+            self.engine.after(uncontended, on_done)
             return
-        self._acquire_links(route, involves_hbm, serialization, hbm_extra, on_done)
-
-    def estimate_cycles(self, request: TransferRequest) -> int:
-        """Zero-load latency estimate of a transfer (no contention)."""
-        if request.n_bytes == 0 or request.is_local:
-            return 0
-        route = self._route_for(request)
-        extra = 0
-        if request.involves_hbm:
-            extra = self.arch.hbm.service_cycles(request.n_bytes) - route.serialization_cycles(
-                request.n_bytes
-            )
-        return route.zero_load_cycles(request.n_bytes) + max(0, extra)
+        self._acquire_links(route, involves_hbm, serialization, service, on_done)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _route_for(self, request: TransferRequest) -> Route:
-        if request.src_cluster is None:
-            return self.topology.route_from_hbm(request.dst_cluster)  # type: ignore[arg-type]
-        if request.dst_cluster is None:
-            return self.topology.route_to_hbm(request.src_cluster)
-        return self.topology.route(request.src_cluster, request.dst_cluster)
-
     def _acquire_links(
         self,
         route: Route,
         involves_hbm: bool,
         serialization: int,
-        hbm_extra: int,
+        service: int,
         on_done: Callback,
     ) -> None:
         """Book the burst on every link of the route and on an HBM channel.
@@ -224,7 +179,6 @@ class NocModel:
             if end > drain:
                 drain = end
         if involves_hbm:
-            service = serialization + hbm_extra
             self._hbm_busy += service
             finish = book_hbm_channel(self._hbm_free_at, now, service)
             if finish > drain:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..arch.config import ArchConfig
-from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator
+from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator, check_engine
 from .workload import StageDescriptor, Workload
 
 #: below this job count an attempt is refused up front: its snapshots
@@ -480,6 +480,8 @@ def fast_forward_simulate(
 ) -> Union[SimulationResult, "FastForwardRefusal"]:
     """Simulate ``workload`` by steady-state extrapolation when provably exact.
 
+    An ``engine`` that is not one of the simulation engines raises
+    :class:`ValueError` first, as in :func:`~repro.sim.system.simulate`.
     Refusals that follow from the workload alone — an open workload, too
     few jobs, a stage whose effective window exceeds :data:`MAX_WINDOW`,
     or a cluster shared by two analog replicas of one stage — return a
@@ -491,6 +493,7 @@ def fast_forward_simulate(
     with a ``non-periodic-probe`` refusal attached.  Both contention modes
     take the same path.
     """
+    check_engine(engine)
     if workload.arrival_cycles:
         return FastForwardRefusal(
             REFUSAL_OPEN_WORKLOAD,

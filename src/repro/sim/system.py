@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 from ..arch.config import ArchConfig
 from .engine import Barrier, CreditStore, Engine, Server, SimulationError
-from .engine_table import TableEngine
 from .noc import NocModel
 from .system_table import TableProgram
 from .tracer import Tracer
@@ -89,7 +88,14 @@ from .workload import (
 #: Version 8: the fast-forward certifies inside the one run instead of on
 #: a separate probe, so a refused run's ``probes`` record changed and some
 #: runs that refused now engage; every v7 payload is re-simulated once.
-SIMULATION_PAYLOAD_VERSION = 8
+#: Version 9: with contention off, a burst to or from the HBM lands one hop
+#: after the later of its serialisation and its channel service, as it does
+#: on idle links and an idle channel with contention on; it used to land
+#: one hop after its channel service alone, which is earlier when the
+#: channel is faster than the links.  Table I's 100-cycle access latency
+#: makes the channel the slower, so no shipped configuration's result
+#: moves, but a v8 payload cannot say which rule produced it.
+SIMULATION_PAYLOAD_VERSION = 9
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
 #: :class:`SystemSimulator`: the object kernel, kept as the readable
@@ -99,6 +105,16 @@ SIMULATION_ENGINES = ("python", "table")
 
 #: the engine every ``engine`` argument and field defaults to.
 DEFAULT_ENGINE = "table"
+
+
+def check_engine(engine: str) -> None:
+    """Raise :class:`ValueError` unless ``engine`` is one of
+    :data:`SIMULATION_ENGINES`."""
+    if engine not in SIMULATION_ENGINES:
+        raise ValueError(
+            f"unknown simulation engine {engine!r}; "
+            f"expected one of {SIMULATION_ENGINES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -358,29 +374,17 @@ class _StageRuntime:
             f"stage[{descriptor.stage_id}].digital",
             capacity=descriptor.digital_slots,
         )
-        #: per-input-flow credit stores (double-buffered tiles).  Each analog
-        #: replica (and each digital slot) owns its own pair of input
-        #: buffers, so the credit count scales with the stage's parallelism;
-        #: otherwise data-replication could never overlap more than
-        #: ``buffer_depth`` jobs.
-        parallelism = max(descriptor.replication, descriptor.digital_slots)
+        input_credits, output_slots = descriptor.credits(sim.buffer_depth)
+        #: per-input-flow credit stores (double-buffered tiles).
         self.input_credits: List[CreditStore] = [
-            CreditStore(
-                engine,
-                f"stage[{descriptor.stage_id}].in[{i}]",
-                (flow.buffer_depth if flow.buffer_depth is not None else sim.buffer_depth)
-                * parallelism,
-            )
-            for i, flow in enumerate(descriptor.inputs)
+            CreditStore(engine, f"stage[{descriptor.stage_id}].in[{i}]", credits)
+            for i, credits in enumerate(input_credits)
         ]
-        #: bounded output slots: a job may only start when fewer than
-        #: ``buffer_depth x parallelism`` previous jobs still have undelivered
-        #: outputs.  This is condition (b) of the paper's self-timed rule
-        #: ("the consumers are ready to accept the output data of chunk N-1").
+        #: bounded output slots: a job may only start when one is free.  This
+        #: is condition (b) of the paper's self-timed rule ("the consumers
+        #: are ready to accept the output data of chunk N-1").
         self.output_slots = CreditStore(
-            engine,
-            f"stage[{descriptor.stage_id}].out_slots",
-            sim.buffer_depth * parallelism,
+            engine, f"stage[{descriptor.stage_id}].out_slots", output_slots
         )
         #: per-input-flow count of delivered jobs.
         self.delivered: List[int] = [0] * len(descriptor.inputs)
@@ -534,25 +538,20 @@ class SystemSimulator:
         buffer_depth: int = 2,
         engine: str = DEFAULT_ENGINE,
     ):
-        if engine not in SIMULATION_ENGINES:
-            raise ValueError(
-                f"unknown simulation engine {engine!r}; "
-                f"expected one of {SIMULATION_ENGINES}"
-            )
+        check_engine(engine)
         workload.validate(arch.n_clusters)
         self.arch = arch
         self.workload = workload
         self.buffer_depth = buffer_depth
         self.engine_kind = engine
         self.tracer = Tracer()
+        self.engine = Engine()
         if engine == "table":
             # compiled state-machine lane: the whole workload lifecycle —
             # stages, flows, NoC links, HBM channels — is compiled by
             # TableProgram below, so no object NoC model exists.
-            self.engine: Engine = TableEngine()
             self.noc: Optional[NocModel] = None
         else:
-            self.engine = Engine()
             self.noc = NocModel(
                 self.engine, arch, tracer=self.tracer, model_contention=model_contention
             )
@@ -938,19 +937,15 @@ def simulate(
 
     ``engine`` selects the event kernel: ``"table"`` (default,
     :data:`DEFAULT_ENGINE`) runs the compiled state-machine lane
-    (:mod:`repro.sim.engine_table` / :mod:`repro.sim.system_table`), which
-    replaces the per-event callbacks with opcode dispatch over flat state
-    vectors; ``"python"`` runs the object kernel, the readable reference.
+    (:mod:`repro.sim.system_table`), which replaces the per-event
+    callbacks with opcode dispatch over flat state vectors; ``"python"``
+    runs the object kernel, the readable reference.
     Both produce bit-identical results (asserted in
     ``tests/test_sim_kernel_equivalence.py``); the switch exists as a
     safety net and as a sweepable scenario axis.  Any other value raises
     :class:`ValueError`.
     """
-    if engine not in SIMULATION_ENGINES:
-        raise ValueError(
-            f"unknown simulation engine {engine!r}; "
-            f"expected one of {SIMULATION_ENGINES}"
-        )
+    check_engine(engine)
     refusal = None
     if fast_forward:
         from .steady_state import fast_forward_simulate

@@ -2,7 +2,7 @@
 
 :class:`TableProgram` compiles a :class:`~repro.sim.workload.Workload`
 once, before the first event, into integer transition state consumed by
-:class:`~repro.sim.engine_table.TableEngine` opcode rows:
+the opcode rows of :class:`~repro.sim.engine.Engine`:
 
 * each stage becomes a :class:`_CompiledStage` — flat per-job vectors
   (``job_start``, ``out_pending``), dense credit/occupancy counters
@@ -12,9 +12,10 @@ once, before the first event, into integer transition state consumed by
   closures;
 * each data flow becomes a :class:`_Flow` with precompiled chunk
   :class:`_Group` records (size, count, DMA duration, serialization,
-  HBM extra, delivery attribution — every per-transfer quantity the
-  object kernel recomputes or memo-looks-up per event), the external
-  inputs fetched from the HBM included;
+  channel service, delivery attribution — every per-transfer quantity
+  the object kernel recomputes or memo-looks-up per event, from the same
+  :func:`~repro.sim.noc.burst_timing`), the external inputs fetched from
+  the HBM included;
 * NoC links, per-cluster DMA channels and HBM channels become dense
   vectors (busy-until, busy cycles, free-at heaps) updated by indexed
   arithmetic inside the opcode handlers.  A capacity-1 FIFO link with
@@ -31,8 +32,8 @@ once, before the first event, into integer transition state consumed by
 
 The hot handlers append their rows to the engine's columns and push the
 keys (``cycle << ROW_BITS | row``) themselves, as
-:meth:`~repro.sim.engine_table.TableEngine.sched_op` does without the
-call; the burst row and the rare paths go through ``sched_op``.
+:meth:`~repro.sim.engine.Engine.sched_op` does without the call; the
+burst row and the rare paths go through ``sched_op``.
 
 The **legality rule** for compiling a lifecycle step: a step may be
 table-compiled only when its *successor and timing are fully determined at
@@ -84,9 +85,9 @@ from functools import partial
 from heapq import heappush, heapreplace
 from typing import Dict, List, Optional, Tuple
 
-from .engine import ROW_BITS, SimulationError
-from .engine_table import K_OP_BASE, TableEngine
-from .noc import book_hbm_channel
+from ..arch.interconnect import Route
+from .engine import K_OP_BASE, ROW_BITS, Engine
+from .noc import book_hbm_channel, burst_timing
 from .tracer import ClusterActivity
 from .workload import ENDPOINT_STAGE, ENDPOINT_STORAGE, chunk_groups
 
@@ -111,28 +112,19 @@ class _Plan:
     """Dense route constants for one (src, dst) endpoint pair."""
 
     __slots__ = (
+        "route",
         "lids",
-        "n_hops",
         "hop",
-        "min_width",
         "involves_hbm",
         "touched",
         "busy",
         "flushed",
     )
 
-    def __init__(
-        self,
-        lids: Tuple[int, ...],
-        n_hops: int,
-        hop: int,
-        min_width: int,
-        involves_hbm: bool,
-    ):
+    def __init__(self, route: Route, lids: Tuple[int, ...], involves_hbm: bool):
+        self.route = route
         self.lids = lids
-        self.n_hops = n_hops
-        self.hop = hop
-        self.min_width = min_width
+        self.hop = route.hop_latency_cycles
         self.involves_hbm = involves_hbm
         #: whether every link of this plan is already in the first-touch
         #: order (short-circuits the per-transfer seen check).
@@ -201,33 +193,34 @@ class _Group:
         "count",
         "dma_dur",
         "comm_cycles",
-        "ser",
-        "hbm_extra",
         "dst",
         "plan",
         "byte_hops",
-        "uncont_lat",
+        "ser",
         "chan_cycles",
+        "uncont_lat",
         "dma",
         "delivery",
         "sent",
     )
 
-    def __init__(self, gid, flow, size, count, dma_dur, comm_cycles, ser, hbm_extra, dst, plan):
+    def __init__(self, gid, flow, size, count, dma_dur, comm_cycles, dst, plan, hbm):
         self.gid = gid
         self.flow = flow
         self.size = size
         self.count = count
         self.dma_dur = dma_dur
         self.comm_cycles = comm_cycles
-        self.ser = ser
-        self.hbm_extra = hbm_extra
         self.dst = dst
         self.plan = plan  # None for local (same-cluster) handoffs
         # burst constants precomputed off the hot path
-        self.byte_hops = size * plan.n_hops if plan is not None else 0
-        self.uncont_lat = plan.hop + ser + hbm_extra if plan is not None else 0
-        self.chan_cycles = ser + hbm_extra
+        if plan is None:
+            self.byte_hops = self.ser = self.chan_cycles = self.uncont_lat = 0
+        else:
+            self.byte_hops = size * plan.route.n_hops
+            self.ser, self.chan_cycles, self.uncont_lat = burst_timing(
+                plan.route, size, hbm
+            )
         #: record sources of the source-side DMA (``None`` from the HBM)
         #: and of the delivery attribution (``None`` into the HBM).
         self.dma: Optional[_Source] = None
@@ -316,11 +309,9 @@ class TableProgram:
 
     def __init__(self, sim) -> None:
         engine = sim.engine
-        if not isinstance(engine, TableEngine):
-            raise SimulationError("TableProgram requires a TableEngine")
         self.sim = sim
         self._job_finished = sim.job_finished
-        self.engine: TableEngine = engine
+        self.engine: Engine = engine
         # the engine's queue: the hot handlers append their rows to its
         # columns and push their keys themselves, as ``sched_op`` does
         self._heap = engine._heap
@@ -414,15 +405,10 @@ class TableProgram:
             st.dg_busy = 0
             st.dg_wait = deque()
             st.n_inputs = len(desc.inputs)
-            parallelism = max(desc.replication, desc.digital_slots)
-            st.in_credits = [
-                (flow.buffer_depth if flow.buffer_depth is not None else sim.buffer_depth)
-                * parallelism
-                for flow in desc.inputs
-            ]
+            in_credits, st.out_credits = desc.credits(sim.buffer_depth)
+            st.in_credits = list(in_credits)
             st.in_wait = [deque() for __ in desc.inputs]
             st.delivered = [0] * st.n_inputs
-            st.out_credits = sim.buffer_depth * parallelism
             st.out_wait = deque()
             st.next_job = 0
             st.jobs_completed = 0
@@ -560,24 +546,16 @@ class TableProgram:
         grouped = chunk_groups(n_bytes, n_chunks)
         flow.total_chunks = sum(count for __, count in grouped)
         plan = None if src == dst or n_bytes <= 0 else self._plan(src, dst)
-        hbm = self.arch.hbm
+        hbm = self.arch.hbm if plan is not None and plan.involves_hbm else None
         groups: List[_Group] = []
         for size, count in grouped:
-            ser = 0
-            extra = 0
-            if plan is not None:
-                ser = -(-size // plan.min_width)
-                if plan.involves_hbm:
-                    extra = hbm.service_cycles(size) - ser
             dma_dur = 0
             if src is not None:
                 dma_dur = self._cluster.dma_cycles(size)
             comm = 0
             if dst is not None:
                 comm = self._cluster.delivery_cycles(size)
-            group = _Group(
-                len(self.groups), flow, size, count, dma_dur, comm, ser, extra, dst, plan
-            )
+            group = _Group(len(self.groups), flow, size, count, dma_dur, comm, dst, plan, hbm)
             if src is not None:
                 group.dma = self._source((src,), dma_dur, self._comm_sources)
             if dst is not None:
@@ -607,16 +585,7 @@ class TableProgram:
         plan = by_dst.get(dst)
         if plan is not None:
             return plan
-        topology = self.topology
-        if src is None:
-            route = topology.route_from_hbm(dst)  # type: ignore[arg-type]
-            involves_hbm = True
-        elif dst is None:
-            route = topology.route_to_hbm(src)
-            involves_hbm = True
-        else:
-            route = topology.route(src, dst)
-            involves_hbm = False
+        route = self.topology.route_between(src, dst)
         link_ids = self._link_ids
         ids: List[int] = []
         for name in route.links:
@@ -629,13 +598,7 @@ class TableProgram:
                 self._link_busy.append(0)
                 self._link_seen.append(False)
             ids.append(lid)
-        plan = _Plan(
-            tuple(ids),
-            route.n_hops,
-            route.hop_latency_cycles,
-            route.min_width_bytes,
-            involves_hbm,
-        )
+        plan = _Plan(route, tuple(ids), src is None or dst is None)
         by_dst[dst] = plan
         self._plan_list.append(plan)
         return plan

@@ -25,6 +25,7 @@ class ClusterActivity:
     analog: int = 0
     digital: int = 0
     communication: int = 0
+    #: no kernel writes this yet: it reads 0.
     synchronization: int = 0
     #: time of the last recorded activity completion on this cluster.
     last_busy_cycle: int = 0
@@ -60,6 +61,7 @@ class StageActivity:
     jobs_completed: int = 0
     analog_busy: int = 0
     digital_busy: int = 0
+    #: no kernel writes the two stall fields yet: they read 0.
     input_stall: int = 0
     output_stall: int = 0
     first_job_start: Optional[int] = None
@@ -166,12 +168,11 @@ class Tracer:
     def record_analog_job(
         self, cluster_id: int, cycles: int, end_cycle: int
     ) -> None:
-        """Fused ``record_cluster(..., "analog", ...)`` + :meth:`record_job`.
+        """``record_cluster(..., "analog", ...)`` plus one job on the cluster.
 
         An analog stage charges every cluster of the serving replica once
-        per job, so this pair is the densest tracer call site of replicated
-        mappings; fusing it halves the dictionary traffic.  State updates
-        are identical to calling the two methods separately.
+        per job, the densest tracer call site of replicated mappings, so
+        one call does both with one dictionary lookup.
         """
         activity = self.clusters.get(cluster_id)
         if activity is None:
@@ -182,10 +183,6 @@ class Tracer:
             activity.last_busy_cycle = end_cycle
         if end_cycle > self.makespan:
             self.makespan = end_cycle
-
-    def record_job(self, cluster_id: int) -> None:
-        """Count one pipeline job executed on a cluster."""
-        self.cluster(cluster_id).jobs += 1
 
     # ------------------------------------------------------------------ #
     # Stage activity
@@ -238,14 +235,6 @@ class Tracer:
         arrival → delivery path.
         """
         self.request_completions[int(job_index)] = int(cycle)
-
-    def record_stage_stall(
-        self, stage_id: int, input_cycles: int = 0, output_cycles: int = 0
-    ) -> None:
-        """Record stall time a stage spent waiting for inputs/output credits."""
-        record = self.stage(stage_id)
-        record.input_stall += int(input_cycles)
-        record.output_stall += int(output_cycles)
 
     # ------------------------------------------------------------------ #
     # Traffic

@@ -215,15 +215,27 @@ class StageDescriptor:
             f"stage {self.stage_id} has no input flow from stage {producer_id}"
         )
 
-    def throughput_limit_cycles(self) -> int:
-        """Steady-state cycles per job this stage needs (its pipeline weight)."""
-        analog = 0
-        if self.is_analog:
-            analog = -(-self.cost.analog_cycles_per_job // self.replication)
-        digital = 0
-        if self.cost.digital_cycles_per_job > 0:
-            digital = -(-self.cost.digital_cycles_per_job // self.digital_slots)
-        return max(analog, digital, 1)
+    def credits(self, buffer_depth: int) -> Tuple[Tuple[int, ...], int]:
+        """The stage's self-timed flow-control credits (Sec. IV.5).
+
+        Returns the input credits of each input flow, in order, and the
+        output slots.  A job starts only when its inputs have arrived and
+        fewer than the output slots of earlier jobs still have undelivered
+        outputs; a producer pushes a chunk only against an input credit,
+        which the consumer returns when its compute has consumed the chunk.
+        Each analog replica (and each digital slot) owns its own buffers,
+        so both counts scale with ``max(replication, digital_slots)``;
+        otherwise data replication could never overlap more than
+        ``buffer_depth`` jobs.  An input flow's own ``buffer_depth``
+        overrides the simulator's.  Both kernels size their credits here.
+        """
+        parallelism = max(self.replication, self.digital_slots)
+        inputs = tuple(
+            (flow.buffer_depth if flow.buffer_depth is not None else buffer_depth)
+            * parallelism
+            for flow in self.inputs
+        )
+        return inputs, buffer_depth * parallelism
 
 
 @dataclass
@@ -341,12 +353,6 @@ class Workload:
         return dataclasses.replace(
             self, arrival_cycles=tuple(arrival_cycles)[: self.n_jobs]
         )
-
-    def bottleneck_stage(self) -> StageDescriptor:
-        """The stage with the largest steady-state per-job cost."""
-        if not self.stages:
-            raise ValueError("workload has no stages")
-        return max(self.stages, key=lambda stage: stage.throughput_limit_cycles())
 
     def final_stage(self) -> StageDescriptor:
         """The pipeline's last stage (the one producing the network output).

@@ -205,7 +205,7 @@ class TestStoreRobustness:
         """
         from repro.sim.system import SIMULATION_PAYLOAD_VERSION
 
-        assert SIMULATION_PAYLOAD_VERSION == 8  # fast-forward certifies inside the run
+        assert SIMULATION_PAYLOAD_VERSION == 9  # contention off lands as on an idle NoC
         store = ArtifactStore(tmp_path / "sim-payload-store")
         cache = ArtifactCache(store=store)
         graph, arch = TINY.build_graph(), TINY.build_arch()

@@ -8,6 +8,7 @@ cache-warm re-run performs zero new ``simulate()`` calls.
 """
 
 import json
+import os
 import pickle
 
 import pytest
@@ -219,6 +220,21 @@ class TestSweepEquivalence:
     def test_invalid_error_policy_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
             SweepRunner(on_error="ignore")
+
+    def test_default_pool_fits_the_affinity_mask(self, monkeypatch):
+        """``max_workers=None`` starts no more workers than the CPUs the
+        process may run on, however many the machine has."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 3, 5}, raising=False)
+        runner = SweepRunner()
+        assert runner.resolve_workers(100) == 3
+        assert runner.resolve_workers(2) == 2
+        assert SweepRunner(max_workers=8).resolve_workers(100) == 8
+        # without an affinity call the machine's CPU count is all there is
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert runner.resolve_workers(100) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert runner.resolve_workers(100) == 1
 
 
 class TestCLI:

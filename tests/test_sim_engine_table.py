@@ -2,15 +2,15 @@
 
 The table kernel (``engine="table"``, the default) compiles
 ``_StageRuntime``'s per-job lifecycle into integer transition tables
-(:mod:`repro.sim.system_table`) dispatched through
-:class:`~repro.sim.engine_table.TableEngine`'s opcode rows.  End-to-end
-bit-identity against the object kernel lives in
-``tests/test_sim_kernel_equivalence.py``; this module covers:
+(:mod:`repro.sim.system_table`) dispatched through the opcode rows of
+:class:`~repro.sim.engine.Engine`.  End-to-end bit-identity against the
+object kernel lives in ``tests/test_sim_kernel_equivalence.py``; this
+module covers:
 
-* ``TableEngine`` alone: opcode scheduling and deferral semantics, FIFO
-  interleaving with callables, a raising handler leaving the rest queued
-  (between any two rows, with an in-order resume), non-re-entrancy, and
-  the object-kernel primitives running on it;
+* the opcode rows: scheduling and deferral semantics, FIFO interleaving
+  with callables, a raising handler leaving the rest queued (between any
+  two rows, with an in-order resume), non-re-entrancy, and the
+  object-kernel primitives running beside them;
 * the queue both kernels share: same-cycle scheduling from inside a
   handler, the clock a run ends at, runs that a raising handler stops and
   a later run resumes (also across compactions), compaction of the row
@@ -36,12 +36,13 @@ from repro.sim import (
     Server,
     SimulationError,
     SystemSimulator,
-    TableEngine,
+    fast_forward_simulate,
     result_mismatches,
     simulate,
 )
 from repro.sim import engine as engine_module
-from repro.sim.engine_table import K_OP_BASE
+from repro.sim.engine import K_OP_BASE
+from repro.sim.steady_state import MAX_WINDOW, MIN_JOBS
 from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
 from repro.sim.system_table import OP_NOC_BURST, OP_NOC_START, TableProgram
 
@@ -88,11 +89,11 @@ def _run_through_stops(engine):
 
 
 # --------------------------------------------------------------------------- #
-# TableEngine: the opcode lane
+# The opcode rows
 # --------------------------------------------------------------------------- #
-class TestTableEngine:
+class TestOpcodeRows:
     def _engine(self, log):
-        engine = TableEngine()
+        engine = Engine()
         engine.set_handlers((lambda arg: log.append(arg),))
         return engine
 
@@ -129,7 +130,7 @@ class TestTableEngine:
 
     def test_defer_op_equals_at_plus_after(self):
         """defer_op(t, c, op, arg) runs at t + c, like at(t, after(c, ...))."""
-        table = TableEngine()
+        table = Engine()
         obj = Engine()
         seen_table, seen_obj = [], []
         table.set_handlers((lambda arg: seen_table.append((table.now, arg)),))
@@ -158,7 +159,7 @@ class TestTableEngine:
 
     def test_long_same_cycle_run_keeps_scheduling_order(self):
         log = []
-        engine = TableEngine()
+        engine = Engine()
         engine.set_handlers((lambda arg: log.append((engine.now, arg)),))
         for i in range(24):
             engine.defer_op(10, i % 3, K_OP_BASE, i)
@@ -257,7 +258,7 @@ class TestTableEngine:
 
     def test_handler_exception_requeues_the_unprocessed_tail(self):
         log = []
-        engine = TableEngine()
+        engine = Engine()
 
         def boom(arg):
             raise RuntimeError(arg)
@@ -274,7 +275,7 @@ class TestTableEngine:
         assert engine.empty()
 
     def test_reentrant_run_raises(self):
-        engine = TableEngine()
+        engine = Engine()
         errors = []
 
         def reenter(arg):
@@ -306,9 +307,6 @@ class TestTableEngine:
 # --------------------------------------------------------------------------- #
 # The queue both kernels share: same-cycle order, compaction, reset
 # --------------------------------------------------------------------------- #
-ENGINES = [Engine, TableEngine]
-
-
 class _Recorder:
     """Wraps an engine's handlers to log every dispatch as ``(cycle, kind,
     payload)`` (a callable payload by its qualified name) and to check, at
@@ -341,13 +339,13 @@ def _recorded_run(engine_kind, workload, monkeypatch):
     engine = simulator.engine
     with monkeypatch.context() as patch:
         if engine_kind == "table":
-            set_handlers = TableEngine.set_handlers
+            set_handlers = Engine.set_handlers
 
             def recording(self, handlers):
                 set_handlers(self, handlers)
                 self._handlers = recorder.wrap(self, self._handlers)
 
-            patch.setattr(TableEngine, "set_handlers", recording)
+            patch.setattr(Engine, "set_handlers", recording)
         else:
             engine._handlers = recorder.wrap(engine, engine._handlers)
         result = simulator.run()
@@ -355,46 +353,35 @@ def _recorded_run(engine_kind, workload, monkeypatch):
 
 
 class TestQueue:
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_same_cycle_schedules_run_after_everything_queued(self, engine_kind):
+    def test_same_cycle_schedules_run_after_everything_queued(self):
         """Rows and callables scheduled for the current cycle from inside a
         handler run after everything already queued for that cycle, in
         scheduling order."""
-        engine = engine_kind()
+        engine = Engine()
         log = []
-        has_rows = engine_kind is TableEngine
-        if has_rows:
-            engine.set_handlers((lambda arg: log.append(arg),))
+        engine.set_handlers((lambda arg: log.append(arg),))
 
         def handler(tag):
             log.append(tag)
             engine.after(0, lambda: log.append(f"{tag}-after0"))
-            if has_rows:
-                engine.sched_op(engine.now, K_OP_BASE, f"{tag}-row")
+            engine.sched_op(engine.now, K_OP_BASE, f"{tag}-row")
             engine.at(engine.now, lambda: log.append(f"{tag}-atnow"))
 
         engine.at(5, lambda: handler("x"))
-        if has_rows:
-            engine.sched_op(5, K_OP_BASE, "queued-row")
+        engine.sched_op(5, K_OP_BASE, "queued-row")
         engine.at(5, lambda: handler("y"))
         engine.at(6, lambda: log.append("next"))
         engine.run()
-        assert log == (
-            ["x"]
-            + (["queued-row"] if has_rows else [])
-            + ["y", "x-after0"]
-            + (["x-row"] if has_rows else [])
-            + ["x-atnow", "y-after0"]
-            + (["y-row"] if has_rows else [])
-            + ["y-atnow", "next"]
-        )
+        assert log == [
+            "x", "queued-row", "y", "x-after0", "x-row", "x-atnow",
+            "y-after0", "y-row", "y-atnow", "next",
+        ]
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_a_drained_queue_keeps_the_clock(self, engine_kind):
+    def test_a_drained_queue_keeps_the_clock(self):
         """``run()`` returns the clock it ends at: the last event's cycle,
         or the clock unchanged when nothing is queued.  Back-to-back runs
         schedule relative to it."""
-        engine = engine_kind()
+        engine = Engine()
         seen = []
         assert engine.run() == 0
         engine.at(10, lambda: seen.append(engine.now))
@@ -406,12 +393,11 @@ class TestQueue:
         assert seen == [10, 10, 15]
         assert engine.events_processed == 3
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_run_takes_no_bound(self, engine_kind):
+    def test_run_takes_no_bound(self):
         """A run always drains: a caller that asks for a bound fails
         loudly instead of running past it, and leaves the queue as it
         was."""
-        engine = engine_kind()
+        engine = Engine()
         engine.at(5, lambda: None)
         for bound in ({"until": 3}, {"max_events": 1}):
             with pytest.raises(TypeError):
@@ -420,12 +406,11 @@ class TestQueue:
         assert not engine.empty()
         assert engine.run() == 5
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_a_raise_mid_batch_leaves_consistent_clock_and_order(self, engine_kind):
+    def test_a_raise_mid_batch_leaves_consistent_clock_and_order(self):
         """A handler that raises inside a same-cycle batch stops the run at
         that cycle with the rest of the batch queued; the next run resumes
         with it, FIFO, and then runs the later events."""
-        engine = engine_kind()
+        engine = Engine()
         order = []
 
         def fail():
@@ -445,11 +430,10 @@ class TestQueue:
         assert order == ["a", "b", "c", "late"]
         assert engine.events_processed == 4
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_a_raise_keeps_same_cycle_continuations(self, engine_kind):
+    def test_a_raise_keeps_same_cycle_continuations(self):
         """Events that a handler scheduled before it raised stay queued,
         behind the events already queued for their cycle."""
-        engine = engine_kind()
+        engine = Engine()
         order = []
 
         def first():
@@ -467,17 +451,14 @@ class TestQueue:
         assert engine.run() == 5
         assert order == ["first", "second", "chained", "later"]
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_raising_handlers_stop_and_resume_across_compactions(
-        self, engine_kind, monkeypatch
-    ):
+    def test_raising_handlers_stop_and_resume_across_compactions(self, monkeypatch):
         """Runs that raising handlers stop resume in order when the columns
         compact between and inside the runs, and the columns never hold
         more than ``COMPACT_ROWS`` dispatched rows."""
 
         def trace(compact_rows, every):
             monkeypatch.setattr(engine_module, "COMPACT_ROWS", compact_rows)
-            engine = engine_kind()
+            engine = Engine()
             log = []
 
             def event(tag, depth):
@@ -537,11 +518,10 @@ class TestQueue:
 # Row storage: bounded columns and reset
 # --------------------------------------------------------------------------- #
 class TestRowStorage:
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_columns_stay_bounded(self, engine_kind):
+    def test_columns_stay_bounded(self):
         """A long run keeps at most ``COMPACT_ROWS`` dispatched rows in the
         columns besides the pending ones, and counts every event."""
-        engine = engine_kind()
+        engine = Engine()
         widest = []
 
         def step(left):
@@ -558,15 +538,14 @@ class TestRowStorage:
         assert max(widest) <= engine_module.COMPACT_ROWS
         assert len(engine._kind) <= engine_module.COMPACT_ROWS
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_a_dispatched_row_drops_its_payload(self, engine_kind):
+    def test_a_dispatched_row_drops_its_payload(self):
         """The columns keep no callable alive once its event has run."""
 
         class Payload:
             def __call__(self):
                 pass
 
-        engine = engine_kind()
+        engine = Engine()
         payload = Payload()
         alive = weakref.ref(payload)
         engine.at(1, payload)
@@ -576,8 +555,7 @@ class TestRowStorage:
         engine.run()
         assert seen == [None] and engine.empty()
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_a_row_dispatched_before_a_raise_drops_its_payload(self, engine_kind):
+    def test_a_row_dispatched_before_a_raise_drops_its_payload(self):
         """A run that a raising handler stops keeps no callable of the rows
         it dispatched alive, the raising one included."""
 
@@ -589,7 +567,7 @@ class TestRowStorage:
                 if self.fail:
                     raise RuntimeError("stop")
 
-        engine = engine_kind()
+        engine = Engine()
         payloads = [Payload(False), Payload(True)]
         alive = [weakref.ref(payload) for payload in payloads]
         engine.at(1, payloads[0])
@@ -604,11 +582,10 @@ class TestRowStorage:
         engine.run()
         assert seen == [[None, None]] and engine.empty()
 
-    @pytest.mark.parametrize("engine_kind", ENGINES, ids=["python", "table"])
-    def test_reset_releases_the_columns(self, engine_kind):
+    def test_reset_releases_the_columns(self):
         """A drained engine's columns go, its event count stays, and it
         stays usable."""
-        engine = engine_kind()
+        engine = Engine()
         fired = []
         for start in range(8):
             engine.at(start, lambda start=start: fired.append(start))
@@ -626,7 +603,7 @@ class TestRowStorage:
     @pytest.mark.parametrize("lane", ["op", "callback"])
     def test_reset_refuses_pending_events(self, lane):
         """A reset must never orphan a pending row."""
-        engine = TableEngine()
+        engine = Engine()
         engine.set_handlers((lambda arg: None,))
         if lane == "op":
             engine.sched_op(5, K_OP_BASE, None)
@@ -638,7 +615,7 @@ class TestRowStorage:
         engine.reset()  # drained: now legal
 
     def test_reset_refuses_reentrant_call(self):
-        engine = TableEngine()
+        engine = Engine()
         errors = []
 
         def from_inside():
@@ -662,12 +639,14 @@ class TestRowStorage:
 
 
 # --------------------------------------------------------------------------- #
-# TableEngine: a drop-in Engine
+# Callables beside opcode rows
 # --------------------------------------------------------------------------- #
-class TestDropIn:
+class TestCallablesBesideRows:
     def test_object_primitives_run_unchanged(self):
-        """Server and CreditStore work on TableEngine exactly as on Engine."""
-        engine = TableEngine()
+        """Server and CreditStore run unchanged on an engine with an opcode
+        table registered."""
+        engine = Engine()
+        engine.set_handlers((lambda arg: None,))
         server = Server(engine, "s", capacity=1)
         store = CreditStore(engine, "c", initial=1)
         done = []
@@ -678,9 +657,6 @@ class TestDropIn:
         # second job is granted at t=5, queues behind the first (busy until
         # t=10) and serves 10 cycles
         assert done == [10, 20]
-
-    def test_uses_slots(self):
-        assert not hasattr(TableEngine(), "__dict__")
 
 
 # --------------------------------------------------------------------------- #
@@ -722,7 +698,7 @@ class TestBurstRows:
             record("_op_noc_burst", bursts)
             record("_op_burst_landed", folded)
             if per_chunk:
-                sched_op = TableEngine.sched_op
+                sched_op = Engine.sched_op
 
                 def expanded(engine, time, op, arg):
                     if op != OP_NOC_BURST:
@@ -732,7 +708,7 @@ class TestBurstRows:
                     for __ in range(k):
                         sched_op(engine, time, OP_NOC_START, base)
 
-                patch.setattr(TableEngine, "sched_op", expanded)
+                patch.setattr(Engine, "sched_op", expanded)
             result = simulator.run()
         return result, simulator.engine.events_processed, bursts, folded
 
@@ -802,6 +778,27 @@ class TestEngineAxis:
         workload = _chain(n_jobs=4)
         with pytest.raises(ValueError, match="unknown simulation engine"):
             simulate(ARCH64, workload, engine="compiled")
+        with pytest.raises(ValueError, match="unknown simulation engine"):
+            SystemSimulator(ARCH64, workload, engine="compiled")
+
+    @pytest.mark.parametrize(
+        "refusal", ["open-workload", "probe-too-short", "window-too-large"]
+    )
+    def test_unknown_engine_rejected_by_fast_forward(self, refusal):
+        """The fast-forward checks the engine before it refuses a workload
+        that it would refuse on a registered engine."""
+        workload = {
+            "open-workload": _chain(n_jobs=MIN_JOBS).with_arrivals(
+                range(0, 400 * MIN_JOBS, 400)
+            ),
+            "probe-too-short": _chain(n_jobs=MIN_JOBS - 1),
+            "window-too-large": _chain(
+                n_stages=2, n_jobs=MIN_JOBS, replication=MAX_WINDOW + 1
+            ),
+        }[refusal]
+        assert fast_forward_simulate(ARCH64, workload).reason == refusal
+        with pytest.raises(ValueError, match="unknown simulation engine"):
+            fast_forward_simulate(ARCH64, workload, engine="bogus")
 
     def test_retired_array_engine_rejected_by_simulate(self):
         with pytest.raises(ValueError, match="'array'"):

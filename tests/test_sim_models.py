@@ -1,16 +1,22 @@
 """Tests for the NoC, IMA and tracer models."""
 
+import dataclasses
+
 import pytest
 
-from repro.arch import ArchConfig, ClusterSpec
+from repro.arch import ArchConfig, ClusterSpec, HBMSpec
 from repro.sim import (
+    DataFlow,
     Engine,
     IMAJob,
     IMATimingModel,
     NocModel,
+    StageDescriptor,
+    SystemSimulator,
     Tracer,
-    TransferRequest,
+    Workload,
 )
+from repro.sim.system import SIMULATION_ENGINES
 
 
 class TestIMATiming:
@@ -72,10 +78,19 @@ class TestNocModel:
         arch = arch or ArchConfig.scaled(16)
         return engine, NocModel(engine, arch, model_contention=contention)
 
+    def _landing(self, src, dst, n_bytes, contention=True):
+        """The cycle at which one transfer on an idle NoC lands."""
+        engine, noc = self._noc(contention=contention)
+        done = []
+        noc.transfer_bytes(src, dst, n_bytes, lambda: done.append(engine.now))
+        engine.run()
+        (landed,) = done
+        return landed
+
     def test_local_transfer_is_free(self):
         engine, noc = self._noc()
         done = []
-        noc.transfer(TransferRequest(2, 2, 1024), lambda: done.append(engine.now))
+        noc.transfer_bytes(2, 2, 1024, lambda: done.append(engine.now))
         engine.run()
         assert done == [0]
         assert noc.tracer.local_bytes == 1024
@@ -83,7 +98,7 @@ class TestNocModel:
     def test_remote_transfer_latency_and_accounting(self):
         engine, noc = self._noc()
         done = []
-        noc.transfer(TransferRequest(0, 15, 6400), lambda: done.append(engine.now))
+        noc.transfer_bytes(0, 15, 6400, lambda: done.append(engine.now))
         engine.run()
         assert done and done[0] >= 100  # serialization + hops
         assert noc.tracer.noc_bytes == 6400
@@ -92,7 +107,7 @@ class TestNocModel:
     def test_hbm_transfer_uses_channel(self):
         engine, noc = self._noc()
         done = []
-        noc.transfer(TransferRequest(0, None, 4096), lambda: done.append(engine.now))
+        noc.transfer_bytes(0, None, 4096, lambda: done.append(engine.now))
         engine.run()
         assert done
         assert noc.tracer.hbm_bytes == 4096
@@ -103,37 +118,100 @@ class TestNocModel:
         times = []
         # Two transfers from different sources towards the same destination
         # cluster share the last link and must serialise on it.
-        noc.transfer(TransferRequest(0, 3, 64 * 1000), lambda: times.append(engine.now))
-        noc.transfer(TransferRequest(1, 3, 64 * 1000), lambda: times.append(engine.now))
+        noc.transfer_bytes(0, 3, 64 * 1000, lambda: times.append(engine.now))
+        noc.transfer_bytes(1, 3, 64 * 1000, lambda: times.append(engine.now))
         engine.run()
         assert len(times) == 2
         assert times[1] >= times[0] + 900
 
-    def test_no_contention_mode_is_zero_load(self):
-        engine, noc = self._noc(contention=False)
-        times = []
-        noc.transfer(TransferRequest(0, 3, 64 * 10), lambda: times.append(engine.now))
-        engine.run()
-        request = TransferRequest(0, 3, 64 * 10)
-        assert times[0] == noc.estimate_cycles(request)
+    @pytest.mark.parametrize("contention", [True, False], ids=["cont", "nocont"])
+    def test_on_chip_landing_is_zero_load(self, contention):
+        route = ArchConfig.scaled(16).topology().route(0, 3)
+        landed = self._landing(0, 3, 64 * 10, contention)
+        assert landed == route.zero_load_cycles(64 * 10)
 
-    def test_estimate_cycles_monotonic_in_size(self):
-        __, noc = self._noc()
-        small = noc.estimate_cycles(TransferRequest(0, 9, 64))
-        large = noc.estimate_cycles(TransferRequest(0, 9, 64 * 100))
-        assert large > small
+    def test_landing_grows_with_size(self):
+        assert self._landing(0, 9, 64 * 100) > self._landing(0, 9, 64)
 
-    def test_hbm_burst_cost_reflected_in_estimate(self):
-        __, noc = self._noc()
-        one_burst = noc.estimate_cycles(TransferRequest(None, 0, 1024))
-        four_bursts = noc.estimate_cycles(TransferRequest(None, 0, 4096))
+    def test_every_hbm_burst_pays_the_access_latency(self):
+        one_burst = self._landing(None, 0, 1024)
+        four_bursts = self._landing(None, 0, 4096)
         assert four_bursts > one_burst + 2 * 100
 
-    def test_invalid_request(self):
-        with pytest.raises(ValueError):
-            TransferRequest(None, None, 10)
-        with pytest.raises(ValueError):
-            TransferRequest(0, 1, -5)
+    def test_invalid_transfer(self):
+        __, noc = self._noc()
+        with pytest.raises(ValueError, match="on-chip endpoint"):
+            noc.transfer_bytes(None, None, 10, lambda: None)
+        with pytest.raises(ValueError, match="negative"):
+            noc.transfer_bytes(0, 1, -5, lambda: None)
+
+
+#: Table I's links and HBM on 64 clusters, and the same links with an HBM
+#: channel four times as wide and no access latency: its channel service is
+#: shorter than a burst's serialisation on the links.
+TABLE1_ARCH = ArchConfig.scaled(64)
+FAST_HBM_ARCH = dataclasses.replace(
+    TABLE1_ARCH, hbm=HBMSpec(access_latency_cycles=0, data_width_bytes=256)
+)
+
+
+def _one_transfer(kind, n_bytes):
+    """A one-job workload that moves ``n_bytes`` once, between endpoints of
+    ``kind``, and completes its last stage at the landing.  Every stage is
+    digital with no cost.  Returns the workload, the transfer's source and
+    destination (``None`` = HBM) and the id of the stage that completes."""
+
+    def stage(stage_id, cluster, inputs=(), outputs=()):
+        return StageDescriptor(
+            stage_id=stage_id, name=f"s{stage_id}", digital_clusters=(cluster,),
+            inputs=inputs, outputs=outputs,
+        )
+
+    if kind == "hbm->cluster":
+        stages = [stage(0, 5, inputs=(DataFlow("hbm", n_bytes, label="in"),))]
+        src, dst = None, 5
+    elif kind == "cluster->hbm":
+        stages = [stage(0, 5, outputs=(DataFlow("hbm", n_bytes, label="out"),))]
+        src, dst = 5, None
+    else:
+        dst = 5 if kind == "same-cluster" else 40
+        stages = [
+            stage(0, 5, outputs=(DataFlow("stage", n_bytes, stage_id=1),)),
+            stage(1, dst, inputs=(DataFlow("stage", n_bytes, stage_id=0),)),
+        ]
+        src = 5
+    workload = Workload(kind, stages, n_jobs=1, batch_size=1, tiles_per_image=1)
+    return workload, src, dst, stages[-1].stage_id
+
+
+class TestIsolatedTransfer:
+    """One transfer on an idle system lands at the same cycle with
+    contention on and off, on both kernels: contention off models the
+    links and HBM channels as idle, not as faster."""
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    @pytest.mark.parametrize(
+        "kind", ["cluster->cluster", "hbm->cluster", "cluster->hbm", "same-cluster"]
+    )
+    @pytest.mark.parametrize("arch", [TABLE1_ARCH, FAST_HBM_ARCH], ids=["table1", "fast-hbm"])
+    def test_contention_off_lands_with_contention_on(self, arch, kind, engine):
+        n_bytes = 4096
+        workload, src, dst, last = _one_transfer(kind, n_bytes)
+        landings = {}
+        for contention in (True, False):
+            result = SystemSimulator(arch, workload, contention, engine=engine).run()
+            (landings[contention],) = result.completion_trace(last)
+        # the burst enters the NoC when the source's DMA has pushed it out
+        entry = arch.cluster.dma_cycles(n_bytes) if src is not None else 0
+        if src == dst:
+            expected = entry  # an L1-to-L1 copy touches no link
+        else:
+            route = arch.topology().route_between(src, dst)
+            slowest = route.serialization_cycles(n_bytes)
+            if src is None or dst is None:
+                slowest = max(slowest, arch.hbm.service_cycles(n_bytes))
+            expected = entry + route.hop_latency_cycles + slowest
+        assert landings == {True: expected, False: expected}
 
 
 class TestTracer:

@@ -79,8 +79,23 @@ class TestWorkloadIR:
         assert stage.is_analog
         assert stage.clusters == (0, 1, 2, 3, 4)
         assert stage.io_cluster == 0
-        # analog 100/2 replicas = 50 > digital 40 -> limit 50
-        assert stage.throughput_limit_cycles() == 50
+
+    def test_credits_scale_with_parallelism(self):
+        stage = StageDescriptor(
+            stage_id=1,
+            name="conv",
+            analog_replicas=((0,), (1,), (2,)),
+            digital_clusters=(4, 5),
+            digital_slots=2,
+            cost=StageCost(analog_cycles_per_job=100),
+            inputs=(
+                DataFlow("stage", 10, stage_id=0),
+                DataFlow("hbm", 10, label="res", buffer_depth=4),
+            ),
+        )
+        # three replicas outnumber two digital slots; the residual input
+        # keeps its own depth
+        assert stage.credits(2) == ((6, 12), 6)
 
     def test_digital_groups(self):
         stage = StageDescriptor(
@@ -163,9 +178,8 @@ class TestWorkloadIR:
         with pytest.raises(ValueError):
             Workload("bad", [stage, stage], n_jobs=1, batch_size=1, tiles_per_image=1)
 
-    def test_bottleneck_stage(self):
+    def test_workload_totals(self):
         workload = _linear_workload()
-        assert workload.bottleneck_stage().stage_id in {0, 1, 2}
         assert workload.n_used_clusters == 3
         assert workload.total_ops >= 2 * workload.total_macs
 
