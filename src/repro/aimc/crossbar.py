@@ -33,12 +33,22 @@ own child and writes only its own arrays, so the bytes do not depend on
 the pool size or the schedule.  A :class:`TiledMatrix` spawns one child
 per tile group — row segments outer, column segments inner: interior,
 right edge, bottom edge, corner — plus a last one for the ADC noise, and
-programs the groups in that order.  A read-noise MVM reads the groups in
-the same order, each filling g+'s noise stream, then g-'s, tile by tile
-(see :mod:`repro.aimc.pcm`), and writes each group's weights straight into
-that group's view of one fresh C-contiguous dense operand.  Deterministic
-reads draw nothing.  ``tests/test_aimc_device_pin.py`` pins the resulting
-bytes and checks that a one-worker pool gives the same ones.
+programs the groups in that order.  A read-noise MVM is a read, then a
+multiply.  The read takes the groups in the same order, each filling g+'s
+noise stream, then g-'s, tile by tile (see :mod:`repro.aimc.pcm`), and
+writes each group's weights straight into that group's view of one
+C-contiguous dense operand.  The multiply (DAC, GEMM, IR drop, ADC) draws
+only the ADC noise.  Deterministic reads draw nothing.
+
+A forward of :class:`AnalogExecutor` draws its layers' noisy reads ahead,
+on a second pool of the same size that lives as long as the forward.  It
+reads the layers in the order the forward reaches them, each once, so
+every generator draws what it would draw inline, whatever the pool size.
+The forward's own thread allocates every operand and runs every multiply.
+Reads start at the first analog layer, so an input that the graph
+rejects draws nothing.  A forward that raises after that has still drawn
+every read it started.  ``tests/test_aimc_device_pin.py`` pins the
+resulting bytes and checks that a one-worker pool gives the same ones.
 
 :class:`AnalogExecutor` plugs the tiled analog MVM into the graph reference
 executor so a whole network can be evaluated through the crossbar model and
@@ -47,11 +57,12 @@ compared against its digital reference.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +82,12 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _pool_workers(n_layers: int) -> int:
+    """Threads of a pool that works on ``n_layers`` layers: one per CPU the
+    process may run on, never more than the layers, at least one."""
+    return max(1, min(_available_cpus(), n_layers))
 
 
 def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
@@ -412,7 +429,7 @@ class TiledMatrix:
         if self.backend == "reference":
             output = self._mvm_reference(batch)
         else:
-            output = self._mvm_vectorized(batch)
+            output = self._mvm_vectorized(batch, self._effective_dense())
         return output[0] if single else output
 
     def _mvm_reference(self, batch: np.ndarray) -> np.ndarray:
@@ -424,22 +441,25 @@ class TiledMatrix:
             output[:, coordinate.col_start : coordinate.col_stop] += partial
         return output
 
-    def _effective_dense(self) -> np.ndarray:
+    def _effective_dense(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Effective weights of every tile assembled into one dense matrix.
 
         A read-noise read draws fresh noise every time: each group's read
-        is written straight into its view of a new C-contiguous operand,
-        group by group, so the draws happen in group order.  Deterministic
-        reads come from the stacked arrays' device-state cache; this GEMM
-        layout is cached alongside it and rebuilt only when a stacked array
-        hands back a fresh tensor — reprogramming or a drift-time change —
-        which the identity of the returned arrays tracks exactly (the
-        cached sources are kept referenced, so ``is`` cannot alias recycled
-        objects).
+        is written straight into its view of ``out`` — a C-contiguous
+        float array of the matrix's shape, a new one when not given —
+        group by group, so the draws happen in group order.  It touches
+        nothing of this matrix but its stacked arrays, so it may run on
+        another thread than the multiply.  Deterministic reads ignore
+        ``out`` and come from the stacked arrays' device-state cache; this
+        GEMM layout is cached alongside it and rebuilt only when a stacked
+        array hands back a fresh tensor — reprogramming or a drift-time
+        change — which the identity of the returned arrays tracks exactly
+        (the cached sources are kept referenced, so ``is`` cannot alias
+        recycled objects).
         """
         noise = self.noise
         if not noise.deterministic_read:
-            dense = np.empty(self.weights_shape)
+            dense = np.empty(self.weights_shape) if out is None else out
             for group in self._groups:
                 group.array.effective_weights(
                     time_s=noise.drift_time_s,
@@ -462,8 +482,9 @@ class TiledMatrix:
         self._dense_src = stacks
         return dense
 
-    def _mvm_vectorized(self, batch: np.ndarray) -> np.ndarray:
-        """One batched GEMM per layer; converters applied once per batch.
+    def _mvm_vectorized(self, batch: np.ndarray, dense: np.ndarray) -> np.ndarray:
+        """One batched GEMM per layer against the read ``dense``; converters
+        applied once per batch.
 
         The broadcast-over-column-splits / reduce-over-row-splits einsum
         ``bir,ijrc->bjc`` collapses into ``batch @ dense`` once the shape
@@ -473,12 +494,54 @@ class TiledMatrix:
         noise = self.noise
         if noise.converter_quantization:
             batch = noise.dac.convert(batch)
-        output = batch @ self._effective_dense()
+        output = batch @ dense
         if noise.ir_drop_factor != 1.0:
             output *= noise.ir_drop_factor
         if noise.converter_quantization:
             output = noise.adc.convert(output, rng=self._rng)
         return output
+
+
+class _ReadAhead:
+    """The ``mvm_hook`` of one forward, reading the layers of ``order`` ahead.
+
+    ``order`` holds the node ids of the layers whose reads draw noise, in
+    the order the forward reaches them.  At the layer in position ``p``,
+    the hook first submits to ``pool`` every read up to position ``p +
+    depth`` not yet submitted.  It allocates each read's operand itself, on
+    the forward's thread: a worker thread that allocated would grow a
+    malloc arena of its own.  Then it waits for this layer's read and
+    multiplies.  The other layers read inline, in :meth:`TiledMatrix.mvm`.
+    """
+
+    def __init__(
+        self,
+        tiled: Dict[int, TiledMatrix],
+        order: List[int],
+        pool: futures.Executor,
+        depth: int,
+    ):
+        self._tiled = tiled
+        self._order = order
+        self._position = {node_id: position for position, node_id in enumerate(order)}
+        self._pool = pool
+        self._depth = depth
+        self._reads: Dict[int, futures.Future] = {}
+        self._submitted = 0
+
+    def mvm(self, node: Node, inputs: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray:
+        tiled = self._tiled[node.node_id]
+        position = self._position.get(node.node_id)
+        if position is None:
+            return tiled.mvm(inputs)
+        while self._submitted < min(position + self._depth + 1, len(self._order)):
+            node_id = self._order[self._submitted]
+            ahead = self._tiled[node_id]
+            self._reads[node_id] = self._pool.submit(
+                ahead._effective_dense, np.empty(ahead.weights_shape)
+            )
+            self._submitted += 1
+        return tiled._mvm_vectorized(inputs, self._reads.pop(node.node_id).result())
 
 
 class AnalogExecutor:
@@ -487,10 +550,25 @@ class AnalogExecutor:
     ``backend`` selects the tiled execution engine (see :class:`TiledMatrix`);
     layer seeds are spawned from one :class:`numpy.random.SeedSequence` so
     every layer — and every tile within a layer — draws from an independent
-    stream.  The layers are programmed concurrently, on a thread pool as
-    large as the number of CPUs the process may run on (never more than
-    the number of layers): numpy's generator fills and large array loops
-    release the interpreter lock.
+    stream.  Two kinds of work run on thread pools as large as the number
+    of CPUs the process may run on (never more than the number of layers);
+    numpy's generator fills and large array loops release the interpreter
+    lock:
+
+    * the constructor programs the layers concurrently;
+    * on the vectorized backend with read noise, each forward (:meth:`run`,
+      :meth:`run_output`) opens its own pool and draws the layers' noisy
+      reads on it, in the order the forward reaches them, at most as many
+      layers ahead of the layer being computed as the pool has threads.
+      The forward's own thread allocates each read's C-contiguous operand
+      and runs the DAC, GEMM, IR drop and ADC.  Reads start at the first
+      analog layer, so an input the graph rejects draws nothing; a forward
+      that raises after that has already drawn every read it started.
+
+    Elsewhere (the reference backend, deterministic reads) each layer
+    reads inline, in its MVM.  The graph executor of a forward lives only
+    as long as the forward, so no reference cycle holds the conductances
+    once the last reference to this executor is gone.
     """
 
     def __init__(
@@ -535,16 +613,12 @@ class AnalogExecutor:
 
         # Each layer draws only from its own seed's generators and writes
         # only its own arrays, so the bytes do not depend on the schedule.
-        workers = max(1, min(_available_cpus(), len(layers)))
-        with futures.ThreadPoolExecutor(workers) as pool:
+        with futures.ThreadPoolExecutor(_pool_workers(len(layers))) as pool:
             programmed = [pool.submit(program, *layer) for layer in layers]
             self._tiled: Dict[int, TiledMatrix] = {
                 node_id: future.result()
                 for (node_id, _), future in zip(layers, programmed)
             }
-        self._executor = ReferenceExecutor(
-            graph, parameters=self.parameters, mvm_hook=self._mvm_hook
-        )
         self._reference_executor: Optional[ReferenceExecutor] = None
         self._reference_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -553,19 +627,32 @@ class AnalogExecutor:
         """Total crossbars instantiated for the network."""
         return sum(tiled.n_crossbars for tiled in self._tiled.values())
 
-    def _mvm_hook(self, node: Node, inputs: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray:
-        tiled = self._tiled.get(node.node_id)
-        if tiled is None:
-            return inputs @ weight_matrix
-        return tiled.mvm(inputs)
-
     def run(self, input_tensor: np.ndarray) -> Dict[int, np.ndarray]:
         """Run the graph through the analog model; outputs keyed by node id."""
-        return self._executor.run(input_tensor)
+        with self._forward() as executor:
+            return executor.run(input_tensor)
 
     def run_output(self, input_tensor: np.ndarray) -> np.ndarray:
         """Run the graph and return the output node's tensor."""
-        return self._executor.run_output(input_tensor)
+        with self._forward() as executor:
+            return executor.run_output(input_tensor)
+
+    @contextlib.contextmanager
+    def _forward(self) -> Iterator[ReferenceExecutor]:
+        """A graph executor for one forward, with its read pool open."""
+        order: List[int] = []
+        if self.backend == "vectorized" and not self.noise.deterministic_read:
+            order = [
+                node.node_id
+                for node in self.graph.topological_order()
+                if node.node_id in self._tiled
+            ]
+        workers = _pool_workers(len(order))
+        with futures.ThreadPoolExecutor(workers) as pool:
+            reads = _ReadAhead(self._tiled, order, pool, depth=workers)
+            yield ReferenceExecutor(
+                self.graph, parameters=self.parameters, mvm_hook=reads.mvm
+            )
 
     def compare_with_reference(self, input_tensor: np.ndarray) -> float:
         """RMS error of the analog output against the digital reference.

@@ -241,11 +241,23 @@ class ReferenceExecutor:
         return outputs
 
     def run_output(self, input_tensor: np.ndarray) -> np.ndarray:
-        """Run the graph and return the (single) output node's tensor."""
-        outputs = self.run(input_tensor)
+        """Run the graph and return the (single) output node's tensor.
+
+        A graph without exactly one output is rejected before any node
+        runs.  Each intermediate tensor is dropped after its last reader,
+        so the forward holds only the tensors still to be read.
+        """
         output_nodes = self.graph.output_nodes
         if len(output_nodes) != 1:
             raise GraphError("run_output requires a graph with exactly one output")
+        order = self.graph.topological_order()
+        last_reader = {src: node.node_id for node in order for src in node.inputs}
+        outputs: Dict[int, np.ndarray] = {}
+        for node in order:
+            outputs[node.node_id] = self._run_node(node, outputs, input_tensor)
+            for src in set(node.inputs):
+                if last_reader[src] == node.node_id:
+                    del outputs[src]
         return outputs[output_nodes[0].node_id]
 
     # ------------------------------------------------------------------ #

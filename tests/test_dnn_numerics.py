@@ -13,8 +13,9 @@ from repro.dnn import (
     models,
     random_input,
 )
+from repro.dnn.graph import GraphError
 from repro.dnn.numerics import avgpool2d_reference, linear_reference, maxpool2d_reference
-from repro.dnn.layers import AvgPool2D, Linear
+from repro.dnn.layers import AvgPool2D, Linear, ReLU
 
 
 def _maxpool_oracle(ifm, kernel, stride, padding):
@@ -139,6 +140,43 @@ class TestReferenceExecutor:
         executor.run_output(random_input(tiny_graph, seed=1))
         analog_ids = {node.node_id for node in tiny_graph.analog_nodes()}
         assert analog_ids.issubset(set(calls))
+
+    def test_run_output_rejects_two_outputs_before_running(self):
+        graph = models.tiny_cnn(input_shape=(3, 32, 32), num_classes=10)
+        head = graph.output_nodes[0]
+        graph.add(ReLU(name="head2"), inputs=[head.inputs[0]])
+        calls = []
+
+        def hook(node, inputs, weights):
+            calls.append(node.node_id)
+            return inputs @ weights
+
+        executor = ReferenceExecutor(graph, seed=0, mvm_hook=hook)
+        with pytest.raises(GraphError, match="exactly one output"):
+            executor.run_output(random_input(graph, seed=1))
+        assert calls == []
+
+    def test_run_output_holds_only_tensors_still_to_be_read(self, monkeypatch):
+        graph = models.resnet18(input_shape=(3, 32, 32), num_classes=10)
+        order = graph.topological_order()
+        held = []
+        run_node = ReferenceExecutor._run_node
+
+        def recording(self, node, outputs, input_tensor):
+            held.append(set(outputs))
+            return run_node(self, node, outputs, input_tensor)
+
+        monkeypatch.setattr(ReferenceExecutor, "_run_node", recording)
+        image = random_input(graph, seed=1)
+        output = ReferenceExecutor(graph, seed=0).run_output(image)
+        assert len(held) == len(order)
+        for position, node_ids in enumerate(held):
+            done = {node.node_id for node in order[:position]}
+            still_read = {src for node in order[position:] for src in node.inputs}
+            assert node_ids == done & still_read
+        monkeypatch.undo()
+        outputs = ReferenceExecutor(graph, seed=0).run(image)
+        assert np.array_equal(output, outputs[graph.output_nodes[0].node_id])
 
     def test_mobilenet_depthwise_runs(self):
         graph = models.mobilenet_v2(input_shape=(3, 32, 32), num_classes=10)
