@@ -56,6 +56,17 @@ def _uniform_quantize(
     return np.where(live, codes, 0.0)
 
 
+def _peak(values: np.ndarray) -> float:
+    """``max(abs(values))``, the converters' default full scale, without a
+    temporary as large as ``values``.
+
+    The same bits for every input, NaN, infinities and signed zeros
+    included: the outer ``abs`` clears the sign that ``-values.min()`` can
+    leave on a zero or a NaN, as the elementwise ``abs`` did.
+    """
+    return abs(float(np.maximum(values.max(), -values.min())))
+
+
 @dataclass(frozen=True)
 class DACSpec:
     """Uniform digital-to-analog converter."""
@@ -83,7 +94,7 @@ class DACSpec:
         if values.size == 0:
             return values
         if full_scale is None:
-            full_scale = float(np.max(np.abs(values)))
+            full_scale = _peak(values)
         return _uniform_quantize(values, full_scale, self.n_levels)
 
 
@@ -117,7 +128,7 @@ class ADCSpec:
         if values.size == 0:
             return values
         if full_scale is None:
-            full_scale = float(np.max(np.abs(values)))
+            full_scale = _peak(values)
         if self.noise_frac > 0:
             generator = rng if rng is not None else np.random.default_rng()
             values = values + generator.normal(0.0, 1.0, size=values.shape) * (

@@ -28,7 +28,13 @@ vectorized engine quantises per layer batch, the reference per tile).
 Random-draw contract of the vectorized backend.  :class:`AnalogExecutor`
 spawns one ``SeedSequence`` child per analog node, in graph order, and
 programs the layers concurrently on a thread pool, one thread per CPU the
-process may run on.  Each layer draws only from generators seeded by its
+process may run on.  When it draws the parameters itself, it draws them
+on its own thread, one layer after another from the one generator of
+:func:`~repro.dnn.numerics.draw_parameters`, and queues each layer's
+programming as soon as that layer is drawn.  The constructor returns once
+every layer is drawn and queued; the first use of a crossbar waits for
+all of them, joins the pool's threads and re-raises the first
+programming error.  Each layer draws only from generators seeded by its
 own child and writes only its own arrays, so the bytes do not depend on
 the pool size or the schedule.  A :class:`TiledMatrix` spawns one child
 per tile group — row segments outer, column segments inner: interior,
@@ -67,7 +73,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..dnn.graph import Graph, Node
-from ..dnn.numerics import LayerParameters, ReferenceExecutor, initialize_parameters
+from ..dnn.numerics import LayerParameters, ReferenceExecutor, draw_parameters
 from .noise import NoiseModel
 from .pcm import PCMArray, SeedLike, StackedPCMArray
 
@@ -555,7 +561,19 @@ class AnalogExecutor:
     numpy's generator fills and large array loops release the interpreter
     lock:
 
-    * the constructor programs the layers concurrently;
+    * the constructor programs the layers concurrently.  When it is not
+      handed ``parameters``, it draws them itself, layer by layer in graph
+      order (:func:`~repro.dnn.numerics.draw_parameters`, the bytes of
+      :func:`~repro.dnn.numerics.initialize_parameters`), and queues each
+      layer's programming as soon as that layer is drawn.  It returns once
+      every layer is drawn and queued, so programming goes on while the
+      caller works, e.g. runs the digital reference on
+      :attr:`parameters`.  The first call that needs a crossbar
+      (:meth:`run`, :meth:`run_output`, :attr:`total_crossbars`,
+      :meth:`compare_with_reference`) waits for every layer and joins the
+      programming threads, so none outlives it; if a layer's programming
+      raised, that call and every later one re-raises the first such
+      error, in graph order;
     * on the vectorized backend with read noise, each forward (:meth:`run`,
       :meth:`run_output`) opens its own pool and draws the layers' noisy
       reads on it, in the order the forward reaches them, at most as many
@@ -587,40 +605,69 @@ class AnalogExecutor:
         self.graph = graph
         self.noise = noise if noise is not None else NoiseModel.typical()
         self.backend = backend
-        self.parameters = (
-            parameters if parameters is not None else initialize_parameters(graph, seed)
-        )
         self.crossbar_rows = crossbar_rows
         self.crossbar_cols = crossbar_cols
         analog_nodes = graph.analog_nodes()
         layer_seeds = np.random.SeedSequence(seed).spawn(len(analog_nodes))
         # depthwise layers fall back to the digital reference
-        layers = [
-            (node.node_id, layer_seed)
+        seeds = {
+            node.node_id: layer_seed
             for node, layer_seed in zip(analog_nodes, layer_seeds)
             if getattr(node.layer, "groups", 1) == 1
-        ]
-
-        def program(node_id: int, layer_seed: np.random.SeedSequence) -> TiledMatrix:
-            return TiledMatrix(
-                self.parameters[node_id].weight_matrix,
-                crossbar_rows=crossbar_rows,
-                crossbar_cols=crossbar_cols,
-                noise=self.noise,
-                seed=layer_seed,
-                backend=backend,
-            )
-
+        }
+        if parameters is None:
+            self.parameters: Dict[int, LayerParameters] = {}
+            drawn = draw_parameters(graph, seed)
+        else:
+            self.parameters = parameters
+            drawn = ((node_id, parameters[node_id]) for node_id in seeds)
         # Each layer draws only from its own seed's generators and writes
         # only its own arrays, so the bytes do not depend on the schedule.
-        with futures.ThreadPoolExecutor(_pool_workers(len(layers))) as pool:
-            programmed = [pool.submit(program, *layer) for layer in layers]
-            self._tiled: Dict[int, TiledMatrix] = {
-                node_id: future.result()
-                for (node_id, _), future in zip(layers, programmed)
-            }
+        # A layer is queued as soon as it is drawn, so programming overlaps
+        # the rest of the draw and whatever the caller does next.
+        pool = futures.ThreadPoolExecutor(_pool_workers(len(seeds)))
+        programming: Dict[int, futures.Future] = {}
+        try:
+            for node_id, layer in drawn:
+                # fills a drawn table; a given one holds the layer already
+                self.parameters.setdefault(node_id, layer)
+                if node_id in seeds:
+                    programming[node_id] = pool.submit(
+                        TiledMatrix,
+                        layer.weight_matrix,
+                        crossbar_rows=crossbar_rows,
+                        crossbar_cols=crossbar_cols,
+                        noise=self.noise,
+                        seed=seeds[node_id],
+                        backend=backend,
+                    )
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        pool.shutdown(wait=False)
+        self._programming: Optional[
+            Tuple[futures.ThreadPoolExecutor, Dict[int, futures.Future]]
+        ] = (pool, programming)
+        self._programmed: Dict[int, TiledMatrix] = {}
         self._reference_executor: Optional[ReferenceExecutor] = None
         self._reference_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def _tiled(self) -> Dict[int, TiledMatrix]:
+        """Every programmed layer, in graph order.
+
+        Until programming has succeeded, each access waits for every layer,
+        joins the programming threads and then re-raises the first error in
+        graph order, if any.
+        """
+        if self._programming is not None:
+            pool, programming = self._programming
+            pool.shutdown()
+            self._programmed = {
+                node_id: future.result() for node_id, future in programming.items()
+            }
+            self._programming = None
+        return self._programmed
 
     @property
     def total_crossbars(self) -> int:
@@ -640,16 +687,17 @@ class AnalogExecutor:
     @contextlib.contextmanager
     def _forward(self) -> Iterator[ReferenceExecutor]:
         """A graph executor for one forward, with its read pool open."""
+        tiled = self._tiled
         order: List[int] = []
         if self.backend == "vectorized" and not self.noise.deterministic_read:
             order = [
                 node.node_id
                 for node in self.graph.topological_order()
-                if node.node_id in self._tiled
+                if node.node_id in tiled
             ]
         workers = _pool_workers(len(order))
         with futures.ThreadPoolExecutor(workers) as pool:
-            reads = _ReadAhead(self._tiled, order, pool, depth=workers)
+            reads = _ReadAhead(tiled, order, pool, depth=workers)
             yield ReferenceExecutor(
                 self.graph, parameters=self.parameters, mvm_hook=reads.mvm
             )

@@ -17,7 +17,7 @@ performance, not accuracy, so random weights preserve everything relevant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -174,11 +174,17 @@ class LayerParameters:
         return self.weights.T  # linear (out, in) -> (in, out)
 
 
-def initialize_parameters(graph: Graph, seed: int = 0) -> Dict[int, LayerParameters]:
-    """Generate deterministic random parameters for every analog node."""
+def draw_parameters(graph: Graph, seed: int = 0) -> Iterator[Tuple[int, LayerParameters]]:
+    """Draw every analog node's parameters, one node at a time.
+
+    Yields ``(node_id, LayerParameters)`` in ``graph.analog_nodes()``
+    order, all from the one ``np.random.default_rng(seed)``: a layer's
+    draws follow the previous layer's in that generator's stream, so a
+    consumer may act on each layer as it arrives (the analog executor
+    programs it) while the bytes stay those of one sequential draw.
+    """
     graph.ensure_shapes()
     rng = np.random.default_rng(seed)
-    params: Dict[int, LayerParameters] = {}
     for node in graph.analog_nodes():
         layer = node.layer
         if isinstance(layer, Conv2D):
@@ -198,8 +204,13 @@ def initialize_parameters(graph: Graph, seed: int = 0) -> Dict[int, LayerParamet
             bias = rng.normal(0.0, 0.01, size=layer.out_features) if layer.bias else None
         else:  # pragma: no cover - no other analog layer kinds exist
             continue
-        params[node.node_id] = LayerParameters(weights=weights, bias=bias)
-    return params
+        yield node.node_id, LayerParameters(weights=weights, bias=bias)
+
+
+def initialize_parameters(graph: Graph, seed: int = 0) -> Dict[int, LayerParameters]:
+    """Generate deterministic random parameters for every analog node: the
+    dict of :func:`draw_parameters`, keyed by node id in graph order."""
+    return dict(draw_parameters(graph, seed))
 
 
 # --------------------------------------------------------------------------- #

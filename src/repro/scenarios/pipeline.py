@@ -501,20 +501,19 @@ def accuracy_stage(
             )
             total_crossbars = 0
         else:
-            # one parameter draw serves the digital reference (on a cache
-            # miss) and the analog executor
-            parameters = initialize_parameters(graph, seed=execution.seed)
-            references = reference_output_stage(
-                graph, execution, cache, parameters=parameters
-            )
+            # the executor draws the parameters and returns while its pool
+            # programs them; its one draw serves the digital reference (on
+            # a cache miss), which runs meanwhile
             executor = AnalogExecutor(
                 graph,
-                parameters=parameters,
                 noise=execution.noise_model,
                 crossbar_rows=crossbar_size,
                 crossbar_cols=crossbar_size,
                 seed=execution.seed,
                 backend=execution.backend,
+            )
+            references = reference_output_stage(
+                graph, execution, cache, parameters=executor.parameters
             )
             total_crossbars = executor.total_crossbars
         squared_error = 0.0

@@ -48,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -164,8 +165,15 @@ class ExecutionSpec:
         for bits, name in ((self.dac_bits, "dac_bits"), (self.adc_bits, "adc_bits")):
             if bits is not None and not 2 <= bits <= 16:
                 raise SpecError(f"{name} must be in 2..16 when given, got {bits}")
+        for name in ("seed", "n_inputs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise SpecError(f"seed must be non-negative, got {self.seed}")
         if self.n_inputs <= 0:
-            raise SpecError("n_inputs must be positive")
+            raise SpecError(f"n_inputs must be positive, got {self.n_inputs}")
         try:
             self.noise_model  # resolve once so bad specs fail at load time
         except (TypeError, ValueError) as error:

@@ -7,6 +7,8 @@ the full mapping study) are session-scoped so the suite stays fast.
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -33,6 +35,41 @@ def _isolated_artifact_store(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
+
+
+#: how long a test's thread-pool workers get to finish after it returns
+POOL_THREAD_GRACE_S = 5.0
+
+
+@pytest.fixture(autouse=True)
+def _no_pool_thread_outlives_the_test():
+    """Fail a test that leaves a ``ThreadPoolExecutor`` worker running.
+
+    A pool that is never shut down keeps its workers waiting for work for
+    as long as it is referenced, and nothing else in a passing test would
+    show it; a parallel sweep that forks then forks a threaded process.
+    Workers of a pool shut down without waiting get a few seconds to
+    finish their work first.  Only workers started during the test count,
+    so one leak fails one test.
+    """
+
+    def workers():
+        return {
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("ThreadPoolExecutor-")
+        }
+
+    before = workers()
+    yield
+    deadline = time.monotonic() + POOL_THREAD_GRACE_S
+    alive = []
+    for thread in workers() - before:
+        thread.join(max(0.0, deadline - time.monotonic()))
+        if thread.is_alive():
+            alive.append(thread.name)
+    if alive:
+        pytest.fail(f"thread-pool workers outlive the test: {', '.join(sorted(alive))}")
 
 
 @pytest.fixture(scope="session")

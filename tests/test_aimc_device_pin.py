@@ -9,8 +9,10 @@ with tolerances, so these pins are what catches a change to the order of
 the random draws or to the per-element operation sequence.
 
 :class:`AnalogExecutor` programs its layers on a pool of one thread per
-CPU the process may run on; the last test requires the same bytes from a
-one-worker pool and from the default one.
+CPU the process may run on; the last tests require the same bytes from a
+one-worker pool and from the default one, and from an executor that
+draws its own parameters, programming each layer as it is drawn, and one
+handed those parameters.
 """
 
 import hashlib
@@ -134,3 +136,36 @@ def test_executor_bytes_do_not_depend_on_the_pool_size(preset, monkeypatch):
         assert digest(tiled._effective_dense()) == digest(other._effective_dense())
     image = random_input(graph, seed=1)
     assert digest(serial.run_output(image)) == digest(pooled.run_output(image))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_an_executor_that_draws_its_parameters_gives_the_same_bytes(
+    workers, monkeypatch
+):
+    """Drawn by the executor, layer by layer while the pool programs the
+    layers already drawn, the parameters are ``initialize_parameters``'
+    bytes, and the executor programs, reads and outputs what one handed
+    those parameters does."""
+    graph = models.resnet18(input_shape=(3, 32, 32), num_classes=10)
+    noise = NOISE_PRESETS["typical"]()
+    monkeypatch.setattr(crossbar, "_available_cpus", lambda: workers)
+    drawn = AnalogExecutor(graph, noise=noise, seed=5)
+    parameters = initialize_parameters(graph, seed=5)
+    given = AnalogExecutor(graph, parameters=parameters, noise=noise, seed=5)
+    assert list(drawn.parameters) == list(parameters)
+    for node_id, layer in parameters.items():
+        other = drawn.parameters[node_id]
+        assert digest(other.weights) == digest(layer.weights)
+        assert (other.bias is None) == (layer.bias is None)
+        if layer.bias is not None:
+            assert digest(other.bias) == digest(layer.bias)
+    assert list(drawn._tiled) == list(given._tiled)
+    assert len(drawn._tiled) == 18
+    for node_id, tiled in given._tiled.items():
+        other = drawn._tiled[node_id]
+        for group, other_group in zip(tiled._groups, other._groups, strict=True):
+            assert digest(group.array._g_plus) == digest(other_group.array._g_plus)
+            assert digest(group.array._g_minus) == digest(other_group.array._g_minus)
+        assert digest(tiled._effective_dense()) == digest(other._effective_dense())
+    image = random_input(graph, seed=1)
+    assert digest(drawn.run_output(image)) == digest(given.run_output(image))

@@ -7,6 +7,11 @@ equal those of the sequential oracle kept here: matrices programmed one
 after another, run by a plain :class:`ReferenceExecutor` whose hook calls
 :meth:`TiledMatrix.mvm`, which reads inline.  Comparing bytes across
 forwards also checks the draws the reads leave behind.
+
+The constructor returns while the layers program; the tests at the end
+hold programming back, make it fail, and check that the accuracy stage,
+which runs the digital reference meanwhile, gives the record of the same
+steps run one after another.
 """
 
 import gc
@@ -19,10 +24,11 @@ import pytest
 
 from repro.aimc import NOISE_PRESETS, AnalogExecutor, TiledMatrix
 from repro.aimc import crossbar
-from repro.dnn import initialize_parameters, models, random_input
+from repro.dnn import initialize_parameters, models, numerics, random_input
 from repro.dnn.graph import GraphError
 from repro.dnn.layers import ReLU
 from repro.dnn.numerics import ReferenceExecutor
+from repro.scenarios import AccuracyRecord, ExecutionSpec, accuracy_stage
 
 SEED = 3
 
@@ -193,3 +199,139 @@ def test_a_finished_executor_is_freed_by_reference_counting():
         assert alive() is None
     finally:
         gc.enable()
+
+
+#: how long a gated layer waits before the test gives up on the gate
+GATE_TIMEOUT_S = 5.0
+
+
+def pool_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("ThreadPoolExecutor-")
+    }
+
+
+def test_the_constructor_returns_while_the_layers_program(resnet, monkeypatch):
+    """Programming is held on a gate: the constructor must return with the
+    gate closed (a constructor that waited times the gate out), and the
+    first forward after the gate opens gives the ungated bytes."""
+    graph, _, images = resnet
+    noise = NOISE_PRESETS["typical"]()
+    expected = AnalogExecutor(graph, noise=noise, seed=SEED).run_output(images[0])
+    gate = threading.Event()
+    program = TiledMatrix.__init__
+
+    def gated(self, *args, **kwargs):
+        if not gate.wait(GATE_TIMEOUT_S):
+            gate.set()  # time out once, not once per layer
+            raise TimeoutError("the constructor waited for programming")
+        program(self, *args, **kwargs)
+
+    monkeypatch.setattr(TiledMatrix, "__init__", gated)
+    executor = AnalogExecutor(graph, noise=noise, seed=SEED)
+    returned_with_the_gate_closed = not gate.is_set()
+    gate.set()
+    assert returned_with_the_gate_closed
+    assert executor.run_output(images[0]).tobytes() == expected.tobytes()
+
+
+class BrokenLayer(RuntimeError):
+    """Raised by the one layer whose programming the test breaks."""
+
+
+@pytest.mark.parametrize("drawn", [False, True])
+def test_a_programming_error_is_raised_at_first_use(resnet, monkeypatch, drawn):
+    """The constructor returns; the first forward and every later use
+    re-raise the layer's error with its type, and no programming thread
+    outlives the first use."""
+    graph, parameters, images = resnet
+    broken = graph.analog_nodes()[7].node_id
+    if drawn:
+        parameters = initialize_parameters(graph, seed=SEED)
+    target = parameters[broken].weight_matrix
+    program = TiledMatrix.__init__
+
+    def breaks_one_layer(self, weights, *args, **kwargs):
+        if weights.shape == target.shape and np.array_equal(weights, target):
+            raise BrokenLayer(f"layer {broken}")
+        program(self, weights, *args, **kwargs)
+
+    monkeypatch.setattr(TiledMatrix, "__init__", breaks_one_layer)
+    before = pool_threads()
+    noise = NOISE_PRESETS["typical"]()
+    executor = AnalogExecutor(
+        graph, parameters=None if drawn else parameters, noise=noise, seed=SEED
+    )
+    with pytest.raises(BrokenLayer, match=f"layer {broken}") as first:
+        executor.run_output(images[0])
+    assert type(first.value) is BrokenLayer
+    assert not pool_threads() - before
+    with pytest.raises(BrokenLayer, match=f"layer {broken}"):
+        executor.total_crossbars
+    with pytest.raises(BrokenLayer, match=f"layer {broken}"):
+        executor.compare_with_reference(images[0])
+    assert not pool_threads() - before
+
+
+def sequential_record(graph, execution, crossbar_size):
+    """The accuracy stage's record computed one step after another: one
+    parameter draw, the digital reference forward, then an executor
+    handed that draw, programmed before it returns its first output."""
+    parameters = initialize_parameters(graph, seed=execution.seed)
+    images = [
+        random_input(graph, seed=np.random.SeedSequence((execution.seed, index)))
+        for index in range(execution.n_inputs)
+    ]
+    reference = ReferenceExecutor(graph, parameters=parameters)
+    references = [reference.run_output(image) for image in images]
+    executor = AnalogExecutor(
+        graph,
+        parameters=parameters,
+        noise=execution.noise_model,
+        crossbar_rows=crossbar_size,
+        crossbar_cols=crossbar_size,
+        seed=execution.seed,
+        backend=execution.backend,
+    )
+    outputs = [executor.run_output(image) for image in images]
+    squared_error = squared_reference = 0.0
+    n_values = agreements = 0
+    for output, expected in zip(outputs, references):
+        squared_error += float(np.sum((output - expected) ** 2))
+        squared_reference += float(np.sum(expected**2))
+        n_values += expected.size
+        agreements += int(np.argmax(output)) == int(np.argmax(expected))
+    return AccuracyRecord(
+        backend=execution.backend,
+        noise_label=execution.noise_label,
+        crossbar_size=crossbar_size,
+        n_inputs=execution.n_inputs,
+        total_crossbars=executor.total_crossbars,
+        rms_error=float(np.sqrt(squared_error / n_values)),
+        reference_rms=float(np.sqrt(squared_reference / n_values)),
+        top1_agreement=agreements / execution.n_inputs,
+    )
+
+
+@pytest.mark.parametrize("preset", ["typical", "drift"])
+@pytest.mark.parametrize("model", ["tiny_cnn", "resnet18"])
+def test_the_accuracy_stage_draws_once_and_keeps_the_sequential_record(
+    model, preset, monkeypatch
+):
+    graph = getattr(models, model)(input_shape=(3, 32, 32), num_classes=10)
+    execution = ExecutionSpec(noise=preset, seed=SEED, n_inputs=2)
+    expected = sequential_record(graph, execution, crossbar_size=128)
+    draws = []
+    real_draw = numerics.draw_parameters
+
+    def counted(graph, seed=0):
+        draws.append(seed)
+        return real_draw(graph, seed)
+
+    monkeypatch.setattr(numerics, "draw_parameters", counted)
+    monkeypatch.setattr(crossbar, "draw_parameters", counted)
+    record = accuracy_stage(graph, execution, crossbar_size=128)
+    assert draws == [SEED]
+    assert record == expected

@@ -1,12 +1,15 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.arch import HBMSpec, IMASpec, InterconnectSpec, QuadrantTopology
+from repro.aimc.adc_dac import _peak
 from repro.aimc import (
     ADCSpec,
     Crossbar,
@@ -123,6 +126,41 @@ def test_converter_error_bounded_by_half_step(bits, values):
         out = converter.convert(tensor)
         step = peak / ((converter.n_levels - 1) // 2)
         assert np.all(np.abs(out - tensor) <= step / 2 + 1e-9)
+
+
+def _peak_via_abs(values: np.ndarray) -> float:
+    """The converters' former default full scale, with its ``abs`` temporary."""
+    return float(np.max(np.abs(values)))
+
+
+@given(
+    values=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=24),
+        elements=st.floats(),
+    ),
+)
+@example(values=np.zeros(5))
+@example(values=np.array([-0.0]))
+@example(values=np.array([-0.0, 0.0, -0.0]))
+@example(values=np.array([[np.inf, -1.0], [2.0, 3.0]]))
+@example(values=np.array([-np.inf, 1.0]))
+@example(values=np.array([1.0, np.nan, -2.0]))
+@example(values=np.array([1.0, -np.nan]))
+@example(values=np.full(40, np.nan))
+@settings(max_examples=200, deadline=None)
+def test_converter_full_scale_keeps_its_bits(values):
+    """``max(x.max(), -x.min())`` gives the bits of ``max(abs(x))`` and so
+    the same conversions, NaN, infinities and signed zeros included."""
+    expected = _peak_via_abs(values)
+    assert struct.pack("<d", _peak(values)) == struct.pack("<d", expected)
+    dac = DACSpec(bits=6)
+    with np.errstate(all="ignore"):  # infinities and NaN warn as they pass
+        assert dac.convert(values).tobytes() == dac.convert(values, expected).tobytes()
+        for adc in (ADCSpec(bits=8), ADCSpec(bits=8, noise_frac=0.05)):
+            new = adc.convert(values, rng=np.random.default_rng(1))
+            old = adc.convert(values, expected, rng=np.random.default_rng(1))
+            assert new.tobytes() == old.tobytes()
 
 
 @given(

@@ -92,6 +92,23 @@ class TestExecutionSpec:
             ExecutionSpec(adc_bits=1)
         with pytest.raises(SpecError, match="n_inputs"):
             ExecutionSpec(n_inputs=0)
+        # seeds and input counts that numpy or range() would reject (or, for
+        # a bool, quietly read as 0 or 1) fail here, naming field and value
+        with pytest.raises(SpecError, match=r"seed must be non-negative, got -1"):
+            ExecutionSpec(seed=-1)
+        for bad in (1.5, "3", True, None):
+            with pytest.raises(SpecError, match=rf"seed must be an integer, got {bad!r}"):
+                ExecutionSpec(seed=bad)
+        for bad in (1.5, "3", True):
+            with pytest.raises(
+                SpecError, match=rf"n_inputs must be an integer, got {bad!r}"
+            ):
+                ExecutionSpec(n_inputs=bad)
+        with pytest.raises(SpecError, match=r"n_inputs must be positive, got -2"):
+            ExecutionSpec(n_inputs=-2)
+        spec = ExecutionSpec(seed=np.int64(3), n_inputs=np.int32(2))
+        assert type(spec.seed) is int and type(spec.n_inputs) is int
+        assert spec == ExecutionSpec(seed=3, n_inputs=2)
         with pytest.raises(SpecError, match="unknown noise field"):
             ExecutionSpec(noise={"amplitude": 3.0})
         # bad resolved values also fail at spec time, not mid-sweep
