@@ -15,6 +15,7 @@ values for per-tile (or per-row) ranges.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -67,6 +68,14 @@ def _peak(values: np.ndarray) -> float:
     return abs(float(np.maximum(values.max(), -values.min())))
 
 
+def _check_bits(converter: str, bits: object) -> None:
+    """Reject a converter resolution that is not an integer in 2..16."""
+    if isinstance(bits, bool) or not isinstance(bits, numbers.Integral):
+        raise ValueError(f"{converter} bits must be an integer, got {bits!r}")
+    if not 2 <= bits <= 16:
+        raise ValueError(f"{converter} bits must be in 2..16, got {bits}")
+
+
 @dataclass(frozen=True)
 class DACSpec:
     """Uniform digital-to-analog converter."""
@@ -74,8 +83,7 @@ class DACSpec:
     bits: int = 8
 
     def __post_init__(self) -> None:
-        if not 2 <= self.bits <= 16:
-            raise ValueError(f"DAC bits must be in 2..16, got {self.bits}")
+        _check_bits("DAC", self.bits)
 
     @property
     def n_levels(self) -> int:
@@ -107,8 +115,7 @@ class ADCSpec:
     noise_frac: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 2 <= self.bits <= 16:
-            raise ValueError(f"ADC bits must be in 2..16, got {self.bits}")
+        _check_bits("ADC", self.bits)
         if self.noise_frac < 0:
             raise ValueError("ADC noise fraction cannot be negative")
 

@@ -10,6 +10,7 @@ points that are convenient for tests and for the ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Sequence
 
 from .area_power import AreaModel, EnergyModel, DEFAULT_AREA_MODEL, DEFAULT_ENERGY_MODEL
@@ -88,8 +89,13 @@ class ArchConfig:
         return self.area.system_mm2(self.n_clusters)
 
     def topology(self) -> QuadrantTopology:
-        """Instantiate the quadrant topology for this configuration."""
-        return QuadrantTopology(self.interconnect, self.n_clusters)
+        """The quadrant topology of this configuration.
+
+        Routes are a pure function of the interconnect and the cluster
+        count, so equal configurations share one topology and the routes
+        it has memoized.
+        """
+        return _topology(self.interconnect, self.n_clusters)
 
     # ------------------------------------------------------------------ #
     # Table I rendering
@@ -162,6 +168,11 @@ class ArchConfig:
             interconnect=interconnect,
             name=name or f"scaled-{n_clusters}x{crossbar_size}",
         )
+
+
+@lru_cache(maxsize=16)
+def _topology(interconnect: InterconnectSpec, n_clusters: int) -> QuadrantTopology:
+    return QuadrantTopology(interconnect, n_clusters)
 
 
 def _default_factors(n_clusters: int) -> list:

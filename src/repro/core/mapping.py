@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import ArchConfig
@@ -173,9 +174,12 @@ class NetworkMapping:
     # ------------------------------------------------------------------ #
     # Aggregate statistics (feed the Fig. 6 waterfall and Fig. 7 grouping)
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def used_clusters(self) -> Tuple[int, ...]:
-        """All clusters used for compute, reduction or residual storage."""
+        """All clusters used for compute, reduction or residual storage.
+
+        Counted once per mapping, which is never mutated after it is built.
+        """
         members = {c for layer in self.layers.values() for c in layer.clusters}
         members.update(self.residuals.storage_clusters)
         return tuple(sorted(members))
@@ -359,19 +363,31 @@ class NetworkMapping:
         return "\n".join(lines)
 
 
-#: field names of :class:`LayerMapping`, in declaration order.
+#: field names of :class:`LayerMapping`, :class:`LayerSplit` and
+#: :class:`ReductionLevel`, in declaration order.
 _LAYER_FIELDS = tuple(f.name for f in dataclasses.fields(LayerMapping))
+_SPLIT_FIELDS = tuple(f.name for f in dataclasses.fields(LayerSplit))
+_LEVEL_FIELDS = tuple(f.name for f in dataclasses.fields(ReductionLevel))
 
 
 def _layer_payload(layer: LayerMapping) -> Dict[str, object]:
     """The ``dataclasses.asdict`` form of one :class:`LayerMapping`, built
     shallowly: the tuples of cluster ids are shared rather than deep-copied,
-    and only ``split`` and ``reduction`` are rendered by ``asdict``."""
+    and ``split`` and ``reduction`` are rendered field by field."""
     fields = {name: getattr(layer, name) for name in _LAYER_FIELDS}
-    if layer.split is not None:
-        fields["split"] = dataclasses.asdict(layer.split)
-    if layer.reduction is not None:
-        fields["reduction"] = dataclasses.asdict(layer.reduction)
+    split = layer.split
+    if split is not None:
+        fields["split"] = {name: getattr(split, name) for name in _SPLIT_FIELDS}
+    reduction = layer.reduction
+    if reduction is not None:
+        fields["reduction"] = {
+            "n_partials": reduction.n_partials,
+            "dedicated": reduction.dedicated,
+            "levels": tuple(
+                {name: getattr(level, name) for name in _LEVEL_FIELDS}
+                for level in reduction.levels
+            ),
+        }
     return fields
 
 
@@ -379,27 +395,22 @@ def _layer_from_payload(fields: Dict[str, object]) -> LayerMapping:
     """Rebuild one :class:`LayerMapping` from its ``dataclasses.asdict`` form.
 
     ``asdict`` preserves container types (tuples stay tuples) but flattens
-    nested dataclasses to dicts, so only the class structure needs
-    restoring here.
+    nested dataclasses to dicts, so only ``split`` and ``reduction`` need
+    their classes restoring, on the new layer itself: the payload's dict
+    is read, never copied.
     """
-    fields = dict(fields)
-    split = fields.pop("split")
-    reduction = fields.pop("reduction")
-    return LayerMapping(
-        split=None if split is None else LayerSplit(**split),
-        reduction=(
-            None
-            if reduction is None
-            else ReductionPlan(
-                n_partials=reduction["n_partials"],
-                dedicated=reduction["dedicated"],
-                levels=tuple(
-                    ReductionLevel(**level) for level in reduction["levels"]
-                ),
-            )
-        ),
-        **fields,
-    )
+    layer = LayerMapping(**fields)
+    split = layer.split
+    if split is not None:
+        layer.split = LayerSplit(**split)
+    reduction = layer.reduction
+    if reduction is not None:
+        layer.reduction = ReductionPlan(
+            n_partials=reduction["n_partials"],
+            dedicated=reduction["dedicated"],
+            levels=tuple(ReductionLevel(**level) for level in reduction["levels"]),
+        )
+    return layer
 
 
 # --------------------------------------------------------------------------- #

@@ -25,16 +25,22 @@ from ..graph import Graph
 
 def _basic_block(
     builder: GraphBuilder,
+    in_channels: int,
     channels: int,
     stride: int,
     paper_dag: bool,
 ) -> int:
-    """Append one ResNet basic block (two 3x3 convolutions + residual add)."""
+    """Append one ResNet basic block (two 3x3 convolutions + residual add).
+
+    ``in_channels`` is the channel count of the block's input, which the
+    builder loop knows, so the shortcut needs no shape inference of the
+    partial graph.
+    """
     block_input = builder.current
     builder.conv2d(channels, kernel_size=3, stride=stride, relu=True)
     builder.conv2d(channels, kernel_size=3, stride=1, relu=False)
     main_branch = builder.current
-    if stride == 1 and not _needs_projection(builder, block_input, channels):
+    if stride == 1 and in_channels == channels:
         shortcut = block_input
     elif paper_dag:
         # The paper's DAG omits projection convolutions; the shortcut is the
@@ -57,13 +63,6 @@ def _basic_block(
     return builder.add(shortcut, relu=True, first=main_branch)
 
 
-def _needs_projection(builder: GraphBuilder, node_id: int, channels: int) -> bool:
-    """Whether the shortcut needs a projection to match ``channels``."""
-    graph = builder.graph
-    graph.ensure_shapes()
-    return graph.node(node_id).output_shape.channels != channels
-
-
 def _resnet(
     name: str,
     blocks_per_stage: Sequence[int],
@@ -74,11 +73,12 @@ def _resnet(
     builder = GraphBuilder(name, input_shape=input_shape)
     builder.conv2d(64, kernel_size=7, stride=2, padding=3, relu=True, name="conv1")
     builder.max_pool(kernel_size=3, stride=2, padding=1, name="maxpool")
-    channels = 64
+    in_channels = channels = 64
     for stage_index, n_blocks in enumerate(blocks_per_stage):
         for block_index in range(n_blocks):
             stride = 2 if stage_index > 0 and block_index == 0 else 1
-            _basic_block(builder, channels, stride, paper_dag)
+            _basic_block(builder, in_channels, channels, stride, paper_dag)
+            in_channels = channels
         channels *= 2
     builder.global_avg_pool(name="avgpool")
     builder.linear(num_classes, name="fc")
@@ -118,11 +118,12 @@ def resnet_cifar(
     n = (depth - 2) // 6
     builder = GraphBuilder(f"resnet{depth}-cifar", input_shape=input_shape)
     builder.conv2d(16, kernel_size=3, stride=1, relu=True, name="conv1")
-    channels = 16
+    in_channels = channels = 16
     for stage_index in range(3):
         for block_index in range(n):
             stride = 2 if stage_index > 0 and block_index == 0 else 1
-            _basic_block(builder, channels, stride, paper_dag=True)
+            _basic_block(builder, in_channels, channels, stride, paper_dag=True)
+            in_channels = channels
         channels *= 2
     builder.global_avg_pool(name="avgpool")
     builder.linear(num_classes, name="fc")

@@ -162,9 +162,15 @@ class ExecutionSpec:
                     f"{type(self.noise).__name__}"
                 ) from None
             object.__setattr__(self, "noise", tuple(sorted(noise)))
-        for bits, name in ((self.dac_bits, "dac_bits"), (self.adc_bits, "adc_bits")):
-            if bits is not None and not 2 <= bits <= 16:
+        for name in ("dac_bits", "adc_bits"):
+            bits = getattr(self, name)
+            if bits is None:
+                continue
+            if isinstance(bits, bool) or not isinstance(bits, numbers.Integral):
+                raise SpecError(f"{name} must be an integer, got {bits!r}")
+            if not 2 <= bits <= 16:
                 raise SpecError(f"{name} must be in 2..16 when given, got {bits}")
+            object.__setattr__(self, name, int(bits))
         for name in ("seed", "n_inputs"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

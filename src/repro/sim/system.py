@@ -46,6 +46,14 @@ from .workload import (
 #: schema version of :meth:`SimulationResult.to_payload`.  Bump on any
 #: change to the payload structure or to the simulator semantics the
 #: payload freezes; loaders reject mismatched payloads and re-simulate.
+#: The tracer's :class:`~repro.sim.tracer.ClusterActivity` and
+#: :class:`~repro.sim.tracer.StageActivity` records pickle positionally,
+#: so their field order is part of the payload: reordering, adding or
+#: removing a field needs a bump (the order is pinned in
+#: ``tests/test_scenarios_store.py``).  An entry whose records were pickled
+#: the default dataclass way, as a field dict, still loads, and a
+#: positional entry loads in any code whose records have these fields in
+#: this order, so adopting the positional form moved no version.
 #: Version 2: per-stage completion traces ride the tracer and the payload
 #: carries the ``fast_forwarded`` flag.  The ``engine`` selection is
 #: deliberately *not* part of the payload and never bumps this version:

@@ -5,12 +5,20 @@ cluster into computation, communication, synchronisation and sleep, and mark
 each cluster as analog-bound or digital-bound.  The :class:`Tracer` collects
 exactly that information during the event simulation, plus the aggregate
 traffic counters (NoC byte-hops, HBM bytes) the energy model consumes.
+
+A stored simulation result pickles its tracer whole, one
+:class:`ClusterActivity` per used cluster.  Both activity records pickle
+as a constructor call on their fields in declaration order (``__reduce__``),
+so unpickling one costs one ``__init__`` instead of a class lookup plus a
+field dict.  That order is therefore part of the stored payload's format,
+and changing it needs a ``SIMULATION_PAYLOAD_VERSION`` bump.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import DefaultDict, Dict, Iterable, List, Optional, Tuple
 
 #: categories of cluster activity tracked by the tracer.
@@ -51,6 +59,12 @@ class ClusterActivity:
         """Idle cycles over a run of ``makespan`` total cycles."""
         return max(0, makespan - self.busy)
 
+    def __reduce__(self):
+        return ClusterActivity, _cluster_values(self)
+
+
+_cluster_values = attrgetter(*(f.name for f in fields(ClusterActivity)))
+
 
 @dataclass
 class StageActivity:
@@ -78,6 +92,12 @@ class StageActivity:
         if self.first_job_start is None:
             return 0
         return max(0, self.last_job_end - self.first_job_start)
+
+    def __reduce__(self):
+        return StageActivity, _stage_values(self)
+
+
+_stage_values = attrgetter(*(f.name for f in fields(StageActivity)))
 
 
 class Tracer:

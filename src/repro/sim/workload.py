@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -293,9 +294,15 @@ class Workload:
                 return stage
         raise KeyError(f"no stage with id {stage_id}")
 
-    @property
+    @cached_property
     def used_clusters(self) -> Tuple[int, ...]:
-        """All clusters used by any stage or as residual storage."""
+        """All clusters used by any stage or as residual storage.
+
+        Counted once per workload, which is never mutated after it is
+        lowered (the content-digest memo assumes the same).  The store
+        pickles a workload when it is lowered, before anything counts its
+        clusters, so the count never rides a stored entry.
+        """
         members = {c for stage in self.stages for c in stage.clusters}
         members.update(self.storage_clusters)
         return tuple(sorted(members))

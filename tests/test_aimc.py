@@ -121,6 +121,17 @@ class TestConverters:
                     spec(bits=bits)
 
     @pytest.mark.parametrize("spec", [DACSpec, ADCSpec], ids=["dac", "adc"])
+    def test_non_integer_resolution(self, spec):
+        """A width that is not an integer fails when the converter is
+        built, naming the value, not later inside ``n_levels``."""
+        for bad in (4.5, 8.0, "8", True):
+            with pytest.raises(
+                ValueError, match=rf"bits must be an integer, got {bad!r}"
+            ):
+                spec(bits=bad)
+        assert spec(bits=np.int64(6)).n_levels == spec(bits=6).n_levels == 63
+
+    @pytest.mark.parametrize("spec", [DACSpec, ADCSpec], ids=["dac", "adc"])
     def test_fewer_bits_give_larger_error(self, spec):
         values = np.random.default_rng(1).normal(size=(32, 32))
         rmse = [

@@ -115,6 +115,21 @@ class TestExecutionSpec:
         with pytest.raises(SpecError, match="ir_drop_factor"):
             ExecutionSpec(noise={"ir_drop_factor": 2.0})
 
+    def test_converter_widths_must_be_integers(self):
+        """A float, a string or a bool width fails when the spec is built,
+        naming field and value; numpy integers are stored as ``int``."""
+        for name in ("dac_bits", "adc_bits"):
+            for bad in (4.5, 8.0, "8", True):
+                with pytest.raises(
+                    SpecError, match=rf"{name} must be an integer, got {bad!r}"
+                ):
+                    ExecutionSpec(**{name: bad})
+        spec = ExecutionSpec(dac_bits=np.int64(6), adc_bits=np.int32(4))
+        assert type(spec.dac_bits) is int and type(spec.adc_bits) is int
+        assert spec == ExecutionSpec(dac_bits=6, adc_bits=4)
+        assert spec.label == "vectorized:typical:d6a4"
+        assert spec.noise_model.dac.bits == 6 and spec.noise_model.adc.bits == 4
+
     def test_coercion_forms(self):
         assert ExecutionSpec.coerce("ideal") == ExecutionSpec(noise="ideal")
         spec = ExecutionSpec.coerce({"backend": "reference", "noise": {"read_noise": False}})

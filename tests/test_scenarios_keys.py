@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies import resolve_policy
+from repro.dnn import models
 from repro.dnn.graph import Graph
 from repro.dnn.layers import Conv2D, Input, ReLU
 from repro.dnn.tensor import TensorShape
@@ -354,3 +355,44 @@ class TestCanonicalPins:
     def test_corpus_covers_every_pin(self):
         assert set(CORPUS) == set(PINNED_CORPUS)
         assert set(SCENARIOS) == set(PINNED_KEYS) == set(PINNED_REKEYED)
+
+
+#: graph keys of the ResNet builders at their default input shapes, each
+#: pinned from the builder that inferred the partial graph's shapes at
+#: every stride-1 block to decide its shortcut.
+RESNET_BUILDS = {
+    "resnet18": lambda: models.resnet18(),
+    "resnet18/projections": lambda: models.resnet18(paper_dag=False),
+    "resnet34": lambda: models.resnet34(),
+    "resnet34/projections": lambda: models.resnet34(paper_dag=False),
+    "resnet20-cifar": lambda: models.resnet_cifar(),
+}
+PINNED_RESNET_GRAPHS = {
+    "resnet18": "36e837a5ac7d8315a712718eb046dfcabc52ed661fb243890fb4c9485a443fcf",
+    "resnet18/projections": (
+        "a5c86dd02d82911be24f3feae3f53758ea81abbe27d10abff425de33d403bc8c"
+    ),
+    "resnet34": "ce34bbee3ff1c2827028cf9f36b47089dcdc204c325043535015b67e54acaec3",
+    "resnet34/projections": (
+        "d8dd3cab968dc7a22ed5ee90de3712156000d775482d587d040ea3255fc81e0a"
+    ),
+    "resnet20-cifar": (
+        "84f2e3b52bc1951b914a74f7223ddcd20a216ed0e242de1d18399534ba90ecb2"
+    ),
+}
+
+
+class TestResNetBuilds:
+    @pytest.mark.parametrize("name", sorted(RESNET_BUILDS))
+    def test_one_shape_pass_per_build(self, name, monkeypatch):
+        passes = []
+        real = Graph.infer_shapes
+
+        def counting(self):
+            passes.append(1)
+            real(self)
+
+        monkeypatch.setattr(Graph, "infer_shapes", counting)
+        graph = RESNET_BUILDS[name]()
+        assert passes == [1]
+        assert graph_key(graph) == PINNED_RESNET_GRAPHS[name]

@@ -8,8 +8,11 @@ versioning/corruption-tolerance rules and the compact ``NetworkMapping``
 round trip.
 """
 
+import copy
+import copyreg
 import dataclasses
 import importlib
+import io
 import json
 import pickle
 
@@ -39,6 +42,9 @@ from repro.scenarios import pipeline as pipeline_module
 from repro.scenarios.cli import main as cli_main
 from repro.scenarios.fingerprint import arch_key, content_digest, simulation_key
 from repro.scenarios.store import SCHEMA_VERSION
+from repro.sim.compare import result_mismatches
+from repro.sim.system import SIMULATION_PAYLOAD_VERSION
+from repro.sim.tracer import ClusterActivity, StageActivity
 from repro.sim.workload import Workload
 
 # the package re-exports the fingerprint *function*, shadowing the
@@ -726,3 +732,204 @@ class TestShallowMappingPayload:
         NetworkMapping.from_payload(payload, graph, arch)
         assert calls == [1]
         assert graph.shapes_inferred
+
+
+#: the paper's Sec. VI point, and the same point served open-system.
+HEADLINE = Scenario(
+    model="resnet18", input_shape=(3, 256, 256), batch_size=16, level="final"
+)
+HEADLINE_POISSON = HEADLINE.replace(
+    arrivals={"process": "poisson", "mean_interarrival_cycles": 20000, "seed": 7}
+)
+
+
+class TestEachLayerPayload:
+    def test_layers_render_and_load_field_by_field(self, ladder_mappings):
+        """Every layer's payload equals its ``asdict`` form, and the loader
+        rebuilds the layer without modifying the payload."""
+        headline = stage_chain(HEADLINE, ArtifactCache())[2]
+        for mapping in ladder_mappings + [headline]:
+            for layer in mapping.layers.values():
+                payload = core_mapping._layer_payload(layer)
+                assert payload == dataclasses.asdict(layer)
+                before = copy.deepcopy(payload)
+                assert core_mapping._layer_from_payload(payload) == layer
+                assert payload == before
+            restored = NetworkMapping.from_payload(
+                mapping.to_payload(), mapping.graph, mapping.arch
+            )
+            assert restored.layers == mapping.layers
+            assert restored.record() == mapping.record()
+
+
+def _simulate(scenario, cache):
+    """The scenario's simulation result, through ``cache``."""
+    _, arch, _, workload = stage_chain(scenario, cache)
+    return simulation_stage(
+        arch,
+        workload,
+        model_contention=scenario.model_contention,
+        buffer_depth=scenario.buffer_depth,
+        fast_forward=scenario.fast_forward,
+        engine=scenario.engine,
+        arrivals=scenario.arrivals,
+        cache=cache,
+    )
+
+
+def _only_entry(store, region):
+    """The path of the store's one entry in ``region``."""
+    (path,) = [p for p in (store._namespace / region).rglob("*") if p.is_file()]
+    return path
+
+
+def _pickle_with_field_dicts(obj):
+    """``obj`` pickled with every tracer record reduced the default
+    dataclass way (a class, then a dict of its fields), as the records
+    pickled before they reduced positionally."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = copyreg.dispatch_table.copy()
+    for cls in (ClusterActivity, StageActivity):
+        pickler.dispatch_table[cls] = lambda record: (
+            copyreg.__newobj__,
+            (type(record),),
+            dict(vars(record)),
+        )
+    pickler.dump(obj)
+    return buffer.getvalue()
+
+
+class _FieldDictUnpickler(pickle.Unpickler):
+    """Loads the tracer records as plain dataclasses with the same fields
+    and the default reduction: code from before the records reduced
+    positionally."""
+
+    plain = {
+        cls.__name__: dataclasses.make_dataclass(
+            cls.__name__,
+            [(f.name, f.type, dataclasses.field(default=f.default))
+             for f in dataclasses.fields(cls)],
+        )
+        for cls in (ClusterActivity, StageActivity)
+    }
+
+    def find_class(self, module, name):
+        if module == "repro.sim.tracer" and name in self.plain:
+            return self.plain[name]
+        return super().find_class(module, name)
+
+
+#: field order of the tracer records, which pickle positionally.
+CLUSTER_ACTIVITY_FIELDS = (
+    "cluster_id",
+    "analog",
+    "digital",
+    "communication",
+    "synchronization",
+    "last_busy_cycle",
+    "jobs",
+)
+STAGE_ACTIVITY_FIELDS = (
+    "stage_id",
+    "name",
+    "jobs_completed",
+    "analog_busy",
+    "digital_busy",
+    "input_stall",
+    "output_stall",
+    "first_job_start",
+    "last_job_end",
+)
+
+
+class TestPositionalTracerRecords:
+    def test_field_order_is_part_of_the_payload_version(self):
+        assert SIMULATION_PAYLOAD_VERSION == 9
+        for cls, pinned in (
+            (ClusterActivity, CLUSTER_ACTIVITY_FIELDS),
+            (StageActivity, STAGE_ACTIVITY_FIELDS),
+        ):
+            assert tuple(f.name for f in dataclasses.fields(cls)) == pinned, (
+                f"{cls.__name__} pickles positionally, so its field order is "
+                "part of the stored simulation payload: a change needs a "
+                "SIMULATION_PAYLOAD_VERSION bump (then re-pin the order here)"
+            )
+        cluster = ClusterActivity(3, 10, 20, 30, 0, 99, 4)
+        assert cluster.__reduce__() == (ClusterActivity, (3, 10, 20, 30, 0, 99, 4))
+        stage = StageActivity(1, "conv1", 2, 3, 4, 0, 0, None, 9)
+        assert stage.__reduce__() == (
+            StageActivity,
+            (1, "conv1", 2, 3, 4, 0, 0, None, 9),
+        )
+
+    @pytest.mark.parametrize(
+        "scenario", [HEADLINE, HEADLINE_POISSON], ids=["headline", "poisson"]
+    )
+    def test_results_round_trip_through_the_store(self, store, scenario):
+        cold = _simulate(scenario, ArtifactCache(store=store))
+        cache = ArtifactCache(store=store)
+        warm = _simulate(scenario, cache)
+        assert cache.stats.disk_hit_count("simulation") == 1
+        assert warm.workload.is_open == (scenario.arrivals is not None)
+        assert result_mismatches(cold, warm) == []
+        assert warm.record() == cold.record()
+        assert warm.tracer.clusters == cold.tracer.clusters
+        assert warm.tracer.stages == cold.tracer.stages
+        assert warm.tracer.request_completions == cold.tracer.request_completions
+
+    def test_entries_pickled_with_field_dicts_still_load(self, store):
+        cold = _simulate(HEADLINE, ArtifactCache(store=store))
+        path = _only_entry(store, "simulation")
+        positional = path.read_bytes()
+        legacy = _pickle_with_field_dicts(pickle.loads(positional))
+        # only the field-dict form spells the field names out
+        assert b"last_busy_cycle" in legacy
+        assert b"last_busy_cycle" not in positional
+        path.write_bytes(legacy)
+        cache = ArtifactCache(store=store)
+        warm = _simulate(HEADLINE, cache)
+        assert cache.stats.disk_hit_count("simulation") == 1
+        assert result_mismatches(cold, warm) == []
+        assert warm.record() == cold.record()
+
+    def test_positional_entries_load_in_field_dict_code(self, store):
+        cold = _simulate(HEADLINE, ArtifactCache(store=store))
+        entry = io.BytesIO(_only_entry(store, "simulation").read_bytes())
+        envelope = _FieldDictUnpickler(entry).load()
+        tracer = envelope["payload"]["tracer"]
+        assert len(tracer.clusters) == len(cold.tracer.clusters) > 0
+        for records, expected in (
+            (tracer.clusters, cold.tracer.clusters),
+            (tracer.stages, cold.tracer.stages),
+        ):
+            assert list(records) == list(expected)
+            for key, record in records.items():
+                assert type(record) in _FieldDictUnpickler.plain.values()
+                assert vars(record) == vars(expected[key])
+
+
+class TestUsedClusterMemos:
+    def test_memos_equal_a_fresh_recount(self, ladder_mappings):
+        for mapping in ladder_mappings:
+            workload = workload_stage(mapping)
+            assert mapping.used_clusters == tuple(
+                sorted(
+                    {c for layer in mapping.layers.values() for c in layer.clusters}
+                    | set(mapping.residuals.storage_clusters)
+                )
+            )
+            assert workload.used_clusters == tuple(
+                sorted(
+                    {c for stage in workload.stages for c in stage.clusters}
+                    | set(workload.storage_clusters)
+                )
+            )
+            assert mapping.used_clusters is mapping.used_clusters
+            assert workload.used_clusters is workload.used_clusters
+
+    def test_stored_workloads_carry_no_count(self, store):
+        outcome = run_scenario(TINY, ArtifactCache(store=store))
+        stored = pickle.loads(_only_entry(store, "workload").read_bytes())["payload"]
+        assert "used_clusters" not in vars(stored)
+        assert stored.n_used_clusters == outcome.simulation.n_used_clusters

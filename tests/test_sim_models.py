@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.arch import ArchConfig, ClusterSpec, HBMSpec
+from repro.arch import ArchConfig, ClusterSpec, HBMSpec, QuadrantTopology
+from repro.core import lower_to_workload
 from repro.sim import (
     DataFlow,
     Engine,
@@ -248,3 +249,32 @@ class TestTracer:
         assert tracer.local_bytes == 500
         assert tracer.noc_byte_hops == 4000
         assert tracer.busiest_links(1)[0][0] in ("a", "b")
+
+
+class TestSharedTopology:
+    def test_equal_configurations_share_one_topology(
+        self, paper_arch, resnet_final_mapping, monkeypatch
+    ):
+        """Routes are a pure function of the interconnect and the cluster
+        count: equal configurations share one topology, whose routes equal
+        a fresh topology's for every pair the headline run plans."""
+        shared = paper_arch.topology()
+        assert ArchConfig.paper().topology() is shared
+        assert dataclasses.replace(paper_arch, name="copy").topology() is shared
+        assert ArchConfig.scaled(256).topology() is not shared
+        pairs = set()
+        real = QuadrantTopology.route_between
+
+        def planning(self, src, dst):
+            pairs.add((src, dst))
+            return real(self, src, dst)
+
+        monkeypatch.setattr(QuadrantTopology, "route_between", planning)
+        workload = lower_to_workload(resnet_final_mapping)
+        for engine in SIMULATION_ENGINES:
+            SystemSimulator(ArchConfig.paper(), workload, engine=engine).run()
+        monkeypatch.undo()
+        fresh = QuadrantTopology(paper_arch.interconnect, paper_arch.n_clusters)
+        assert pairs
+        for src, dst in pairs:
+            assert shared.route_between(src, dst) == fresh.route_between(src, dst)
