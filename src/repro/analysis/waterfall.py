@@ -89,9 +89,8 @@ def compute_waterfall(
     ops = full_result.workload.total_ops
     ideal_tops = arch.peak_tops
     global_tops = ideal_tops * mapping.global_mapping_efficiency
-    local_tops = ideal_tops * mapping.local_mapping_efficiency
-    # local mapping can only degrade (never exceed the global-mapping bar).
-    local_tops = min(local_tops, global_tops)
+    # the cell use of the *used* clusters scales the global-mapping bar
+    local_tops = global_tops * mapping.local_mapping_efficiency
     unbalance_tops = ops / compute_only_result.makespan_seconds / 1e12
     unbalance_tops = min(unbalance_tops, local_tops)
     communication_tops = ops / full_result.makespan_seconds / 1e12

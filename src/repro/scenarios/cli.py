@@ -212,13 +212,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         '"..." in the spec\'s [base] table',
     )
     parser.add_argument(
-        "--level",
-        default=None,
-        metavar="NAME",
-        help="deprecated alias of --policy (the ladder levels are "
-        "registered policies)",
-    )
-    parser.add_argument(
         "--list-policies",
         action="store_true",
         help="print the registered mapping policies and exit",
@@ -234,21 +227,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.spec is None:
         parser.error("a spec file is required (or use --list-policies)")
-    policy = args.policy
-    if args.level is not None:
-        print(
-            "warning: --level is deprecated, use --policy (the ladder "
-            "levels are registered policies)",
-            file=sys.stderr,
-        )
-        if policy is None:
-            policy = args.level
 
     try:
         grid = load_spec(args.spec)
         scenarios = grid.expand()
-        if policy is not None:
-            scenarios = [s.replace(mapping=policy) for s in scenarios]
+        if args.policy is not None:
+            scenarios = [s.replace(mapping=args.policy) for s in scenarios]
         if args.fast_forward:
             scenarios = [s.replace(fast_forward=True) for s in scenarios]
         if args.engine is not None:
@@ -257,9 +241,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             arrivals = _parse_arrivals_option(args.arrivals)
             scenarios = [s.replace(arrivals=arrivals) for s in scenarios]
     except (TypeError, ValueError) as error:
-        # SpecError (also from expanding invalid axis values), JSON/TOML
-        # decode errors and badly-typed field values (all ValueError/
-        # TypeError family) get the friendly diagnostic.
+        # SpecError (a bad [base] or [axes] value fails while the grid is
+        # built, before any scenario runs), JSON/TOML decode errors and
+        # malformed sections (ValueError/TypeError family) get the
+        # friendly diagnostic.
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(f"{grid.name}: {len(scenarios)} scenario(s)")

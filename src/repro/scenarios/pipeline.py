@@ -47,10 +47,12 @@ import numpy as np
 from ..aimc.crossbar import AnalogExecutor
 from ..analysis.metrics import PerformanceMetrics, compute_metrics
 from ..arch.config import ArchConfig
+from ..core.allocator import AllocationError
 from ..core.mapping import MappingRecord, NetworkMapping
 from ..core.optimizer import MappingOptimizer, OptimizationLevel
 from ..core.policies import resolve_policy
 from ..core.pipeline import lower_to_workload
+from ..core.replication import naive_cluster_count
 from ..dnn.graph import Graph
 from ..dnn.numerics import (
     LayerParameters,
@@ -174,16 +176,26 @@ def mapping_stage(
 
     def build() -> NetworkMapping:
         opt = optimizer
-        if opt is None:
-            opt = optimizer_stage(
-                graph,
-                arch,
-                batch_size,
-                reserve_clusters=reserve_clusters,
-                max_replication=max_replication,
-                cache=cache,
-            )
-        return policy.build(opt)
+        try:
+            if opt is None:
+                opt = optimizer_stage(
+                    graph,
+                    arch,
+                    batch_size,
+                    reserve_clusters=reserve_clusters,
+                    max_replication=max_replication,
+                    cache=cache,
+                )
+            return policy.build(opt)
+        except AllocationError as error:
+            # name the scenario fields and what the smallest mapping needs;
+            # counted only here, so a mapping that fits never pays for it
+            raise AllocationError(
+                f"{error} — the mapping does not fit: n_clusters="
+                f"{arch.n_clusters}, crossbar_size={arch.ima.rows}, "
+                f"reserve_clusters={reserve_clusters}; the naive mapping "
+                f"alone needs {naive_cluster_count(graph, arch)} clusters"
+            ) from error
 
     if cache is None:
         return build()

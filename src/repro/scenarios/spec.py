@@ -51,7 +51,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..aimc.crossbar import BACKENDS as ANALOG_BACKENDS
 from ..aimc.noise import NOISE_PRESETS, NoiseModel, resolve_noise_spec
@@ -77,6 +77,49 @@ from ..sim.workload import (
 
 class SpecError(ValueError):
     """Raised on invalid scenario specifications."""
+
+
+def _integer(
+    field: str, value: object, minimum: int, maximum: Optional[int] = None
+) -> int:
+    """The one integer rule of every spec field: a non-bool
+    ``numbers.Integral`` (numpy integers included) in ``minimum..maximum``,
+    returned as ``int``; anything else is a :class:`SpecError` naming the
+    field and the value.  Without a ``maximum``, ``minimum`` is 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(f"{field} must be an integer, got {value!r}")
+    value = int(value)
+    if maximum is not None and not minimum <= value <= maximum:
+        raise SpecError(f"{field} must be in {minimum}..{maximum}, got {value}")
+    if value < minimum:
+        bound = "positive" if minimum == 1 else "non-negative"
+        raise SpecError(f"{field} must be {bound}, got {value}")
+    return value
+
+
+def _freeze_table(
+    field: str, value: object, spelling: str
+) -> Union[str, Tuple[Tuple[str, object], ...]]:
+    """The one table rule of every structured spec field: a name stays a
+    string, a mapping or its ``(key, value)`` pairs become sorted pairs (so
+    the spec stays hashable and equal spellings compare equal), and
+    anything else is a :class:`SpecError` saying the field must be
+    ``spelling``."""
+    if isinstance(value, str):
+        return value
+    pairs = value.items() if isinstance(value, Mapping) else value
+    try:
+        return tuple(sorted((str(key), item) for key, item in pairs))
+    except (TypeError, ValueError):
+        raise SpecError(
+            f"{field} must be {spelling}, not {type(value).__name__}"
+        ) from None
+
+
+def _inline_table(key: str, name: str, instance: object) -> Dict[str, object]:
+    """A registered dataclass instance spelled as the table resolving to it."""
+    fields = dataclasses.fields(instance)
+    return {key: name, **{f.name: getattr(instance, f.name) for f in fields}}
 
 
 #: the paper's Table I system, the single source of the architecture
@@ -141,45 +184,22 @@ class ExecutionSpec:
                 f"unknown execution backend {self.backend!r}; expected one of "
                 f"{', '.join(EXECUTION_BACKENDS)}"
             )
-        noise = self.noise
-        if isinstance(noise, Mapping):
-            noise = tuple(sorted(noise.items()))
-            object.__setattr__(self, "noise", noise)
-        elif not isinstance(noise, str):
-            if isinstance(noise, NoiseModel):
-                # specs stay declarative plain data; a resolved model has
-                # no lossless inline spelling (nested cell/converter specs)
-                raise SpecError(
-                    "noise must be a preset name or an inline field mapping, "
-                    "not a NoiseModel — spell the configuration as data, "
-                    'e.g. {"preset": "typical", "drift_time_s": 3600.0}'
-                )
-            try:
-                noise = tuple(tuple(pair) for pair in noise)
-            except TypeError:
-                raise SpecError(
-                    f"noise must be a preset name or a field mapping, not "
-                    f"{type(self.noise).__name__}"
-                ) from None
-            object.__setattr__(self, "noise", tuple(sorted(noise)))
+        if isinstance(self.noise, NoiseModel):
+            # specs stay declarative plain data; a resolved model has no
+            # lossless inline spelling (nested cell/converter specs)
+            raise SpecError(
+                "noise must be a preset name or an inline field mapping, "
+                "not a NoiseModel — spell the configuration as data, "
+                'e.g. {"preset": "typical", "drift_time_s": 3600.0}'
+            )
+        noise = _freeze_table("noise", self.noise, "a preset name or a field mapping")
+        object.__setattr__(self, "noise", noise)
         for name in ("dac_bits", "adc_bits"):
             bits = getattr(self, name)
-            if bits is None:
-                continue
-            if isinstance(bits, bool) or not isinstance(bits, numbers.Integral):
-                raise SpecError(f"{name} must be an integer, got {bits!r}")
-            if not 2 <= bits <= 16:
-                raise SpecError(f"{name} must be in 2..16 when given, got {bits}")
-            object.__setattr__(self, name, int(bits))
-        for name in ("seed", "n_inputs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SpecError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.seed < 0:
-            raise SpecError(f"seed must be non-negative, got {self.seed}")
-        if self.n_inputs <= 0:
-            raise SpecError(f"n_inputs must be positive, got {self.n_inputs}")
+            if bits is not None:
+                object.__setattr__(self, name, _integer(name, bits, 2, 16))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        object.__setattr__(self, "n_inputs", _integer("n_inputs", self.n_inputs, 1))
         try:
             self.noise_model  # resolve once so bad specs fail at load time
         except (TypeError, ValueError) as error:
@@ -271,6 +291,19 @@ class ExecutionSpec:
 
 _EXECUTION_FIELDS = {f.name for f in dataclasses.fields(ExecutionSpec)}
 
+#: integer fields of :class:`Scenario` and their minimum (``None`` is also
+#: valid for ``num_classes`` and ``n_clusters``: the model's, the paper's).
+_SCENARIO_INTEGERS = {
+    "num_classes": 1,
+    "batch_size": 1,
+    "n_clusters": 1,
+    "crossbar_size": 1,
+    "cores_per_cluster": 1,
+    "reserve_clusters": 0,
+    "max_replication": 1,
+    "buffer_depth": 1,
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -346,11 +379,15 @@ class Scenario:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not hasattr(model_zoo, self.model):
+        # the one place a field is checked: a bad value fails here, naming
+        # the field, before anything is built or run
+        if self.model not in model_zoo.__all__:
             raise SpecError(
                 f"unknown model {self.model!r}; available: "
                 f"{', '.join(model_zoo.__all__)}"
             )
+        if self.name is not None and not isinstance(self.name, str):
+            raise SpecError(f"name must be a string, got {self.name!r}")
         if self.level not in available_policies():
             # enumerate the live registry, not a hard-coded list: plug-in
             # policies are first-class `level` values
@@ -359,8 +396,33 @@ class Scenario:
                 f"unknown optimisation level {self.level!r}; registered "
                 f"mapping policies: {valid}"
             ) from None
-        if self.mapping is not None:
-            object.__setattr__(self, "mapping", _freeze_mapping(self.mapping))
+        dims = tuple(self.input_shape) if isinstance(self.input_shape, Iterable) else ()
+        if len(dims) != 3:
+            raise SpecError(
+                f"input_shape must be (channels, height, width), got {self.input_shape!r}"
+            )
+        shape = tuple(_integer(f"input_shape[{i}]", d, 1) for i, d in enumerate(dims))
+        object.__setattr__(self, "input_shape", shape)
+        for name, minimum in _SCENARIO_INTEGERS.items():
+            value = getattr(self, name)
+            if value is not None or name not in ("num_classes", "n_clusters"):
+                object.__setattr__(self, name, _integer(name, value, minimum))
+        for name in ("model_contention", "fast_forward"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise SpecError(f"{name} must be a bool, got {flag!r}")
+        try:
+            check_engine(self.engine)
+        except ValueError as error:
+            raise SpecError(str(error)) from None
+        mapping = self.mapping
+        if isinstance(mapping, MappingPolicy):
+            mapping = _inline_table("policy", type(mapping).name, mapping)
+        if mapping is not None:
+            mapping = _freeze_table(
+                "mapping", mapping, "a policy name or a {'policy': name, ...} table"
+            )
+            object.__setattr__(self, "mapping", mapping)
         try:
             policy = self.mapping_policy
         except PolicyError as error:
@@ -368,21 +430,25 @@ class Scenario:
         # cache the display label: recomputing it would re-read schedule
         # files on every table/log line
         object.__setattr__(self, "_policy_label", policy.label)
-        if len(tuple(self.input_shape)) != 3:
-            raise SpecError("input_shape must be (channels, height, width)")
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-        if self.batch_size <= 0:
-            raise SpecError("batch_size must be positive")
-        if self.n_clusters is not None and self.n_clusters <= 0:
-            raise SpecError("n_clusters must be positive when given")
-        if self.buffer_depth <= 0:
-            raise SpecError("buffer_depth must be positive")
-        try:
-            check_engine(self.engine)
-        except ValueError as error:
-            raise SpecError(str(error)) from None
         if self.arrivals is not None:
-            object.__setattr__(self, "arrivals", _freeze_arrivals(self.arrivals))
+            arrivals = self.arrivals
+            if isinstance(arrivals, TraceArrivals):
+                arrivals = arrivals.path
+            elif dataclasses.is_dataclass(arrivals) and hasattr(arrivals, "generate"):
+                names = {cls: name for name, cls in ARRIVAL_PROCESSES.items()}
+                if type(arrivals) not in names:
+                    raise SpecError(
+                        f"arrivals process {type(arrivals).__name__} is not "
+                        f"registered in ARRIVAL_PROCESSES; spell the "
+                        f"configuration as data"
+                    )
+                arrivals = _inline_table("process", names[type(arrivals)], arrivals)
+            elif isinstance(arrivals, Path):
+                arrivals = str(arrivals)
+            arrivals = _freeze_table(
+                "arrivals", arrivals, "a trace path or a {'process': name, ...} table"
+            )
+            object.__setattr__(self, "arrivals", arrivals)
             try:
                 process = resolve_arrivals(self.arrivals)
                 if isinstance(process, TraceArrivals):
@@ -397,7 +463,7 @@ class Scenario:
                 else dict(self.arrivals)["process"]
             )
             object.__setattr__(self, "_arrivals_label", str(label))
-        if self.execution is not None and not isinstance(self.execution, ExecutionSpec):
+        if self.execution is not None:
             object.__setattr__(self, "execution", ExecutionSpec.coerce(self.execution))
 
     # ------------------------------------------------------------------ #
@@ -422,8 +488,7 @@ class Scenario:
     @property
     def policy_label(self) -> str:
         """Display label of the resolved mapping policy."""
-        label = getattr(self, "_policy_label", None)
-        return label if label is not None else self.mapping_policy.label
+        return self._policy_label
 
     @property
     def targets_paper_arch(self) -> bool:
@@ -495,86 +560,6 @@ class Scenario:
         return payload
 
 
-def _freeze_mapping(
-    value: object,
-) -> Union[str, Tuple[Tuple[str, object], ...]]:
-    """Normalise a mapping-policy spec to the hashable spelling.
-
-    Policy instances collapse to their inline spelling so two scenarios
-    built from equivalent spellings compare (and fingerprint) equal.
-    """
-    if isinstance(value, MappingPolicy):
-        value = {
-            "policy": type(value).name,
-            **{
-                f.name: getattr(value, f.name)
-                for f in dataclasses.fields(value)
-            },
-        }
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Mapping):
-        return tuple(sorted((str(k), v) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        try:
-            pairs = [(str(k), v) for k, v in value]
-        except (TypeError, ValueError):
-            raise SpecError(
-                "mapping must be a policy name or a {'policy': name, ...} "
-                f"table, not {type(value).__name__}"
-            ) from None
-        return tuple(sorted(pairs))
-    raise SpecError(
-        "mapping must be a policy name or a {'policy': name, ...} table, "
-        f"not {type(value).__name__}"
-    )
-
-
-def _freeze_arrivals(
-    value: object,
-) -> Union[str, Tuple[Tuple[str, object], ...]]:
-    """Normalise an arrival-process spec to the hashable spelling.
-
-    Process instances collapse to their inline spelling (a
-    :class:`~repro.sim.workload.TraceArrivals` to its path string) so two
-    scenarios built from equivalent spellings compare — and fingerprint —
-    equal.
-    """
-    if dataclasses.is_dataclass(value) and hasattr(value, "generate"):
-        if isinstance(value, TraceArrivals):
-            return value.path
-        names = {cls: name for name, cls in ARRIVAL_PROCESSES.items()}
-        name = names.get(type(value))
-        if name is None:
-            raise SpecError(
-                f"arrivals process {type(value).__name__} is not registered "
-                f"in ARRIVAL_PROCESSES; spell the configuration as data"
-            )
-        value = {
-            "process": name,
-            **{f.name: getattr(value, f.name) for f in dataclasses.fields(value)},
-        }
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Mapping):
-        return tuple(sorted((str(k), v) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        try:
-            pairs = [(str(k), v) for k, v in value]
-        except (TypeError, ValueError):
-            raise SpecError(
-                "arrivals must be a trace path or a {'process': name, ...} "
-                f"table, not {type(value).__name__}"
-            ) from None
-        return tuple(sorted(pairs))
-    raise SpecError(
-        "arrivals must be a trace path or a {'process': name, ...} table, "
-        f"not {type(value).__name__}"
-    )
-
-
 _SCENARIO_FIELDS = {f.name for f in dataclasses.fields(Scenario)}
 
 
@@ -583,7 +568,9 @@ class ScenarioGrid:
     """A cartesian sweep: a base scenario plus per-field value axes.
 
     Expansion order is deterministic: axes vary in their declaration order,
-    with the last axis varying fastest (like nested ``for`` loops).
+    with the last axis varying fastest (like nested ``for`` loops).  Each
+    axis value goes through the :class:`Scenario` constructor when the grid
+    is built, and is stored as that constructor normalises it.
     """
 
     base: Scenario = field(default_factory=Scenario)
@@ -592,9 +579,7 @@ class ScenarioGrid:
 
     def __post_init__(self) -> None:
         normalized = []
-        for axis, values in self.axes if isinstance(self.axes, tuple) else tuple(
-            dict(self.axes).items()
-        ):
+        for axis, values in self.axes.items() if isinstance(self.axes, Mapping) else self.axes:
             if axis not in _SCENARIO_FIELDS:
                 raise SpecError(
                     f"unknown sweep axis {axis!r}; scenario fields are "
@@ -603,6 +588,9 @@ class ScenarioGrid:
             values = tuple(values)
             if not values:
                 raise SpecError(f"sweep axis {axis!r} has no values")
+            # check each value by the scenario's own rules, so a bad one
+            # fails when the grid is built, not mid-sweep at expand()
+            values = tuple(getattr(self.base.replace(**{axis: v}), axis) for v in values)
             normalized.append((axis, values))
         object.__setattr__(self, "axes", tuple(normalized))
 
@@ -614,11 +602,7 @@ class ScenarioGrid:
         **axes: Sequence[object],
     ) -> "ScenarioGrid":
         """Grid from keyword axes: ``ScenarioGrid.from_axes(batch_size=[1, 16])``."""
-        return cls(
-            base=base if base is not None else Scenario(),
-            axes=tuple((axis, tuple(values)) for axis, values in axes.items()),
-            name=name,
-        )
+        return cls(base=base if base is not None else Scenario(), axes=axes, name=name)
 
     def __len__(self) -> int:
         total = 1
@@ -640,16 +624,6 @@ class ScenarioGrid:
 # --------------------------------------------------------------------------- #
 # Spec files
 # --------------------------------------------------------------------------- #
-def _coerce_base(raw: Mapping[str, object]) -> Scenario:
-    unknown = set(raw) - _SCENARIO_FIELDS
-    if unknown:
-        raise SpecError(f"unknown scenario field(s) in [base]: {', '.join(sorted(unknown))}")
-    kwargs = dict(raw)
-    if "input_shape" in kwargs:
-        kwargs["input_shape"] = tuple(kwargs["input_shape"])
-    return Scenario(**kwargs)
-
-
 def parse_spec(payload: Mapping[str, object], name: str = "sweep") -> ScenarioGrid:
     """Build a grid from the parsed TOML/JSON structure."""
     if not isinstance(payload, Mapping):
@@ -661,42 +635,19 @@ def parse_spec(payload: Mapping[str, object], name: str = "sweep") -> ScenarioGr
             f"unknown spec section(s): {', '.join(sorted(map(str, unknown)))} "
             "(expected name, [base], [axes])"
         )
-    base = _coerce_base(payload.get("base", {}))
-    axes_raw = payload.get("axes", {})
-    if not isinstance(axes_raw, Mapping):
+    base = payload.get("base", {})
+    if not isinstance(base, Mapping):
+        raise SpecError("[base] must map scenario fields to values")
+    unknown = set(base) - _SCENARIO_FIELDS
+    if unknown:
+        raise SpecError(f"unknown scenario field(s) in [base]: {', '.join(sorted(unknown))}")
+    axes = payload.get("axes", {})
+    if not isinstance(axes, Mapping):
         raise SpecError("[axes] must map scenario fields to value lists")
-    axes = []
-    for axis, values in axes_raw.items():
+    for axis, values in axes.items():
         if not isinstance(values, (list, tuple)):
             raise SpecError(f"axis {axis!r} must list its values")
-        if axis == "input_shape":
-            values = [tuple(v) for v in values]
-        elif axis == "execution":
-            # coerce eagerly so a bad preset name fails at load time with
-            # the spec diagnostic, not mid-sweep at expansion
-            values = [ExecutionSpec.coerce(v) for v in values]
-        elif axis == "mapping":
-            # resolve eagerly for the same reason: unknown policies, bad
-            # parameters and broken schedule files fail at load time
-            for value in values:
-                try:
-                    resolve_policy(value)
-                except PolicyError as error:
-                    raise SpecError(str(error)) from None
-        elif axis == "arrivals":
-            # resolve eagerly: unknown processes, bad parameters and
-            # missing/malformed trace files fail at load time
-            for value in values:
-                try:
-                    process = resolve_arrivals(_freeze_arrivals(value))
-                    if isinstance(process, TraceArrivals):
-                        load_arrival_trace(process.path)
-                except ArrivalError as error:
-                    raise SpecError(str(error)) from None
-        axes.append((axis, tuple(values)))
-    return ScenarioGrid(
-        base=base, axes=tuple(axes), name=str(payload.get("name", name))
-    )
+    return ScenarioGrid(base=Scenario(**base), axes=axes, name=str(payload.get("name", name)))
 
 
 def load_spec(path: Union[str, Path]) -> ScenarioGrid:

@@ -1,5 +1,7 @@
 """Tests for the analysis layer and the high-level runner (paper-facing results)."""
 
+import math
+
 import pytest
 
 from repro import ArchConfig, OptimizationLevel, models, run_inference, run_optimization_study
@@ -99,6 +101,18 @@ class TestWaterfall:
         waterfall = compute_waterfall(resnet_final_mapping, full_result=resnet_final_result)
         expected = resnet_final_mapping.arch.peak_tops * resnet_final_mapping.global_mapping_efficiency
         assert waterfall.step("global mapping").throughput_tops == pytest.approx(expected)
+
+    def test_local_step_scales_the_global_bar(self, resnet_final_mapping, resnet_final_result):
+        """The local-mapping bar is the global-mapping bar times the cell use
+        of the used clusters, so its factor is 1 / local_mapping_efficiency
+        (1.96 on ResNet-18 FINAL at 3x256x256), and the four factors
+        multiply to the total."""
+        waterfall = compute_waterfall(resnet_final_mapping, full_result=resnet_final_result)
+        local = waterfall.step("local mapping").degradation_from_previous
+        assert local == pytest.approx(1 / resnet_final_mapping.local_mapping_efficiency)
+        assert local == pytest.approx(1.96, abs=0.005)
+        factors = [step.degradation_from_previous for step in waterfall.steps[1:]]
+        assert math.prod(factors) == pytest.approx(waterfall.total_degradation)
 
 
 class TestGroupEfficiency:

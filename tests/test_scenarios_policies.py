@@ -315,20 +315,3 @@ class TestCli:
         spec = write_spec(tmp_path)
         assert cli_main([str(spec), "--policy", "warp"]) == 2
         assert "unknown mapping policy" in capsys.readouterr().err
-
-    def test_level_flag_is_a_deprecated_alias(self, tmp_path, capsys):
-        spec = write_spec(tmp_path)
-        assert cli_main([str(spec), "--level", "naive", "--list"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "tiny_cnn/naive/" in captured.out
-
-    def test_policy_wins_over_level(self, tmp_path, capsys):
-        spec = write_spec(tmp_path)
-        assert (
-            cli_main(
-                [str(spec), "--policy", "replicated", "--level", "naive", "--list"]
-            )
-            == 0
-        )
-        assert "tiny_cnn/replicated/" in capsys.readouterr().out
