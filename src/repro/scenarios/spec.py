@@ -131,6 +131,11 @@ _PAPER_ARCH = ArchConfig.paper()
 #: cluster count a ``n_clusters=None`` scenario resolves to.
 PAPER_N_CLUSTERS = _PAPER_ARCH.n_clusters
 
+#: the largest ``n_clusters`` a scenario may declare: 128 times Table I's
+#: 512.  The simulator keeps dense per-cluster state, so a larger count
+#: would be refused only when it runs, if at all.
+MAX_CLUSTERS = 65_536
+
 #: fields of :class:`ArchConfig.scaled` that scenarios may set.  When every
 #: one keeps its default the scenario targets the paper's Table I system.
 _PAPER_DEFAULTS = {
@@ -291,17 +296,18 @@ class ExecutionSpec:
 
 _EXECUTION_FIELDS = {f.name for f in dataclasses.fields(ExecutionSpec)}
 
-#: integer fields of :class:`Scenario` and their minimum (``None`` is also
-#: valid for ``num_classes`` and ``n_clusters``: the model's, the paper's).
+#: integer fields of :class:`Scenario` and their bounds, ``(minimum,
+#: maximum)`` with ``None`` for no maximum (``None`` is also valid for
+#: ``num_classes`` and ``n_clusters``: the model's, the paper's).
 _SCENARIO_INTEGERS = {
-    "num_classes": 1,
-    "batch_size": 1,
-    "n_clusters": 1,
-    "crossbar_size": 1,
-    "cores_per_cluster": 1,
-    "reserve_clusters": 0,
-    "max_replication": 1,
-    "buffer_depth": 1,
+    "num_classes": (1, None),
+    "batch_size": (1, None),
+    "n_clusters": (1, MAX_CLUSTERS),
+    "crossbar_size": (1, None),
+    "cores_per_cluster": (1, None),
+    "reserve_clusters": (0, None),
+    "max_replication": (1, None),
+    "buffer_depth": (1, None),
 }
 
 
@@ -403,10 +409,10 @@ class Scenario:
             )
         shape = tuple(_integer(f"input_shape[{i}]", d, 1) for i, d in enumerate(dims))
         object.__setattr__(self, "input_shape", shape)
-        for name, minimum in _SCENARIO_INTEGERS.items():
+        for name, (minimum, maximum) in _SCENARIO_INTEGERS.items():
             value = getattr(self, name)
             if value is not None or name not in ("num_classes", "n_clusters"):
-                object.__setattr__(self, name, _integer(name, value, minimum))
+                object.__setattr__(self, name, _integer(name, value, minimum, maximum))
         for name in ("model_contention", "fast_forward"):
             flag = getattr(self, name)
             if not isinstance(flag, bool):

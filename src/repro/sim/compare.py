@@ -5,8 +5,11 @@ same simulation semantics — the object kernel (``engine="python"``) and
 the compiled table lane (``engine="table"``) — plus the steady-state
 fast-forward, whose acceptance contract is likewise bit-identity with the
 full run.  This module is the single definition of what "bit-identical"
-means: every payload-visible observable, *including the insertion order of
-the tracer's dictionaries* (which a pickled payload freezes), must match.
+means: every payload-visible observable must match, and so must the order
+of the tracer's dictionaries, which a pickled payload freezes.  That order
+is a rule, not a history (:meth:`~repro.sim.tracer.Tracer.order_records`):
+clusters by id, links by name, stages in stage order and completions in
+completion order, so the order checks below check the rule.
 
 :func:`result_mismatches` returns a human-readable list of differences
 (empty = identical), so an equivalence-test failure names the first

@@ -103,7 +103,12 @@ from .workload import (
 #: channel is faster than the links.  Table I's 100-cycle access latency
 #: makes the channel the slower, so no shipped configuration's result
 #: moves, but a v8 payload cannot say which rule produced it.
-SIMULATION_PAYLOAD_VERSION = 9
+#: Version 10: a finished run's tracer lists its clusters in ascending id
+#: and its links in ascending name (:meth:`~repro.sim.tracer.Tracer.order_records`)
+#: instead of in the order the run first touched them.  Every value is the
+#: same, but the pickled tracer keeps its dicts' order, so a v9 payload
+#: would load in the old order.
+SIMULATION_PAYLOAD_VERSION = 10
 
 #: valid values of the ``engine`` argument of :func:`simulate` /
 #: :class:`SystemSimulator`: the object kernel, kept as the readable
@@ -586,6 +591,8 @@ class SystemSimulator:
         # Map (kind, label) of relayed flows (HBM / storage residuals) to the
         # consumer stage and flow index expecting them.
         self._relay_targets: Dict[Tuple[str, str], Tuple[int, int]] = {}
+        #: whether :meth:`run` has been called: a simulator runs once.
+        self._ran = False
         if engine == "table":
             self._table: Optional[TableProgram] = TableProgram(self)
         else:
@@ -832,7 +839,8 @@ class SystemSimulator:
         tracer's traffic counters only when it flushes, and materialises
         the vectors into the tracer at the end of the run.  On the table
         engine this call flushes first, which only moves counts into the
-        vectors and counters: it never changes the run's result.
+        vectors and counters: it never changes the run's result.  Both
+        engines list the clusters in ascending id.
         """
         if self._table is not None:
             return self._table.snapshot_activity()
@@ -854,7 +862,7 @@ class SystemSimulator:
                 act.jobs,
                 act.last_busy_cycle,
             )
-            for cid, act in tracer.clusters.items()
+            for cid, act in sorted(tracer.clusters.items())
         }
         stages = {
             sid: (
@@ -871,7 +879,17 @@ class SystemSimulator:
         return counters, clusters, stages, dict(tracer.link_busy)
 
     def run(self) -> SimulationResult:
-        """Run the workload to completion and return the results."""
+        """Run the workload to completion and return the results.
+
+        A simulator runs once: its tracer and queue belong to the result,
+        so a second call raises :class:`SimulationError`.
+        """
+        if self._ran:
+            raise SimulationError(
+                "a SystemSimulator runs once; build a new one to run the "
+                "workload again"
+            )
+        self._ran = True
         if self._table is not None:
             table = self._table
             table.build()
@@ -891,6 +909,7 @@ class SystemSimulator:
                 stage_id: runtime.jobs_completed
                 for stage_id, runtime in self._stages.items()
             }
+        self.tracer.order_records()
         incomplete = {
             sid: count
             for sid, count in jobs_completed.items()

@@ -28,12 +28,14 @@ the opcode rows of :class:`~repro.sim.engine.Engine`:
 * the chunks of one group that find a free DMA channel at issue enter the
   NoC at the same cycle, in rows adjacent in the scheduling order, so
   they travel as one ``OP_NOC_BURST`` row that carries their count and
-  does the work of all of them in one handler call.
+  does the work of all of them in one handler call, and land through one
+  ``OP_BURST_LANDED`` row; a chunk that waits for a busy DMA channel is a
+  burst of one.
 
 The hot handlers append their rows to the engine's columns and push the
 keys (``cycle << ROW_BITS | row``) themselves, as
-:meth:`~repro.sim.engine.Engine.sched_op` does without the call; the
-burst row and the rare paths go through ``sched_op``.
+:meth:`~repro.sim.engine.Engine.sched_op` does without the call; the rare
+paths go through ``sched_op``.
 
 The **legality rule** for compiling a lifecycle step: a step may be
 table-compiled only when its *successor and timing are fully determined at
@@ -59,23 +61,23 @@ chunks of one burst share a single source-side communication record of
 ``k`` adjacent NoC-entry events of the object kernel (so the table lane
 dispatches fewer events; nothing runs between events adjacent in the
 scheduling order, so nothing can observe the difference); and one
-``OP_BURST_LANDED`` row stands for the ``k`` contended landings of a
-burst to an already-touched cluster or to the HBM, at the last landing's
-cycle and place in the order (the earlier landings only add to the
-destination's sums and running maxima, and cannot complete the flow).
-Live :class:`~repro.sim.tracer.StageActivity` and stage completions stay
-on the tracer.  Per-cluster and per-link activity is counted per *record
-source* — a :class:`_Source` for each analog replica, each digital group
-and the source and delivery side of each chunk group, and a route's
-booked cycles on its :class:`_Plan` — so a record touches one object, not
-every cluster and link it charges; and each chunk group counts the chunks
-it sent for the tracer's traffic counters.  ``TableProgram._flush``
-expands the counts made since the last flush into dense per-cluster and
-per-link arrays and the traffic counters, and the arrays materialise into
-the tracer in first-touch order at :meth:`TableProgram.finalize`
+``OP_BURST_LANDED`` row stands for the ``k`` landings of a burst, at the
+last landing's cycle and place in the order (the earlier landings only
+add to the destination's sums and running maxima, and cannot complete the
+flow).  Live :class:`~repro.sim.tracer.StageActivity` and stage
+completions stay on the tracer.  Per-cluster and per-link activity is
+counted per *record source* — a :class:`_Source` for each analog replica,
+each digital group and the source and delivery side of each chunk group,
+and a route's booked cycles on its :class:`_Plan` — so a record touches
+one object, not every cluster and link it charges; and each chunk group
+counts the chunks it sent for the tracer's traffic counters.
+``TableProgram._flush`` expands the counts made since the last flush into
+dense per-cluster and per-link arrays and the traffic counters, and notes
+which clusters have a record; :meth:`TableProgram.finalize` materialises
+the arrays into the tracer, whose order ``SystemSimulator.run`` then sets
 (``SystemSimulator.snapshot_activity`` flushes, then reads the dense form
-and the counters mid-run).  Bit-identity against
-the object kernel is asserted by ``tests/test_sim_kernel_equivalence.py``.
+and the counters mid-run).  Bit-identity against the object kernel is
+asserted by ``tests/test_sim_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from heapq import heappush, heapreplace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..arch.interconnect import Route
 from .engine import K_OP_BASE, ROW_BITS, Engine
@@ -94,11 +96,9 @@ from .workload import ENDPOINT_STAGE, ENDPOINT_STORAGE, chunk_groups
 #: opcode kinds (jump-table index = kind - K_OP_BASE, in this order).
 OP_ANALOG_DONE = K_OP_BASE + 0  # arg: stage_slot * n_jobs + job
 OP_DIGITAL_DONE = K_OP_BASE + 1  # arg: stage_slot * n_jobs + job
-OP_NOC_START = K_OP_BASE + 2  # arg: group_id * n_jobs + job (DMA done)
-OP_CHUNK_LANDED = K_OP_BASE + 3  # arg: group_id * n_jobs + job
-OP_FLOW_NULL = K_OP_BASE + 4  # arg: flow_id * n_jobs + job (zero-byte send)
-OP_NOC_BURST = K_OP_BASE + 5  # arg: k * burst_stride + group_id * n_jobs + job
-OP_BURST_LANDED = K_OP_BASE + 6  # arg: k * burst_stride + group_id * n_jobs + job
+OP_FLOW_NULL = K_OP_BASE + 2  # arg: flow_id * n_jobs + job (zero-byte send)
+OP_NOC_BURST = K_OP_BASE + 3  # arg: k * burst_stride + group_id * n_jobs + job
+OP_BURST_LANDED = K_OP_BASE + 4  # arg: k * burst_stride + group_id * n_jobs + job
 
 #: flow kinds.
 F_DIRECT = 0  # producer stage -> consumer stage (credit-gated)
@@ -116,7 +116,6 @@ class _Plan:
         "lids",
         "hop",
         "involves_hbm",
-        "touched",
         "busy",
         "flushed",
     )
@@ -126,9 +125,6 @@ class _Plan:
         self.lids = lids
         self.hop = route.hop_latency_cycles
         self.involves_hbm = involves_hbm
-        #: whether every link of this plan is already in the first-touch
-        #: order (short-circuits the per-transfer seen check).
-        self.touched = False
         #: cycles the compiled groups booked on every link of the route,
         #: and how many of them ``TableProgram._flush`` has added to the
         #: per-link totals.
@@ -161,13 +157,17 @@ def _fold(
     totals: List[int],
     last_busy: List[int],
     latest: int,
+    used: Set[int],
     jobs: Optional[List[int]] = None,
 ) -> int:
     """Add each source's unflushed records to ``totals`` (and one job per
-    record to ``jobs``), raise ``last_busy``; return the latest end seen."""
+    record to ``jobs``), raise ``last_busy`` and add the clusters of a
+    source's first records to ``used``; return the latest end seen."""
     for source in sources:
         n = source.count - source.flushed
         if n:
+            if not source.flushed:
+                used.update(source.clusters)
             source.flushed = source.count
             cycles = n * source.cycles
             end = source.last
@@ -339,23 +339,20 @@ class TableProgram:
         self._cl_comm = [0] * n_clusters
         self._cl_jobs = [0] * n_clusters
         self._cl_last = [0] * n_clusters
-        self._cl_seen = bytearray(n_clusters)
-        self._cl_order: List[int] = []
+        #: the clusters that have a record: those of every source whose
+        #: records a flush has folded.
+        self._cl_used: Set[int] = set()
         self._mk = 0
         self._analog_sources: List[_Source] = []
         self._digital_sources: List[_Source] = []
         #: source-side DMA and delivery sources, which both charge
         #: communication cycles.
         self._comm_sources: List[_Source] = []
-        # dense link state (ids assigned in plan-creation route order;
-        # first-touch order of actual traffic tracked separately, matching
-        # the object kernel's tracer.link_busy insertion order)
+        # dense link state, ids assigned in plan-creation route order
         self._link_ids: Dict[str, int] = {}
         self._link_names: List[str] = []
         self._link_until: List[int] = []
         self._link_busy: List[int] = []
-        self._link_seen: List[bool] = []
-        self._link_order: List[int] = []
         self._plans: Dict[Optional[int], Dict[Optional[int], _Plan]] = {}
         self._plan_list: List[_Plan] = []
         # per-channel free-at cycles of the HBM, kept as a heap
@@ -506,8 +503,6 @@ class TableProgram:
             (
                 self._op_analog_done,
                 self._op_digital_done,
-                self._op_noc_start,
-                self._op_chunk_landed,
                 self._op_flow_null,
                 self._op_noc_burst,
                 self._op_burst_landed,
@@ -596,31 +591,11 @@ class TableProgram:
                 self._link_names.append(name)
                 self._link_until.append(0)
                 self._link_busy.append(0)
-                self._link_seen.append(False)
             ids.append(lid)
         plan = _Plan(route, tuple(ids), src is None or dst is None)
         by_dst[dst] = plan
         self._plan_list.append(plan)
         return plan
-
-    def _touch(self, source: _Source) -> None:
-        """First record of ``source``: its unseen clusters join the
-        first-touch order, in the source's cluster order."""
-        seen = self._cl_seen
-        order = self._cl_order
-        for cluster in source.clusters:
-            if not seen[cluster]:
-                seen[cluster] = 1
-                order.append(cluster)
-
-    def _touch_plan(self, plan: _Plan) -> None:
-        seen = self._link_seen
-        order = self._link_order
-        for lid in plan.lids:
-            if not seen[lid]:
-                seen[lid] = True
-                order.append(lid)
-        plan.touched = True
 
     # ------------------------------------------------------------------ #
     # Run control
@@ -641,16 +616,18 @@ class TableProgram:
         Exact at any point of the run: every record of a source adds the
         same cycles to the same clusters, so ``n`` records are one addition
         of ``n`` times as much; a source's ends never decrease, so its
-        latest end is the running maximum of its records; and a route's
-        booked cycles go to each of its links, whose first-touch order the
-        hot path keeps.
+        latest end is the running maximum of its records; a cluster has a
+        record once one of its sources has; and a route's booked cycles go
+        to each of its links.
         """
         last_busy = self._cl_last
+        used = self._cl_used
         latest = _fold(
-            self._analog_sources, self._cl_analog, last_busy, self._mk, self._cl_jobs
+            self._analog_sources, self._cl_analog, last_busy, self._mk, used,
+            self._cl_jobs,
         )
-        latest = _fold(self._digital_sources, self._cl_digital, last_busy, latest)
-        self._mk = _fold(self._comm_sources, self._cl_comm, last_busy, latest)
+        latest = _fold(self._digital_sources, self._cl_digital, last_busy, latest, used)
+        self._mk = _fold(self._comm_sources, self._cl_comm, last_busy, latest, used)
         link_busy = self._link_busy
         for plan in self._plan_list:
             cycles = plan.busy - plan.flushed
@@ -677,11 +654,10 @@ class TableProgram:
     def finalize(self) -> None:
         """Materialise the dense activity lanes into the tracer.
 
-        Cluster records and per-link busy cycles are created in
-        first-touch order — the same insertion order the object kernel's
-        per-event dict updates produce — so downstream dict-order checks
-        (``repro.sim.compare``) see identical tracers.  The makespan is
-        the latest record end or stage-job end.
+        A cluster gets a record when one of its sources has a record, and
+        a link when a route booked cycles on it, as in the object kernel;
+        ``SystemSimulator.run`` then puts the records in the tracer's
+        order.  The makespan is the latest record end or stage-job end.
         """
         self._flush()
         mk = self._mk
@@ -690,7 +666,7 @@ class TableProgram:
                 mk = st.activity.last_job_end
         tracer = self.tracer
         clusters = tracer.clusters
-        for cid in self._cl_order:
+        for cid in self._cl_used:
             clusters[cid] = ClusterActivity(
                 cid,
                 analog=self._cl_analog[cid],
@@ -701,10 +677,9 @@ class TableProgram:
                 jobs=self._cl_jobs[cid],
             )
         link_busy = tracer.link_busy
-        names = self._link_names
-        busy = self._link_busy
-        for lid in self._link_order:
-            link_busy[names[lid]] += busy[lid]
+        for name, busy in zip(self._link_names, self._link_busy):
+            if busy:
+                link_busy[name] = busy
         if mk > tracer.makespan:
             tracer.makespan = mk
 
@@ -712,6 +687,8 @@ class TableProgram:
         """Mid-run activity snapshot (the steady-state fast-forward's hook).
 
         Flushes first, so the dense lists hold every record made so far.
+        Clusters are listed in ascending id, and links that have booked
+        cycles.
         """
         self._flush()
         tracer = self.tracer
@@ -730,7 +707,7 @@ class TableProgram:
         last = self._cl_last
         clusters = {
             cid: (analog[cid], digital[cid], comm[cid], 0, jobs[cid], last[cid])
-            for cid in self._cl_order
+            for cid in sorted(self._cl_used)
         }
         stages = {
             sid: (
@@ -744,9 +721,9 @@ class TableProgram:
             )
             for sid, rec in tracer.stages.items()
         }
-        names = self._link_names
-        busy = self._link_busy
-        links = {names[lid]: busy[lid] for lid in self._link_order}
+        links = {
+            name: busy for name, busy in zip(self._link_names, self._link_busy) if busy
+        }
         return counters, clusters, stages, links
 
     # ------------------------------------------------------------------ #
@@ -802,8 +779,6 @@ class TableProgram:
         dur = st.analog_d
         source = st.analog_sources[job % st.repl]
         if source is not None:
-            if not source.count:
-                self._touch(source)
             source.count += 1
             source.last = now
         intra = st.intra_flows
@@ -845,8 +820,6 @@ class TableProgram:
         dur = st.digital_d
         source = st.digital_sources[job % st.dslots]
         if source is not None:
-            if not source.count:
-                self._touch(source)
             source.count += 1
             source.last = now
         self._after_compute(st, job, dur)
@@ -981,14 +954,12 @@ class TableProgram:
             return
         slots = flow.dma_slots
         now = engine._now
-        defer_op = engine.defer_op
+        stride = self._burst_stride
         for group in flow.groups:
             dur = group.dma_dur
             count = group.count
             # one source-side record of the group's chunks
             source = group.dma
-            if not source.count:
-                self._touch(source)
             source.count += count
             source.last = now + dur
             arg = group.gid * nj + job
@@ -999,32 +970,26 @@ class TableProgram:
             # a free channel are a prefix of the group (a sift never lowers
             # the minimum below ``now`` again), and their NoC-entry rows
             # would be adjacent at cycle ``now + dur``: one burst row
-            # carries them all.
+            # carries them all.  A chunk that waits for a channel enters
+            # through a row of its own, deferred from the channel's free
+            # cycle.
             free = 0
             while free < count and slots[0] <= now:
                 heapreplace(slots, now + dur)
                 free += 1
-            if free == 1:
+            if free:
                 kinds = self._kinds
                 heappush(self._heap, (now + dur) << ROW_BITS | len(kinds))
-                kinds.append(OP_NOC_START)
-                self._args.append(arg)
-            elif free:
-                engine.sched_op(
-                    now + dur, OP_NOC_BURST, free * self._burst_stride + arg
-                )
+                kinds.append(OP_NOC_BURST)
+                self._args.append(free * stride + arg)
             for __ in range(count - free):
                 free_at = slots[0]
                 heapreplace(slots, free_at + dur)
-                defer_op(free_at, dur, OP_NOC_START, arg)
+                engine.defer_op(free_at, dur, OP_NOC_BURST, stride + arg)
 
     def _op_flow_null(self, arg: int) -> None:
         fid = arg // self._nj
         self._complete_flow(self.flows[fid], arg - fid * self._nj)
-
-    def _op_noc_start(self, arg: int) -> None:
-        """DMA serialisation done: one burst enters the NoC."""
-        self._enter_noc(self.groups[arg // self._nj], arg, 1)
 
     def _op_noc_burst(self, arg: int) -> None:
         """``k`` same-group bursts enter the NoC together (``k`` in ``arg``)."""
@@ -1036,127 +1001,69 @@ class TableProgram:
     def _enter_noc(self, group: _Group, arg: int, k: int) -> None:
         """``k`` bursts of ``group`` enter the NoC, in order (transfer_bytes).
 
-        The same as ``k`` OP_NOC_START handlers run back to back, which is
-        what ``k`` rows adjacent in the scheduling order do: each only adds
-        to the counters, books the route (and an HBM channel) and schedules
-        its landing row.  So the counters grow once by ``k`` times as much,
-        every link is booked once for ``k`` serialisations, and under
-        contention burst ``i`` drains at ``start + i * ser``, where
-        ``start`` is ``max(now, busy_until)`` over the route's links (a
-        route between two endpoints always has one), and lands one hop
-        later, or one hop after its HBM channel finishes if that is later.
-        The landing rows go out in burst order, except that a contended
-        burst of ``k > 1`` lands as one OP_BURST_LANDED row at its last
-        landing when its destination is already touched (or is the HBM).
+        The same as ``k`` one-burst entries run back to back, which is what
+        ``k`` rows adjacent in the scheduling order do: each only adds to
+        the counters, books the route (and an HBM channel) and queues its
+        landing.  So the counters grow once by ``k`` times as much, every
+        link is booked once for ``k`` serialisations, and under contention
+        burst ``i`` drains at ``start + i * ser``, where ``start`` is
+        ``max(now, busy_until)`` over the route's links (a route between
+        two endpoints always has one), and lands one hop later, or one hop
+        after its HBM channel finishes if that is later.  Only the last
+        landing can complete the flow, and the others only add to the
+        destination's sums and running maxima, so one OP_BURST_LANDED row
+        at the last landing's cycle and place in the order does what the
+        ``k`` landings do.  Uncontended and local bursts land all ``k``
+        chunks at one cycle.
         """
         now = self.engine._now
-        heap = self._heap
-        kinds = self._kinds
-        args = self._args
         plan = group.plan
         group.sent += k
         if plan is None:
             # local (same-cluster) handoff: no NoC involvement
-            for __ in range(k):
-                heappush(heap, now << ROW_BITS | len(kinds))
-                kinds.append(OP_CHUNK_LANDED)
-                args.append(arg)
-            return
-        if not plan.touched:
-            self._touch_plan(plan)
-        ser = group.ser
-        occupied = k * ser
-        plan.busy += occupied
-        if not self.model_contention:
-            landed = now + group.uncont_lat
-            for __ in range(k):
-                heappush(heap, landed << ROW_BITS | len(kinds))
-                kinds.append(OP_CHUNK_LANDED)
-                args.append(arg)
-            return
-        busy_until = self._link_until
-        start = now
-        for lid in plan.lids:
-            queued = busy_until[lid]
-            if queued > now:
-                busy_until[lid] = queued + occupied
-                if queued > start:
-                    start = queued
-            else:
-                busy_until[lid] = now + occupied
-        # chunk i drains the route at start + i * ser and, to or from the
-        # HBM, finishes on the channel it books now; it lands one hop after
-        # the later of the two, so its landing row is queued now
-        hop = plan.hop
-        dst = group.dst
-        if k > 1 and (dst is None or self._cl_seen[dst]):
-            # only the last landing can complete the flow, and the others
-            # only add to the destination's sums and running maxima: one
-            # row at the last landing's cycle and place in the order does
-            # all.
-            # Drains and channel finishes both grow with i, so the last
-            # chunk lands last.
-            landed = start + k * ser
-            if plan.involves_hbm:
-                free_at = self._hbm_free_at
-                service = group.chan_cycles
-                for __ in range(k):
-                    finish = book_hbm_channel(free_at, now, service)
-                if finish > landed:
-                    landed = finish
-            heappush(heap, (landed + hop) << ROW_BITS | len(kinds))
-            kinds.append(OP_BURST_LANDED)
-            args.append(k * self._burst_stride + arg)
-        elif plan.involves_hbm:
-            free_at = self._hbm_free_at
-            service = group.chan_cycles
-            for i in range(1, k + 1):
-                drained = start + i * ser
-                finish = book_hbm_channel(free_at, now, service)
-                landed = finish if finish > drained else drained
-                heappush(heap, (landed + hop) << ROW_BITS | len(kinds))
-                kinds.append(OP_CHUNK_LANDED)
-                args.append(arg)
+            landed = now
         else:
-            for i in range(1, k + 1):
-                heappush(heap, (start + i * ser + hop) << ROW_BITS | len(kinds))
-                kinds.append(OP_CHUNK_LANDED)
-                args.append(arg)
-
-    def _op_chunk_landed(self, arg: int) -> None:
-        nj = self._nj
-        gid = arg // nj
-        group = self.groups[gid]
-        source = group.delivery
-        if source is not None:
-            # delivery-side DMA attribution
-            if not source.count:
-                self._touch(source)
-            source.count += 1
-            source.last = self.engine._now
-        flow = group.flow
-        job = arg - gid * nj
-        remaining = flow.pending[job] - 1
-        flow.pending[job] = remaining
-        if remaining == 0:
-            self._complete_flow(flow, job)
+            occupied = k * group.ser
+            plan.busy += occupied
+            if not self.model_contention:
+                landed = now + group.uncont_lat
+            else:
+                busy_until = self._link_until
+                start = now
+                for lid in plan.lids:
+                    queued = busy_until[lid]
+                    if queued > now:
+                        busy_until[lid] = queued + occupied
+                        if queued > start:
+                            start = queued
+                    else:
+                        busy_until[lid] = now + occupied
+                # drains and channel finishes both grow with the burst's
+                # index, so the last burst lands last
+                landed = start + occupied
+                if plan.involves_hbm:
+                    free_at = self._hbm_free_at
+                    service = group.chan_cycles
+                    for __ in range(k):
+                        finish = book_hbm_channel(free_at, now, service)
+                    if finish > landed:
+                        landed = finish
+                landed += plan.hop
+        kinds = self._kinds
+        heappush(self._heap, landed << ROW_BITS | len(kinds))
+        kinds.append(OP_BURST_LANDED)
+        self._args.append(k * self._burst_stride + arg)
 
     def _op_burst_landed(self, arg: int) -> None:
-        """The last of ``k`` contended landings of one burst (``k`` in ``arg``).
-
-        Does what the burst's ``k`` OP_CHUNK_LANDED handlers do together:
-        ``_enter_noc`` folds a burst only when its destination is already
-        in the first-touch order or is the HBM, so the landings before the
-        last leave nothing but sums and maxima.
-        """
+        """The last landing of a burst of ``k`` (``k`` in ``arg``): what
+        the burst's ``k`` landings do together."""
         stride = self._burst_stride
         k = arg // stride
         arg -= k * stride
         nj = self._nj
         gid = arg // nj
         group = self.groups[gid]
-        # the destination is already touched (no first-touch work) or is
-        # the HBM, which has no delivery record
+        # delivery-side DMA attribution (none into the HBM)
         source = group.delivery
         if source is not None:
             source.count += k

@@ -6,12 +6,19 @@ each cluster as analog-bound or digital-bound.  The :class:`Tracer` collects
 exactly that information during the event simulation, plus the aggregate
 traffic counters (NoC byte-hops, HBM bytes) the energy model consumes.
 
+A finished run's records follow one order rule, set by
+:meth:`Tracer.order_records` on both kernels: ``clusters`` in ascending
+cluster id and ``link_busy`` in ascending link name.  ``stages`` keep
+stage order, and ``stage_completions`` and ``request_completions``
+completion order.
+
 A stored simulation result pickles its tracer whole, one
 :class:`ClusterActivity` per used cluster.  Both activity records pickle
 as a constructor call on their fields in declaration order (``__reduce__``),
 so unpickling one costs one ``__init__`` instead of a class lookup plus a
 field dict.  That order is therefore part of the stored payload's format,
-and changing it needs a ``SIMULATION_PAYLOAD_VERSION`` bump.
+and changing it needs a ``SIMULATION_PAYLOAD_VERSION`` bump, as does a
+change to the order rule, since a pickled dict keeps its order.
 """
 
 from __future__ import annotations
@@ -283,6 +290,15 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Summaries
     # ------------------------------------------------------------------ #
+    def order_records(self) -> None:
+        """Put ``clusters`` in ascending cluster id and ``link_busy`` in
+        ascending link name, in place: the order of a finished run's
+        records, whatever order the kernel made them in."""
+        for records in (self.clusters, self.link_busy):
+            ordered = sorted(records.items())
+            records.clear()
+            records.update(ordered)
+
     def busiest_links(self, top: int = 10) -> List[Tuple[str, int]]:
         """The ``top`` most-occupied links (name, busy cycles)."""
         ranked = sorted(self.link_busy.items(), key=lambda item: item[1], reverse=True)

@@ -14,13 +14,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core import AllocationError
 from repro.scenarios import Scenario, ScenarioGrid, SpecError, parse_spec, run_scenario
 from repro.scenarios.cli import main as cli_main
+from repro.scenarios.spec import MAX_CLUSTERS
 
 #: the probe point: tiny_cnn 3x32x32, batch 2, 64 clusters, FINAL.
 TINY = dict(
     model="tiny_cnn", input_shape=(3, 32, 32), batch_size=2, n_clusters=64, level="final"
 )
 
-#: 22 of the 25 single-field probes: each fails when the scenario is built.
+#: 22 of the 25 single-field probes, and two cluster counts above
+#: ``MAX_CLUSTERS``: each fails when the scenario is built.
 SPEC_ERRORS = [
     ("max_replication", 0),
     ("max_replication", -1),
@@ -30,6 +32,8 @@ SPEC_ERRORS = [
     ("batch_size", "2"),
     ("batch_size", None),
     ("n_clusters", True),
+    ("n_clusters", 2**70),
+    ("n_clusters", MAX_CLUSTERS + 1),
     ("reserve_clusters", 1.5),
     ("reserve_clusters", -1),
     ("num_classes", 1.5),
@@ -51,6 +55,12 @@ SPEC_ERRORS = [
 def test_wrong_field_fails_at_construction(field, value):
     with pytest.raises(SpecError, match=field):
         Scenario(**{**TINY, field: value})
+
+
+def test_the_largest_cluster_count_builds():
+    assert MAX_CLUSTERS == 65_536
+    scenario = Scenario(**{**TINY, "n_clusters": MAX_CLUSTERS})
+    assert scenario.build_arch().n_clusters == MAX_CLUSTERS
 
 
 @pytest.mark.parametrize(
@@ -223,6 +233,7 @@ batch_size = 2
     [
         ("max_replication = 0\n", "max_replication"),
         ("[axes]\nbatch_size = [2, 1.5]\n", "batch_size"),
+        ("[axes]\nn_clusters = [16, 65537]\n", "n_clusters"),
     ],
 )
 def test_cli_rejects_a_bad_spec_before_anything_runs(tmp_path, capsys, extra, field):

@@ -211,7 +211,7 @@ class TestStoreRobustness:
         """
         from repro.sim.system import SIMULATION_PAYLOAD_VERSION
 
-        assert SIMULATION_PAYLOAD_VERSION == 9  # contention off lands as on an idle NoC
+        assert SIMULATION_PAYLOAD_VERSION == 10  # the tracer orders records by id
         store = ArtifactStore(tmp_path / "sim-payload-store")
         cache = ArtifactCache(store=store)
         graph, arch = TINY.build_graph(), TINY.build_arch()
@@ -845,7 +845,7 @@ STAGE_ACTIVITY_FIELDS = (
 
 class TestPositionalTracerRecords:
     def test_field_order_is_part_of_the_payload_version(self):
-        assert SIMULATION_PAYLOAD_VERSION == 9
+        assert SIMULATION_PAYLOAD_VERSION == 10
         for cls, pinned in (
             (ClusterActivity, CLUSTER_ACTIVITY_FIELDS),
             (StageActivity, STAGE_ACTIVITY_FIELDS),

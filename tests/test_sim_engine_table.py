@@ -18,8 +18,9 @@ module covers:
   ``reset``;
 * the burst rows of :class:`~repro.sim.system_table.TableProgram`: the
   chunks of one group that find free DMA channels enter the NoC as one
-  ``OP_NOC_BURST`` row, which saves ``k - 1`` events per burst of ``k``
-  chunks and changes no observable;
+  ``OP_NOC_BURST`` row and land as one ``OP_BURST_LANDED`` row, a chunk
+  that waits for a busy channel enters and lands through rows of its own,
+  and no observable differs from the object kernel's;
 * the ``engine`` axis: two registered engines, ``table`` the default, and
   the retired ``"array"`` name rejected everywhere a user can spell it
   (per-engine cache keys are covered in the equivalence suite).
@@ -44,7 +45,7 @@ from repro.sim import engine as engine_module
 from repro.sim.engine import K_OP_BASE
 from repro.sim.steady_state import MAX_WINDOW, MIN_JOBS
 from repro.sim.system import DEFAULT_ENGINE, SIMULATION_ENGINES
-from repro.sim.system_table import OP_NOC_BURST, OP_NOC_START, TableProgram
+from repro.sim.system_table import TableProgram
 
 from test_sim_fast_forward import ARCH64, _chain, _chunked_chain
 
@@ -662,28 +663,18 @@ class TestCallablesBesideRows:
 # --------------------------------------------------------------------------- #
 # TableProgram: chunk bursts enter the NoC as one row and land as one row
 # --------------------------------------------------------------------------- #
-def _saved_events(bursts, folded):
-    """Events the merged rows save against one row per chunk: ``k - 1``
-    per burst row, and ``k - 1`` per folded landing (``k`` landing rows
-    of one event each become one)."""
-    return sum(k - 1 for k, __ in bursts) + sum(k - 1 for k, __ in folded)
-
-
 class TestBurstRows:
-    def _run(self, workload, model_contention, monkeypatch, per_chunk=False):
-        """A table-lane run, its event count and the merged rows it dispatched.
+    def _run(self, workload, model_contention, monkeypatch):
+        """A table-lane run, checked bit for bit against the object kernel,
+        which enters and lands every chunk through events of its own.
 
-        Returns ``(result, events, bursts, folded)``: ``bursts`` holds the
+        Returns ``(program, entries, landings)``: ``entries`` holds the
         ``(k, group_id * n_jobs + job)`` of every OP_NOC_BURST row,
-        ``folded`` the same of every OP_BURST_LANDED row.  ``per_chunk``
-        expands each burst row into ``k`` adjacent OP_NOC_START rows where
-        it is scheduled: the rows the lane scheduled before burst rows
-        existed, each of which lands through its own row.
+        ``landings`` the same of every OP_BURST_LANDED row.
         """
         simulator = SystemSimulator(ARCH64, workload, model_contention, engine="table")
-        program = simulator._table
-        bursts = []
-        folded = []
+        entries = []
+        landings = []
         with monkeypatch.context() as patch:
 
             def record(name, rows):
@@ -695,74 +686,72 @@ class TestBurstRows:
 
                 patch.setattr(TableProgram, name, recording)
 
-            record("_op_noc_burst", bursts)
-            record("_op_burst_landed", folded)
-            if per_chunk:
-                sched_op = Engine.sched_op
-
-                def expanded(engine, time, op, arg):
-                    if op != OP_NOC_BURST:
-                        sched_op(engine, time, op, arg)
-                        return
-                    k, base = divmod(arg, program._burst_stride)
-                    for __ in range(k):
-                        sched_op(engine, time, OP_NOC_START, base)
-
-                patch.setattr(Engine, "sched_op", expanded)
+            record("_op_noc_burst", entries)
+            record("_op_burst_landed", landings)
             result = simulator.run()
-        return result, simulator.engine.events_processed, bursts, folded
+        python = simulate(ARCH64, workload, model_contention, engine="python")
+        assert result_mismatches(python, result) == []
+        program = simulator._table
+        n_jobs = workload.n_jobs
+        # every entry row lands through one row of the same count, and an
+        # HBM-sourced group, which needs no DMA, lands through one row
+        from_hbm = [
+            (group.count, group.gid * n_jobs + job)
+            for group in program.groups
+            if group.flow.src is None
+            for job in range(n_jobs)
+        ]
+        assert sorted(landings) == sorted(entries + from_hbm)
+        return program, entries, landings
+
+    @staticmethod
+    def _rows_by_group(program, entries, n_jobs):
+        """The counts of the entry rows of each DMA-sourced ``(group, job)``."""
+        rows = {
+            group.gid * n_jobs + job: []
+            for group in program.groups
+            if group.flow.src is not None
+            for job in range(n_jobs)
+        }
+        for k, base in entries:
+            rows[base].append(k)
+        return {base: (program.groups[base // n_jobs], ks) for base, ks in rows.items()}
 
     @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
-    def test_a_burst_row_saves_k_minus_one_events(self, model_contention, monkeypatch):
+    def test_a_burst_enters_through_one_row_and_lands_through_one_row(
+        self, model_contention, monkeypatch
+    ):
         # 16-chunk stage flows against 16 DMA channels: every job's flow
-        # finds all channels free, so each is one burst row of k = 16;
-        # under contention its landings fold into one row once the
-        # destination is touched, i.e. on every job but the first
+        # finds all channels free, so each is one burst row of k = 16,
+        # whose 16 landings are one row, the first job's included
         workload = _chunked_chain(16)
-        chunked = [
-            flow.transfers_per_job
-            for stage in workload.stages
-            for flow in stage.outputs
-            if flow.transfers_per_job > 1
-        ]
-        result, events, bursts, folded = self._run(workload, model_contention, monkeypatch)
-        per_chunk, per_chunk_events, unmerged, unfolded = self._run(
-            workload, model_contention, monkeypatch, per_chunk=True
-        )
-        assert unmerged == unfolded == []  # every burst row was expanded
-        assert [k for k, __ in bursts] == [16] * (workload.n_jobs * len(chunked))
-        if model_contention:
-            assert [k for k, __ in folded] == [16] * ((workload.n_jobs - 1) * len(chunked))
-        else:
-            assert folded == []  # uncontended landings stay per chunk
-        assert events == per_chunk_events - _saved_events(bursts, folded)
-        assert result_mismatches(per_chunk, result) == []
+        program, entries, landings = self._run(workload, model_contention, monkeypatch)
+        by_group = self._rows_by_group(program, entries, workload.n_jobs)
+        assert all(ks == [group.count] for group, ks in by_group.values())
+        chunked = [group for group, __ in by_group.values() if group.count > 1]
+        assert {group.count for group in chunked} == {16}
+        assert len(chunked) == 2 * workload.n_jobs
+        assert [k for k, __ in landings].count(16) == len(chunked)
 
-    def test_split_bursts_keep_per_chunk_rows_for_busy_channels(self, monkeypatch):
-        # 24 chunks: 16 find free channels (one burst row), 8 wait
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    def test_chunks_behind_busy_channels_enter_and_land_one_row_each(
+        self, model_contention, monkeypatch
+    ):
+        # 24 chunks against 16 channels: the chunks of a group that find a
+        # free channel are one burst row, and each of the others waits for
+        # a channel and enters, and lands, through a row of k = 1
         workload = _chunked_chain(24, residual="storage")
-        result, events, bursts, folded = self._run(workload, True, monkeypatch)
-        per_chunk, per_chunk_events, __, __ = self._run(
-            workload, True, monkeypatch, per_chunk=True
-        )
-        assert bursts and {k for k, __ in bursts} <= set(range(2, 17))
-        # only a burst row's landings can fold: the waiting chunks enter
-        # and land one row each
-        assert folded and set(folded) <= set(bursts)
-        assert events == per_chunk_events - _saved_events(bursts, folded)
-        assert result_mismatches(per_chunk, result) == []
-
-    def test_a_burst_to_an_untouched_cluster_keeps_per_chunk_landings(self, monkeypatch):
-        # the first job's bursts are the first traffic into the clusters of
-        # stages 1 and 2, whose first-touch order the tracer keeps
-        workload = _chunked_chain(16)
-        result, __, bursts, folded = self._run(workload, True, monkeypatch)
-        unfolded = {base for __, base in bursts} - {base for __, base in folded}
-        # one burst of each of the two chunked flows, both of job 0
-        groups, jobs = zip(*sorted(divmod(base, workload.n_jobs) for base in unfolded))
-        assert len(set(groups)) == 2 and jobs == (0, 0)
-        python = simulate(ARCH64, workload, True, engine="python")
-        assert result_mismatches(python, result) == []
+        program, entries, __ = self._run(workload, model_contention, monkeypatch)
+        by_flow = {}
+        for group, ks in self._rows_by_group(program, entries, workload.n_jobs).values():
+            assert sum(ks) == group.count
+            assert len([k for k in ks if k > 1]) <= 1
+            if group.flow.total_chunks == 24:
+                by_flow.setdefault(group.flow.fid, []).extend(ks)
+        assert len(by_flow) == 4  # two stage flows, the write and the relay
+        waiting = 24 - ARCH64.cluster.dma_channels
+        for ks in by_flow.values():
+            assert ks.count(1) >= waiting * workload.n_jobs
 
 
 # --------------------------------------------------------------------------- #

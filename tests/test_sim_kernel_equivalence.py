@@ -31,9 +31,14 @@ Three layers of coverage:
   known shapes and on seeded random pipelines long enough to attempt in
   both contention modes, and those mid-run snapshots themselves,
   compared across the kernels at every final-stage completion.
+
+Beside them, the order rule of a finished run's records (clusters by id,
+links by name) is checked on both kernels, through a fast-forward and a
+store round trip.
 """
 
 import importlib.util
+import pickle
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -51,6 +56,7 @@ from repro.sim import (
     DeterministicArrivals,
     PoissonArrivals,
     StageCost,
+    SimulationResult,
     StageDescriptor,
     SystemSimulator,
     Workload,
@@ -257,8 +263,8 @@ class TestKnownShapes:
 
     def test_paper_headline_identical(self, monkeypatch):
         """The paper's Sec. VI point: ResNet-18, FINAL, 3×256×256, batch
-        16, 512 clusters, contention on — where the table lane folds most
-        chunk bursts' landings into one row each."""
+        16, 512 clusters, contention on — where the table lane lands each
+        chunk burst through one row."""
         arch, workload = _zoo_workload("resnet18", (3, 256, 256), "final", 16, 512)
         folded = []
         dispatch = TableProgram._op_burst_landed
@@ -748,6 +754,34 @@ class TestMidRunSnapshots:
             arch, workload, model_contention, "table", every_stage=True
         ).run()
         assert result_mismatches(plain, flushed) == []
+
+
+# --------------------------------------------------------------------------- #
+# The order of the tracer's records
+# --------------------------------------------------------------------------- #
+class TestRecordOrder:
+    """A finished run lists its clusters in ascending id and its links in
+    ascending name on both kernels, whatever order it touched them in, and
+    keeps that order through a fast-forward and a store round trip."""
+
+    @pytest.mark.parametrize("name", [case[0] for case in SYNTHETIC + ZOO])
+    @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_clusters_and_links_are_sorted(self, name, model_contention, engine):
+        arch, workload = _case(name)
+        full = simulate(arch, workload, model_contention, engine=engine)
+        fast = simulate(
+            arch, workload, model_contention, engine=engine, fast_forward=True
+        )
+        stored = SimulationResult.from_payload(
+            pickle.loads(pickle.dumps(full.to_payload())), arch, workload
+        )
+        for result in (full, fast, stored):
+            clusters = list(result.tracer.clusters)
+            links = list(result.tracer.link_busy)
+            assert clusters and links
+            assert clusters == sorted(clusters)
+            assert links == sorted(links)
 
 
 # --------------------------------------------------------------------------- #

@@ -28,31 +28,31 @@ from test_sim_fast_forward import _zoo_workload
 #: run on the paper's 512 clusters with 256-wide crossbars.
 PINNED_RESULTS = {
     ("resnet18", (3, 64, 64), "pipelined", 16, None): (
-        "c7d82804ecce1794b33bbd830dbcbf889bbdd7e29112e6b83d281248e10bb364"
+        "074fe6e0b37e28210320a5ee741a39a6e016bfb6a3222a64b8e823b4d908c9d7"
     ),
     ("resnet34", (3, 64, 64), "pipelined", 16, None): (
-        "1490e458ee7fdb245f32ffb97d7cc8b66daff77a21b8446d268112543a948f36"
+        "2c6a1a021ce0cd281edf93167ce5098f8164405a5dad37796d6eba595461348f"
     ),
     ("mobilenet_v2", (3, 64, 64), "pipelined", 16, None): (
-        "bab6754bc923122e3af4e85e2110183866c16d491147fdf0a557e7283b2baf49"
+        "9f49c8c2b85e44d84dfc2ff6a0ea3c8c2fa236d98555ce418fb6624c2a6bb943"
     ),
     ("resnet18", (3, 128, 128), "naive", 16, None): (
-        "7585442a6dc8285b99833a68d84f5f932172a5e1560381d02128f5cc6b651c94"
+        "49fd416e5b9b8f8b4d70be98d04981f16c4f481420ef7d955f9af84b74e15908"
     ),
     ("resnet18", (3, 128, 128), "replicated", 16, None): (
-        "bfee5e85ffc4fb700d71826f02bdd4982585cf533735a59d5d815263c68c77da"
+        "b1dc803c6a307a5e5c2cb0989d109aca47db361df60c567ce2255fed31a8de5c"
     ),
     ("tiny_cnn", (3, 32, 32), "naive", 64, 10): (
-        "3af16a06aca0b3e072c068c152ae58f49ba7c6135270b5507faf3287c1111742"
+        "4fb932ae72964a32005a86d86fb4f2bc22cb0f7f025ff42e322e9ba58221e71e"
     ),
     ("linear_cnn", (3, 32, 32), "naive", 64, 10): (
-        "47d8afa80609f1c253859aacddbfc7ac32a654855fe3f639013478cbe5387c44"
+        "201afb19e048557214597b694eb0f71d2af2666fe27be950fb03dadac4d4b447"
     ),
     # the stage completion traces of this point move when a queued DMA
     # burst enters the NoC at an event booked at issue instead of through
     # the deferral booked at the channel's free cycle
     ("resnet34", (3, 64, 64), "replicated", 64, None): (
-        "7eb6a070d8a9eca211d337f355283ef6f9fb2ce84e8b06abcc1187070ad9d468"
+        "d788d0a338d428e0aa3cbccb5a9ec80ac2958cb55778879040ce06c924190e64"
     ),
 }
 

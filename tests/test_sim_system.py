@@ -6,15 +6,19 @@ import pytest
 
 from repro.arch import ArchConfig
 from repro.sim import (
+    SIMULATION_ENGINES,
     DataFlow,
     SimulationError,
     StageCost,
     StageDescriptor,
     SystemSimulator,
     Workload,
+    result_mismatches,
     simulate,
 )
 from repro.sim.workload import chunk_groups
+
+from test_sim_fast_forward import ARCH64, _chain
 
 
 def _linear_workload(n_stages=3, n_jobs=16, analog_cycles=500, bytes_per_job=2048):
@@ -185,6 +189,18 @@ class TestWorkloadIR:
 
 
 class TestSystemSimulator:
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_a_simulator_runs_once(self, engine):
+        """A second ``run`` raises and leaves the first result as it was:
+        the result holds the simulator's tracer."""
+        workload = _chain(n_stages=4, n_jobs=8)
+        simulator = SystemSimulator(ARCH64, workload, engine=engine)
+        first = simulator.run()
+        with pytest.raises(SimulationError, match="runs once"):
+            simulator.run()
+        assert first.makespan_cycles == first.tracer.makespan == 5666
+        assert result_mismatches(simulate(ARCH64, workload, engine=engine), first) == []
+
     def test_linear_chain_completes(self):
         arch = ArchConfig.scaled(8)
         workload = _linear_workload()

@@ -12,7 +12,10 @@ bursts contend for the earliest-free channel.  A fourth arm draws the
 first generator's pipelines again with the event queue's compaction
 threshold (``repro.sim.engine.COMPACT_ROWS``) lowered to a few rows, so
 every run renumbers its pending rows many times, also in the middle of
-same-cycle cascades.  Every draw is simulated on both engines at buffer
+same-cycle cascades.  A fifth arm draws the first generator's pipelines
+with contention off, where every burst lands all its chunks at one cycle
+and the table lane lands them through one row.  The first four arms run
+with contention on.  Every draw is simulated on both engines at buffer
 depths 1, 2 and 5, and the results are compared with
 ``repro.sim.result_mismatches``.  Run it from the repository root::
 
@@ -57,6 +60,9 @@ COMPACTING_SEEDS = range(3300, 3700)
 #: 100 times, more than half of them while events of the current cycle
 #: are still queued.
 COMPACT_ROWS = 16
+#: the seeds :func:`tie_workload` draws with contention off, disjoint from
+#: the other ranges; about 15 s on the same container.
+UNCONTENDED_SEEDS = range(3700, 4100)
 #: the buffer depths every seed's pipeline is simulated at.
 BUFFER_DEPTHS = (1, 2, 5)
 #: the architecture every draw is mapped onto (64 clusters).
@@ -177,7 +183,7 @@ def digital_tie_workload(rng: random.Random) -> Workload:
     return dataclasses.replace(workload, stages=stages)
 
 
-def sweep(name, generator, seeds, arch=ARCH) -> int:
+def sweep(name, generator, seeds, arch=ARCH, model_contention=True) -> int:
     """Simulate every draw of ``generator`` on both engines on ``arch``;
     return the number of diverging draws."""
     began = time.perf_counter()
@@ -185,8 +191,8 @@ def sweep(name, generator, seeds, arch=ARCH) -> int:
     for seed in seeds:
         workload = generator(random.Random(seed))
         for depth in BUFFER_DEPTHS:
-            python = simulate(arch, workload, True, depth, engine="python")
-            table = simulate(arch, workload, True, depth, engine="table")
+            python = simulate(arch, workload, model_contention, depth, engine="python")
+            table = simulate(arch, workload, model_contention, depth, engine="table")
             mismatches = result_mismatches(python, table)
             if mismatches:
                 diverged += 1
@@ -212,6 +218,9 @@ def main() -> int:
         diverged += sweep("compacting tie sweep", tie_workload, COMPACTING_SEEDS)
     finally:
         event_queue.COMPACT_ROWS = default_rows
+    diverged += sweep(
+        "uncontended tie sweep", tie_workload, UNCONTENDED_SEEDS, model_contention=False
+    )
     return 1 if diverged else 0
 
 
