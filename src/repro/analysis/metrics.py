@@ -95,9 +95,7 @@ class PerformanceMetrics:
         }
 
 
-def compute_energy(
-    result: SimulationResult, mapping: Optional[NetworkMapping] = None
-) -> EnergyBreakdown:
+def compute_energy(result: SimulationResult) -> EnergyBreakdown:
     """Energy of one simulated run, from the traffic/compute counters."""
     arch = result.arch
     workload = result.workload
@@ -150,7 +148,7 @@ def compute_metrics(
     images = workload.batch_size
     images_per_second = images / seconds
     area = arch.chip_area_mm2
-    energy = compute_energy(result, mapping)
+    energy = compute_energy(result)
     energy_mj = energy.total_mj
     power_w = energy_mj * 1e-3 / seconds
     tops_per_w = tops / power_w if power_w > 0 else 0.0

@@ -60,7 +60,12 @@ NETWORK_OUTPUT_LABEL = "network_output"
 #: workload carries the content digest computed when it was lowered, so a
 #: store must never serve it to code that would digest the same workload
 #: differently.  Warm stores then lower every workload again.
-WORKLOAD_PAYLOAD_VERSION = 1
+#: Version 2: ``StageDescriptor`` lost its digital-slot count (every
+#: lowered stage had one slot, so a stage now runs one digital job at a
+#: time) and its graph-node and IFM-group fields, which nothing read.  Its
+#: canonical rendering changed while every simulated value stayed the
+#: same, so every workload digest, and with it every simulation key, moved.
+WORKLOAD_PAYLOAD_VERSION = 2
 
 
 def lower_to_workload(
@@ -106,12 +111,9 @@ def lower_to_workload(
                 name=layer.name,
                 analog_replicas=layer.analog_replicas,
                 digital_clusters=layer.digital_clusters,
-                digital_slots=1,
                 cost=cost,
                 inputs=inputs,
                 outputs=outputs,
-                node_ids=(node.node_id,),
-                group=layer.group,
             )
         )
 

@@ -591,6 +591,10 @@ class ScenarioGrid:
                     f"unknown sweep axis {axis!r}; scenario fields are "
                     f"{', '.join(sorted(_SCENARIO_FIELDS))}"
                 )
+            if any(axis == seen for seen, __ in normalized):
+                # expand() zips names to values, so a second axis of one
+                # field would silently overwrite the first's values
+                raise SpecError(f"sweep axis {axis!r} appears more than once")
             values = tuple(values)
             if not values:
                 raise SpecError(f"sweep axis {axis!r} has no values")

@@ -24,8 +24,7 @@ increment to every counter.  Integer arithmetic throughout: the result is
 bit-identical to the full run (asserted over synthetic pipelines and the
 model zoo in ``tests/test_sim_fast_forward.py``).
 
-A stage whose round-robin over its analog replicas and digital slots
-repeats only every ``lcm(replication, digital_slots) > MAX_WINDOW`` jobs —
+A stage that round-robins over more than ``MAX_WINDOW`` analog replicas —
 the paper's headline FINAL mapping replicates stages 33/9/3-way — repeats
 over more jobs than any candidate window, so such a workload is refused
 before anything is simulated.
@@ -42,12 +41,12 @@ argument.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..arch.config import ArchConfig
-from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator, check_engine
+from .system import DEFAULT_ENGINE, SimulationResult, SystemSimulator
+from .system import check_engine, check_run_options
 from .workload import StageDescriptor, Workload
 
 #: below this job count an attempt is refused up front: its snapshots
@@ -64,8 +63,7 @@ MIN_WINDOWS = 3
 # Typed refusals
 # --------------------------------------------------------------------- #
 
-#: some stage's effective window ``lcm(replication, digital_slots)`` exceeds
-#: :data:`MAX_WINDOW`.
+#: some stage's replication exceeds :data:`MAX_WINDOW`.
 REFUSAL_WINDOW_TOO_LARGE = "window-too-large"
 #: arrival-driven workload: it never reaches a closed steady state.
 REFUSAL_OPEN_WORKLOAD = "open-workload"
@@ -480,13 +478,15 @@ def fast_forward_simulate(
 ) -> Union[SimulationResult, "FastForwardRefusal"]:
     """Simulate ``workload`` by steady-state extrapolation when provably exact.
 
-    An ``engine`` that is not one of the simulation engines raises
-    :class:`ValueError` first, as in :func:`~repro.sim.system.simulate`.
-    Refusals that follow from the workload alone — an open workload, too
-    few jobs, a stage whose effective window exceeds :data:`MAX_WINDOW`,
-    or a cluster shared by two analog replicas of one stage — return a
-    typed :class:`FastForwardRefusal` before anything is simulated, in
-    that order; the caller then simulates in full.  Otherwise the workload
+    An ``engine`` that is not one of the simulation engines, a
+    ``model_contention`` that is not a bool or a ``buffer_depth`` that is
+    not an integer of at least 1 raises :class:`ValueError` first, as in
+    :class:`~repro.sim.system.SystemSimulator`.  Refusals that follow from
+    the workload alone — an open workload, too few jobs, a stage with more
+    than :data:`MAX_WINDOW` analog replicas, or a cluster shared by two
+    analog replicas of one stage — return a typed
+    :class:`FastForwardRefusal` before anything is simulated, in that
+    order; the caller then simulates in full.  Otherwise the workload
     runs once, certifying a window on its own final-stage completions, and
     a :class:`SimulationResult` comes back: the bit-identical
     extrapolation when a window certified, or else the full run itself
@@ -494,6 +494,7 @@ def fast_forward_simulate(
     take the same path.
     """
     check_engine(engine)
+    check_run_options(model_contention, buffer_depth)
     if workload.arrival_cycles:
         return FastForwardRefusal(
             REFUSAL_OPEN_WORKLOAD,
@@ -507,24 +508,19 @@ def fast_forward_simulate(
             f"{n} jobs is below the {MIN_JOBS}-job floor: a probe plus "
             f"certification margin would not be shorter than the full run",
         )
-    # A stage hands job j to analog replica j % R and digital slot j % S, so
-    # its pattern repeats every q = lcm(R, S) jobs.  When R > MAX_WINDOW,
-    # the replica that served a window's last job gets its next job more
-    # than W jobs later for every candidate W ≤ MAX_WINDOW: its clusters get
-    # a job in one window and none in the next, and the second-difference
-    # test cannot pass.  Where only q exceeds the cap the rule is merely
-    # conservative (lowered workloads have one digital slot, so q = R), and
-    # a refusal never changes a result.  Refuse before simulating anything.
-    windows = {d.stage_id: math.lcm(d.replication, d.digital_slots) for d in workload.stages}
-    wide = [sid for sid, q in windows.items() if q > MAX_WINDOW]
+    # A stage hands job j to analog replica j % R, so its pattern repeats
+    # every R jobs.  When R > MAX_WINDOW, the replica that served a window's
+    # last job gets its next job more than W jobs later for every candidate
+    # W ≤ MAX_WINDOW: its clusters get a job in one window and none in the
+    # next, and the second-difference test cannot pass.  Refuse before
+    # simulating anything.
+    wide = [d.stage_id for d in workload.stages if d.replication > MAX_WINDOW]
     if wide:
-        stage = max(workload.stages, key=lambda d: windows[d.stage_id])
+        stage = max(workload.stages, key=lambda d: d.replication)
         return FastForwardRefusal(
             REFUSAL_WINDOW_TOO_LARGE,
             f"stage {stage.stage_id} round-robins {stage.replication} analog "
-            f"replicas and {stage.digital_slots} digital slots, an effective "
-            f"window of {windows[stage.stage_id]} jobs, more than the "
-            f"certification cap {MAX_WINDOW}",
+            f"replicas, more than the certification cap {MAX_WINDOW}",
             (
                 f"refused before probing: stages {wide} have effective "
                 f"windows beyond MAX_WINDOW={MAX_WINDOW}",

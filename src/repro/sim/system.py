@@ -4,7 +4,8 @@ The simulator implements the self-timed, credit-based data-flow execution
 model of Sec. IV.5 on top of the event kernel:
 
 * every pipeline stage owns an *analog* server (capacity = number of
-  replicas) and a *digital* server (capacity = number of digital slots);
+  replicas) and a *digital* server (capacity 1: each job's digital work
+  runs on all of the stage's digital clusters, one job at a time);
 * producers push tiles to consumers through the contention-aware NoC model,
   but only after acquiring a credit from the consumer's double-buffered
   input slot, which is how back-pressure propagates;
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
@@ -127,6 +129,22 @@ def check_engine(engine: str) -> None:
         raise ValueError(
             f"unknown simulation engine {engine!r}; "
             f"expected one of {SIMULATION_ENGINES}"
+        )
+
+
+def check_run_options(model_contention: bool, buffer_depth: int) -> None:
+    """Raise :class:`ValueError`, naming the argument and its value, unless
+    ``model_contention`` is a bool and ``buffer_depth`` a non-bool integer
+    (numpy integers included) of at least 1."""
+    if not isinstance(model_contention, bool):
+        raise ValueError(f"model_contention must be a bool, got {model_contention!r}")
+    if (
+        isinstance(buffer_depth, bool)
+        or not isinstance(buffer_depth, numbers.Integral)
+        or buffer_depth < 1
+    ):
+        raise ValueError(
+            f"buffer_depth must be an integer of at least 1, got {buffer_depth!r}"
         )
 
 
@@ -382,11 +400,7 @@ class _StageRuntime:
             f"stage[{descriptor.stage_id}].analog",
             capacity=descriptor.replication,
         )
-        self.digital_server = Server(
-            engine,
-            f"stage[{descriptor.stage_id}].digital",
-            capacity=descriptor.digital_slots,
-        )
+        self.digital_server = Server(engine, f"stage[{descriptor.stage_id}].digital")
         input_credits, output_slots = descriptor.credits(sim.buffer_depth)
         #: per-input-flow credit stores (double-buffered tiles).
         self.input_credits: List[CreditStore] = [
@@ -418,7 +432,6 @@ class _StageRuntime:
             if sim.workload.arrival_cycles and not descriptor.inputs
             else None
         )
-        self._digital_groups = descriptor.digital_groups()
         # register for per-stage statistics
         sim.tracer.stage(descriptor.stage_id, descriptor.name)
 
@@ -499,11 +512,10 @@ class _StageRuntime:
         if duration <= 0:
             self._after_compute(job_index, start, analog_cycles, 0)
             return
-        group = self._digital_groups[job_index % self.desc.digital_slots]
 
         def done() -> None:
             now = self.sim.engine.now
-            for cluster in group:
+            for cluster in self.desc.digital_clusters:
                 self.sim.tracer.record_cluster(cluster, "digital", duration, now)
             self._after_compute(job_index, start, analog_cycles, duration)
 
@@ -552,6 +564,7 @@ class SystemSimulator:
         engine: str = DEFAULT_ENGINE,
     ):
         check_engine(engine)
+        check_run_options(model_contention, buffer_depth)
         workload.validate(arch.n_clusters)
         self.arch = arch
         self.workload = workload

@@ -6,10 +6,10 @@ the opcode rows of :class:`~repro.sim.engine.Engine`:
 
 * each stage becomes a :class:`_CompiledStage` — flat per-job vectors
   (``job_start``, ``out_pending``), dense credit/occupancy counters
-  (analog/digital busy counts, per-input credits, output slots) and
-  integer waiter queues — replacing the object kernel's per-stage
-  ``Server``/``CreditStore``/``Barrier`` web and all its per-job
-  closures;
+  (analog busy count, digital busy flag, per-input credits, output
+  slots) and integer waiter queues — replacing the object kernel's
+  per-stage ``Server``/``CreditStore``/``Barrier`` web and all its
+  per-job closures;
 * each data flow becomes a :class:`_Flow` with precompiled chunk
   :class:`_Group` records (size, count, DMA duration, serialization,
   channel service, delivery attribution — every per-transfer quantity
@@ -67,10 +67,11 @@ add to the destination's sums and running maxima, and cannot complete the
 flow).  Live :class:`~repro.sim.tracer.StageActivity` and stage
 completions stay on the tracer.  Per-cluster and per-link activity is
 counted per *record source* — a :class:`_Source` for each analog replica,
-each digital group and the source and delivery side of each chunk group,
-and a route's booked cycles on its :class:`_Plan` — so a record touches
-one object, not every cluster and link it charges; and each chunk group
-counts the chunks it sent for the tracer's traffic counters.
+for each stage's digital clusters and for the source and delivery side of
+each chunk group, and a route's booked cycles on its :class:`_Plan` — so
+a record touches one object, not every cluster and link it charges; and
+each chunk group counts the chunks it sent for the tracer's traffic
+counters.
 ``TableProgram._flush`` expands the counts made since the last flush into
 dense per-cluster and per-link arrays and the traffic counters, and notes
 which clusters have a record; :meth:`TableProgram.finalize` materialises
@@ -282,8 +283,7 @@ class _CompiledStage:
         "repl",
         "analog_sources",
         "digital_d",
-        "dslots",
-        "digital_sources",
+        "digital_source",
         "an_busy",
         "an_wait",
         "dg_busy",
@@ -392,14 +392,12 @@ class TableProgram:
                 for replica in desc.analog_replicas
             )
             st.digital_d = desc.cost.digital_cycles_per_job
-            st.dslots = desc.digital_slots
-            st.digital_sources = tuple(
-                self._source(group, st.digital_d, self._digital_sources)
-                for group in desc.digital_groups()
+            st.digital_source = self._source(
+                desc.digital_clusters, st.digital_d, self._digital_sources
             )
             st.an_busy = 0
             st.an_wait = deque()
-            st.dg_busy = 0
+            st.dg_busy = False
             st.dg_wait = deque()
             st.n_inputs = len(desc.inputs)
             in_credits, st.out_credits = desc.credits(sim.buffer_depth)
@@ -799,9 +797,10 @@ class TableProgram:
         if dur <= 0:
             self._after_compute(st, job, 0)
             return
-        # digital Server.submit (capacity = digital_slots)
-        if st.dg_busy < st.dslots and not st.dg_wait:
-            st.dg_busy += 1
+        # digital Server.submit (capacity 1): a job queued behind others
+        # waits even when the server is free
+        if not st.dg_busy and not st.dg_wait:
+            st.dg_busy = True
             kinds = self._kinds
             heappush(self._heap, (self.engine._now + dur) << ROW_BITS | len(kinds))
             kinds.append(OP_DIGITAL_DONE)
@@ -814,17 +813,17 @@ class TableProgram:
         slot = arg // nj
         st = self.stages[slot]
         job = arg - slot * nj
-        st.dg_busy -= 1
+        st.dg_busy = False
         engine = self.engine
         now = engine._now
         dur = st.digital_d
-        source = st.digital_sources[job % st.dslots]
+        source = st.digital_source
         if source is not None:
             source.count += 1
             source.last = now
         self._after_compute(st, job, dur)
-        if st.dg_wait and st.dg_busy < st.dslots:
-            st.dg_busy += 1
+        if st.dg_wait and not st.dg_busy:
+            st.dg_busy = True
             kinds = self._kinds
             heappush(self._heap, (now + dur) << ROW_BITS | len(kinds))
             kinds.append(OP_DIGITAL_DONE)

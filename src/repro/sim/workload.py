@@ -16,7 +16,6 @@ simulator reusable for synthetic workloads in tests and ablations.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -140,22 +139,15 @@ class StageDescriptor:
     #: digital stages.
     analog_replicas: Tuple[Tuple[int, ...], ...] = ()
     #: clusters executing the digital part of the stage (reductions, pooling,
-    #: residual additions).  May be empty for pure analog stages whose
-    #: requantisation is folded into the analog cost.
+    #: residual additions); every job runs on all of them, one job at a
+    #: time.  May be empty for pure analog stages whose requantisation is
+    #: folded into the analog cost.
     digital_clusters: Tuple[int, ...] = ()
-    #: number of digital jobs that can be processed concurrently.
-    digital_slots: int = 1
     cost: StageCost = field(default_factory=StageCost)
     inputs: Tuple[DataFlow, ...] = ()
     outputs: Tuple[DataFlow, ...] = ()
-    #: graph node ids this stage implements (for reporting).
-    node_ids: Tuple[int, ...] = ()
-    #: IFM-shape group index (Fig. 7 grouping); -1 when not applicable.
-    group: int = -1
 
     def __post_init__(self) -> None:
-        if self.digital_slots <= 0:
-            raise ValueError("digital_slots must be positive")
         if not self.analog_replicas and self.cost.analog_cycles_per_job > 0:
             raise ValueError("analog cost requires at least one analog replica")
 
@@ -188,25 +180,6 @@ class StageDescriptor:
         clusters = self.clusters
         return clusters[0] if clusters else None
 
-    def digital_groups(self) -> Tuple[Tuple[int, ...], ...]:
-        """The digital clusters split into ``digital_slots`` groups.
-
-        Digital job ``j`` runs on group ``j % digital_slots``.  The clusters
-        are cut into consecutive groups of ``ceil(len / slots)``; a slot
-        left without clusters reuses the last one.  A stage without digital
-        clusters gets ``digital_slots`` empty groups.
-        """
-        clusters = self.digital_clusters
-        slots = self.digital_slots
-        if not clusters:
-            return ((),) * slots
-        per_group = max(1, math.ceil(len(clusters) / slots))
-        return tuple(
-            tuple(clusters[index * per_group : (index + 1) * per_group])
-            or (clusters[-1],)
-            for index in range(slots)
-        )
-
     def input_flow_index(self, producer_id: int) -> int:
         """Index of the input flow this stage receives from stage ``producer_id``."""
         for index, flow in enumerate(self.inputs):
@@ -224,19 +197,19 @@ class StageDescriptor:
         fewer than the output slots of earlier jobs still have undelivered
         outputs; a producer pushes a chunk only against an input credit,
         which the consumer returns when its compute has consumed the chunk.
-        Each analog replica (and each digital slot) owns its own buffers,
-        so both counts scale with ``max(replication, digital_slots)``;
-        otherwise data replication could never overlap more than
-        ``buffer_depth`` jobs.  An input flow's own ``buffer_depth``
-        overrides the simulator's.  Both kernels size their credits here.
+        Each analog replica owns its own buffers, so both counts are
+        scaled by the replication; otherwise data replication could never
+        overlap more than ``buffer_depth`` jobs.  An input flow's own
+        ``buffer_depth`` overrides the simulator's.  Both kernels size
+        their credits here.
         """
-        parallelism = max(self.replication, self.digital_slots)
+        replication = self.replication
         inputs = tuple(
             (flow.buffer_depth if flow.buffer_depth is not None else buffer_depth)
-            * parallelism
+            * replication
             for flow in self.inputs
         )
-        return inputs, buffer_depth * parallelism
+        return inputs, buffer_depth * replication
 
 
 @dataclass

@@ -42,8 +42,8 @@ class TestMetrics:
         assert 20 < metrics.area_efficiency_gops_mm2 < 130
         assert 1.5 < metrics.energy_efficiency_tops_w < 30
 
-    def test_energy_breakdown_sums(self, resnet_final_result, resnet_final_mapping):
-        energy = compute_energy(resnet_final_result, resnet_final_mapping)
+    def test_energy_breakdown_sums(self, resnet_final_result):
+        energy = compute_energy(resnet_final_result)
         parts = energy.as_dict()
         total = parts.pop("total")
         assert total == pytest.approx(sum(parts.values()))

@@ -213,6 +213,15 @@ def test_grid_built_in_code_rejects_a_bad_axis_value():
     assert grid.axes == (("input_shape", ((3, 16, 16),)),)
 
 
+def test_grid_rejects_a_repeated_axis():
+    # expanding two axes of one field would keep only the second's values
+    with pytest.raises(SpecError, match="sweep axis 'batch_size' appears more than once"):
+        ScenarioGrid(
+            base=Scenario(**TINY),
+            axes=(("batch_size", (1, 2)), ("batch_size", (4, 8))),
+        )
+
+
 @pytest.mark.parametrize("base", [3, [["model", "tiny_cnn"]], "tiny_cnn"])
 def test_base_section_must_be_a_table(base):
     with pytest.raises(SpecError, match=r"\[base\] must map scenario fields"):

@@ -3,10 +3,15 @@
 The persistent artifact store addresses every entry by these keys.
 Changing a pin re-keys every store: a warm store would silently turn
 cold, and two versions of the canonical rules would share a namespace.
-A change that alters a pin must therefore bump
+A change to the canonical rules that alters a pin must therefore bump
 :data:`~repro.scenarios.fingerprint.CANONICAL_VERSION` (which moves stores
 to a fresh namespace) instead of editing the pin.  The workload digest is
-pinned through ``content_digest``, which the simulation key hashes.
+pinned through ``content_digest``, which the simulation key hashes.  A
+change to the fields of the workload IR changes the workload's content
+whatever the namespace, so it re-pins the workload digest, the
+simulation key and both keys in ``PINNED_REKEYED`` together with its
+:data:`~repro.core.pipeline.WORKLOAD_PAYLOAD_VERSION` bump, and leaves
+``CANONICAL_VERSION`` alone; the graph, arch and mapping pins do not move.
 
 Two keys are pinned apart, in ``PINNED_REKEYED``, because each was
 re-keyed once on purpose.  ``workload_key`` hashes
@@ -67,71 +72,71 @@ PINNED_KEYS = {
         "graph": "36e837a5ac7d8315a712718eb046dfcabc52ed661fb243890fb4c9485a443fcf",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "d09175233518e03abfabbf555e69b1cb6de47d491c286adae49447a3c3457d1d",
-        "workload": "60a2363769b2908a434218529ef6f210d116bcb1f53791f96fbb24309af9505c",
-        "simulation": "a42b74b1961afaf3f29dbb3853ac430aac69458cc9efe98c89287832e3a6caf7",
+        "workload": "b2b5119ada8cecf19c9d6b1dc4d34f9c614c915ce8a87ee278e2966b6745bd77",
+        "simulation": "1bba16d37365bc35ad7421166e59048bc83b2570263a1817c2777c37af319534",
     },
     "mobilenet_v2/final": {
         "graph": "285d0969e6dc4de0a55e65267786b1eadd4f1a4bad583f3b9802da19d6e5e7ab",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "8f2a4f5fb353bf13804dc73d70162998fa93c3b429694a643b76066bf6d3795f",
-        "workload": "a61b7a4c1207820d2d861c91aa962ceca788af419226d0a6f01a33ca879e9391",
-        "simulation": "f9911f0cd140d659c3c3df19319c6460bd15f135367aa41606339cd02361ea0f",
+        "workload": "951a480ad7d16e1aa8ef30430aa3738a2d1f2e45df76ff2c3b4435420796b038",
+        "simulation": "258e26827d64bac178b2f3259af01e11a1ec8e84aa521088a76177c28fff25fd",
     },
     "mobilenet_v2/naive": {
         "graph": "285d0969e6dc4de0a55e65267786b1eadd4f1a4bad583f3b9802da19d6e5e7ab",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "12cb3f65d64bd9ed034063ed53c8fc784d39eb891444ac2f0e0f3725c3cf6613",
-        "workload": "8a639613946da64ecedea0d0664277076c38de55daa3e242d748020b2f98df19",
-        "simulation": "eea3940fab96bb3c09ff4a938e46598e40b5749b1f3363220eb924a0fc0462ea",
+        "workload": "135f76001fadbe60b184a9c936c2e1833805b939caf36171fca05b07dfbaa38a",
+        "simulation": "76737df15dfb6dcba511d2f75e7f41323151adf87d0857b0e4c2bc65c8c99e2e",
     },
     "mobilenet_v2/replicated": {
         "graph": "285d0969e6dc4de0a55e65267786b1eadd4f1a4bad583f3b9802da19d6e5e7ab",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "2148f90aaee7412aa44f8589b6efbb1a2d5321030d8d6b9d8d2ad0e4a5b0f27d",
-        "workload": "5e574fdbf2bceb008b3b5e4f6316e541ab17fbe820b739fc7551fa2b305e2808",
-        "simulation": "9cfa1abc08c2a350142c92001ea729f348718098bbe9d0ee79011477116b1f9c",
+        "workload": "3afe0dc66ef2f2bc21d11f36af6038b07c5154e8f11b14907e42c16f3dd50ed7",
+        "simulation": "b433873b1944803170c0c1a68c1b55ca1b0eeab0c35574ee15b5a245a82fbd1c",
     },
     "resnet18/final": {
         "graph": "cafd83445ae07c7182447ec0428c8b5908f11e7faeded51b017402743aeb3295",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "19573b739b3b8c638df545655bbb3d09c4d1639882c37aca6c66986ff6f9c96b",
-        "workload": "41469754c461789948c4e58fc3984ab89e78021d6476e8c5c784f3e955892715",
-        "simulation": "cc1b7897d2417d3ccfee45e3abc1445a2eaf283fc290519181924af575d205f5",
+        "workload": "7ff2371365549e0fd9be19519ee909fc7c0004b419cf6ccbe6ec014de3039443",
+        "simulation": "0accfc57acc9ef0becf587495b87e151748e55c05f543ba8ba06f4968abde4aa",
     },
     "resnet18/naive": {
         "graph": "cafd83445ae07c7182447ec0428c8b5908f11e7faeded51b017402743aeb3295",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "ba91b5219865bcdd53a149337139f9ebeacb97e9b47d96f8724f8c305d79b081",
-        "workload": "d445788b35e80dd7a11d88f34751061c3484d89add97805458ef397b6a3a1908",
-        "simulation": "b48eaf7a31f7f1f4d698765da615b177f1912893a7f3232fe51eff9e1c4a28ef",
+        "workload": "59f8f999a5b13c4ce5666bc17abf27f2a8dd05018d0302f9649ddced8c4702bd",
+        "simulation": "ce247e9acbbda1fa0b52ab12d44c5640232889d4f5bac60ca4d4ba313b473ff1",
     },
     "resnet18/replicated": {
         "graph": "cafd83445ae07c7182447ec0428c8b5908f11e7faeded51b017402743aeb3295",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "6cfb743b981a5b4d0eb6991d830091673be49bfa97be656909cea9cdfa1ddd45",
-        "workload": "d126929e6bdc533da97557077e6d290408ddd24cd4a123e7796b1951c2c44c4b",
-        "simulation": "2f9df9d5d9822beeeee3e812f8cfcb5abdd7b2d0a125732710d18399d321b85e",
+        "workload": "8e63b0ce88572c8c5cbea38206ccf9daf806213df8256fac566e319794b92369",
+        "simulation": "bde8407937c9c71686cd9cb331c22039ac4d7c57d63e3b8ac03afae7357b9684",
     },
     "resnet34/final": {
         "graph": "f349f750a84d389f30065379b91161e3c7264e7b33260a4bbb1f812eade8cd39",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "0bfa388767cffafb03345d9cbe810800ae9b478c3d22d6bb1c5e1d6f5cabb5cd",
-        "workload": "92a6729a9cd151548e178e7771ccebdb87a4ee21637afb570415d86c91d698be",
-        "simulation": "a0e767d0a8ac1a6d6815eff13e10aae684490694a08a2de9addf38323c0c5d7f",
+        "workload": "936a088e5b837535328eea42ca1fb0052971a26a7a5334a16356d9bbb125454f",
+        "simulation": "ddb7534511bb54f41ecd19501e0147dd6ca45c4605141db388eb0df357caf30f",
     },
     "resnet34/naive": {
         "graph": "f349f750a84d389f30065379b91161e3c7264e7b33260a4bbb1f812eade8cd39",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "f63e294949fab4468f282902227b3ee06715d6755bbdb92781d4977ccf54bf5d",
-        "workload": "f56ab42c1f3fca79207fc6778dbe9e61efb179c30f45369c5910822d59497f3f",
-        "simulation": "b32f7cbcc91cdad98a1a45dfde98229d1e0459a6f4e3e650b8b0ae4c6fd6201e",
+        "workload": "1ee61d97687fcff32b1f604dc2e2d75e35f4ebf4aff3b9db6a618dc50813167c",
+        "simulation": "51e3553568dc8ab12bd93c19fab1f84506402d373c10735bfd1f9833824e2241",
     },
     "resnet34/replicated": {
         "graph": "f349f750a84d389f30065379b91161e3c7264e7b33260a4bbb1f812eade8cd39",
         "arch": "aae50b283e56074a9e3267ff325720d7a5dce4293422643c9c2281ea3f27a4af",
         "mapping": "c4d57861536de9ab24ae90535f72d5ef3f8a4d05b5e7ab0c15d883755d6cba36",
-        "workload": "08834fb35269f9712b93fb4b3da4abf4d21f2c4ad417e6313423122bf1db563e",
-        "simulation": "4deaa54bf8f98dff3b5282da8a744bbdc51f716e2781425437a0a8d17a0442e1",
+        "workload": "38560235bac980d54bdca25e7a0495696f27361b07adb2aea4ed46cc86ff5944",
+        "simulation": "908389c62af6d3b084544d20afc49614ee74c2d1113592e00c5d396f8343ff19",
     },
 }
 
@@ -142,44 +147,44 @@ PINNED_KEYS = {
 #: digest rather than that of the copy stamped with the schedule).
 PINNED_REKEYED = {
     "headline": {
-        "workload_key": "531ced029b360826a58cdc033593f8f59393fa0e10def18fa96c0c1638cc6766",
-        "open_simulation": "4bbac3d69fd2402f51811729b8ed95a0e2fb50680aa71f6150e22be2b8d87200",
+        "workload_key": "9f4477a8435cbf40b5dd99e2cba0973c4a9655b4bb5181d9da64d39202bac69a",
+        "open_simulation": "978e3415396833b002a4a6beef48de855f64257994400928ca00f83cea1fb984",
     },
     "mobilenet_v2/final": {
-        "workload_key": "d2948621862d3a3d0142caba51fe735d9447e213cf33a6a11720bc5c6aa1f8ef",
-        "open_simulation": "1611c53a1f811cdcedb5908a148556cc4c5d22676646897776520373d8f7c621",
+        "workload_key": "4fc2c9afc75abaa056b3fdadf568dbda0da46daf5f5f65457215114166f98cc4",
+        "open_simulation": "056501a98619a24735debf9c76a1bde263df77ea9bf42c59d2d7141343e73ab2",
     },
     "mobilenet_v2/naive": {
-        "workload_key": "8099a0dc7f6b9dfae6240e4e2cbb08358a13f4403fae227fe40c4964f30ac739",
-        "open_simulation": "0f3e0ea0a35e433ac46b409ab498f517e19b9d2215efd2d8ba13109c05dfa7b4",
+        "workload_key": "366f31a8d88cb7b18eeb6ffa683efdd93b9b8b3229102833fe1a2b2a77acd4bd",
+        "open_simulation": "9a0c7a663624e99a372fd2b3d072a19b96a7424567d08491c0f8e635f3580588",
     },
     "mobilenet_v2/replicated": {
-        "workload_key": "652cb27a98cdeefa5e8f7b0dc3b0e6a5c095b195e3f04dd587241559d234910c",
-        "open_simulation": "96b4506f53f2417bc713415fd2c989b2cdc5a0c32c0fa05ee4032cab6da24369",
+        "workload_key": "68535b72bae6ca8d350e33ec62dd6d0c99e9973b6b8623cc8f880346d36113bf",
+        "open_simulation": "a18274db4ef1fa79b60713edea076ec1043cb6cc83f29639fb4a4b2491b4091f",
     },
     "resnet18/final": {
-        "workload_key": "fb615b2728263c041c8087e364d86c9f979cd171dae1710c9f92a156314f17f8",
-        "open_simulation": "76e1fa650fd193ed153d21090f1aad5c9da4c698deb35398dfcffa7d1f712b38",
+        "workload_key": "014bd129c954c545f80f61cce4cca482e9cba39f70f8253604987c0a5f360bde",
+        "open_simulation": "2273013ec5708bb492d8b6462767152bd823a29fa7156512a8f782519f4b4810",
     },
     "resnet18/naive": {
-        "workload_key": "b8c7e6d218855ea93b002c3ad88fa046f993c1ebf3b9f8c11c7f9634ce805ca1",
-        "open_simulation": "8c7270cef2e41617e4f47db2087723d591207dfab7f681beb543758e6c44a341",
+        "workload_key": "66dabdfcbcde548a0a0e51ff2608363a6003f2b3a50e426dcfdef30699c96287",
+        "open_simulation": "29718069261fbda239913803b9d054b9ea51a91ea0f29e84fd9c0a67adad628d",
     },
     "resnet18/replicated": {
-        "workload_key": "0107f91b95c23e8d1042324cf75da099cc2997d37aab885d7f3d2052c8d46668",
-        "open_simulation": "e56c222cf8a085604f4f8fbcf5ece5439365135cb0faa14c4b15fe1556795396",
+        "workload_key": "a6f77e1c70572a139bf3bfc4cde488f8ce32e88cc0e946a8d33f12c3c8569d90",
+        "open_simulation": "512a87c6fb9fa4af88b2842c91d1d302e5b62c10932190a03200f27b83f6f774",
     },
     "resnet34/final": {
-        "workload_key": "ecc4c3b5f214a5dbc08ee009957e0fa09df8a23b48d17a8020085e017b32cf5f",
-        "open_simulation": "bd362a2974ea0d728bfec0f29facda07c2c28756e061ab89e5194022dcc3f50c",
+        "workload_key": "84fe3c3351aa27bc2c549ed94bdc6c520d30690bd0c3a2acce2c7d6fa279c10a",
+        "open_simulation": "8cb111244db5f0163b9d6a36f9a61996c021ffdfd758dff1fad37c097d1fc729",
     },
     "resnet34/naive": {
-        "workload_key": "446e2ead70fba91d03ad11a8cacc3ff728f296e360605f84b3d3b2c44f27507a",
-        "open_simulation": "706fc6b6e0abf57c55e69cea8a3835616593b0cd9f338c15f9b46688e46eaa32",
+        "workload_key": "f0a7370c1ec6b2358b64c924d311364aaf1cad4a38c3d90084b913c0841931d3",
+        "open_simulation": "37aa20b51e927d72c38faf2af0c5477b0cb6b40da5b27c1b960133b739abd972",
     },
     "resnet34/replicated": {
-        "workload_key": "1d964f60a446f06a9fc64aff8f0ef8d4c0fac568c79947c2f4d0994c6697ab11",
-        "open_simulation": "b782ad169e29b7ed3d7df8256e728177973c81e5ef97087f24e099dd24f84e69",
+        "workload_key": "061e25833e23cc83c1062210735479940e4e6da41b350bc0d2a28cb46d8f26fa",
+        "open_simulation": "0edb8b52cb9e3a7ca54785c75fededa0ffcd05e0d2c5f744ee9c7d94efed8e52",
     },
 }
 

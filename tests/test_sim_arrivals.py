@@ -15,9 +15,9 @@ Four contracts pinned here:
   ``fast_forwarded=False`` provenance, bit-identically.
 * **Closed-batch back-compat** — the ``arrival_cycles`` field is omitted
   from fingerprints while it keeps its default, so every closed-batch
-  content digest and simulation key is byte-identical to the pre-serving
-  expectation (pinned below as hex), and metric records written before the
-  serving axis round-trip unchanged.
+  content digest and simulation key is byte-identical to the one its
+  workload had before the serving axis (pinned below as hex), and metric
+  records written before the serving axis round-trip unchanged.
 """
 
 import dataclasses
@@ -246,12 +246,15 @@ class TestFastForwardRefusal:
 # --------------------------------------------------------------------------- #
 #: content digest of ``_chain(n_jobs=48, replication=2)`` and the simulation
 #: key built from it.  The ``arrival_cycles`` field is fingerprint-omitted
-#: at its default, so the digest has stayed byte-identical since the
-#: pre-serving tree; a change here silently invalidates every closed-batch
-#: artifact store.  The key is re-pinned once, because it hashes the
-#: default engine, which moved from ``"array"`` to ``"table"``.
-PINNED_CHAIN_DIGEST = "b7e0472f539fb6db2f63874e0d370a339809faf6284654fe08cc09f5bf379665"
-PINNED_SIMULATION_KEY = "b243605929ebd8bcdce570e5f1f8e4a05f244b803f3fbeb77669f5062b27d216"
+#: at its default, so adding it left the digest byte-identical; a change
+#: here silently invalidates every closed-batch artifact store.  The key is
+#: re-pinned once because it hashes the default engine, which moved from
+#: ``"array"`` to ``"table"``.  Both are re-pinned once more with the
+#: ``WORKLOAD_PAYLOAD_VERSION`` 2 bump, which dropped three fields from the
+#: stage IR: a change to the IR's fields moves the digest, and so the key,
+#: whatever the canonical rules.
+PINNED_CHAIN_DIGEST = "1565f42efff48d56fcf6aecf08e94aacd9908d1596dd814a6daabce7725eee6d"
+PINNED_SIMULATION_KEY = "277217214d19b092efd476b26bcbf58b6e58fa7e35d76da727aa1ed1ce3ff285"
 
 
 class TestClosedBatchBackCompat:

@@ -703,34 +703,6 @@ class TestRefusalTaxonomy:
         attempt.run()
         assert attempt.window is None
 
-    @pytest.mark.parametrize("contention", [True, False])
-    def test_wide_lcm_window_refuses_before_probing(self, contention, no_attempt):
-        # replication 4 with 5 digital slots: each shape fits MAX_WINDOW
-        # but their lcm (20) does not.  The rule refuses on the lcm, in
-        # both contention modes, without simulating anything.
-        workload = _chain(n_jobs=96, replication=4)
-        stages = list(workload.stages)
-        stages[1] = dataclasses.replace(
-            stages[1],
-            digital_clusters=(50, 51, 52, 53, 54),
-            digital_slots=5,
-            cost=StageCost(
-                analog_cycles_per_job=400,
-                digital_cycles_per_job=90,
-                analog_macs_per_job=100,
-            ),
-        )
-        workload = dataclasses.replace(workload, stages=tuple(stages))
-
-        refusal = fast_forward_simulate(ARCH64, workload, model_contention=contention)
-        assert isinstance(refusal, FastForwardRefusal)
-        assert refusal.reason == REFUSAL_WINDOW_TOO_LARGE
-        assert "an effective window of 20 jobs" in refusal.detail
-        assert refusal.probes == (
-            f"refused before probing: stages [1] have effective windows "
-            f"beyond MAX_WINDOW={MAX_WINDOW}",
-        )
-
     def test_refusal_payload_round_trip(self):
         refusal = FastForwardRefusal(
             REFUSAL_WINDOW_TOO_LARGE, "detail", ("probe b=24",)

@@ -19,8 +19,8 @@ Three layers of coverage:
   point, chunked flows whose bursts enter the NoC as one row or split
   across busy DMA channels, and reproducers of same-cycle ties under
   contention, with draws of ``tools/tie_sweep.py`` that once diverged and
-  draws of its digital generator (digital groups sharing clusters,
-  intra-stage partial-sum flows), and external inputs in shapes no
+  draws of its digital generator (digital clusters shared between
+  stages, intra-stage partial-sum flows), and external inputs in shapes no
   generator draws;
 * a seeded randomized property sweep over small pipelines — stage counts,
   costs, byte sizes, replication widths, storage flows, buffer depths and
@@ -158,7 +158,7 @@ def _feed_workload(shape):
     else:  # digital-only
         stages = [
             replace(_stage(0, (), 0, 150, (DataFlow("hbm", 512, label="in"),), to_next),
-                    digital_clusters=(0, 1), digital_slots=2),
+                    digital_clusters=(0, 1)),
             _stage(1, ((3,),), 300, 40, (from_first,), out),
         ]
     return _pipeline(stages, n_jobs=12)
@@ -326,7 +326,7 @@ class TestKnownShapes:
     @pytest.mark.parametrize("seed", tie_sweep.DIGITAL_SEEDS[:10])
     @pytest.mark.parametrize("model_contention", [True, False], ids=["cont", "nocont"])
     def test_digital_tie_sweep_draws_identical(self, seed, model_contention):
-        """Digital records, intra-stage flows and record groups that share
+        """Digital records, intra-stage flows and record sources that share
         clusters, which only the zoo mappings reach otherwise."""
         workload = tie_sweep.digital_tie_workload(random.Random(seed))
         for depth in tie_sweep.BUFFER_DEPTHS:

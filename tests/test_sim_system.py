@@ -1,7 +1,9 @@
 """Tests for the workload IR and the system-level pipeline simulator."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from repro.arch import ArchConfig
@@ -13,12 +15,13 @@ from repro.sim import (
     StageDescriptor,
     SystemSimulator,
     Workload,
+    fast_forward_simulate,
     result_mismatches,
     simulate,
 )
 from repro.sim.workload import chunk_groups
 
-from test_sim_fast_forward import ARCH64, _chain
+from test_sim_fast_forward import ARCH64, _chain, _zoo_workload
 
 
 def _linear_workload(n_stages=3, n_jobs=16, analog_cycles=500, bytes_per_job=2048):
@@ -90,30 +93,15 @@ class TestWorkloadIR:
             name="conv",
             analog_replicas=((0,), (1,), (2,)),
             digital_clusters=(4, 5),
-            digital_slots=2,
             cost=StageCost(analog_cycles_per_job=100),
             inputs=(
                 DataFlow("stage", 10, stage_id=0),
                 DataFlow("hbm", 10, label="res", buffer_depth=4),
             ),
         )
-        # three replicas outnumber two digital slots; the residual input
-        # keeps its own depth
+        # each of the three replicas owns its buffers, whatever the number
+        # of digital clusters; the residual input keeps its own depth
         assert stage.credits(2) == ((6, 12), 6)
-
-    def test_digital_groups(self):
-        stage = StageDescriptor(
-            stage_id=0, name="reduce", digital_clusters=(4, 5, 6), digital_slots=2
-        )
-        # ceil(3 / 2) = 2 consecutive clusters per group
-        assert stage.digital_groups() == ((4, 5), (6,))
-        # a slot left without clusters reuses the last one
-        wide = StageDescriptor(
-            stage_id=0, name="reduce", digital_clusters=(4, 5, 6), digital_slots=4
-        )
-        assert wide.digital_groups() == ((4,), (5,), (6,), (6,))
-        bare = StageDescriptor(stage_id=0, name="analog-only", digital_slots=2)
-        assert bare.digital_groups() == ((), ())
 
     def test_input_flow_index(self):
         workload = _linear_workload()
@@ -149,22 +137,6 @@ class TestWorkloadIR:
         assert [size for size, count in groups for __ in range(count)] == expected
         # runs of equal sizes are maximal
         assert all(a[0] != b[0] for a, b in zip(groups, groups[1:]))
-
-    @pytest.mark.parametrize(
-        "n_clusters, slots", [(4, 2), (5, 3), (1, 3), (7, 7)]
-    )
-    def test_digital_groups_cover_every_slot(self, n_clusters, slots):
-        clusters = tuple(range(10, 10 + n_clusters))
-        stage = StageDescriptor(
-            stage_id=0, name="reduce", digital_clusters=clusters, digital_slots=slots
-        )
-        groups = stage.digital_groups()
-        assert len(groups) == slots
-        # every slot has a cluster; the clusters are cut in order, and only
-        # the last one is reused by slots left without clusters
-        assert all(groups)
-        assert list(dict.fromkeys(sum(groups, ()))) == list(clusters)
-        assert max(map(len, groups)) == math.ceil(n_clusters / slots)
 
     def test_stage_requires_replica_for_analog_cost(self):
         with pytest.raises(ValueError):
@@ -233,7 +205,8 @@ class TestSystemSimulator:
         fast_result = simulate(arch, fast)
         assert fast_result.makespan_cycles < slow_result.makespan_cycles
 
-    def test_digital_only_stage(self):
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_digital_only_stage(self, engine):
         arch = ArchConfig.scaled(8)
         stage = StageDescriptor(
             stage_id=0,
@@ -245,9 +218,12 @@ class TestSystemSimulator:
         )
         workload = Workload("digital", [stage], n_jobs=8, batch_size=2,
                             tiles_per_image=4, total_digital_ops=800)
-        result = simulate(arch, workload)
+        result = simulate(arch, workload, engine=engine)
         assert result.completed
-        assert result.tracer.clusters[0].digital > 0
+        # every job's digital work runs on both clusters, one job at a time
+        assert [result.tracer.clusters[c].digital for c in (0, 1)] == [8 * 300] * 2
+        completions = result.completion_trace(0)
+        assert min(b - a for a, b in zip(completions, completions[1:])) >= 300
 
     def test_residual_storage_relay(self):
         arch = ArchConfig.scaled(8)
@@ -398,3 +374,57 @@ class TestSystemSimulator:
                             tiles_per_image=4)
         with pytest.raises(SimulationError):
             simulate(arch, workload)
+
+
+#: run options the simulator's entry points reject: a buffer depth must be a
+#: non-bool integer of at least 1, and the contention switch a bool.
+BAD_RUN_OPTIONS = [
+    ("buffer_depth", 0),
+    ("buffer_depth", -1),
+    ("buffer_depth", 1.5),
+    ("buffer_depth", True),
+    ("model_contention", "off"),
+    ("model_contention", 1),
+]
+
+
+class TestRunOptions:
+    """The simulator's entry points check their run options themselves,
+    so a call that bypasses the scenario spec fails on a bad value, naming
+    it, before anything runs or refuses."""
+
+    @pytest.fixture(scope="class")
+    def tiny_final(self):
+        """A 2-job FINAL mapping of ``tiny_cnn`` on 64 clusters."""
+        return _zoo_workload("tiny_cnn", (3, 32, 32), "final", 2, 64)
+
+    @staticmethod
+    def _message(name, value):
+        return f"{name} must be .*, got {re.escape(repr(value))}"
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    @pytest.mark.parametrize("name, value", BAD_RUN_OPTIONS)
+    def test_simulator_rejects_a_bad_option(self, tiny_final, engine, name, value):
+        arch, workload = tiny_final
+        with pytest.raises(ValueError, match=self._message(name, value)):
+            SystemSimulator(arch, workload, engine=engine, **{name: value})
+        with pytest.raises(ValueError, match=self._message(name, value)):
+            simulate(arch, workload, engine=engine, **{name: value})
+
+    @pytest.mark.parametrize("name, value", BAD_RUN_OPTIONS)
+    def test_fast_forward_rejects_a_bad_option_before_refusing(
+        self, tiny_final, name, value
+    ):
+        # two jobs would refuse probe-too-short; the check comes first
+        arch, workload = tiny_final
+        assert workload.n_jobs == 2
+        with pytest.raises(ValueError, match=self._message(name, value)):
+            fast_forward_simulate(arch, workload, **{name: value})
+
+    @pytest.mark.parametrize("engine", SIMULATION_ENGINES)
+    def test_a_numpy_integer_depth_runs_as_that_depth(self, tiny_final, engine):
+        arch, workload = tiny_final
+        numpy_depth = simulate(arch, workload, buffer_depth=np.int64(1), engine=engine)
+        assert result_mismatches(
+            numpy_depth, simulate(arch, workload, buffer_depth=1, engine=engine)
+        ) == []

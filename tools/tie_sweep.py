@@ -4,9 +4,9 @@ Draws small contended pipelines whose costs and byte sizes are multiples
 of one quantum, so that many events fall due on the same cycle, with
 chunked stage flows and residual relays of up to 40 chunks (more chunks
 than a cluster has DMA channels, so DMA queues).  A second generator adds
-digital clusters, digital slots and intra-stage partial-sum flows to such
-pipelines, so that stages share clusters.  A third arm draws the first
-generator's pipelines on an HBM controller with two channels: every draw
+digital clusters and intra-stage partial-sum flows to such pipelines, so
+that stages share clusters.  A third arm draws the first generator's
+pipelines on an HBM controller with two channels: every draw
 fetches its input from the HBM and some relay a residual through it, so
 bursts contend for the earliest-free channel.  A fourth arm draws the
 first generator's pipelines again with the event queue's compaction
@@ -158,11 +158,9 @@ def digital_tie_workload(rng: random.Random) -> Workload:
 
     The pipeline is drawn first, unchanged.  Then each stage draws its
     digital clusters from its own replica clusters, the other stages'
-    clusters and one free cluster (so stages and record groups share
-    clusters), 1 to 3 digital slots (more slots than clusters make the
-    groups share the last one) and the bytes of its intra-stage
-    partial-sum flow, which runs from each replica to the first digital
-    cluster.
+    clusters and one free cluster (so stages and record sources share
+    clusters), and the bytes of its intra-stage partial-sum flow, which
+    runs from each replica to the first digital cluster.
     """
     workload = tie_workload(rng)
     used = {c for stage in workload.stages for replica in stage.analog_replicas
@@ -176,10 +174,9 @@ def digital_tie_workload(rng: random.Random) -> Workload:
         cost = dataclasses.replace(
             stage.cost, intra_stage_bytes_per_job=rng.choice([0, 64, 128, 512])
         )
-        stages.append(dataclasses.replace(
-            stage, digital_clusters=clusters, digital_slots=rng.choice([1, 2, 3]),
-            cost=cost,
-        ))
+        stages.append(
+            dataclasses.replace(stage, digital_clusters=clusters, cost=cost)
+        )
     return dataclasses.replace(workload, stages=stages)
 
 
